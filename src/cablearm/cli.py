@@ -75,8 +75,23 @@ def load_scenario(path_or_name) -> dict:
     return doc
 
 
+_CONTROLLER_FIELDS = {"Ts_s", "Np", "Nc", "Q_scale", "R_scale", "P_scale", "du_bound", "pid"}
+_PID_FIELDS = {"Kp", "Ki", "Kd"}
+
+
+def _check_fields(doc, allowed, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ModelParseError(f"{where} must be an object")
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise ModelParseError(f"unknown {where} fields: {sorted(unknown)}")
+
+
 def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
     """Fill scenario defaults and validate the fields."""
+    controller = doc.get("controller", {})
+    _check_fields(controller, _CONTROLLER_FIELDS, "controller")
+    _check_fields(controller.get("pid", {}), _PID_FIELDS, "controller.pid")
     cfg = {
         "model": doc.get("model", "hcdr9dof"),
         "architecture": doc.get("architecture", "integrated2"),
@@ -84,19 +99,19 @@ def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
         "t_end_s": float(doc.get("t_end_s", 6.0)),
         "seed": int(doc.get("seed", 0)),
         "noise_std": doc.get("noise_std", 0.0),
-        "controller": dict(doc.get("controller", {})),
+        "controller": dict(controller),
         "integrator_substeps": int(doc.get("integrator_substeps", 10)),
         "tension_scan_points": int(doc.get("tension_scan_points", 76)),
     }
-    unknown = set(doc) - set(cfg)
-    if unknown:
-        raise ModelParseError(f"unknown scenario fields: {sorted(unknown)}")
+    _check_fields(doc, cfg, "scenario")
     if cfg["architecture"] not in _ARCHES:
         raise ScenarioError(f"architecture must be one of {_ARCHES}")
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
     if cfg["t_end_s"] <= 0:
         raise ScenarioError("t_end_s must be positive")
+    if cfg["integrator_substeps"] < 1:
+        raise ScenarioError("integrator_substeps must be at least 1")
     return cfg
 
 
@@ -171,13 +186,8 @@ def run_scenario(path_or_doc, out_dir, seed: int | None = None, fmt: str = "csv"
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if fmt == "json":
-        rows = {name: trace_row.tolist() for name, trace_row in zip(
-            metrics.TRACE_HEADER,
-            np.column_stack([
-                trace.t, trace.x, trace.tensions, trace.L0, trace.u,
-                trace.p_e, trace.ke, trace.ve, trace.x_ref, trace.p_e_ref,
-            ]).T,
-        )}
+        cols = metrics.trace_columns(trace)
+        rows = {name: cols[:, j].tolist() for j, name in enumerate(metrics.TRACE_HEADER)}
         (out / "trace.json").write_text(
             json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
@@ -296,7 +306,7 @@ def _cmd_inverse_dynamics(args) -> int:
 def _cmd_linearize(args) -> int:
     model = _resolve_model(args.model)
     doc = _read_json_file(args.state)
-    plant = sim.planar_reduce(model)
+    plant = sim.PlanarPlant(model)
     x = np.asarray(doc["x"], dtype=float)
     u = np.asarray(doc["u"], dtype=float)
     L01, L02 = float(doc["L01"]), float(doc["L02"])

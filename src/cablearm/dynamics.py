@@ -2,10 +2,14 @@
 
 The generalized coordinates are ``q = [p_m, euler, theta_1..theta_m]`` with
 ``qdot`` their literal time derivatives (Euler-angle rates, not body
-rates).  The mass matrix is assembled analytically from geometric
-Jacobians; the Coriolis matrix comes from Christoffel symbols of
-finite-differenced ``M``, which guarantees ``Mdot = C + C^T`` and exact
-energy bookkeeping up to the differencing error.
+rates).  One batched pass over the platform + arm chain gives the mass
+matrix ``M`` and gravity vector ``G`` from the bodies' geometric Jacobians,
+and the velocity-product force ``h = C(q, qdot) qdot`` from a base-to-tip
+recursion of body velocities and bias accelerations (the accelerations at
+``qddot = 0``), as in the recursive Newton-Euler algorithm.  The Euler-rate
+floating base counts as three revolute axes along the columns of
+``W = R E_b``.  :func:`dyn_terms` keeps the Christoffel symbols of a
+finite-differenced ``M`` as the test oracle for ``h``.
 
 Wrench pairing: a world wrench ``w = [F; M]`` maps to generalized forces
 through ``S(q)^T w`` with ``S = blkdiag(I, R E_b)``, the Jacobian from
@@ -27,9 +31,9 @@ from .errors import ConditioningError, ValidationError
 from .kinematics import (
     Pose,
     _cable_vectors,
+    _cross,
     check_euler_regular,
-    euler_rate_jacobian,
-    rotation,
+    euler_frames,
     tension_wrench_matrix,
     velocity_jacobians,
 )
@@ -50,35 +54,64 @@ class DynTerms:
 
 def mass_matrix(model: RobotModel, q) -> np.ndarray:
     """Symmetric positive-definite inertia matrix M(q); batched."""
-    M, _, _ = _mass_gravity(model, np.asarray(q, dtype=float))
-    return M
+    q = np.asarray(q, dtype=float)
+    return _dynamics_core(model, q, np.zeros_like(q))[0]
 
 
 def gravity_vector(model: RobotModel, q) -> np.ndarray:
     """Gradient of the gravitational potential (cable elasticity excluded:
     cable forces enter the equations of motion as inputs)."""
-    _, G, _ = _mass_gravity(model, np.asarray(q, dtype=float))
-    return G
+    q = np.asarray(q, dtype=float)
+    return _dynamics_core(model, q, np.zeros_like(q))[1]
 
 
-def _mass_gravity(model: RobotModel, q: np.ndarray):
-    """Batched (M, G, chain) from one Jacobian pass."""
-    batch = q.shape[:-1]
-    nq = q.shape[-1]
+def _dynamics_core(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
+    """Batched (M, G, h, chain) with h = C(q, qdot) qdot, from one chain pass.
+
+    Summed over the bodies (platform and arm links), with ``Jv`` and
+    ``Jw_b`` their COM and body-frame angular Jacobians:
+    ``M = Jv^T m Jv + Jw_b^T I Jw_b``, ``G = Jv^T m g e_z`` and
+    ``h = Jv^T m a + Jw_b^T (I alpha_b + omega_b x I omega_b)``, where
+    ``a`` and ``alpha`` are the bias accelerations (those at qddot = 0).
+    """
+    bodies = model.bodies
     Jv, Jw, chain = velocity_jacobians(model, q)
-    M = np.zeros(batch + (nq, nq))
-    M[..., 0:3, 0:3] = model.platform.mass * np.eye(3)
-    E = chain["E_b"]
-    M[..., 3:6, 3:6] = np.swapaxes(E, -1, -2) @ model.platform.inertia @ E
-    G = np.zeros(batch + (nq,))
-    G[..., 2] = model.platform.mass * model.gravity
-    for j, link in enumerate(model.arm):
-        Jvj = Jv[..., j, :, :]
-        Jwj = Jw[..., j, :, :]
-        M += link.mass * np.swapaxes(Jvj, -1, -2) @ Jvj
-        M += np.swapaxes(Jwj, -1, -2) @ link.inertia @ Jwj
-        G += model.gravity * link.mass * Jvj[..., 2, :]
-    return M, G, chain
+
+    # Base to tip, every revolute axis (Euler-rate axes first) adds spin s_k
+    # to the angular velocity and omega_k x s_k to the bias acceleration.
+    rates = qdot[..., 3:] * bodies.revolute
+    spins = (chain["axes"] * rates[..., None])[..., bodies.order, :]
+    omega = np.cumsum(spins, axis=-2)
+    alpha = np.cumsum(_cross(omega, spins), axis=-2)
+    omega, alpha = omega[..., 2:, :], alpha[..., 2:, :]      # per body
+
+    # Lever r on body b: alpha x r + omega x (omega x r + 2 v), v the slide
+    # velocity of a prismatic axis 2+b; the COM adds to the inboard joint's.
+    slide = 2.0 * (qdot[..., 5:] - rates[..., 2:])[..., None] * chain["levers"][..., 2]
+    levers = np.swapaxes(chain["levers"][..., 0:2], -1, -2)  # (..., m+1, 2, 3)
+    om = omega[..., None, :]
+    acc = _cross(alpha[..., None, :], levers) + _cross(om, _cross(om, levers) + slide[..., None, :])
+    step = acc[..., 0, :]
+    force = bodies.mass[:, None] * (np.cumsum(step, axis=-2) - step + acc[..., 1, :])
+    rot = np.swapaxes(chain["R_body"], -1, -2) @ np.stack([omega, alpha], axis=-1)
+    moments = bodies.inertia @ rot
+    torque = moments[..., 1] + _cross(rot[..., 0], moments[..., 0])
+
+    rows = q.shape[:-1] + (6 * (model.n_arm + 1), q.shape[-1])
+    JT = np.swapaxes(np.concatenate([Jv, Jw], axis=-2).reshape(rows), -1, -2)
+    K = np.concatenate([bodies.mass[:, None, None] * Jv, bodies.inertia @ Jw], axis=-2)
+    M = JT @ K.reshape(rows)
+    h = (JT @ np.concatenate([force, torque], axis=-1).reshape(rows[:-1] + (1,)))[..., 0]
+    G = model.gravity * (bodies.mass @ Jv[..., 2, :])
+    return M, G, h, chain
+
+
+def _energy_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
+    """Kinetic energy, gravity potential (datum z = 0) and cable lengths of one state."""
+    M, _, _, chain = _dynamics_core(model, q, qdot)
+    ke = 0.5 * qdot @ M @ qdot
+    L = np.linalg.norm(_cable_vectors(model, q[0:3], chain["R_gm"]), axis=-1)
+    return float(ke), float(model.gravity * (model.bodies.mass @ chain["p_com"][:, 2])), L
 
 
 def energies(model: RobotModel, q, qdot, L0) -> tuple[float, float]:
@@ -94,83 +127,45 @@ def energies(model: RobotModel, q, qdot, L0) -> tuple[float, float]:
         raise ValidationError(f"L0 must have length {model.n_cables}")
     if model.n_cables and np.any(L0 <= 0):
         raise ValidationError("unstretched cable lengths must be positive")
-    M, G, chain = _mass_gravity(model, q)
-    ke = 0.5 * qdot @ M @ qdot
-    ve = model.platform.mass * model.gravity * q[2]
-    for j, link in enumerate(model.arm):
-        ve += link.mass * model.gravity * chain["p_com"][j, 2]
-    if model.n_cables:
-        L = np.linalg.norm(_cable_vectors(model, q[0:3], chain["R_gm"]), axis=-1)
-        kc = model.platform.axial_stiffness / L0
-        ve += 0.5 * np.sum(kc * (L - L0) ** 2)
-    return float(ke), float(ve)
-
-
-def _dynamics_core(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
-    """Batched (M, G, h) with h = C qd, from one stacked chain pass.
-
-    The Coriolis force uses h = Mdot qd - 0.5 grad_q(qd^T M qd): one
-    directional difference of M along qd plus a kinetic-energy gradient,
-    identical to the Christoffel construction.  All 3 + 2 nq evaluation
-    points go through a single batched Jacobian pass.
-    """
-    batch = q.shape[:-1]
-    nq = q.shape[-1]
-    scale = _FD_SCALE * np.maximum(1.0, np.abs(q))            # (..., nq)
-    s_dir = (_FD_SCALE * np.maximum(1.0, np.max(np.abs(q), axis=-1))
-             / np.maximum(np.max(np.abs(qdot), axis=-1), 1e-30))  # (...,)
-    pert_dir = s_dir[..., None] * qdot
-
-    # Stacked points: [q, q+du, q-du, q+h_i e_i ..., q-h_i e_i ...]
-    pts = np.empty(batch + (3 + 2 * nq, nq))
-    pts[..., 0, :] = q
-    pts[..., 1, :] = q + pert_dir
-    pts[..., 2, :] = q - pert_dir
-    eye = np.eye(nq)
-    steps = scale[..., None, :] * eye                         # (..., nq, nq)
-    pts[..., 3:3 + nq, :] = q[..., None, :] + steps
-    pts[..., 3 + nq:, :] = q[..., None, :] - steps
-    Mb, Gb, _ = _mass_gravity(model, pts)
-
-    M = Mb[..., 0, :, :]
-    G = Gb[..., 0, :]
-    Mdot = (Mb[..., 1, :, :] - Mb[..., 2, :, :]) / (2.0 * s_dir[..., None, None])
-    first = (Mdot @ qdot[..., None])[..., 0]
-    quad = np.einsum("...i,...kij,...j->...k", qdot, Mb[..., 3:, :, :], qdot)
-    grad = (quad[..., :nq] - quad[..., nq:]) / (2.0 * scale)
-    return M, G, first - 0.5 * grad
-
-
-def _coriolis_force(model: RobotModel, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-    return _dynamics_core(model, q, qdot)[2]
+    ke, ve, L = _energy_terms(model, q, qdot)
+    kc = model.platform.axial_stiffness / L0
+    return ke, float(ve + 0.5 * np.sum(kc * (L - L0) ** 2))
 
 
 def coriolis_force(model: RobotModel, q, qdot) -> np.ndarray:
-    """C(q, qdot) @ qdot for a single state."""
-    return _coriolis_force(model, np.asarray(q, float), np.asarray(qdot, float))
+    """C(q, qdot) @ qdot; batched."""
+    return _dynamics_core(model, np.asarray(q, float), np.asarray(qdot, float))[2]
 
 
 def dyn_terms(model: RobotModel, q, qdot) -> DynTerms:
     """Full (M, C, G) with C from Christoffel symbols of finite-differenced M.
 
-    Satisfies M = M^T, M positive definite away from singularities, and
+    Test oracle for the analytic velocity-product force: satisfies
+    M = M^T, M positive definite away from singularities, and
     Mdot = C + C^T to differencing accuracy.
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     check_euler_regular(q[3:6], model.euler_convention)
     nq = q.shape[-1]
-    M, G, _ = _mass_gravity(model, q)
     scale = _FD_SCALE * np.maximum(1.0, np.abs(q))
-    pts = np.concatenate([q + np.diag(scale), q - np.diag(scale)], axis=0)
-    Mb, _, _ = _mass_gravity(model, pts)
-    dM = (Mb[:nq] - Mb[nq:]) / (2.0 * scale[:, None, None])   # dM[k] = dM/dq_k
+    pts = np.concatenate([q[None], q + np.diag(scale), q - np.diag(scale)], axis=0)
+    Mb, Gb, _, _ = _dynamics_core(model, pts, np.zeros_like(pts))
+    dM = (Mb[1:nq + 1] - Mb[nq + 1:]) / (2.0 * scale[:, None, None])   # dM[k] = dM/dq_k
     C = 0.5 * (
         np.einsum("kij,k->ij", dM, qdot)
         + np.einsum("jik,k->ij", dM, qdot)
         - np.einsum("ijk,k->ij", dM, qdot)
     )
-    return DynTerms(M=M, C=C, G=G)
+    return DynTerms(M=Mb[0], C=C, G=Gb[0])
+
+
+def _pair_wrench(W: np.ndarray, wrench: np.ndarray, nq: int) -> np.ndarray:
+    """Generalized forces S^T w of a world wrench, W = R E_b."""
+    out = np.zeros(wrench.shape[:-1] + (nq,))
+    out[..., 0:3] = wrench[..., 0:3]
+    out[..., 3:6] = (np.swapaxes(W, -1, -2) @ wrench[..., 3:6, None])[..., 0]
+    return out
 
 
 def wrench_to_generalized(model: RobotModel, euler, wrench) -> np.ndarray:
@@ -178,21 +173,8 @@ def wrench_to_generalized(model: RobotModel, euler, wrench) -> np.ndarray:
 
     Applies S^T = blkdiag(I, (R E_b)^T); arm coordinates receive zero.
     """
-    wrench = np.asarray(wrench, dtype=float)
-    E_w = rotation(euler, model.euler_convention) @ euler_rate_jacobian(
-        euler, model.euler_convention
-    )
-    out = np.zeros(wrench.shape[:-1] + (model.nq,))
-    out[..., 0:3] = wrench[..., 0:3]
-    out[..., 3:6] = (np.swapaxes(E_w, -1, -2) @ wrench[..., 3:6, None])[..., 0]
-    return out
-
-
-def generalized_cable_force(model: RobotModel, q, T) -> np.ndarray:
-    """Generalized force produced by cable tensions T at configuration q."""
-    q = np.asarray(q, dtype=float)
-    W = tension_wrench_matrix(model, Pose.from_q(q, model.euler_convention))
-    return wrench_to_generalized(model, q[3:6], W @ np.asarray(T, float))
+    W = euler_frames(euler, model.euler_convention)[1]
+    return _pair_wrench(W, np.asarray(wrench, dtype=float), model.nq)
 
 
 def inverse_dynamics(model: RobotModel, q, qdot, qddot, tau_d=None) -> np.ndarray:
@@ -205,20 +187,38 @@ def inverse_dynamics(model: RobotModel, q, qdot, qddot, tau_d=None) -> np.ndarra
     qdot = np.asarray(qdot, dtype=float)
     qddot = np.asarray(qddot, dtype=float)
     check_euler_regular(q[3:6], model.euler_convention)
-    M, G, h = _dynamics_core(model, q, qdot)
+    M, G, h, _ = _dynamics_core(model, q, qdot)
     tau = M @ qddot + h + G
     if tau_d is not None:
         tau = tau + np.asarray(tau_d, dtype=float)
     return tau
 
 
-def _solve_spd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or np.max(cond) > CONDITION_LIMIT:
-        raise ConditioningError(
-            f"inertia matrix near-singular (condition number {np.max(cond):.3e})"
-        )
-    return np.linalg.solve(M, rhs)
+def accelerations(model: RobotModel, q, qdot, wrench, tau_arm, tau_d=None,
+                  check_conditioning: bool = True) -> np.ndarray:
+    """Solve M qddot = S^T w + [0; tau_arm] - C qdot - G - tau_d; batched.
+
+    ``q`` and ``qdot`` are float arrays of shape (..., nq).  ``wrench`` is
+    the world wrench w = [F; M] on the platform, or a callable that builds
+    it from the platform rotation of the dynamics pass.  With
+    ``check_conditioning`` a near-singular M raises ConditioningError
+    instead of returning meaningless accelerations.
+    """
+    M, G, h, chain = _dynamics_core(model, q, qdot)
+    if callable(wrench):
+        wrench = wrench(chain["R_gm"])
+    rhs = _pair_wrench(chain["W_euler"], wrench, q.shape[-1])
+    rhs[..., 6:] += tau_arm
+    rhs -= h + G
+    if tau_d is not None:
+        rhs -= np.asarray(tau_d, dtype=float)
+    if check_conditioning:
+        cond = np.linalg.cond(M)
+        if not np.all(np.isfinite(cond)) or np.max(cond) > CONDITION_LIMIT:
+            raise ConditioningError(
+                f"inertia matrix near-singular (condition number {np.max(cond):.3e})"
+            )
+    return np.linalg.solve(M, rhs[..., None])[..., 0]
 
 
 def forward_dynamics(model: RobotModel, q, qdot, T, tau_a, tau_d=None) -> np.ndarray:
@@ -229,16 +229,9 @@ def forward_dynamics(model: RobotModel, q, qdot, T, tau_a, tau_d=None) -> np.nda
     on the tension sign convention).
     """
     q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    tau_a = np.asarray(tau_a, dtype=float)
-    check_euler_regular(q[3:6], model.euler_convention)
-    M, G, h = _dynamics_core(model, q, qdot)
-    gf = generalized_cable_force(model, q, T)
-    gf[6:] += tau_a
-    rhs = gf - h - G
-    if tau_d is not None:
-        rhs = rhs - np.asarray(tau_d, dtype=float)
-    return _solve_spd(M, rhs)
+    W = tension_wrench_matrix(model, Pose.from_q(q, model.euler_convention))
+    return accelerations(model, q, np.asarray(qdot, dtype=float),
+                         W @ np.asarray(T, dtype=float), np.asarray(tau_a, dtype=float), tau_d)
 
 
 def cable_tensions_from_stretch(model: RobotModel, pose: Pose, L0, clamp_slack: bool = False) -> np.ndarray:
@@ -296,13 +289,6 @@ def hybrid_forward_dynamics_quadrotor(
     F = np.asarray(F, dtype=float)
     if F.shape != (4,):
         raise ValueError("F must be the 4 rotor thrusts")
-    check_euler_regular(q[3:6], model.euler_convention)
-    pose = Pose.from_q(q, model.euler_convention)
-    A_tilde, _ = quadrotor_structure_matrix(params, pose)
-    gf = wrench_to_generalized(model, q[3:6], A_tilde @ F)
-    gf[6:] += np.asarray(tau_a, dtype=float)
-    M, G, h = _dynamics_core(model, q, np.asarray(qdot, float))
-    rhs = gf - h - G
-    if tau_d is not None:
-        rhs = rhs - np.asarray(tau_d, dtype=float)
-    return _solve_spd(M, rhs)
+    A_tilde, _ = quadrotor_structure_matrix(params, Pose.from_q(q, model.euler_convention))
+    return accelerations(model, q, np.asarray(qdot, dtype=float), A_tilde @ F,
+                         np.asarray(tau_a, dtype=float), tau_d)

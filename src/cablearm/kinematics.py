@@ -28,18 +28,39 @@ EULER_SINGULARITY_EPS = 1e-6   # rad margin on the middle angle vs +-pi/2
 CABLE_LENGTH_EPS = 1e-9        # m; shorter cables are degenerate
 
 
-def basic_rotation(axis: int, angle) -> np.ndarray:
-    """Rotation about a coordinate axis (0=X, 1=Y, 2=Z); batched over angle."""
-    angle = np.asarray(angle, dtype=float)
-    c, s = np.cos(angle), np.sin(angle)
-    R = np.zeros(angle.shape + (3, 3))
-    i, j = (axis + 1) % 3, (axis + 2) % 3
-    R[..., axis, axis] = 1.0
-    R[..., i, i] = c
-    R[..., j, j] = c
-    R[..., j, i] = s
-    R[..., i, j] = -s
-    return R
+_EYE = np.eye(3)
+_SKEW = np.array([np.cross(e, -_EYE) for e in _EYE])   # _SKEW[a] @ v = e_a x v
+_SKEW2 = _SKEW @ _SKEW
+
+
+def basic_rotation(axis, angle) -> np.ndarray:
+    """Rotation about a coordinate axis (0=X, 1=Y, 2=Z); batched over angle.
+
+    Rodrigues form ``I + sin(t) K + (1 - cos(t)) K^2``.  ``axis`` may also
+    be an index array matched against the trailing axis of ``angle``.
+    """
+    angle = np.asarray(angle, dtype=float)[..., None, None]
+    return _EYE + np.sin(angle) * _SKEW[axis] + (1.0 - np.cos(angle)) * _SKEW2[axis]
+
+
+def euler_frames(euler, convention: str = "XYZ"):
+    """Rotation R and the world and body Euler-rate Jacobians (W, E_b).
+
+    ``R = R_a1 R_a2 R_a3`` in convention order.  The world angular velocity
+    is ``W @ euler_rates`` with columns ``e_a1``, ``R_a1 e_a2`` and
+    ``R_a1 R_a2 e_a3``; the body rate is ``E_b @ euler_rates``, ``E_b = R^T W``.
+    """
+    euler = np.asarray(euler, dtype=float)
+    axes = [AXIS_INDEX[c] for c in convention]
+    a1, a2, a3 = axes
+    Rk = basic_rotation(axes, euler[..., axes])
+    R12 = Rk[..., 0, :, :] @ Rk[..., 1, :, :]
+    R = R12 @ Rk[..., 2, :, :]
+    W = np.empty(R.shape)
+    W[..., :, a1] = _EYE[a1]
+    W[..., :, a2] = Rk[..., 0, :, a2]
+    W[..., :, a3] = R12[..., :, a3]
+    return R, W, np.swapaxes(R, -1, -2) @ W
 
 
 def rotation(euler, convention: str = "XYZ") -> np.ndarray:
@@ -49,12 +70,7 @@ def rotation(euler, convention: str = "XYZ") -> np.ndarray:
     convention string gives the order in which the axis rotations are
     composed, e.g. ``"XYZ"`` -> R_x(a) @ R_y(b) @ R_z(c).
     """
-    euler = np.asarray(euler, dtype=float)
-    axes = [AXIS_INDEX[c] for c in convention]
-    R = basic_rotation(axes[0], euler[..., axes[0]])
-    for ax in axes[1:]:
-        R = R @ basic_rotation(ax, euler[..., ax])
-    return R
+    return euler_frames(euler, convention)[0]
 
 
 def _middle_angle(euler, convention: str):
@@ -77,16 +93,7 @@ def euler_rate_jacobian(euler, convention: str = "XYZ") -> np.ndarray:
     axes; column for the first-applied axis is (R2 R3)^T e1, for the second
     R3^T e2, for the last e3.
     """
-    euler = np.asarray(euler, dtype=float)
-    a1, a2, a3 = (AXIS_INDEX[c] for c in convention)
-    R2 = basic_rotation(a2, euler[..., a2])
-    R3 = basic_rotation(a3, euler[..., a3])
-    E = np.zeros(euler.shape[:-1] + (3, 3))
-    e = np.eye(3)
-    E[..., :, a1] = np.swapaxes(R2 @ R3, -1, -2) @ e[a1]
-    E[..., :, a2] = np.swapaxes(R3, -1, -2) @ e[a2]
-    E[..., :, a3] = e[a3]
-    return E
+    return euler_frames(euler, convention)[2]
 
 
 def euler_rates_to_omega(euler, euler_rates, convention: str = "XYZ") -> np.ndarray:
@@ -217,111 +224,77 @@ class LinkKinematics:
 
 
 def arm_chain(model: RobotModel, q: np.ndarray) -> dict:
-    """Forward pass of the platform + arm chain; batched over leading axes.
+    """Forward pass over the bodies of the platform + arm tree; batched.
 
-    Returns rotations, joint/COM positions, world joint axes, and the
-    Euler-rate Jacobian needed by the velocity and mass-matrix assembly.
+    Body 0 is the platform and body j the arm link j.  Returns body
+    rotations, joint and COM positions, world axes (Euler-rate axes, then
+    joint axes), per-body world levers and the Euler-rate Jacobians needed
+    by the velocity and mass-matrix assembly.
     """
     q = np.asarray(q, dtype=float)
-    batch = q.shape[:-1]
-    p_m = q[..., 0:3]
-    euler = q[..., 3:6]
-    conv = model.euler_convention
-    R_gm = rotation(euler, conv)
-    E_b = euler_rate_jacobian(euler, conv)
-    W_euler = R_gm @ E_b                     # world directions of euler-rate axes
+    bodies = model.bodies
     m = model.n_arm
-
-    R_ga = np.zeros(batch + (m + 1, 3, 3))
-    p_joint = np.zeros(batch + (m + 1, 3))
-    p_com = np.zeros(batch + (m, 3))
-    axis_world = np.zeros(batch + (m, 3))
-
-    R_ga[..., 0, :, :] = R_gm @ model.mount_rotation
-    p_joint[..., 0, :] = p_m + (R_gm @ model.mount_offset)
-    for j, link in enumerate(model.arm, start=1):
-        theta = q[..., 5 + j]
-        ax = link.axis_index
-        joint_off = np.broadcast_to(link.joint_offset, batch + (3,)).copy()
-        com_off = np.broadcast_to(link.com_offset, batch + (3,)).copy()
-        if link.joint_kind == "revolute":
-            R_rel = basic_rotation(ax, theta)
-        else:
-            R_rel = np.broadcast_to(np.eye(3), batch + (3, 3))
-            joint_off[..., ax] += theta
-            com_off[..., ax] += theta
-        R_here = R_ga[..., j - 1, :, :] @ R_rel
-        R_ga[..., j, :, :] = R_here
-        axis_world[..., j - 1, :] = R_here[..., :, ax]
-        p_joint[..., j, :] = p_joint[..., j - 1, :] + (R_here @ joint_off[..., None])[..., 0]
-        p_com[..., j - 1, :] = p_joint[..., j - 1, :] + (R_here @ com_off[..., 0:3, None])[..., 0]
+    R_gm, W_euler, E_b = euler_frames(q[..., 3:6], model.euler_convention)
+    R_rel = basic_rotation(bodies.joint_axis, q[..., 6:] * bodies.revolute[3:])
+    R_body = np.empty(q.shape[:-1] + (m + 1, 3, 3))
+    R_body[..., 0, :, :] = R_gm
+    R_base = R = R_gm @ model.mount_rotation
+    for j in range(m):
+        R = R_body[..., j + 1, :, :] = R @ R_rel[..., j, :, :]
+    # columns: lever to the outboard joint, lever to the COM, joint axis.
+    # slide[0] is zero, so the Euler angle in q[..., 5] drops out.
+    levers = R_body @ (bodies.frame + q[..., 5:, None, None] * bodies.slide)
+    # p_m, arm base, joints 2..m, tip
+    p_joint = np.cumsum(np.concatenate([q[..., None, 0:3], levers[..., 0]], axis=-2), axis=-2)
     return {
-        "p_m": p_m,
+        "p_m": q[..., 0:3],
         "R_gm": R_gm,
         "E_b": E_b,
         "W_euler": W_euler,
-        "R_ga": R_ga,
+        "R_base": R_base,
+        "R_body": R_body,
         "p_joint": p_joint,
-        "p_com": p_com,
-        "axis_world": axis_world,
+        "p_com": p_joint[..., :-1, :] + levers[..., 1],
+        "levers": levers,
+        "axes": np.concatenate([np.swapaxes(W_euler, -1, -2), levers[..., 1:, :, 2]], axis=-2),
     }
+
+
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product on trailing axes without np.cross's dispatch overhead."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
+    return a.take(_NEXT, axis=-1) * b.take(_PREV, axis=-1) - a.take(_PREV, axis=-1) * b.take(_NEXT, axis=-1)
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
-    S = np.zeros(v.shape[:-1] + (3, 3))
-    S[..., 0, 1] = -v[..., 2]
-    S[..., 0, 2] = v[..., 1]
-    S[..., 1, 0] = v[..., 2]
-    S[..., 1, 2] = -v[..., 0]
-    S[..., 2, 0] = -v[..., 1]
-    S[..., 2, 1] = v[..., 0]
-    return S
+    """Cross-product matrix: _skew(v) @ w = v x w; batched."""
+    return np.tensordot(v, _SKEW, axes=1)
 
 
 def velocity_jacobians(model: RobotModel, q: np.ndarray, chain: dict | None = None):
     """Geometric Jacobians of every body, batched.
 
-    Returns ``(Jv, Jw_body, chain)`` where ``Jv[..., j, :, :]`` maps qdot to
-    the world COM velocity of link j+1 and ``Jw_body`` to its body-frame
-    angular velocity.  The platform Jacobians are implicit: v_m = qdot[0:3],
-    omega_b = E_b @ qdot[3:6].
+    Returns ``(Jv, Jw_body, chain)`` where ``Jv[..., b, :, :]`` maps qdot to
+    the world COM velocity of body b (0 the platform, j the arm link j) and
+    ``Jw_body`` to its body-frame angular velocity.
     """
     q = np.asarray(q, dtype=float)
-    batch = q.shape[:-1]
-    nq = q.shape[-1]
-    m = model.n_arm
     if chain is None:
         chain = arm_chain(model, q)
-    Jv = np.zeros(batch + (m, 3, nq))
-    Jw = np.zeros(batch + (m, 3, nq))
-    W = chain["W_euler"]
-    for j in range(1, m + 1):
-        d = chain["p_com"][..., j - 1, :] - chain["p_m"]
-        Jv[..., j - 1, :, 0:3] = np.eye(3)
-        Jv[..., j - 1, :, 3:6] = -_skew(d) @ W
-        Jw[..., j - 1, :, 3:6] = W
-        for k in range(1, j + 1):
-            link = model.arm[k - 1]
-            col = 5 + k
-            z = chain["axis_world"][..., k - 1, :]
-            if link.joint_kind == "revolute":
-                arm_vec = chain["p_com"][..., j - 1, :] - chain["p_joint"][..., k - 1, :]
-                Jv[..., j - 1, :, col] = _cross(z, arm_vec)
-                Jw[..., j - 1, :, col] = z
-            else:
-                Jv[..., j - 1, :, col] = z
-        R_j = chain["R_ga"][..., j, :, :]
-        Jw[..., j - 1, :, :] = np.swapaxes(R_j, -1, -2) @ Jw[..., j - 1, :, :]
-    return Jv, Jw, chain
+    bodies = model.bodies
+    axes = chain["axes"][..., None, :, :]                     # (..., 1, 3+m, 3)
+    # revolute axis k moves body b by z_k x (p_com_b - p_k), prismatic by z_k
+    spin = axes * bodies.turns[..., None]
+    lever = chain["p_com"][..., :, None, :] - chain["p_joint"][..., None, bodies.origin, :]
+    Jv = np.empty(q.shape[:-1] + (model.n_arm + 1, 3, model.nq))
+    Jw = np.zeros(Jv.shape)
+    Jv[..., 0:3] = _EYE
+    Jv[..., 3:] = np.swapaxes(_cross(spin, lever) + axes * bodies.slides[..., None], -1, -2)
+    Jw[..., 3:] = np.swapaxes(spin, -1, -2)
+    return Jv, np.swapaxes(chain["R_body"], -1, -2) @ Jw, chain
 
 
 def link_kinematics(model: RobotModel, q, qdot) -> LinkKinematics:
@@ -335,9 +308,9 @@ def link_kinematics(model: RobotModel, q, qdot) -> LinkKinematics:
     check_euler_regular(q[3:6], model.euler_convention)
     Jv, Jw, chain = velocity_jacobians(model, q)
     return LinkKinematics(
-        p_joint=chain["p_joint"],
-        p_com=chain["p_com"],
-        rotations=chain["R_ga"],
-        v_com=Jv @ qdot,
-        omega=Jw @ qdot,
+        p_joint=chain["p_joint"][1:],
+        p_com=chain["p_com"][1:],
+        rotations=np.concatenate([chain["R_base"][None], chain["R_body"][1:]]),
+        v_com=Jv[1:] @ qdot,
+        omega=Jw[1:] @ qdot,
     )

@@ -80,29 +80,23 @@ def evaluate_trace(trace: SimTrace) -> EvalReport:
     return rmse(trace.p_e, trace.p_e_ref, trace.tensions)
 
 
-def trace_to_csv(trace: SimTrace) -> str:
-    """Serialize a trace with the documented column contract."""
-    K = len(trace.t)
-    cols = np.column_stack(
-        [
-            trace.t,
-            trace.x,
-            trace.tensions,
-            trace.L0,
-            trace.u,
-            trace.p_e,
-            trace.ke,
-            trace.ve,
-            trace.x_ref,
-            trace.p_e_ref,
-        ]
-    )
+def trace_columns(trace: SimTrace) -> np.ndarray:
+    """Trace as one row per period, columns in :data:`TRACE_HEADER` order."""
+    cols = np.column_stack([
+        trace.t, trace.x, trace.tensions, trace.L0, trace.u,
+        trace.p_e, trace.ke, trace.ve, trace.x_ref, trace.p_e_ref,
+    ])
     if cols.shape[1] != len(TRACE_HEADER):
         raise AssertionError("trace column layout drifted from the documented header")
+    return cols
+
+
+def trace_to_csv(trace: SimTrace) -> str:
+    """Serialize a trace with the documented column contract."""
     buf = io.StringIO()
     buf.write(",".join(TRACE_HEADER) + "\n")
-    for i in range(K):
-        buf.write(",".join(repr(float(v)) for v in cols[i]) + "\n")
+    for row in trace_columns(trace):
+        buf.write(",".join(repr(float(v)) for v in row) + "\n")
     return buf.getvalue()
 
 

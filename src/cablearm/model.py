@@ -9,7 +9,8 @@ share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from importlib import resources
 from typing import Any
 
@@ -157,6 +158,66 @@ class ArmLink:
 
 
 @dataclass(frozen=True)
+class BodyArrays:
+    """Constants of the platform + arm tree, stacked for the batched chain pass.
+
+    Bodies are the platform (0) and the arm links (1..m).  Axes are the
+    coordinates 3.. of ``q``: the three Euler angles, then the arm joints.
+    ``frame[b]`` holds, as columns in body b's frame, the lever from its
+    inboard joint (the platform origin for body 0) to its outboard joint,
+    the lever to its COM and its joint axis; ``slide[b]`` is the change of
+    those columns per unit of prismatic travel.  ``turns[b, k]`` is 1 when
+    revolute axis k rotates body b, ``slides[b, k]`` when prismatic axis k
+    translates it.  ``order`` lists the axes from base to tip (Euler axes in
+    convention order) and ``origin`` indexes each axis's point in the
+    chain's joint positions.
+    """
+
+    mass: np.ndarray        # (m+1,)
+    inertia: np.ndarray     # (m+1, 3, 3)
+    joint_axis: np.ndarray  # (m,) axis index of each arm joint
+    revolute: np.ndarray    # (3+m,) 1.0 for revolute axes, 0.0 for prismatic
+    frame: np.ndarray       # (m+1, 3, 3)
+    slide: np.ndarray       # (m+1, 3, 3)
+    turns: np.ndarray       # (m+1, 3+m)
+    slides: np.ndarray      # (m+1, 3+m)
+    order: np.ndarray       # (3+m,)
+    origin: np.ndarray      # (3+m,)
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    @classmethod
+    def stack(cls, model: "RobotModel") -> "BodyArrays":
+        arm = model.arm
+        m = len(arm)
+        joint_axis = np.array([link.axis_index for link in arm], dtype=int)
+        revolute = np.array([1.0, 1.0, 1.0] + [l.joint_kind == "revolute" for l in arm])
+        unit = np.eye(3)[joint_axis].reshape(m, 3)
+        frame = np.zeros((m + 1, 3, 3))
+        frame[0, :, 0] = model.mount_offset
+        frame[1:] = np.stack([np.array([l.joint_offset for l in arm]).reshape(m, 3),
+                              np.array([l.com_offset for l in arm]).reshape(m, 3), unit], axis=-1)
+        slide = np.zeros((m + 1, 3, 3))
+        slide[1:, :, 0:2] = ((1.0 - revolute[3:])[:, None] * unit)[:, :, None]
+        reach = np.hstack([np.ones((m + 1, 3)), np.tril(np.ones((m + 1, m)), k=-1)])
+        p = model.platform
+        return cls(
+            mass=np.array([p.mass] + [l.mass for l in arm]),
+            inertia=np.array([p.inertia] + [l.inertia for l in arm]),
+            joint_axis=joint_axis,
+            revolute=revolute,
+            frame=frame,
+            slide=slide,
+            turns=reach * revolute,
+            slides=reach * (1.0 - revolute),
+            order=np.array([_AXES.index(c) for c in model.euler_convention] + list(range(3, 3 + m))),
+            origin=np.array([0, 0, 0] + list(range(1, m + 1))),
+        )
+
+
+@dataclass(frozen=True)
 class RobotModel:
     """Immutable description of the coupled platform + arm system."""
 
@@ -195,6 +256,11 @@ class RobotModel:
     def nq(self) -> int:
         """Generalized-coordinate count: platform pose (6) + joint angles."""
         return 6 + len(self.arm)
+
+    @cached_property
+    def bodies(self) -> BodyArrays:
+        """Stacked per-body constants, built on first use."""
+        return BodyArrays.stack(self)
 
     def platform_only(self) -> "RobotModel":
         """Copy of this model with the arm removed (decoupled CDPR)."""

@@ -41,14 +41,7 @@ from .control import (
     select_states,
 )
 from .errors import DivergenceError, ReductionError, ValidationError
-from .kinematics import (
-    _cable_vectors,
-    _structure_matrix_raw,
-    arm_chain,
-    euler_rate_jacobian,
-    link_kinematics,
-    rotation,
-)
+from .kinematics import _cable_vectors, _structure_matrix_raw, link_kinematics, rotation
 from .model import RobotModel
 from .stiffness import optimize_tensions
 
@@ -122,14 +115,9 @@ class PlanarPlant:
         x[..., self._x_pos + 1] = qd[..., self._q_pos]
         return x
 
-    def full_tensions(self, x, u, L01, L02):
-        """All cable tensions: elastic upper groups, commanded lower groups."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        q, _ = self.embed(x)
-        R = rotation(q[..., 3:6], self.model.euler_convention)
-        L = np.linalg.norm(_cable_vectors(self.model, q[..., 0:3], R), axis=-1)
-        T = np.zeros(x.shape[:-1] + (self.model.n_cables,))
+    def _tensions(self, L, u, L01, L02):
+        """Elastic upper groups at lengths L, commanded lower groups from u."""
+        T = np.zeros(L.shape)
         ea = self.model.platform.axial_stiffness
         for idx, L0 in zip(self.pos_idx, (L01, L02)):
             T[..., idx] = ea[idx] / L0 * (L[..., idx] - L0)
@@ -137,51 +125,44 @@ class PlanarPlant:
             T[..., idx] = u[..., k, None]
         return T
 
-    def f(self, x, u, L01, L02):
-        """State derivative; broadcasts over leading axes of x and u."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        q, qd = self.embed(x)
-        batch = q.shape[:-1]
+    def full_tensions(self, x, u, L01, L02):
+        """All cable tensions: elastic upper groups, commanded lower groups."""
+        q, _ = self.embed(x)
         R = rotation(q[..., 3:6], self.model.euler_convention)
-        T = self.full_tensions(x, u, L01, L02)
-        A, _ = _structure_matrix_raw(self.model, q[..., 0:3], R)
-        w = -(A @ T[..., None])[..., 0]            # pull-direction wrench
-        E_w = R @ euler_rate_jacobian(q[..., 3:6], self.model.euler_convention)
-        tau = np.zeros(batch + (self.model.nq,))
-        tau[..., 0:3] = w[..., 0:3]
-        tau[..., 3:6] = (np.swapaxes(E_w, -1, -2) @ w[..., 3:6, None])[..., 0]
-        for k, j in enumerate(self.free_joints):
-            tau[..., 6 + j] += u[..., 2 + k]
-        M, G, h = dynamics._dynamics_core(self.model, q, qd)
-        qdd = np.linalg.solve(M, (tau - h - G)[..., None])[..., 0]
+        L = np.linalg.norm(_cable_vectors(self.model, q[..., 0:3], R), axis=-1)
+        return self._tensions(L, np.asarray(u, dtype=float), L01, L02)
+
+    def _xdot(self, x, tension_law, tau_arm):
+        """State derivative under cable tensions ``tension_law(L)`` of the
+        cable lengths and arm joint torques ``tau_arm``."""
+        q, qd = self.embed(x)
+
+        def wrench(R):
+            A, L = _structure_matrix_raw(self.model, q[..., 0:3], R)
+            return -(A @ tension_law(L)[..., None])[..., 0]    # pull direction
+
+        qdd = dynamics.accelerations(self.model, q, qd, wrench, tau_arm,
+                                     check_conditioning=False)
         xdot = np.empty_like(x)
         xdot[..., self._x_pos] = x[..., self._x_pos + 1]
         xdot[..., self._x_pos + 1] = qdd[..., self._q_pos]
         return xdot
 
+    def f(self, x, u, L01, L02):
+        """State derivative; broadcasts over leading axes of x and u."""
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        tau = np.zeros(x.shape[:-1] + (self.model.n_arm,))
+        tau[..., self.free_joints] = u[..., 2:]
+        return self._xdot(x, lambda L: self._tensions(L, u, L01, L02), tau)
+
     def conservative_f(self, L0_full):
         """Unforced dynamics with every cable elastic at fixed L0 (energy tests)."""
         L0_full = np.asarray(L0_full, dtype=float)
+        kc = self.model.platform.axial_stiffness / L0_full
 
         def f(x):
-            x = np.asarray(x, dtype=float)
-            q, qd = self.embed(x)
-            R = rotation(q[..., 3:6], self.model.euler_convention)
-            L = np.linalg.norm(_cable_vectors(self.model, q[..., 0:3], R), axis=-1)
-            T = self.model.platform.axial_stiffness / L0_full * (L - L0_full)
-            A, _ = _structure_matrix_raw(self.model, q[..., 0:3], R)
-            w = -(A @ T[..., None])[..., 0]
-            E_w = R @ euler_rate_jacobian(q[..., 3:6], self.model.euler_convention)
-            tau = np.zeros(q.shape[:-1] + (self.model.nq,))
-            tau[..., 0:3] = w[..., 0:3]
-            tau[..., 3:6] = (np.swapaxes(E_w, -1, -2) @ w[..., 3:6, None])[..., 0]
-            M, G, h = dynamics._dynamics_core(self.model, q, qd)
-            qdd = np.linalg.solve(M, (tau - h - G)[..., None])[..., 0]
-            xdot = np.empty_like(x)
-            xdot[..., self._x_pos] = x[..., self._x_pos + 1]
-            xdot[..., self._x_pos + 1] = qdd[..., self._q_pos]
-            return xdot
+            return self._xdot(np.asarray(x, dtype=float), lambda L: kc * (L - L0_full), 0.0)
 
         return f
 
@@ -190,17 +171,11 @@ class PlanarPlant:
         length-commanded groups only (force-commanded cables have no
         defined unstretched length)."""
         q, qd = self.embed(np.asarray(x, dtype=float))
-        chain = arm_chain(self.model, q)
-        L = np.linalg.norm(_cable_vectors(self.model, q[0:3], chain["R_gm"]), axis=-1)
-        M, _, _ = dynamics._mass_gravity(self.model, q)
-        ke = 0.5 * qd @ M @ qd
-        ve = self.model.platform.mass * self.model.gravity * q[2]
-        for j, link in enumerate(self.model.arm):
-            ve += link.mass * self.model.gravity * chain["p_com"][j, 2]
+        ke, ve, L = dynamics._energy_terms(self.model, q, qd)
         ea = self.model.platform.axial_stiffness
         for idx, L0 in zip(self.pos_idx, (L01, L02)):
             ve += 0.5 * np.sum(ea[idx] / L0 * (L[idx] - L0) ** 2)
-        return float(ke), float(ve)
+        return ke, float(ve)
 
     def end_effector(self, x):
         """World (x, z) of the arm tip (platform position for an empty arm)."""
@@ -220,11 +195,6 @@ def _actuation_layout(model: RobotModel) -> dict:
             "planar control expects 2 force-commanded and 2 length-commanded actuator groups"
         )
     return {"low_groups": tuple(low), "pos_groups": tuple(pos)}
-
-
-def planar_reduce(model: RobotModel) -> PlanarPlant:
-    """In-plane plant of a mirror-symmetric model (see PlanarPlant)."""
-    return PlanarPlant(model)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +441,7 @@ def simulate(
     pid_gains = default_pid_gains() if pid_gains is None else pid_gains
     # The MPC runs at Ts; the joint PID approximates the continuous law and
     # is re-evaluated at every integration substep.
-    plant = planar_reduce(model)
+    plant = PlanarPlant(model)
     if plant.n_states != 10:
         raise ValidationError("closed-loop simulation expects the 10-state planar plant")
     K = int(round(T_end / Ts))
@@ -481,7 +451,7 @@ def simulate(
     sched_full = reference_schedule(model, plant, traj, times, scan_points)
     if arch is Architecture.INDEPENDENT:
         model_d = model.platform_only()
-        plant_d = planar_reduce(model_d)
+        plant_d = PlanarPlant(model_d)
         sched_design = reference_schedule(model_d, plant_d, traj, times, scan_points)
     else:
         model_d = model

@@ -27,8 +27,8 @@ from cablearm.kinematics import Pose, cable_geometry, structure_matrix, tension_
 from cablearm.model import builtin_hcdr9dof, builtin_quadrotor_arm
 from cablearm.redundancy import null_space
 from cablearm.sim import (
+    PlanarPlant,
     case_study_trajectory,
-    planar_reduce,
     reference_schedule,
     rk4_step,
     simulate,
@@ -104,7 +104,7 @@ def test_criterion_02_dynamics_round_trip(model):
 
 def test_criterion_03_energy_conservation(model):
     """Unforced conservative planar system: |dE|/E0 <= 1e-4 over 2 s at 1e-4."""
-    plant = planar_reduce(model)
+    plant = PlanarPlant(model)
     L = cable_geometry(model, Pose(np.zeros(3), np.zeros(3))).lengths
     L0 = L * 0.8
     f = plant.conservative_f(L0)
@@ -175,7 +175,7 @@ def test_criterion_06_redundancy_suite(model):
     assert np.linalg.norm(W @ N) <= 1e-10
     assert np.linalg.norm(N.T @ N - np.eye(N.shape[1])) <= 1e-10
 
-    plant = planar_reduce(model)
+    plant = PlanarPlant(model)
     traj = case_study_trajectory()
     times = np.arange(0, 601) * 0.01
     sched = reference_schedule(model, plant, traj, times, scan_points=76)

@@ -104,6 +104,16 @@ class TestRunScenario:
         assert set(saved) == set(metrics.TRACE_HEADER)
         assert len(saved["t"]) == 11
 
+    def test_trace_json_holds_the_csv_columns(self, tmp_path):
+        doc = dict(SHORT)
+        doc["t_end_s"] = 0.05
+        result = run_scenario(doc, tmp_path, fmt="json")
+        saved = json.loads((tmp_path / "trace.json").read_text())
+        cols = metrics.trace_from_csv(Path(result["trace"]).read_text())
+        assert list(cols) == metrics.TRACE_HEADER
+        for name in metrics.TRACE_HEADER:
+            assert saved[name] == cols[name].tolist(), name
+
 
 class TestCliMain:
     def test_malformed_scenario_exit_code(self, tmp_path, capsys):
@@ -121,6 +131,26 @@ class TestCliMain:
         p.write_text(json.dumps(doc))
         code = main(["simulate", "--scenario", str(p), "--out-dir", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("override, category, code", [
+        ({"typo_field": 1}, "parse", 2),
+        ({"controller": {"Q_scal": 2.0}}, "parse", 2),
+        ({"controller": {"pid": {"Kq": 1.0}}}, "parse", 2),
+        ({"controller": [1, 2]}, "parse", 2),
+        ({"integrator_substeps": 0}, "scenario", 4),
+        ({"architecture": "integrated3"}, "scenario", 4),
+        ({"t_end_s": 0.0}, "scenario", 4),
+        ({"controller": {"du_bound": [1.0, 2.0]}}, "scenario", 4),
+    ])
+    def test_malformed_scenario_table(self, tmp_path, capsys, override, category, code):
+        doc = dict(SHORT)
+        doc.update(override)
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(p), "--out-dir", str(tmp_path / "o")]) == code
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["category"] == category
+        assert not (tmp_path / "o").exists()
 
     def test_evaluate_command(self, short_run, capsys):
         code = main(["evaluate", "--trace", short_run["trace"]])

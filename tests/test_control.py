@@ -35,7 +35,7 @@ class TestLinearize:
         from cablearm.stiffness import optimize_tensions
         from cablearm.dynamics import inverse_dynamics
 
-        plant = S.planar_reduce(hcdr)
+        plant = S.PlanarPlant(hcdr)
         q = np.zeros(9)
         q[0], q[2] = 0.05, 0.1
         res = optimize_tensions(hcdr, q, scan_points=39)

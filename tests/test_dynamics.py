@@ -19,7 +19,7 @@ from cablearm.dynamics import (
 )
 from cablearm.errors import ConditioningError
 from cablearm.kinematics import Pose, euler_rate_jacobian, rotation, tension_wrench_matrix
-from cablearm.model import builtin_quadrotor_arm
+from cablearm.model import ArmLink, builtin_quadrotor_arm
 
 
 def random_state(rng, scale_q=0.3, scale_qd=0.8, n=9):
@@ -131,6 +131,55 @@ class TestDynTerms:
         q, qd = random_state(rng)
         terms = dyn_terms(hcdr, q, qd)
         assert np.allclose(coriolis_force(hcdr, q, qd), terms.C @ qd, atol=1e-8)
+
+
+def _offset_prismatic_model(hcdr):
+    """Off-centre, tilted arm mount with a prismatic middle joint."""
+    slider = ArmLink(
+        mass=0.3,
+        inertia=np.diag([0.01, 0.02, 0.03]),
+        joint_kind="prismatic",
+        joint_axis="X",
+        joint_offset=np.array([0.02, 0.0, 0.1]),
+        com_offset=np.array([0.01, 0.01, 0.05]),
+    )
+    return replace(
+        hcdr,
+        mount_offset=np.array([0.03, -0.02, 0.048]),
+        mount_rotation=rotation([0.1, -0.2, 0.3]),
+        arm=(hcdr.arm[0], slider, hcdr.arm[2]),
+    )
+
+
+ORACLE_MODELS = {
+    "zyx_convention": lambda hcdr: replace(hcdr, euler_convention="ZYX"),
+    "prismatic_offset_mount": _offset_prismatic_model,
+    "platform_only": lambda hcdr: hcdr.platform_only(),
+    "quadrotor_arm": lambda hcdr: builtin_quadrotor_arm()[1],
+}
+
+
+class TestAnalyticCoriolisOracle:
+    """The analytic velocity-product force against the Christoffel oracle,
+    on models the bundled one does not exercise."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_matches_christoffel_oracle(self, name, hcdr, rng):
+        model = ORACLE_MODELS[name](hcdr)
+        for _ in range(5):
+            q, qd = random_state(rng, n=model.nq)
+            terms = dyn_terms(model, q, qd)
+            assert np.allclose(coriolis_force(model, q, qd), terms.C @ qd, atol=1e-8)
+
+    def test_batched_rows_equal_single_rows(self, hcdr, rng):
+        model = _offset_prismatic_model(hcdr)
+        Q = rng.normal(0, 0.3, (6, model.nq))
+        Qd = rng.normal(0, 0.8, (6, model.nq))
+        batch = coriolis_force(model, Q, Qd)
+        M_batch = mass_matrix(model, Q)
+        for k in range(6):
+            assert np.allclose(batch[k], coriolis_force(model, Q[k], Qd[k]), rtol=0, atol=1e-14)
+            assert np.allclose(M_batch[k], mass_matrix(model, Q[k]), rtol=0, atol=1e-14)
 
 
 class TestInverseForward:

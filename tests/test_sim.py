@@ -9,8 +9,8 @@ from cablearm.errors import DivergenceError, ReductionError
 from cablearm.model import Anchor
 from cablearm.sim import (
     Architecture,
+    PlanarPlant,
     case_study_trajectory,
-    planar_reduce,
     quintic_trajectory,
     reference_schedule,
     rk4_step,
@@ -21,13 +21,13 @@ from cablearm.stiffness import optimize_tensions
 
 class TestPlanarReduce:
     def test_dimensions(self, hcdr):
-        plant = planar_reduce(hcdr)
+        plant = PlanarPlant(hcdr)
         assert plant.n_states == 10
         assert plant.n_inputs == 4
         assert plant.free_joints == (1, 2)
 
     def test_platform_only_dimensions(self, hcdr):
-        plant = planar_reduce(hcdr.platform_only())
+        plant = PlanarPlant(hcdr.platform_only())
         assert plant.n_states == 6
         assert plant.n_inputs == 2
 
@@ -36,16 +36,16 @@ class TestPlanarReduce:
         anchors[0] = Anchor(anchors[0].a + np.array([0, 0.01, 0]), anchors[0].r)
         broken = replace(hcdr, platform=replace(hcdr.platform, anchors=tuple(anchors)))
         with pytest.raises(ReductionError, match="mirror"):
-            planar_reduce(broken)
+            PlanarPlant(broken)
 
     def test_rejects_x_axis_joint(self, hcdr):
         arm = (replace(hcdr.arm[0], joint_axis="X"),) + hcdr.arm[1:]
         with pytest.raises(ReductionError):
-            planar_reduce(replace(hcdr, arm=arm))
+            PlanarPlant(replace(hcdr, arm=arm))
 
     def test_out_of_plane_accelerations_vanish(self, hcdr, rng):
         """Planar inputs on the full 3-D model leave the plane invariant."""
-        plant = planar_reduce(hcdr)
+        plant = PlanarPlant(hcdr)
         for _ in range(5):
             x = rng.normal(0, 0.1, 10)
             u = np.array([*rng.uniform(10, 60, 2), *rng.normal(0, 1, 2)])
@@ -55,7 +55,7 @@ class TestPlanarReduce:
             assert np.max(np.abs(qdd[[1, 3, 5, 6]])) <= 1e-9
 
     def test_matches_full_model(self, hcdr, rng):
-        plant = planar_reduce(hcdr)
+        plant = PlanarPlant(hcdr)
         x = rng.normal(0, 0.1, 10)
         u = np.array([30.0, 35.0, 0.4, -0.2])
         q, qd = plant.embed(x)
@@ -64,8 +64,27 @@ class TestPlanarReduce:
         xdot = plant.f(x, u, 0.85, 0.82)
         assert np.allclose(xdot[1::2], qdd[[0, 2, 4, 7, 8]], atol=1e-12)
 
+    def test_energies_share_kinetic_and_gravity_terms(self, hcdr, rng):
+        """The planar energies equal the full-model ones once the force-
+        commanded cables are given their current length as L0 (no stretch)."""
+        from cablearm.dynamics import energies
+        from cablearm.kinematics import Pose, cable_geometry
+
+        plant = PlanarPlant(hcdr)
+        for _ in range(3):
+            x = rng.normal(0, 0.1, 10)
+            q, qd = plant.embed(x)
+            L0 = cable_geometry(hcdr, Pose.from_q(q)).lengths.copy()
+            for idx, L0_group in zip(plant.pos_idx, (0.85, 0.82)):
+                L0[idx] = L0_group
+            ke, ve = plant.energies(x, 0.85, 0.82)
+            ke_full, ve_full = energies(hcdr, q, qd, L0)
+            assert ke > 0.0
+            assert np.isclose(ke, ke_full, rtol=1e-12)
+            assert np.isclose(ve, ve_full, rtol=1e-12)
+
     def test_equilibrium_from_optimal_tensions(self, hcdr):
-        plant = planar_reduce(hcdr)
+        plant = PlanarPlant(hcdr)
         q = np.zeros(9)
         q[0], q[2] = 0.05, 0.1
         res = optimize_tensions(hcdr, q, scan_points=39)
@@ -170,7 +189,7 @@ class TestEnergyDrift:
     def test_conservative_planar_run_short(self, hcdr):
         """Unforced all-elastic system conserves energy (short variant of the
         acceptance run)."""
-        plant = planar_reduce(hcdr)
+        plant = PlanarPlant(hcdr)
         from cablearm.kinematics import Pose, cable_geometry
 
         L = cable_geometry(hcdr, Pose(np.zeros(3), np.zeros(3))).lengths
@@ -195,7 +214,7 @@ class TestEnergyDrift:
 
 class TestReferenceSchedule:
     def test_feedforward_consistency(self, hcdr):
-        plant = planar_reduce(hcdr)
+        plant = PlanarPlant(hcdr)
         traj = case_study_trajectory()
         times = np.array([0.0, 2.0, 4.0])
         sched = reference_schedule(hcdr, plant, traj, times, scan_points=20)
@@ -209,7 +228,7 @@ class TestReferenceSchedule:
             assert np.max(np.abs(xdot[1::2] - acc)) <= 1e-6
 
     def test_cache_reuses_holds(self, hcdr):
-        plant = planar_reduce(hcdr)
+        plant = PlanarPlant(hcdr)
         traj = case_study_trajectory()
         times = np.arange(0, 50) * 0.01     # all inside the initial hold
         sched = reference_schedule(hcdr, plant, traj, times, scan_points=10)
