@@ -112,35 +112,46 @@ def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
         raise ScenarioError("t_end_s must be positive")
     if cfg["integrator_substeps"] < 1:
         raise ScenarioError("integrator_substeps must be at least 1")
+    try:
+        noise = np.asarray(cfg["noise_std"], dtype=float)
+        noise_ok = noise.shape in ((), (4,)) and bool(np.all(np.isfinite(noise) & (noise >= 0)))
+    except (TypeError, ValueError):
+        noise_ok = False
+    if not noise_ok:
+        raise ScenarioError(
+            "noise_std must be a non-negative number or a list of 4 finite non-negative entries"
+        )
     return cfg
 
 
 def _build_controller(cfg: dict):
     arch = sim.Architecture(cfg["architecture"])
     c = cfg["controller"]
-    Ts = float(c.get("Ts_s", 0.01))
     p = 4 if arch is sim.Architecture.INTEGRATED_II else 2
     s = 10 if arch is sim.Architecture.INTEGRATED_II else 6
-    du = c.get("du_bound", [80.0, 80.0, 2.0, 2.0][:p])
-    du = np.asarray(du, dtype=float)
-    if du.shape != (p,):
-        raise ScenarioError(f"du_bound must have {p} entries for {arch.value}")
-    params = MpcParams(
-        Ts=Ts,
-        Np=int(c.get("Np", 50)),
-        Nc=int(c.get("Nc", 50)),
-        Q=float(c.get("Q_scale", 1.0)) * np.eye(s),
-        R=float(c.get("R_scale", 1e-4)) * np.eye(p),
-        P=float(c.get("P_scale", 1.0)) * np.eye(s),
-        du_min=-du,
-        du_max=du,
-    )
     pid_doc = c.get("pid", {})
-    gains = PidGains(
-        Kp=float(pid_doc.get("Kp", 400.0)),
-        Ki=float(pid_doc.get("Ki", 100.0)),
-        Kd=float(pid_doc.get("Kd", 10.0)),
-    )
+    try:
+        Ts = float(c.get("Ts_s", 0.01))
+        du = np.asarray(c.get("du_bound", [80.0, 80.0, 2.0, 2.0][:p]), dtype=float)
+        if du.shape != (p,):
+            raise ScenarioError(f"du_bound must have {p} entries for {arch.value}")
+        params = MpcParams(
+            Ts=Ts,
+            Np=int(c.get("Np", 50)),
+            Nc=int(c.get("Nc", 50)),
+            Q=float(c.get("Q_scale", 1.0)) * np.eye(s),
+            R=float(c.get("R_scale", 1e-4)) * np.eye(p),
+            P=float(c.get("P_scale", 1.0)) * np.eye(s),
+            du_min=-du,
+            du_max=du,
+        )
+        gains = PidGains(
+            Kp=float(pid_doc.get("Kp", 400.0)),
+            Ki=float(pid_doc.get("Ki", 100.0)),
+            Kd=float(pid_doc.get("Kd", 10.0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid controller settings: {exc}") from None
     return params, gains, Ts
 
 
@@ -280,16 +291,30 @@ def _cmd_optimize_stiffness(args) -> int:
     return 0
 
 
-def _read_json_file(path) -> dict:
+def _read_text(path) -> str:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ModelParseError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _read_json_file(path, required=()) -> dict:
+    """JSON object from ``path`` that holds every key in ``required``."""
+    try:
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ModelParseError(f"invalid JSON in {path}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ModelParseError(f"{path} must hold a JSON object")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ModelParseError(f"{path} lacks required fields: {missing}")
+    return doc
 
 
 def _cmd_inverse_dynamics(args) -> int:
     model = _resolve_model(args.model)
-    doc = _read_json_file(args.state)
+    doc = _read_json_file(args.state, ("q",))
     q = np.asarray(doc["q"], dtype=float)
     qd = np.asarray(doc.get("qdot", np.zeros(model.nq)), dtype=float)
     qdd = np.asarray(doc.get("qddot", np.zeros(model.nq)), dtype=float)
@@ -305,7 +330,7 @@ def _cmd_inverse_dynamics(args) -> int:
 
 def _cmd_linearize(args) -> int:
     model = _resolve_model(args.model)
-    doc = _read_json_file(args.state)
+    doc = _read_json_file(args.state, ("x", "u", "L01", "L02"))
     plant = sim.PlanarPlant(model)
     x = np.asarray(doc["x"], dtype=float)
     u = np.asarray(doc["u"], dtype=float)
@@ -326,7 +351,7 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cols = metrics.trace_from_csv(Path(args.trace).read_text(encoding="utf-8"))
+    cols = metrics.trace_from_csv(_read_text(args.trace))
     p_e = np.column_stack([cols["x_e"], cols["z_e"]])
     p_ref = np.column_stack([cols["ref_x_e"], cols["ref_z_e"]])
     tensions = np.column_stack([cols[f"T{i}"] for i in range(1, 13)])

@@ -8,16 +8,38 @@ Absolute states and inputs are recovered by accumulation from the measured
 ``e_x = x_ref - x`` and ``e_u = u_ref - u`` are affine in the decision
 vector.  Increments beyond the control horizon are fixed at zero.  This
 accumulation gives the controller implicit integral action.
+
+The MPC's work is split by how often its inputs change:
+
+* per ``MpcParams``, once at construction: the input-accumulation weight
+  ``U^T R U`` and the increment box rows of the QP;
+* per linearization, in one slot per ``MpcParams`` keyed by the identity of
+  the ``LtvModel``: the zero-order-hold model, its step response, the
+  Hessian ``H`` (assembled from the block-Toeplitz Gram structure of the
+  step response) and the Cholesky factor of ``H``;
+* per period: the free response of the measured increment, the gradient
+  ``g``, the right-hand sides of state-increment bounds, and the
+  active-set QP, solved against the cached factor.
+
+``LtvModel.A`` / ``B`` and the ``MpcParams`` arrays are read-only copies, so
+a cached design cannot go stale through an in-place edit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .errors import InfeasibleError, IterationLimitError
+from .errors import ConditioningError, InfeasibleError, IterationLimitError
+
+
+def _frozen(a) -> np.ndarray:
+    """Read-only float copy of ``a``."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -30,6 +52,10 @@ class LtvModel:
     x_r: np.ndarray
     u_r: np.ndarray
     f_r: np.ndarray   # plant drift at the linearization point
+
+    def __post_init__(self):
+        object.__setattr__(self, "A", _frozen(self.A))
+        object.__setattr__(self, "B", _frozen(self.B))
 
 
 def linearize(plant, x_r, u_r, exogenous=(), step: float = 1e-6) -> LtvModel:
@@ -70,7 +96,12 @@ def zoh_discretize(A: np.ndarray, B: np.ndarray, Ts: float) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class MpcParams:
-    """Horizon, weights, and increment bounds of one MPC instance."""
+    """Horizon, weights, and increment bounds of one MPC instance.
+
+    Construction also builds the parameter-only parts of the QP, and the
+    instance keeps the design of the last linearization ``mpc_step`` used
+    it with.
+    """
 
     Ts: float
     Np: int
@@ -82,6 +113,10 @@ class MpcParams:
     du_max: np.ndarray
     dx_min: np.ndarray | None = None
     dx_max: np.ndarray | None = None
+    _URU: np.ndarray = field(init=False, repr=False, compare=False)
+    _box: tuple = field(init=False, repr=False, compare=False)
+    _dx_bounds: tuple | None = field(init=False, repr=False, compare=False)
+    _slot: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.Ts <= 0:
@@ -89,7 +124,7 @@ class MpcParams:
         if not (0 < self.Nc <= self.Np):
             raise ValueError("control horizon must satisfy 0 < Nc <= Np")
         for name in ("Q", "R", "P", "du_min", "du_max"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         for name, mat, pd in (("Q", self.Q, False), ("R", self.R, True), ("P", self.P, False)):
             if not np.allclose(mat, mat.T, atol=1e-12):
                 raise ValueError(f"{name} must be symmetric")
@@ -98,29 +133,74 @@ class MpcParams:
                 raise ValueError(f"{name} must be positive definite")
             if not pd and eig.min() < -1e-12:
                 raise ValueError(f"{name} must be positive semidefinite")
+        s, p = self.Q.shape[0], self.R.shape[0]
+        if self.du_min.shape != (p,) or self.du_max.shape != (p,):
+            raise ValueError("du bounds must have one entry per input")
         if np.any(self.du_min > self.du_max):
             raise ValueError("du bounds must satisfy du_min <= du_max")
         for name in ("dx_min", "dx_max"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, np.asarray(v, dtype=float))
+                v = _frozen(v)
+                if v.shape != (s,):
+                    raise ValueError("dx bounds must have one entry per state")
+                object.__setattr__(self, name, v)
+
+        # u(j) - u(-1) sums du(0..min(j, Nc-1)), so the input weights see
+        # du(i)^T R du(l) once for every j >= max(i, l)
+        lag = np.arange(self.Nc)
+        object.__setattr__(self, "_URU", np.kron(self.Np - np.maximum.outer(lag, lag), self.R))
+        up, lo = np.tile(self.du_max, self.Nc), np.tile(self.du_min, self.Nc)
+        eye = np.eye(self.Nc * p)
+        object.__setattr__(self, "_box", (
+            np.vstack([eye[np.isfinite(up)], -eye[np.isfinite(lo)]]),
+            np.concatenate([up[np.isfinite(up)], -lo[np.isfinite(lo)]]),
+        ))
+        dx_bounds = None
+        if self.dx_min is not None or self.dx_max is not None:
+            hi = np.full(s, np.inf) if self.dx_max is None else self.dx_max
+            sm = np.full(s, -np.inf) if self.dx_min is None else self.dx_min
+            dx_bounds = (np.tile(hi, self.Np), np.tile(sm, self.Np))
+        object.__setattr__(self, "_dx_bounds", dx_bounds)
+        object.__setattr__(self, "_slot", [None])
 
 
-def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, tol: float = 1e-9, max_iter: int = 500):
+def _cholesky(H):
+    try:
+        return scipy.linalg.cho_factor(H)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"QP Hessian is not positive definite ({exc})") from None
+
+
+def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, tol: float = 1e-9, max_iter: int = 500,
+                        *, cho=None):
     """Minimize 0.5 z^T H z + g^T z subject to A z <= b (primal active set).
 
-    H must be positive definite.  Starts from z = 0, which must be
-    feasible; ties in blocking constraints break toward the lowest row
-    index, making the iteration deterministic.
+    H must be positive definite; ``cho`` is its ``scipy.linalg.cho_factor``
+    factor, computed here when not given.  Each iteration solves the
+    working-set equality problem in range-space form against that factor
+    (Goldfarb & Idnani, 1983): with y = H^-1 r and Y = H^-1 A_W^T, the
+    multipliers solve (A_W Y) lam = A_W y and the step d = y - Y lam is
+    projected onto null(A_W), which removes the cancellation error that
+    would otherwise keep d above ``tol`` when the working set is full.
+    Starts from z = 0, which must be feasible; ties in blocking constraints
+    break toward the lowest row index, making the iteration deterministic.
+    Raises ConditioningError when H is not positive definite or the
+    working-set system is singular.
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
-    n = g.size
+    if cho is None:
+        cho = _cholesky(H)
+
+    def h_solve(rhs):
+        return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+
     if A_ineq is None or len(A_ineq) == 0:
-        return np.linalg.solve(H, -g)
+        return h_solve(-g)
     A_ineq = np.asarray(A_ineq, dtype=float)
     b_ineq = np.asarray(b_ineq, dtype=float)
-    z = np.zeros(n)
+    z = np.zeros(g.size)
     viol = A_ineq @ z - b_ineq
     if np.any(viol > tol):
         row = int(np.argmax(viol))
@@ -128,68 +208,113 @@ def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, tol: float = 1e-9, max_i
             f"QP infeasible at the origin: constraint row {row} violated by {viol[row]:.3e}"
         )
     active: list[int] = []
+    free = np.ones(A_ineq.shape[0], dtype=bool)     # rows outside the working set
     for _ in range(max_iter):
-        Aw = A_ineq[active]
-        k = len(active)
-        KKT = np.zeros((n + k, n + k))
-        KKT[:n, :n] = H
-        if k:
-            KKT[:n, n:] = Aw.T
-            KKT[n:, :n] = Aw
-        rhs = np.concatenate([-(g + H @ z), np.zeros(k)])
-        sol = np.linalg.solve(KKT, rhs)
-        d, lam = sol[:n], sol[n:]
+        d = h_solve(-(g + H @ z))
+        lam = None
+        if active:
+            Aw = A_ineq[active]
+            Y = h_solve(Aw.T)
+            try:
+                lam = np.linalg.solve(Aw @ Y, Aw @ d)
+                d = d - Y @ lam
+                d = d - Aw.T @ np.linalg.solve(Aw @ Aw.T, Aw @ d)
+            except np.linalg.LinAlgError:
+                raise ConditioningError(
+                    f"active-set QP: singular working-set system ({len(active)} rows)"
+                ) from None
         if np.linalg.norm(d, ord=np.inf) <= tol:
-            if k == 0 or np.all(lam >= -tol):
+            if lam is None or np.all(lam >= -tol):
                 return z
-            active.pop(int(np.argmin(lam)))
+            free[active.pop(int(np.argmin(lam)))] = True
             continue
-        mask = np.ones(A_ineq.shape[0], dtype=bool)
-        mask[active] = False
-        Ad = A_ineq[mask] @ d
-        slack = b_ineq[mask] - A_ineq[mask] @ z
-        blocking = Ad > tol
+        Ad = A_ineq @ d
+        blocking = np.flatnonzero(free & (Ad > tol))
         alpha = 1.0
         add_row = None
-        if np.any(blocking):
-            ratios = slack[blocking] / Ad[blocking]
+        if blocking.size:
+            ratios = (b_ineq[blocking] - A_ineq[blocking] @ z) / Ad[blocking]
             j = int(np.argmin(ratios))
             if ratios[j] < alpha:
                 alpha = max(ratios[j], 0.0)
-                add_row = np.flatnonzero(mask)[np.flatnonzero(blocking)[j]]
+                add_row = int(blocking[j])
         z = z + alpha * d
         if add_row is not None:
-            active.append(int(add_row))
+            active.append(add_row)
+            free[add_row] = False
     raise IterationLimitError(f"active-set QP did not converge within {max_iter} iterations")
 
 
-def _prediction_operators(Ad, Bd, Np, Nc, need_theta: bool = False):
-    """Cumulative maps from stacked du to absolute state/input deviations.
+@dataclass(frozen=True)
+class _Design:
+    """The part of one MPC that changes only with the linearization."""
 
-    Returns Phi with x(j) - x(0) - S_j dx0 = Phi[j] @ z and (optionally)
-    the state-increment maps Theta with dx(j) = Apow[j] dx0 + Theta[j] @ z.
+    ltv: LtvModel              # the key; held so that its identity stays unique
+    S: np.ndarray              # (Np, s, s): free response x(j) - x(0) = S[j-1] dx0
+    cum: np.ndarray            # (Np*s, p): rows m*s.. hold sum_{t<=m} Ad^t Bd
+    H: np.ndarray
+    cho: tuple
+    Apow: np.ndarray | None    # (Np, s, s) Ad^j, j = 1..Np (state-increment bounds only)
+    A_ineq: np.ndarray
+
+
+def _hessian(cum, params: MpcParams) -> np.ndarray:
+    """QP Hessian (2x scale, symmetrized) from the step response ``cum``.
+
+    Block (i, l) of the state part sums cum[a]^T W cum[b] over the steps
+    that both du(i) and du(l) reach, so the Q part is a suffix sum along
+    the block diagonals of one small Gram matrix and the terminal P part
+    is the Gram matrix of the last prediction step.
     """
+    Np, s, p = cum.shape
+    nz = params.Nc * p
+    Y = cum[::-1].transpose(1, 0, 2).reshape(s, Np * p)   # block i = cum[Np-1-i]
+    X = Y[:, p:]                                           # block i = cum[Np-2-i]
+    E = X.T @ (params.Q @ X)
+    for r in range(Np - 3, -1, -1):
+        E[r * p:(r + 1) * p, :-p] += E[(r + 1) * p:(r + 2) * p, p:]
+    H = params._URU + Y[:, :nz].T @ params.P @ Y[:, :nz]
+    m = min(nz, E.shape[0])
+    H[:m, :m] += E[:m, :m]
+    return H + H.T
+
+
+def _toeplitz(blocks, Nc: int) -> np.ndarray:
+    """(Np*s, Nc*p) block-lower-triangular Toeplitz matrix, block (r, i) = blocks[r - i]."""
+    Np, s, p = blocks.shape
+    out = np.zeros((Np, s, Nc, p))
+    for i in range(Nc):
+        out[i:, :, i, :] = blocks[:Np - i]
+    return out.reshape(Np * s, Nc * p)
+
+
+def _design(ltv: LtvModel, params: MpcParams) -> _Design:
+    """The design of ``ltv`` under ``params``: the one in ``params``' slot
+    when it was built for this very ``ltv`` object, otherwise a new one
+    that replaces it."""
+    last = params._slot[0]
+    if last is not None and last.ltv is ltv:
+        return last
+    Np, Nc = params.Np, params.Nc
+    Ad, Bd = zoh_discretize(ltv.A, ltv.B, params.Ts)
     s, p = Bd.shape
     Apow = np.empty((Np + 1, s, s))
     Apow[0] = np.eye(s)
     for j in range(1, Np + 1):
         Apow[j] = Ad @ Apow[j - 1]
-    # markov[t] = Ad^t Bd ; cum[t] = sum_{tau<=t} Ad^tau Bd
-    markov = Apow[:Np] @ Bd
-    cum = np.cumsum(markov, axis=0)
-    jj, ii = np.meshgrid(np.arange(Np + 1), np.arange(Nc), indexing="ij")
-    off = jj - 1 - ii                     # block (j, i) holds cum[j-1-i]
-    valid = off >= 0
-
-    def fill(blocks):
-        tiles = blocks[np.clip(off, 0, Np - 1)]      # (Np+1, Nc, s, p)
-        tiles[~valid] = 0.0
-        return np.swapaxes(tiles, 1, 2).reshape(Np + 1, s, Nc * p)
-
-    Phi = fill(cum)
-    Theta = fill(markov) if need_theta else None
-    S = np.cumsum(Apow[1:], axis=0)       # S_j = sum_{l=1..j} Ad^l
-    return Apow, S, Phi, Theta
+    markov = Apow[:Np] @ Bd                # Ad^t Bd: response of dx(t+1) to du(0)
+    cum = np.cumsum(markov, axis=0)        # response of x(t+1) - x(0) to du(0)
+    H = _hessian(cum, params)
+    A_ineq, Apow_dx = params._box[0], None
+    if params._dx_bounds is not None:
+        hi, sm = params._dx_bounds
+        T = _toeplitz(markov, Nc)          # dx(j) = Ad^j dx0 + T[j-1] z
+        A_ineq = np.vstack([A_ineq, T[np.isfinite(hi)], -T[np.isfinite(sm)]])
+        Apow_dx = Apow[1:]
+    design = _Design(ltv=ltv, S=np.cumsum(Apow[1:], axis=0), cum=cum.reshape(Np * s, p),
+                     H=H, cho=_cholesky(H), Apow=Apow_dx, A_ineq=A_ineq)
+    params._slot[0] = design
+    return design
 
 
 def mpc_step(
@@ -204,8 +329,9 @@ def mpc_step(
     """One receding-horizon solve; returns the input to apply now.
 
     ``x_ref_window`` has Np+1 rows, ``u_ref_window`` at least Np rows.
-    Raises InfeasibleError (naming the violated bound) or
-    IterationLimitError from the QP.
+    Reuses the design in ``params``' slot when ``ltv`` is the object it
+    was built for.  Raises InfeasibleError (naming the violated bound),
+    IterationLimitError or ConditioningError from the QP.
     """
     x_now = np.asarray(x_now, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)
@@ -213,67 +339,30 @@ def mpc_step(
     xr = np.asarray(x_ref_window, dtype=float)
     ur = np.asarray(u_ref_window, dtype=float)
     Np, Nc = params.Np, params.Nc
-    Ad, Bd = zoh_discretize(ltv.A, ltv.B, params.Ts)
-    s, p = Bd.shape
-    nz = Nc * p
+    design = _design(ltv, params)
+    s = x_now.size
     dx0 = x_now - x_prev
-    need_theta = params.dx_min is not None or params.dx_max is not None
-    Apow, S, Phi, Theta = _prediction_operators(Ad, Bd, Np, Nc, need_theta)
 
-    # e_x(j) = rtil[j] - Phi[j] z ; e_u(j) = stil[j] - Uacc[j] z
-    drift = np.zeros((Np + 1, s))
-    drift[1:] = S @ dx0                    # free response of the increments
-    rtil = xr[: Np + 1] - x_now[None, :] - drift
-    # u(j) accumulates du(0..min(j, Nc-1)): block-lower-triangular identity tiles
-    jj, ii = np.meshgrid(np.arange(Np), np.arange(Nc), indexing="ij")
-    mask = (ii <= jj).astype(float)                        # (Np, Nc)
-    Uacc = (mask[:, None, :, None] * np.eye(p)[None, :, None, :]).reshape(Np, p, nz)
-    stil = ur[:Np] - u_prev[None, :]
+    # e_x(j) = rtil[j-1] - Phi[j] z for j = 1..Np, Phi[j] block i = cum[j-1-i];
+    # e_u(j) = stil[j] - (du(0) + .. + du(min(j, Nc-1)))
+    rtil = xr[1:Np + 1] - x_now - design.S @ dx0
+    stil = ur[:Np] - u_prev
+    v = np.zeros((Np + Nc - 1, s))         # weighted e_x, zero past the horizon
+    v[:Np - 1] = rtil[:-1] @ params.Q.T
+    v[Np - 1] = params.P @ rtil[-1]
+    windows = np.lib.stride_tricks.sliding_window_view(v.ravel(), Np * s)[::s]
+    gx = windows @ design.cum              # Phi^T W rtil: window i holds v[i:i+Np]
+    gu = np.cumsum((stil @ params.R.T)[::-1], axis=0)[::-1][:Nc]
+    g = -2.0 * (gx + gu).ravel()
 
-    Phi_flat = Phi[:Np].reshape(Np * s, nz)
-    QPhi_flat = (params.Q @ Phi[:Np]).reshape(Np * s, nz)
-    U_flat = Uacc.reshape(Np * p, nz)
-    RU_flat = (params.R @ Uacc).reshape(Np * p, nz)
-    H = Phi_flat.T @ QPhi_flat + U_flat.T @ RU_flat + Phi[Np].T @ params.P @ Phi[Np]
-    g = -(
-        QPhi_flat.T @ rtil[:Np].reshape(Np * s)
-        + RU_flat.T @ stil.reshape(Np * p)
-        + Phi[Np].T @ (params.P @ rtil[Np])
-    )
-    H = H + H.T   # 2x overall scale, symmetrized
-    g = 2.0 * g
-
-    blocks, rhs_parts = [], []
-    up = np.tile(params.du_max, Nc)
-    lo = np.tile(params.du_min, Nc)
-    eye_nz = np.eye(nz)
-    if np.any(np.isfinite(up)):
-        m = np.isfinite(up)
-        blocks.append(eye_nz[m])
-        rhs_parts.append(up[m])
-    if np.any(np.isfinite(lo)):
-        m = np.isfinite(lo)
-        blocks.append(-eye_nz[m])
-        rhs_parts.append(-lo[m])
-    if need_theta:
-        dx_max = np.full(s, np.inf) if params.dx_max is None else params.dx_max
-        dx_min = np.full(s, -np.inf) if params.dx_min is None else params.dx_min
-        base = (Apow[1:] @ dx0).reshape(Np * s)            # dx(j) offsets
-        T_flat = Theta[1:].reshape(Np * s, nz)
-        hi = np.tile(dx_max, Np)
-        sm = np.tile(dx_min, Np)
-        m = np.isfinite(hi)
-        if np.any(m):
-            blocks.append(T_flat[m])
-            rhs_parts.append(hi[m] - base[m])
-        m = np.isfinite(sm)
-        if np.any(m):
-            blocks.append(-T_flat[m])
-            rhs_parts.append(base[m] - sm[m])
-    A_ineq = np.vstack(blocks) if blocks else None
-    b_ineq = np.concatenate(rhs_parts) if blocks else None
-    z = solve_qp_active_set(H, g, A_ineq, b_ineq)
-    return u_prev + z[:p]
+    b_ineq = params._box[1]
+    if params._dx_bounds is not None:
+        hi, sm = params._dx_bounds
+        base = (design.Apow @ dx0).reshape(Np * s)          # dx(j) offsets
+        mh, ml = np.isfinite(hi), np.isfinite(sm)
+        b_ineq = np.concatenate([b_ineq, hi[mh] - base[mh], base[ml] - sm[ml]])
+    z = solve_qp_active_set(design.H, g, design.A_ineq, b_ineq, cho=design.cho)
+    return u_prev + z[:params.R.shape[0]]
 
 
 class MpcController:

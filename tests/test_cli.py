@@ -141,6 +141,16 @@ class TestCliMain:
         ({"architecture": "integrated3"}, "scenario", 4),
         ({"t_end_s": 0.0}, "scenario", 4),
         ({"controller": {"du_bound": [1.0, 2.0]}}, "scenario", 4),
+        ({"controller": {"Ts_s": 0}}, "scenario", 4),
+        ({"controller": {"Np": 0}}, "scenario", 4),
+        ({"controller": {"Np": 10, "Nc": 20}}, "scenario", 4),
+        ({"controller": {"R_scale": 0}}, "scenario", 4),
+        ({"controller": {"du_bound": [80.0, -80.0, 2.0, 2.0]}}, "scenario", 4),
+        ({"controller": {"pid": {"Kd": -1.0}}}, "scenario", 4),
+        ({"noise_std": [1, 1, 0.02]}, "scenario", 4),
+        ({"noise_std": [0.1, 0.1, -0.01, 0.0]}, "scenario", 4),
+        ({"noise_std": [0.1, 0.1, float("nan"), 0.0]}, "scenario", 4),
+        ({"noise_std": "loud"}, "scenario", 4),
     ])
     def test_malformed_scenario_table(self, tmp_path, capsys, override, category, code):
         doc = dict(SHORT)
@@ -151,6 +161,25 @@ class TestCliMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == category
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, doc", [
+        ("inverse-dynamics", None),
+        ("inverse-dynamics", {"qdot": [0] * 9}),
+        ("linearize", None),
+        ("linearize", {"x": [0] * 10, "u": [0] * 4, "L01": 0.85}),
+        ("linearize", [0] * 10),
+        ("evaluate", None),
+    ])
+    def test_malformed_input_file_table(self, tmp_path, capsys, command, doc):
+        """A missing input file or a state document without its required
+        fields is a parse error (exit 2)."""
+        path = tmp_path / "input.json"
+        if doc is not None:
+            path.write_text(json.dumps(doc))
+        flag = "--trace" if command == "evaluate" else "--state"
+        assert main([command, flag, str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["category"] == "parse"
 
     def test_evaluate_command(self, short_run, capsys):
         code = main(["evaluate", "--trace", short_run["trace"]])

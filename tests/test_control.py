@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cablearm import control
 from cablearm.control import (
     LtvModel,
     MpcParams,
@@ -13,7 +14,7 @@ from cablearm.control import (
     solve_qp_active_set,
     zoh_discretize,
 )
-from cablearm.errors import InfeasibleError
+from cablearm.errors import ConditioningError, InfeasibleError, IterationLimitError
 
 
 def double_integrator(x, u):
@@ -73,6 +74,46 @@ class TestLinearize:
             linearize(bad, np.zeros(2), np.zeros(1))
 
 
+def _batch_least_squares(ltv, x_now, x_prev, u_prev, xw, uw, params):
+    """Unconstrained MPC input from normal equations built by simulating
+    the velocity-form prediction one unit increment at a time."""
+    Np, Nc = params.Np, params.Nc
+    s, p = ltv.B.shape
+    Ad, Bd = zoh_discretize(ltv.A, ltv.B, params.Ts)
+    nz = Nc * p
+
+    def predict(z):
+        dus = np.vstack([z.reshape(Nc, p), np.zeros((Np - Nc, p))])
+        dx = x_now - x_prev
+        x = x_now.copy()
+        u = u_prev.copy()
+        ex, eu = [xw[0] - x], []
+        for j in range(Np):
+            u = u + dus[j]
+            eu.append(uw[j] - u)
+            dx = Ad @ dx + Bd @ dus[j]
+            x = x + dx
+            ex.append(xw[j + 1] - x)
+        return np.concatenate(ex), np.concatenate(eu)
+
+    ex0, eu0 = predict(np.zeros(nz))
+    Mx, Mu = [], []
+    for k in range(nz):
+        e = np.zeros(nz)
+        e[k] = 1.0
+        ex1, eu1 = predict(e)
+        Mx.append(ex1 - ex0)
+        Mu.append(eu1 - eu0)
+    Mx = np.array(Mx).T
+    Mu = np.array(Mu).T
+    Wx = np.kron(np.eye(Np + 1), params.Q)
+    Wx[-s:, -s:] = params.P
+    Wu = np.kron(np.eye(Np), params.R)
+    H = Mx.T @ Wx @ Mx + Mu.T @ Wu @ Mu
+    g = Mx.T @ Wx @ ex0 + Mu.T @ Wu @ eu0
+    return u_prev + np.linalg.solve(H, -g)[:p]
+
+
 def _random_ltv(rng, s=4, p=2):
     A = rng.normal(0, 0.5, (s, s))
     B = rng.normal(0, 0.5, (s, p))
@@ -108,41 +149,27 @@ class TestMpc:
         xw = rng.normal(0, 1, (Np + 1, s))
         uw = rng.normal(0, 1, (Np + 1, p))
         u_fast = mpc_step(ltv, x_now, x_prev, u_prev, xw, uw, params)
+        u_ref = _batch_least_squares(ltv, x_now, x_prev, u_prev, xw, uw, params)
+        assert np.max(np.abs(u_fast - u_ref)) <= 1e-6 * max(1.0, np.max(np.abs(u_ref)))
 
-        Ad, Bd = zoh_discretize(ltv.A, ltv.B, params.Ts)
-        nz = Nc * p
-
-        def predict(z):
-            dus = z.reshape(Nc, p)
-            dx = x_now - x_prev
-            x = x_now.copy()
-            u = u_prev.copy()
-            ex, eu = [xw[0] - x], []
-            for j in range(Np):
-                u = u + dus[j]
-                eu.append(uw[j] - u)
-                dx = Ad @ dx + Bd @ dus[j]
-                x = x + dx
-                ex.append(xw[j + 1] - x)
-            return np.concatenate(ex), np.concatenate(eu)
-
-        ex0, eu0 = predict(np.zeros(nz))
-        Mx, Mu = [], []
-        for k in range(nz):
-            e = np.zeros(nz)
-            e[k] = 1.0
-            ex1, eu1 = predict(e)
-            Mx.append(ex1 - ex0)
-            Mu.append(eu1 - eu0)
-        Mx = np.array(Mx).T
-        Mu = np.array(Mu).T
-        Wx = np.kron(np.eye(Np + 1), np.eye(s))
-        Wx[-s:, -s:] = 2 * np.eye(s)
-        Wu = np.kron(np.eye(Np), 0.1 * np.eye(p))
-        H = Mx.T @ Wx @ Mx + Mu.T @ Wu @ Mu
-        g = Mx.T @ Wx @ ex0 + Mu.T @ Wu @ eu0
-        z_ref = np.linalg.solve(H, -g)
-        u_ref = u_prev + z_ref[:p]
+    @pytest.mark.parametrize("Np, Nc", [(7, 2), (6, 5), (1, 1)])
+    def test_short_control_horizon_matches_batch_least_squares(self, rng, Np, Nc):
+        """Nc < Np, full Q and a terminal P unlike Q: the Hessian assembled
+        from the step-response Gram blocks still matches explicit loops."""
+        s, p = 4, 2
+        ltv = _random_ltv(rng, s, p)
+        Xq = rng.normal(0, 1, (s, s))
+        Xp = rng.normal(0, 1, (s, s))
+        params = MpcParams(
+            Ts=0.05, Np=Np, Nc=Nc, Q=Xq @ Xq.T, R=np.array([[0.2, 0.05], [0.05, 0.1]]),
+            P=Xp @ Xp.T, du_min=-np.full(p, np.inf), du_max=np.full(p, np.inf),
+        )
+        x_now, x_prev = rng.normal(0, 1, s), rng.normal(0, 1, s)
+        u_prev = rng.normal(0, 1, p)
+        xw = rng.normal(0, 1, (Np + 1, s))
+        uw = rng.normal(0, 1, (Np + 1, p))
+        u_fast = mpc_step(ltv, x_now, x_prev, u_prev, xw, uw, params)
+        u_ref = _batch_least_squares(ltv, x_now, x_prev, u_prev, xw, uw, params)
         assert np.max(np.abs(u_fast - u_ref)) <= 1e-6 * max(1.0, np.max(np.abs(u_ref)))
 
     def test_increment_bound_activation(self, rng):
@@ -221,6 +248,190 @@ class TestActiveSetQp:
         b = np.array([-1.0])      # z=0 violates
         with pytest.raises(InfeasibleError, match="row 0"):
             solve_qp_active_set(H, g, A, b)
+
+
+def _dense_kkt_qp(H, g, A_ineq, b_ineq, tol=1e-9, max_iter=500):
+    """Reference active-set loop: the same iteration as
+    ``solve_qp_active_set``, with each equality subproblem solved through
+    the full (n + k) KKT system by dense LU."""
+    n = g.size
+    z = np.zeros(n)
+    active = []
+    for _ in range(max_iter):
+        Aw = A_ineq[active]
+        k = len(active)
+        KKT = np.zeros((n + k, n + k))
+        KKT[:n, :n] = H
+        if k:
+            KKT[:n, n:] = Aw.T
+            KKT[n:, :n] = Aw
+        rhs = np.concatenate([-(g + H @ z), np.zeros(k)])
+        sol = np.linalg.solve(KKT, rhs)
+        d, lam = sol[:n], sol[n:]
+        if np.linalg.norm(d, ord=np.inf) <= tol:
+            if k == 0 or np.all(lam >= -tol):
+                return z
+            active.pop(int(np.argmin(lam)))
+            continue
+        mask = np.ones(A_ineq.shape[0], dtype=bool)
+        mask[active] = False
+        Ad = A_ineq[mask] @ d
+        slack = b_ineq[mask] - A_ineq[mask] @ z
+        blocking = Ad > tol
+        alpha = 1.0
+        add_row = None
+        if np.any(blocking):
+            ratios = slack[blocking] / Ad[blocking]
+            j = int(np.argmin(ratios))
+            if ratios[j] < alpha:
+                alpha = max(ratios[j], 0.0)
+                add_row = np.flatnonzero(mask)[np.flatnonzero(blocking)[j]]
+        z = z + alpha * d
+        if add_row is not None:
+            active.append(int(add_row))
+    raise IterationLimitError("oracle did not converge")
+
+
+def _box_qp(rng, n, g_scale, bound):
+    X = rng.normal(0, 1, (n, n))
+    H = X @ X.T + 0.1 * np.eye(n)
+    g = rng.normal(0, g_scale, n)
+    A = np.vstack([np.eye(n), -np.eye(n)])
+    b = np.full(2 * n, bound)
+    return H, g, A, b
+
+
+def _captured_qp(monkeypatch, *mpc_args):
+    """The (H, g, A, b) that ``mpc_step`` hands to the QP solver."""
+    seen = []
+    solve = control.solve_qp_active_set
+
+    def spy(H, g, A, b, *args, **kwargs):
+        seen.append((H, g, A, b))
+        return solve(H, g, A, b, *args, **kwargs)
+
+    monkeypatch.setattr(control, "solve_qp_active_set", spy)
+    mpc_step(*mpc_args)
+    monkeypatch.undo()
+    return seen[0]
+
+
+class TestRangeSpaceQp:
+    @pytest.mark.parametrize("n, g_scale, bound", [
+        (6, 3.0, 0.5), (12, 10.0, 0.2), (20, 1.0, 0.05), (8, 1e3, 0.1), (30, 5.0, 1.0),
+    ])
+    def test_matches_dense_kkt_oracle_on_box_qps(self, rng, n, g_scale, bound):
+        for _ in range(5):
+            H, g, A, b = _box_qp(rng, n, g_scale, bound)
+            z = solve_qp_active_set(H, g, A, b)
+            z_ref = _dense_kkt_qp(H, g, A, b)
+            assert np.max(np.abs(z - z_ref)) <= 1e-9 * max(1.0, np.max(np.abs(z_ref)))
+            assert np.all(A @ z <= b + 1e-12)
+
+    def test_full_working_set(self, rng):
+        """A gradient that pushes every coordinate out of the box leaves all
+        n bounds active (k = n), where the step must vanish exactly."""
+        n = 8
+        H = np.diag(rng.uniform(1.0, 2.0, n))
+        g = 1e3 * np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        A = np.vstack([np.eye(n), -np.eye(n)])
+        b = np.full(2 * n, 0.25)
+        z = solve_qp_active_set(H, g, A, b)
+        assert np.max(np.abs(np.abs(z) - 0.25)) <= 1e-12
+        assert np.max(np.abs(z - _dense_kkt_qp(H, g, A, b))) <= 1e-12
+
+    def test_matches_oracle_at_criterion_7_scale(self, monkeypatch):
+        """The bound case of acceptance criterion 7 (R = 1e-6, |g| ~ 6e4):
+        every increment ends on a bound."""
+        r = np.random.default_rng(42)
+        s, p = 4, 2
+        ltv = LtvModel(A=r.normal(0, 0.4, (s, s)), B=r.normal(0, 0.4, (s, p)),
+                       C_out=np.eye(s), x_r=np.zeros(s), u_r=np.zeros(p), f_r=np.zeros(s))
+        params = MpcParams(Ts=0.02, Np=5, Nc=5, Q=np.eye(s), R=1e-6 * np.eye(p),
+                           P=np.eye(s), du_min=-np.array([80.0, 2.0]),
+                           du_max=np.array([80.0, 2.0]))
+        H, g, A, b = _captured_qp(monkeypatch, ltv, np.zeros(s), np.zeros(s), np.zeros(p),
+                                  np.tile(1e5 * np.ones(s), (6, 1)), np.zeros((6, p)), params)
+        assert np.max(np.abs(g)) > 1e4
+        z = solve_qp_active_set(H, g, A, b)
+        z_ref = _dense_kkt_qp(H, g, A, b)
+        assert np.max(np.abs(z - z_ref)) <= 1e-9 * np.max(np.abs(z_ref))
+        assert np.array_equal(A @ z >= b - 1e-7, A @ z_ref >= b - 1e-7)
+        assert np.count_nonzero(A @ z >= b - 1e-7) == g.size
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_indefinite_hessian_raises_conditioning_error(self, bounded):
+        H = np.diag([1.0, -1.0])
+        g = np.array([0.5, 0.5])
+        A, b = (np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)) if bounded else (None, None)
+        with pytest.raises(ConditioningError, match="not positive definite"):
+            solve_qp_active_set(H, g, A, b)
+
+
+class TestMpcDesignSlot:
+    def test_cold_hit_and_interleaved_calls_are_bit_identical(self):
+        """Seed 2 puts an increment bound in the final working set of every
+        solve, so the active-set iterations run on each path."""
+        rng = np.random.default_rng(2)
+        s, p, Np = 4, 2, 6
+
+        def make_params():
+            return MpcParams(Ts=0.05, Np=Np, Nc=4, Q=np.eye(s), R=1e-2 * np.eye(p),
+                             P=np.eye(s), du_min=-np.full(p, 0.3), du_max=np.full(p, 0.3))
+
+        params = make_params()
+        x_now = rng.normal(0, 0.1, s)
+        x_prev = x_now + rng.normal(0, 0.01, s)
+        u_prev = rng.normal(0, 1, p)
+        xw = np.tile(x_now + rng.normal(0, 0.05, s), (Np + 1, 1))
+        uw = np.tile(u_prev, (Np + 1, 1))
+        lin_a, lin_b = _random_ltv(rng), _random_ltv(rng)
+
+        def step(ltv, prm):
+            return mpc_step(ltv, x_now, x_prev, u_prev, xw, uw, prm)
+
+        cold_a = step(lin_a, params)
+        hit_a = step(lin_a, params)
+        cold_b = step(lin_b, params)
+        again_a = step(lin_a, params)
+        assert np.array_equal(cold_a, hit_a)
+        assert np.array_equal(cold_a, again_a)
+        assert not np.array_equal(cold_a, cold_b)
+        assert np.array_equal(cold_b, step(lin_b, make_params()))
+
+    def test_state_increment_rows_follow_the_measured_increment(self):
+        """With a cached design the dx-bound right-hand sides still move with
+        dx0 = x_now - x_prev each period, and the bounds bind."""
+        rng = np.random.default_rng(11)
+        s, p, Np = 4, 2, 6
+
+        def make_params():
+            return MpcParams(Ts=0.05, Np=Np, Nc=4, Q=np.eye(s), R=1e-6 * np.eye(p),
+                             P=np.eye(s), du_min=-np.full(p, np.inf), du_max=np.full(p, np.inf),
+                             dx_min=-np.full(s, 0.01), dx_max=np.full(s, 0.01))
+
+        params = make_params()
+        ltv = _random_ltv(rng)
+        Ad, Bd = zoh_discretize(ltv.A, ltv.B, params.Ts)
+        xw = np.tile(100.0 * np.ones(s), (Np + 1, 1))
+        uw = np.zeros((Np + 1, p))
+        x_now = np.zeros(s)
+        for dx0 in (np.zeros(s), np.full(s, 0.004), np.array([0.006, -0.004, 0.0, 0.005])):
+            x_prev = x_now - dx0
+            u = mpc_step(ltv, x_now, x_prev, np.zeros(p), xw, uw, params)
+            cold = mpc_step(ltv, x_now, x_prev, np.zeros(p), xw, uw, make_params())
+            assert np.array_equal(u, cold)
+            dx1 = Ad @ dx0 + Bd @ u
+            assert np.max(np.abs(dx1)) <= 0.01 + 1e-9
+            assert np.max(np.abs(dx1)) >= 0.01 - 1e-9       # a bound is active
+
+    def test_design_inputs_are_read_only(self, rng):
+        params = MpcParams(Ts=0.05, Np=3, Nc=3, Q=np.eye(4), R=np.eye(2), P=np.eye(4),
+                           du_min=-np.ones(2), du_max=np.ones(2))
+        ltv = _random_ltv(rng)
+        for arr in (ltv.A, ltv.B, params.Q, params.R, params.du_max):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestPid:
