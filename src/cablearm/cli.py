@@ -92,26 +92,33 @@ def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
     controller = doc.get("controller", {})
     _check_fields(controller, _CONTROLLER_FIELDS, "controller")
     _check_fields(controller.get("pid", {}), _PID_FIELDS, "controller.pid")
-    cfg = {
-        "model": doc.get("model", "hcdr9dof"),
-        "architecture": doc.get("architecture", "integrated2"),
-        "trajectory": doc.get("trajectory", "case_study"),
-        "t_end_s": float(doc.get("t_end_s", 6.0)),
-        "seed": int(doc.get("seed", 0)),
-        "noise_std": doc.get("noise_std", 0.0),
-        "controller": dict(controller),
-        "integrator_substeps": int(doc.get("integrator_substeps", 10)),
-        "tension_scan_points": int(doc.get("tension_scan_points", 76)),
-    }
+    if isinstance(doc.get("trajectory"), dict):
+        _check_fields(doc["trajectory"], {"waypoints"}, "trajectory")
+    try:
+        cfg = {
+            "model": doc.get("model", "hcdr9dof"),
+            "architecture": doc.get("architecture", "integrated2"),
+            "trajectory": doc.get("trajectory", "case_study"),
+            "t_end_s": float(doc.get("t_end_s", 6.0)),
+            "seed": int(doc.get("seed", 0)),
+            "noise_std": doc.get("noise_std", 0.0),
+            "controller": dict(controller),
+            "integrator_substeps": int(doc.get("integrator_substeps", 10)),
+            "tension_scan_points": int(doc.get("tension_scan_points", 76)),
+        }
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid scenario value: {exc}") from None
     _check_fields(doc, cfg, "scenario")
     if cfg["architecture"] not in _ARCHES:
         raise ScenarioError(f"architecture must be one of {_ARCHES}")
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
-    if cfg["t_end_s"] <= 0:
-        raise ScenarioError("t_end_s must be positive")
+    if not 0 < cfg["t_end_s"] < np.inf:
+        raise ScenarioError("t_end_s must be positive and finite")
     if cfg["integrator_substeps"] < 1:
         raise ScenarioError("integrator_substeps must be at least 1")
+    if cfg["tension_scan_points"] < 2:
+        raise ScenarioError("tension_scan_points must be at least 2")
     try:
         noise = np.asarray(cfg["noise_std"], dtype=float)
         noise_ok = noise.shape in ((), (4,)) and bool(np.all(np.isfinite(noise) & (noise >= 0)))
@@ -159,7 +166,10 @@ def _build_trajectory(ref):
     if ref == "case_study":
         return sim.case_study_trajectory()
     if isinstance(ref, dict) and "waypoints" in ref:
-        return sim.quintic_trajectory([(t, x) for t, x in ref["waypoints"]])
+        try:
+            return sim.quintic_trajectory(ref["waypoints"])
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"invalid trajectory waypoints: {exc}") from None
     raise ScenarioError("trajectory must be 'case_study' or {'waypoints': [[t, state10], ...]}")
 
 
@@ -263,13 +273,9 @@ def _cmd_optimize_stiffness(args) -> int:
     model = _resolve_model(args.model)
     q = np.zeros(model.nq)
     q[0], q[2] = args.px, args.pz
-    pos_groups = sorted(
-        g for g in model.platform.actuator_groups
-        if g not in model.platform.tension_controlled_groups
-    )
+    _, pos_groups = model.platform.actuation_layout()
     land = stiffness_landscape(
-        model, q, {pos_groups[0]: args.l01, pos_groups[1]: args.l02},
-        resolution=args.resolution,
+        model, q, dict(zip(pos_groups, (args.l01, args.l02))), resolution=args.resolution
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import ConditioningError, InfeasibleError, IterationLimitError
+from .errors import ConditioningError, DivergenceError, InfeasibleError, IterationLimitError
 
 
 def _frozen(a) -> np.ndarray:
@@ -62,8 +62,8 @@ def linearize(plant, x_r, u_r, exogenous=(), step: float = 1e-6) -> LtvModel:
     """Jacobians of a plant by central differences, step scaled per coordinate.
 
     ``plant(x, u, *exogenous)`` must return the state derivative and accept
-    batched ``x`` / ``u`` (leading axes broadcast).  Raises on non-finite
-    plant output.
+    batched ``x`` / ``u`` (leading axes broadcast).  Raises DivergenceError
+    on non-finite plant output.
     """
     x_r = np.asarray(x_r, dtype=float)
     u_r = np.asarray(u_r, dtype=float)
@@ -78,7 +78,7 @@ def linearize(plant, x_r, u_r, exogenous=(), step: float = 1e-6) -> LtvModel:
     U[2 * s + p:2 * s + 2 * p] -= np.diag(hu)
     F = np.asarray(plant(X, U, *exogenous), dtype=float)
     if not np.all(np.isfinite(F)):
-        raise ArithmeticError("plant returned non-finite derivatives during linearization")
+        raise DivergenceError("plant returned non-finite derivatives during linearization")
     A = (F[0:s] - F[s:2 * s]).T / (2.0 * hx)
     B = (F[2 * s:2 * s + p] - F[2 * s + p:2 * s + 2 * p]).T / (2.0 * hu)
     return LtvModel(A=A, B=B, C_out=np.eye(s), x_r=x_r, u_r=u_r, f_r=F[-1])

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConditioningError, ValidationError
 from .kinematics import (
     Pose,
-    _cable_vectors,
+    _cable_frames,
     _cross,
     check_euler_regular,
     euler_frames,
@@ -110,7 +110,7 @@ def _energy_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     """Kinetic energy, gravity potential (datum z = 0) and cable lengths of one state."""
     M, _, _, chain = _dynamics_core(model, q, qdot)
     ke = 0.5 * qdot @ M @ qdot
-    L = np.linalg.norm(_cable_vectors(model, q[0:3], chain["R_gm"]), axis=-1)
+    L = _cable_frames(model, q[0:3], chain["R_gm"]).lengths
     return float(ke), float(model.gravity * (model.bodies.mass @ chain["p_com"][:, 2])), L
 
 
@@ -243,8 +243,7 @@ def cable_tensions_from_stretch(model: RobotModel, pose: Pose, L0, clamp_slack: 
     L0 = np.asarray(L0, dtype=float)
     if model.n_cables and np.any(L0 <= 0):
         raise ValidationError("unstretched cable lengths must be positive")
-    vec = _cable_vectors(model, pose.p, pose.rotation())
-    L = np.linalg.norm(vec, axis=-1)
+    L = _cable_frames(model, pose.p, pose.rotation()).lengths
     T = model.platform.axial_stiffness / L0 * (L - L0)
     if clamp_slack:
         T = np.maximum(T, 0.0)

@@ -66,7 +66,7 @@ class ReductionError(CableRobotError):
 
 
 class DivergenceError(CableRobotError):
-    """Numerical integration produced non-finite state."""
+    """Numerical integration or linearization produced non-finite values."""
 
     category = "divergence"
 

@@ -133,45 +133,45 @@ class Pose:
 
 @dataclass(frozen=True)
 class CableGeometry:
-    """Per-cable line vectors (anchor -> platform attachment), lengths, units."""
+    """Cable frames at a pose: line vectors (anchor -> platform attachment),
+    lengths, unit vectors, levers R r_i and the structure matrix A_m."""
 
     vectors: np.ndarray   # (N, 3)
     lengths: np.ndarray   # (N,)
     units: np.ndarray     # (N, 3), vectors / lengths
+    levers: np.ndarray    # (N, 3), R r_i
+    structure: np.ndarray  # (6, N), columns [units_i ; levers_i x units_i]
 
 
-def _cable_vectors(model: RobotModel, p, R) -> np.ndarray:
-    """Batched line vectors: p + R r_i - a_i, shape (..., N, 3)."""
-    r = model.platform.r_body                      # (N,3)
-    a = model.platform.a_world
-    attach = np.asarray(p, float)[..., None, :] + np.einsum("...ij,nj->...ni", R, r)
-    return attach - a
+def _cable_frames(model: RobotModel, p, R) -> CableGeometry:
+    """Batched cable frames for positions p (..., 3) and rotations R (..., 3, 3).
+
+    Lengths are not checked: a collapsed cable yields non-finite units.
+    """
+    levers = np.einsum("...ij,nj->...ni", R, model.platform.r_body)
+    vec = np.asarray(p, float)[..., None, :] + levers - model.platform.a_world
+    lengths = np.linalg.norm(vec, axis=-1)
+    units = vec / lengths[..., None]
+    structure = np.concatenate(
+        [np.swapaxes(units, -1, -2), np.swapaxes(_cross(levers, units), -1, -2)], axis=-2
+    )
+    return CableGeometry(vectors=vec, lengths=lengths, units=units, levers=levers,
+                         structure=structure)
 
 
 def cable_geometry(model: RobotModel, pose: Pose) -> CableGeometry:
-    """Cable line geometry at a pose.
+    """Cable frames at a pose.
 
     Vectors run from the static anchor to the platform attachment point, so
     a positive tension pulls the platform along ``-units``.  Raises
     GeometryError (naming the 1-based cable) when a length collapses.
     """
-    vec = _cable_vectors(model, pose.p, pose.rotation())
-    lengths = np.linalg.norm(vec, axis=-1)
-    if np.any(lengths <= CABLE_LENGTH_EPS):
-        bad = int(np.argmax(lengths <= CABLE_LENGTH_EPS)) + 1
-        raise GeometryError(f"cable {bad} has near-zero length ({lengths[bad - 1]:.3e} m)")
-    return CableGeometry(vectors=vec, lengths=lengths, units=vec / lengths[..., None])
-
-
-def _structure_matrix_raw(model: RobotModel, p, R) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (A_m, lengths): columns [Lhat_i ; (R r_i) x Lhat_i]."""
-    vec = _cable_vectors(model, p, R)
-    lengths = np.linalg.norm(vec, axis=-1)
-    units = vec / lengths[..., None]
-    rho = np.einsum("...ij,nj->...ni", R, model.platform.r_body)
-    top = np.swapaxes(units, -1, -2)               # (...,3,N)
-    bottom = np.swapaxes(_cross(rho, units), -1, -2)
-    return np.concatenate([top, bottom], axis=-2), lengths
+    with np.errstate(divide="ignore", invalid="ignore"):   # a collapsed cable raises below
+        geo = _cable_frames(model, pose.p, pose.rotation())
+    if np.any(geo.lengths <= CABLE_LENGTH_EPS):
+        bad = int(np.argmax(geo.lengths <= CABLE_LENGTH_EPS)) + 1
+        raise GeometryError(f"cable {bad} has near-zero length ({geo.lengths[bad - 1]:.3e} m)")
+    return geo
 
 
 def structure_matrix(model: RobotModel, pose: Pose) -> np.ndarray:
@@ -182,9 +182,7 @@ def structure_matrix(model: RobotModel, pose: Pose) -> np.ndarray:
     positive tensions apply to the platform is ``-A_m T``; use
     :func:`tension_wrench_matrix` for the actuation map.
     """
-    cable_geometry(model, pose)  # degenerate-length check
-    A, _ = _structure_matrix_raw(model, pose.p, pose.rotation())
-    return A
+    return cable_geometry(model, pose).structure
 
 
 def tension_wrench_matrix(model: RobotModel, pose: Pose) -> np.ndarray:

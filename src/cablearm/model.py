@@ -122,6 +122,11 @@ class PlatformParams:
         """0-based cable indices of one actuator group."""
         return np.array(self.actuator_groups[group], dtype=int) - 1
 
+    def actuation_layout(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Sorted ids of the force-commanded and the length-commanded groups."""
+        force = tuple(sorted(self.tension_controlled_groups))
+        return force, tuple(sorted(set(self.actuator_groups) - set(force)))
+
 
 @dataclass(frozen=True)
 class ArmLink:

@@ -41,7 +41,7 @@ from .control import (
     select_states,
 )
 from .errors import DivergenceError, ReductionError, ValidationError
-from .kinematics import _cable_vectors, _structure_matrix_raw, link_kinematics, rotation
+from .kinematics import _cable_frames, arm_chain, check_euler_regular, rotation
 from .model import RobotModel
 from .stiffness import optimize_tensions
 
@@ -87,13 +87,17 @@ class PlanarPlant:
                 free.append(j)
             elif link.joint_axis != "Z":
                 raise ReductionError("arm joints must rotate about Y (free) or Z (held)")
-        layout = _actuation_layout(model)
+        low, pos = model.platform.actuation_layout()
+        if len(low) != 2 or len(pos) != 2:
+            raise ReductionError(
+                "planar control expects 2 force-commanded and 2 length-commanded actuator groups"
+            )
         self.model = model
         self.free_joints = tuple(free)
         self.n_states = 6 + 2 * len(free)
         self.n_inputs = 2 + len(free)
-        self.low_groups = layout["low_groups"]
-        self.pos_groups = layout["pos_groups"]
+        self.low_groups = low
+        self.pos_groups = pos
         self.low_idx = [model.platform.group_indices(g) for g in self.low_groups]
         self.pos_idx = [model.platform.group_indices(g) for g in self.pos_groups]
         self._q_pos = np.array([0, 2, 4] + [6 + j for j in free])
@@ -129,7 +133,7 @@ class PlanarPlant:
         """All cable tensions: elastic upper groups, commanded lower groups."""
         q, _ = self.embed(x)
         R = rotation(q[..., 3:6], self.model.euler_convention)
-        L = np.linalg.norm(_cable_vectors(self.model, q[..., 0:3], R), axis=-1)
+        L = _cable_frames(self.model, q[..., 0:3], R).lengths
         return self._tensions(L, np.asarray(u, dtype=float), L01, L02)
 
     def _xdot(self, x, tension_law, tau_arm):
@@ -138,8 +142,8 @@ class PlanarPlant:
         q, qd = self.embed(x)
 
         def wrench(R):
-            A, L = _structure_matrix_raw(self.model, q[..., 0:3], R)
-            return -(A @ tension_law(L)[..., None])[..., 0]    # pull direction
+            geo = _cable_frames(self.model, q[..., 0:3], R)
+            return -(geo.structure @ tension_law(geo.lengths)[..., None])[..., 0]    # pull direction
 
         qdd = dynamics.accelerations(self.model, q, qd, wrench, tau_arm,
                                      check_conditioning=False)
@@ -178,23 +182,15 @@ class PlanarPlant:
         return ke, float(ve)
 
     def end_effector(self, x):
-        """World (x, z) of the arm tip (platform position for an empty arm)."""
-        q, qd = self.embed(np.asarray(x, dtype=float))
-        if not self.model.arm:
-            return np.array([q[0], q[2]])
-        lk = link_kinematics(self.model, q, qd)
-        return np.array([lk.tip[0], lk.tip[2]])
-
-
-def _actuation_layout(model: RobotModel) -> dict:
-    p = model.platform
-    low = sorted(p.tension_controlled_groups)
-    pos = sorted(g for g in p.actuator_groups if g not in p.tension_controlled_groups)
-    if len(low) != 2 or len(pos) != 2:
-        raise ReductionError(
-            "planar control expects 2 force-commanded and 2 length-commanded actuator groups"
-        )
-    return {"low_groups": tuple(low), "pos_groups": tuple(pos)}
+        """World (x, z) of the arm tip (platform position for an empty arm);
+        broadcasts over leading axes of x.  Raises SingularityError at
+        gimbal lock."""
+        q, _ = self.embed(x)
+        tip = q[..., 0:3]
+        if self.model.arm:
+            check_euler_regular(q[..., 3:6], self.model.euler_convention)
+            tip = arm_chain(self.model, q)["p_joint"][..., -1, :]
+        return tip[..., [0, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +271,8 @@ def quintic_trajectory(waypoints) -> TrajectorySpec:
     states = np.array([np.asarray(x, dtype=float) for _, x in waypoints])
     if states.ndim != 2 or states.shape[1] != 10:
         raise ValueError("waypoints must carry 10-state vectors")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(states))):
+        raise ValueError("waypoint times and states must be finite")
     if np.any(np.abs(states[:, 1::2]) > 0):
         raise ValueError("waypoint velocity entries must be zero (rest-to-rest blends)")
     return TrajectorySpec(times=times, positions=states[:, 0::2])
@@ -539,7 +537,7 @@ def simulate(
                     u_applied = np.concatenate([u_applied[0:2], tau_pid + w[2:4]])
 
     x_ref = sched_full["x"][: K + 1]
-    p_e_ref = np.array([plant.end_effector(xr) for xr in x_ref])
+    p_e_ref = plant.end_effector(x_ref)
     return SimTrace(
         t=np.arange(K + 1) * Ts,
         x=np.array(rows["x"]),

@@ -1,4 +1,4 @@
-"""Stiffness matrices, the eigenvalue-weighted objective, and optimal tensions.
+"""Stiffness matrices, the eigenvalue objective, and maximum-stiffness tensions.
 
 The stiffness matrix is the pose sensitivity of the cable force balance,
 K = d(A_m T)/dP, split into a tension-geometry part K_T and a cable
@@ -6,17 +6,20 @@ elasticity part K_k = A_m K_c A_m^T.  With this sign convention K is
 positive definite at a stable suspension, K_k is a Gram sum, and the pull
 wrench the cables actually apply is the negative of the differentiated
 quantity (see :mod:`cablearm.kinematics` on the two sign conventions).
+``objective_JK`` is the one map from K to the objective J_K.
 
-``optimize_tensions`` implements the reference-tension computation used by
-the controllers: given a reference state it scans the force-commanded
-actuator value(s), solves the remaining commanded tensions and the shared
-unstretched lengths of the length-commanded groups directly from the
-static force balance (linear in inverse unstretched length), rejects
-points violating the per-cable bounds, and maximizes the stiffness
-objective over the consistent family.  ``stiffness_landscape`` instead
+``optimize_tensions`` computes the reference tensions the controllers
+use: it scans the first force-commanded group, solves the remaining
+commanded tensions and the shared unstretched lengths of the
+length-commanded groups from the static force balance (linear in inverse
+unstretched length), rejects points outside the per-cable bounds, and
+keeps the stiffest consistent point.  ``stiffness_landscape`` instead
 freezes the length-commanded groups at given unstretched lengths and
 sweeps a full 2-D grid of commanded tensions, producing the plot-ready
-stiffness surface (no force-balance constraint).
+stiffness surface (no force-balance constraint).  Both read the tension
+bounds from the model, weight all eigenvalues equally, and build K_k over
+the cables of the length-commanded groups.  Each call builds the pose's
+cable frames (:class:`cablearm.kinematics.CableGeometry`) once.
 """
 
 from __future__ import annotations
@@ -24,17 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .errors import InfeasibleError, NonPhysicalError, ValidationError
-from .kinematics import (
-    Pose,
-    _skew,
-    cable_geometry,
-    euler_rate_jacobian,
-    rotation,
-    tension_wrench_matrix,
-)
+from .kinematics import CableGeometry, Pose, _skew, cable_geometry, euler_frames
 from .model import RobotModel
 from .redundancy import null_space, pinv_tensions
 from . import dynamics
@@ -60,12 +55,6 @@ class StiffnessResult:
     scan_tensions: dict = field(default_factory=dict)  # commanded tension per force group
 
 
-def _cable_frames(model: RobotModel, pose: Pose):
-    geo = cable_geometry(model, pose)
-    rho = (pose.rotation() @ model.platform.r_body.T).T
-    return geo.lengths, geo.units, rho
-
-
 def stiffness_KT(model: RobotModel, pose: Pose, T) -> np.ndarray:
     """Tension-geometry stiffness: linear in T.
 
@@ -73,14 +62,18 @@ def stiffness_KT(model: RobotModel, pose: Pose, T) -> np.ndarray:
     + T_i [[0,0],[0, S_L S_r]] with P = I - Lhat Lhat^T, S_r = skew(R r_i),
     S_L = skew(Lhat_i); equal to d(A_m T)/dP at frozen tensions.
     """
+    return _stiffness_KT(model, cable_geometry(model, pose), T)
+
+
+def _stiffness_KT(model: RobotModel, geo: CableGeometry, T) -> np.ndarray:
     T = np.asarray(T, dtype=float)
-    L, Lhat, rho = _cable_frames(model, pose)
     if T.shape != (model.n_cables,):
         raise ValidationError(f"T must have length {model.n_cables}")
+    Lhat = geo.units
     P = np.eye(3) - Lhat[:, :, None] * Lhat[:, None, :]      # (N,3,3)
-    Sr = _skew(rho)
+    Sr = _skew(geo.levers)
     SL = _skew(Lhat)
-    w = T / L
+    w = T / geo.lengths
     K = np.zeros((6, 6))
     PSrT = P @ np.swapaxes(Sr, -1, -2)
     K[0:3, 0:3] = np.einsum("n,nij->ij", w, P)
@@ -116,15 +109,18 @@ def stiffness_Kk(model: RobotModel, pose: Pose, cable_subset=None, L0=None, T=No
     ``cable_subset`` holds 1-based cable indices (default: all cables).
     Spring rates follow :func:`cable_stiffness_coefficients`.
     """
-    L, Lhat, rho = _cable_frames(model, pose)
-    kc = cable_stiffness_coefficients(model, L, L0=L0, T=T)
+    return _stiffness_Kk(model, cable_geometry(model, pose), cable_subset, L0=L0, T=T)
+
+
+def _stiffness_Kk(model: RobotModel, geo: CableGeometry, cable_subset, L0=None, T=None) -> np.ndarray:
+    kc = cable_stiffness_coefficients(model, geo.lengths, L0=L0, T=T)
     if cable_subset is None:
         idx = np.arange(model.n_cables)
     else:
         idx = np.asarray(sorted(cable_subset), dtype=int) - 1
         if idx.size and (idx.min() < 0 or idx.max() >= model.n_cables):
             raise ValidationError("cable_subset indices must be in 1..N")
-    b = np.concatenate([Lhat, np.cross(rho, Lhat)], axis=1)  # (N,6)
+    b = geo.structure.T  # (N,6)
     if idx.size == 0:
         return np.zeros((6, 6))
     return np.einsum("n,ni,nj->ij", kc[idx], b[idx], b[idx])
@@ -145,31 +141,32 @@ def _symmetrize(K: np.ndarray) -> tuple[np.ndarray, float]:
     return 0.5 * (K + K.T), err
 
 
-def objective_JK(K: np.ndarray, H=None) -> float:
-    """Eigenvalue-weighted objective eig(K)^T H eig(K) (ascending eigenvalues)."""
+def objective_JK(K, H=None):
+    """Eigenvalue-weighted objective eig(K)^T H eig(K); batched over leading axes.
+
+    Eigenvalues are those of the symmetric part of K, ascending.  With
+    ``H`` None (the identity weight) the objective is the sum of squared
+    eigenvalues.  Returns a scalar for one 6x6 K, else an array of the
+    leading shape.
+    """
     K = np.asarray(K, dtype=float)
+    if H is not None:
+        H = np.asarray(H, dtype=float)
+        if H.shape != (6, 6) or not np.allclose(H, H.T, atol=1e-12):
+            raise ValueError("H must be a symmetric 6x6 matrix")
+        if np.linalg.eigvalsh(H).min() < -1e-10:
+            raise ValueError("H must be positive semidefinite")
+    eigs = np.linalg.eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))
     if H is None:
-        H = np.eye(6)
-    H = np.asarray(H, dtype=float)
-    if H.shape != (6, 6) or not np.allclose(H, H.T, atol=1e-12):
-        raise ValueError("H must be a symmetric 6x6 matrix")
-    if np.linalg.eigvalsh(H).min() < -1e-10:
-        raise ValueError("H must be positive semidefinite")
-    eigs = np.linalg.eigvalsh(0.5 * (K + K.T))
-    return float(eigs @ H @ eigs)
+        return np.sum(eigs**2, axis=-1)
+    return np.einsum("...i,ij,...j->...", eigs, H, eigs)
 
 
-def stiffness_of_lambda(model: RobotModel, pose: Pose, tau_m, lam, cable_subset=None, H=None) -> StiffnessResult:
-    """Stiffness of the tension distribution T(lambda); affine in lambda."""
-    W = tension_wrench_matrix(model, pose)
-    T = pinv_tensions(W, np.asarray(tau_m, float))
-    N = null_space(W)
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (N.shape[1],):
-        raise ValueError(f"lambda must have {N.shape[1]} entries, got {lam.shape}")
-    T = T + N @ lam
-    K_T = stiffness_KT(model, pose, T)
-    K_k = stiffness_Kk(model, pose, cable_subset, T=T)
+def _result(model: RobotModel, geo: CableGeometry, T, cable_subset, lam, H=None,
+            **labels) -> StiffnessResult:
+    """StiffnessResult of K = K_T + K_k at tensions T."""
+    K_T = _stiffness_KT(model, geo, T)
+    K_k = _stiffness_Kk(model, geo, cable_subset, T=T)
     K, err = _symmetrize(K_T + K_k)
     eigs = np.linalg.eigvalsh(K)
     return StiffnessResult(
@@ -177,12 +174,25 @@ def stiffness_of_lambda(model: RobotModel, pose: Pose, tau_m, lam, cable_subset=
         K_T=K_T,
         K_k=K_k,
         eigs=eigs,
-        J_K=objective_JK(K, H),
+        J_K=float(objective_JK(K, H)),
         lambda_opt=lam,
         T_opt=T,
         is_stable=bool(eigs.min() > 0),
         sym_error=err,
+        **labels,
     )
+
+
+def stiffness_of_lambda(model: RobotModel, pose: Pose, tau_m, lam, cable_subset=None, H=None) -> StiffnessResult:
+    """Stiffness of the tension distribution T(lambda); affine in lambda."""
+    geo = cable_geometry(model, pose)
+    W = -geo.structure
+    T = pinv_tensions(W, np.asarray(tau_m, float))
+    N = null_space(W)
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (N.shape[1],):
+        raise ValueError(f"lambda must have {N.shape[1]} entries, got {lam.shape}")
+    return _result(model, geo, T + N @ lam, cable_subset, lam, H)
 
 
 def unstretched_lengths_for(model: RobotModel, pose: Pose, T) -> np.ndarray:
@@ -199,37 +209,24 @@ def unstretched_lengths_for(model: RobotModel, pose: Pose, T) -> np.ndarray:
     return ea * geo.lengths / (ea + T)
 
 
-def _group_layout(model: RobotModel):
-    p = model.platform
-    if not p.tension_controlled_groups:
-        raise ValidationError(
-            "model declares no tension-controlled actuator groups; "
-            "optimize_tensions requires the force/length actuation split"
-        )
-    scan_groups = sorted(p.tension_controlled_groups)
-    pos_groups = sorted(g for g in p.actuator_groups if g not in p.tension_controlled_groups)
-    return scan_groups, pos_groups
-
-
 def position_controlled_cables(model: RobotModel) -> tuple[int, ...]:
     """1-based indices of cables in length-commanded groups."""
-    _, pos_groups = _group_layout(model)
+    _, pos_groups = model.platform.actuation_layout()
     return tuple(
         sorted(i for g in pos_groups for i in model.platform.actuator_groups[g])
     )
 
 
-def _consistent_family(model: RobotModel, pose: Pose, wrench: np.ndarray):
-    """Static-balance tension family parameterized by the first scanned group.
+def _balanced_tensions(model: RobotModel, geo: CableGeometry, wrench: np.ndarray, t,
+                       scan_groups, pos_groups):
+    """Static-balance tensions with the first scanned group at each value of t.
 
-    Returns a callable t -> (T, eta_by_group, residual_norm).  Unknowns are
-    the remaining force-group tensions and one inverse unstretched length
-    per length-commanded group; the balance equations are linear in all of
-    them, so the family is affine in the scan parameter.
+    Unknowns are the remaining force-group tensions and one inverse
+    unstretched length eta per length-commanded group; the balance
+    equations are linear in all of them, so the solution is affine in t.
+    Returns (T, eta_by_group, residual_norm), one row per entry of t.
     """
-    scan_groups, pos_groups = _group_layout(model)
-    W = tension_wrench_matrix(model, pose)
-    geo = cable_geometry(model, pose)
+    W = -geo.structure
     ea = model.platform.axial_stiffness
     cols = []
     for g in scan_groups[1:]:
@@ -250,25 +247,21 @@ def _consistent_family(model: RobotModel, pose: Pose, wrench: np.ndarray):
     res0 = rhs0 - A_ls @ xi0
     res1 = -lead_col - A_ls @ xi1
 
-    def family(t: np.ndarray):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        xi = xi0[None, :] + t[:, None] * xi1[None, :]
-        T = np.zeros(t.shape + (model.n_cables,))
-        T[:, lead_idx] = t[:, None]
-        k = 0
-        for g in scan_groups[1:]:
-            T[:, model.platform.group_indices(g)] = xi[:, k, None]
-            k += 1
-        eta = {}
-        for g in pos_groups:
-            idx = model.platform.group_indices(g)
-            eta[g] = xi[:, k]
-            T[:, idx] = ea[idx] * (geo.lengths[idx] * xi[:, k, None] - 1.0)
-            k += 1
-        res = np.linalg.norm(res0[None, :] + t[:, None] * res1[None, :], axis=1)
-        return T, eta, res
-
-    return family, scan_groups, pos_groups
+    xi = xi0[None, :] + t[:, None] * xi1[None, :]
+    T = np.zeros(t.shape + (model.n_cables,))
+    T[:, lead_idx] = t[:, None]
+    k = 0
+    for g in scan_groups[1:]:
+        T[:, model.platform.group_indices(g)] = xi[:, k, None]
+        k += 1
+    eta = {}
+    for g in pos_groups:
+        idx = model.platform.group_indices(g)
+        eta[g] = xi[:, k]
+        T[:, idx] = ea[idx] * (geo.lengths[idx] * xi[:, k, None] - 1.0)
+        k += 1
+    res = np.linalg.norm(res0[None, :] + t[:, None] * res1[None, :], axis=1)
+    return T, eta, res
 
 
 def optimize_tensions(
@@ -276,158 +269,111 @@ def optimize_tensions(
     q_ref,
     qdot_ref=None,
     qddot_ref=None,
-    H=None,
-    bounds=None,
     scan_points: int = 76,
-    cable_subset=None,
-    polish: bool = False,
 ) -> StiffnessResult:
     """Maximum-stiffness tensions consistent with the reference dynamics.
 
-    Scans the first force-commanded group over its bound interval
-    (``scan_points`` grid), solves the static balance for everything else,
-    filters per-cable bound violations, and maximizes the eigenvalue
-    objective.  Ties break toward the lower scan tension.  ``polish``
-    refines the grid optimum with a bounded Nelder-Mead pass
-    (200 iterations, 1e-8 tolerances).
+    The platform wrench comes from the inverse dynamics at
+    (q_ref, qdot_ref, qddot_ref); omitted rates are zero.  The first
+    force-commanded group is scanned over ``scan_points`` tensions between
+    its largest ``tension_min`` and smallest ``tension_max`` (from the
+    model).  At each scan value the static balance fixes the other
+    commanded tensions and one unstretched length per length-commanded
+    group.  A point is feasible when the balance holds, every cable stays
+    within its bounds and every unstretched length is positive.  Among
+    feasible points the one with the largest J_K (sum of squared
+    eigenvalues of K_T + K_k, K_k over the length-commanded cables) wins;
+    ties break toward the lower scan tension.
+
+    Raises ValidationError when the model has no force-commanded group or
+    ``scan_points`` is below 2, and InfeasibleError when no scan point is
+    feasible.
     """
+    if scan_points < 2:
+        raise ValidationError("scan_points must be at least 2")
     q_ref = np.asarray(q_ref, dtype=float)
     qdot_ref = np.zeros(model.nq) if qdot_ref is None else np.asarray(qdot_ref, float)
     qddot_ref = np.zeros(model.nq) if qddot_ref is None else np.asarray(qddot_ref, float)
-    pose = Pose.from_q(q_ref, model.euler_convention)
+    scan_groups, pos_groups = model.platform.actuation_layout()
+    if not scan_groups:
+        raise ValidationError(
+            "model declares no tension-controlled actuator groups; "
+            "optimize_tensions requires the force/length actuation split"
+        )
+    geo = cable_geometry(model, Pose.from_q(q_ref, model.euler_convention))
     tau = dynamics.inverse_dynamics(model, q_ref, qdot_ref, qddot_ref)
     wrench = generalized_to_wrench(model, q_ref[3:6], tau[0:6])
-    if cable_subset is None:
-        cable_subset = position_controlled_cables(model)
+    cable_subset = position_controlled_cables(model)
 
-    family, scan_groups, pos_groups = _consistent_family(model, pose, wrench)
     tmin, tmax = model.platform.tension_min, model.platform.tension_max
-    if bounds is not None:
-        tmin = np.full(model.n_cables, float(bounds[0]))
-        tmax = np.full(model.n_cables, float(bounds[1]))
     lead_idx = model.platform.group_indices(scan_groups[0])
     grid = np.linspace(tmin[lead_idx].max(), tmax[lead_idx].min(), scan_points)
-
-    def evaluate(tvals: np.ndarray):
-        T, eta, res = family(tvals)
-        feasible = (
-            (res <= _BALANCE_RTOL * (1.0 + np.linalg.norm(wrench)))
-            & np.all(T >= tmin[None, :] - 1e-9, axis=1)
-            & np.all(T <= tmax[None, :] + 1e-9, axis=1)
-        )
-        for g in pos_groups:
-            feasible &= eta[g] > 0
-        return T, eta, feasible
-
-    T_grid, _, feas = evaluate(grid)
+    T_grid, eta, res = _balanced_tensions(model, geo, wrench, grid, scan_groups, pos_groups)
+    feas = (
+        (res <= _BALANCE_RTOL * (1.0 + np.linalg.norm(wrench)))
+        & np.all(T_grid >= tmin[None, :] - 1e-9, axis=1)
+        & np.all(T_grid <= tmax[None, :] + 1e-9, axis=1)
+    )
+    for g in pos_groups:
+        feas &= eta[g] > 0
     if not np.any(feas):
         raise InfeasibleError(
             "no statically consistent tensions satisfy the per-cable bounds "
             f"at this reference (scanned group {scan_groups[0]})"
         )
     # K is affine in the scan value: assemble at both ends and interpolate.
-    t_a, t_b = grid[0], grid[-1]
-    K_a = stiffness_KT(model, pose, T_grid[0]) + stiffness_Kk(
-        model, pose, cable_subset, T=T_grid[0]
+    K_a, K_b = (
+        _stiffness_KT(model, geo, T) + _stiffness_Kk(model, geo, cable_subset, T=T)
+        for T in (T_grid[0], T_grid[-1])
     )
-    K_b = stiffness_KT(model, pose, T_grid[-1]) + stiffness_Kk(
-        model, pose, cable_subset, T=T_grid[-1]
-    )
-    frac = (grid - t_a) / (t_b - t_a)
+    frac = (grid - grid[0]) / (grid[-1] - grid[0])
     K_all = K_a[None] + frac[:, None, None] * (K_b - K_a)[None]
-    eig_all = np.linalg.eigvalsh(0.5 * (K_all + np.swapaxes(K_all, -1, -2)))
-    if H is None:
-        J_all = np.sum(eig_all**2, axis=1)
-    else:
-        J_all = np.einsum("ni,ij,nj->n", eig_all, np.asarray(H, float), eig_all)
-    J_masked = np.where(feas, J_all, -np.inf)
-    best = int(np.argmax(J_masked))   # argmax picks the first (lowest-tension) tie
+    best = int(np.argmax(np.where(feas, objective_JK(K_all), -np.inf)))  # first (lowest-tension) tie
 
-    t_best = float(grid[best])
-    if polish:
-        lo = grid[feas].min()
-        hi = grid[feas].max()
-
-        def negJ(x):
-            t = float(np.clip(x[0], lo, hi))
-            T, _, ok = evaluate(np.array([t]))
-            if not ok[0]:
-                return np.inf
-            K = stiffness_KT(model, pose, T[0]) + stiffness_Kk(model, pose, cable_subset, T=T[0])
-            return -objective_JK(K, H)
-
-        out = scipy.optimize.minimize(
-            negJ, x0=[t_best], method="Nelder-Mead",
-            options={"maxiter": 200, "xatol": 1e-8, "fatol": 1e-8},
-        )
-        if np.isfinite(out.fun) and -out.fun >= J_masked[best]:
-            t_best = float(np.clip(out.x[0], lo, hi))
-
-    T_opt, eta_opt, _ = family(np.array([t_best]))
-    T_opt = T_opt[0]
-    K_T = stiffness_KT(model, pose, T_opt)
-    K_k = stiffness_Kk(model, pose, cable_subset, T=T_opt)
-    K, err = _symmetrize(K_T + K_k)
-    eigs = np.linalg.eigvalsh(K)
-    W = tension_wrench_matrix(model, pose)
-    N_A = null_space(W)
-    lam = N_A.T @ (T_opt - pinv_tensions(W, wrench))
-    scan_tensions = {
-        g: float(T_opt[model.platform.group_indices(g)][0]) for g in scan_groups
-    }
-    group_L0 = {g: float(1.0 / eta_opt[g][0]) for g in pos_groups}
-    return StiffnessResult(
-        K=K,
-        K_T=K_T,
-        K_k=K_k,
-        eigs=eigs,
-        J_K=objective_JK(K, H),
-        lambda_opt=lam,
-        T_opt=T_opt,
-        is_stable=bool(eigs.min() > 0),
-        sym_error=err,
-        group_L0=group_L0,
-        scan_tensions=scan_tensions,
+    T_opt = T_grid[best]
+    W = -geo.structure
+    lam = null_space(W).T @ (T_opt - pinv_tensions(W, wrench))
+    return _result(
+        model, geo, T_opt, cable_subset, lam,
+        group_L0={g: float(1.0 / eta[g][best]) for g in pos_groups},
+        scan_tensions={
+            g: float(T_opt[model.platform.group_indices(g)][0]) for g in scan_groups
+        },
     )
 
 
 def generalized_to_wrench(model: RobotModel, euler, gen6) -> np.ndarray:
-    """Invert the S^T pairing: world wrench from the platform force block."""
+    """Invert the S^T pairing: world wrench from the platform force block.
+
+    The moment block pairs with the world Euler-rate Jacobian W = R E_b.
+    """
     gen6 = np.asarray(gen6, dtype=float)
-    E_w = rotation(euler, model.euler_convention) @ euler_rate_jacobian(
-        euler, model.euler_convention
-    )
-    return np.concatenate([gen6[0:3], np.linalg.solve(E_w.T, gen6[3:6])])
+    _, W, _ = euler_frames(euler, model.euler_convention)
+    return np.concatenate([gen6[0:3], np.linalg.solve(W.T, gen6[3:6])])
 
 
-def stiffness_landscape(
-    model: RobotModel,
-    q_ref,
-    group_L0: dict,
-    resolution: int = 76,
-    bounds=None,
-    H=None,
-    cable_subset=None,
-):
+def stiffness_landscape(model: RobotModel, q_ref, group_L0: dict, resolution: int = 76):
     """Stiffness surface over a full 2-D grid of commanded tensions.
 
-    Length-commanded groups are frozen at the given unstretched lengths
-    (their tensions follow from the stretch at the reference pose) while
-    the two force-commanded groups sweep their bound box.  No force
-    balance is imposed: this is the plot-ready landscape, not an
-    equilibrium manifold.  Returns a dict with the two grid axes and
-    ``J_K`` / ``min_eig`` arrays of shape (resolution, resolution).
+    Length-commanded groups are frozen at the unstretched lengths in
+    ``group_L0`` (their tensions follow from the stretch at the reference
+    pose) while the two force-commanded groups each sweep
+    ``resolution`` tensions between the model's bounds.  No force balance
+    is imposed: this is the plot-ready landscape, not an equilibrium
+    manifold.  K_k covers the length-commanded cables.  Returns a dict with
+    the two scanned ``groups``, the grid axes ``axis_a`` / ``axis_b``, the
+    frozen tensions ``T_base`` (zero on the scanned cables) and ``J_K`` /
+    ``min_eig`` arrays of shape (resolution, resolution).
     """
+    if resolution < 1:
+        raise ValidationError("resolution must be at least 1")
     q_ref = np.asarray(q_ref, dtype=float)
-    pose = Pose.from_q(q_ref, model.euler_convention)
-    scan_groups, pos_groups = _group_layout(model)
+    scan_groups, pos_groups = model.platform.actuation_layout()
     if len(scan_groups) != 2:
         raise ValidationError("stiffness_landscape expects exactly 2 force-commanded groups")
-    if sorted(group_L0) != pos_groups:
-        raise ValidationError(f"group_L0 must give lengths for groups {pos_groups}")
-    if cable_subset is None:
-        cable_subset = position_controlled_cables(model)
-    geo = cable_geometry(model, pose)
+    if tuple(sorted(group_L0)) != pos_groups:
+        raise ValidationError(f"group_L0 must give lengths for groups {list(pos_groups)}")
+    geo = cable_geometry(model, Pose.from_q(q_ref, model.euler_convention))
     ea = model.platform.axial_stiffness
     T_base = np.zeros(model.n_cables)
     L0 = geo.lengths.copy()   # scan-group entries are placeholders, excluded below
@@ -438,21 +384,18 @@ def stiffness_landscape(
         T_base[idx] = ea[idx] / l0 * (geo.lengths[idx] - l0)
         L0[idx] = l0
     tmin, tmax = model.platform.tension_min, model.platform.tension_max
-    if bounds is not None:
-        tmin = np.full(model.n_cables, float(bounds[0]))
-        tmax = np.full(model.n_cables, float(bounds[1]))
     gA = model.platform.group_indices(scan_groups[0])
     gB = model.platform.group_indices(scan_groups[1])
     ax_a = np.linspace(tmin[gA].max(), tmax[gA].min(), resolution)
     ax_b = np.linspace(tmin[gB].max(), tmax[gB].min(), resolution)
     # K is affine in (tA, tB): three corner assemblies span the plane.
-    Kk = stiffness_Kk(model, pose, cable_subset, L0=L0)
+    Kk = _stiffness_Kk(model, geo, position_controlled_cables(model), L0=L0)
 
     def assemble(ta, tb):
         T = T_base.copy()
         T[gA] = ta
         T[gB] = tb
-        return stiffness_KT(model, pose, T) + Kk
+        return _stiffness_KT(model, geo, T) + Kk
 
     K00 = assemble(0.0, 0.0)
     K10 = assemble(1.0, 0.0)
@@ -461,16 +404,11 @@ def stiffness_landscape(
     TA, TB = np.meshgrid(ax_a, ax_b, indexing="ij")
     K_all = K00[None, None] + TA[..., None, None] * dKa + TB[..., None, None] * dKb
     K_all = 0.5 * (K_all + np.swapaxes(K_all, -1, -2))
-    eigs = np.linalg.eigvalsh(K_all)
-    if H is None:
-        J = np.sum(eigs**2, axis=-1)
-    else:
-        J = np.einsum("abi,ij,abj->ab", eigs, np.asarray(H, float), eigs)
     return {
-        "groups": (scan_groups[0], scan_groups[1]),
+        "groups": scan_groups,
         "axis_a": ax_a,
         "axis_b": ax_b,
-        "J_K": J,
-        "min_eig": eigs[..., 0],
+        "J_K": objective_JK(K_all),
+        "min_eig": np.linalg.eigvalsh(K_all)[..., 0],
         "T_base": T_base,
     }

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cablearm
 from cablearm import metrics
 from cablearm.cli import compare_architectures, load_scenario, main, resolve_scenario, run_scenario
 from cablearm.errors import AlignmentError, ComparisonError
@@ -151,6 +155,15 @@ class TestCliMain:
         ({"noise_std": [0.1, 0.1, -0.01, 0.0]}, "scenario", 4),
         ({"noise_std": [0.1, 0.1, float("nan"), 0.0]}, "scenario", 4),
         ({"noise_std": "loud"}, "scenario", 4),
+        ({"tension_scan_points": 1}, "scenario", 4),
+        ({"trajectory": {"waypoints": 5}}, "scenario", 4),
+        ({"trajectory": {"waypoints": [[0.0, [0, 0, 0]], [1.0, [0, 0, 0]]]}}, "scenario", 4),
+        ({"trajectory": {"waypoints": [[0.0, [0] * 10], [1.0, [0] * 10]], "smooth": 1}},
+         "parse", 2),
+        ({"trajectory": {"waypoints": [[0.0, [float("nan")] + [0] * 9], [1.0, [0] * 10]]}},
+         "scenario", 4),
+        ({"t_end_s": "abc"}, "scenario", 4),
+        ({"t_end_s": float("nan")}, "scenario", 4),
     ])
     def test_malformed_scenario_table(self, tmp_path, capsys, override, category, code):
         doc = dict(SHORT)
@@ -180,6 +193,31 @@ class TestCliMain:
         assert main([command, flag, str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "parse"
+
+    def test_linearize_nonfinite_state(self, tmp_path, capsys):
+        """A NaN in the state makes the plant output non-finite: a
+        divergence error (exit 4), not a traceback."""
+        point = tmp_path / "pt.json"
+        point.write_text(json.dumps({
+            "x": [0.05, 0, float("nan"), 0, 0, 0, 0, 0, 0, 0],
+            "u": [30.0, 30.0, 0.0, 0.0],
+            "L01": 0.85, "L02": 0.80,
+        }))
+        assert main(["linearize", "--state", str(point)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["category"] == "divergence"
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        """Importing the CLI must not pull in scipy.optimize, whose import
+        alone is a large share of a run's set-up time."""
+        probe = "import sys, cablearm.cli; print('scipy.optimize' in sys.modules)"
+        package_root = str(Path(cablearm.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        ))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=env, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
     def test_evaluate_command(self, short_run, capsys):
         code = main(["evaluate", "--trace", short_run["trace"]])

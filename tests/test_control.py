@@ -14,7 +14,7 @@ from cablearm.control import (
     solve_qp_active_set,
     zoh_discretize,
 )
-from cablearm.errors import ConditioningError, InfeasibleError, IterationLimitError
+from cablearm.errors import ConditioningError, DivergenceError, InfeasibleError, IterationLimitError
 
 
 def double_integrator(x, u):
@@ -70,7 +70,7 @@ class TestLinearize:
         def bad(x, u):
             return np.full(np.asarray(x).shape, np.nan)
 
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(DivergenceError):
             linearize(bad, np.zeros(2), np.zeros(1))
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from cablearm.dynamics import forward_dynamics, inverse_dynamics
-from cablearm.errors import DivergenceError, ReductionError
+from cablearm.errors import DivergenceError, ReductionError, SingularityError
 from cablearm.model import Anchor
 from cablearm.sim import (
     Architecture,
@@ -63,6 +63,24 @@ class TestPlanarReduce:
         qdd = forward_dynamics(hcdr, q, qd, T, np.array([0.0, u[2], u[3]]))
         xdot = plant.f(x, u, 0.85, 0.82)
         assert np.allclose(xdot[1::2], qdd[[0, 2, 4, 7, 8]], atol=1e-12)
+
+    def test_end_effector_batch_matches_link_kinematics(self, hcdr, rng):
+        """Batched tips equal the single-state tips of link_kinematics."""
+        from cablearm.kinematics import link_kinematics
+
+        plant = PlanarPlant(hcdr)
+        x = rng.normal(0, 0.3, (2, 3, 10))
+        tips = plant.end_effector(x)
+        assert tips.shape == (2, 3, 2)
+        for i in np.ndindex(2, 3):
+            tip = link_kinematics(hcdr, *plant.embed(x[i])).tip
+            assert np.array_equal(tips[i], tip[[0, 2]])
+            assert np.array_equal(plant.end_effector(x[i]), tip[[0, 2]])
+        x[1, 2, 4] = np.pi / 2
+        with pytest.raises(SingularityError):
+            plant.end_effector(x)
+        assert np.array_equal(PlanarPlant(hcdr.platform_only()).end_effector(x[..., :6]),
+                              x[..., [0, 2]])
 
     def test_energies_share_kinetic_and_gravity_terms(self, hcdr, rng):
         """The planar energies equal the full-model ones once the force-

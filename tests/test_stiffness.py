@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from cablearm.dynamics import inverse_dynamics
 from cablearm.errors import InfeasibleError, NonPhysicalError, ValidationError
-from cablearm.kinematics import Pose, cable_geometry, structure_matrix
+from cablearm.kinematics import Pose, cable_geometry, structure_matrix, tension_wrench_matrix
+from cablearm.sim import PlanarPlant, case_study_trajectory
 from cablearm.stiffness import (
     cable_stiffness_coefficients,
+    generalized_to_wrench,
     objective_JK,
     optimize_tensions,
     position_controlled_cables,
@@ -167,6 +170,10 @@ class TestLandscape:
         J_direct = objective_JK(K)
         assert np.isclose(J_direct, land["J_K"][3, 1], rtol=1e-12)
 
+    def test_rejects_empty_grid(self, hcdr):
+        with pytest.raises(ValidationError, match="resolution"):
+            stiffness_landscape(hcdr, np.zeros(9), {1: 1.005, 2: 1.005}, resolution=0)
+
     def test_requires_lengths_for_position_groups(self, hcdr):
         with pytest.raises(ValidationError):
             stiffness_landscape(hcdr, np.zeros(9), {1: 1.005}, resolution=4)
@@ -200,14 +207,68 @@ class TestOptimizeTensions:
         lead = sorted(hcdr.platform.tension_controlled_groups)[0]
         assert abs(coarse.scan_tensions[lead] - fine.scan_tensions[lead]) <= cell
 
-    def test_polish_does_not_regress(self, hcdr):
-        base = optimize_tensions(hcdr, np.zeros(9), scan_points=20)
-        polished = optimize_tensions(hcdr, np.zeros(9), scan_points=20, polish=True)
-        assert polished.J_K >= base.J_K - 1e-9
+    def test_rejects_single_scan_point(self, hcdr):
+        with pytest.raises(ValidationError, match="scan_points"):
+            optimize_tensions(hcdr, np.zeros(9), scan_points=1)
 
     def test_infeasible_bounds(self, hcdr):
+        narrow = replace(hcdr, platform=replace(
+            hcdr.platform, tension_min=np.full(12, 5.0), tension_max=np.full(12, 6.0)
+        ))
         with pytest.raises(InfeasibleError):
-            optimize_tensions(hcdr, np.zeros(9), bounds=(5.0, 6.0), scan_points=10)
+            optimize_tensions(narrow, np.zeros(9), scan_points=10)
+
+    @pytest.mark.parametrize("t", [0.0, 1.5, 6.0])
+    def test_matches_brute_force_scan(self, hcdr, t):
+        """The chosen scan tension is the argmax of J_K over a scan that
+        solves the balance per grid point by least squares and assembles K
+        from the public functions.  The case-study reference at t = 0 s
+        holds the home pose, at 1.5 s joint 3 accelerates (qddot != 0), at 6 s
+        both joints are raised to 1 rad."""
+        plant = PlanarPlant(hcdr)
+        pos, vel, acc = case_study_trajectory().sample_pva(t)
+        q, qd, qdd = (np.zeros(9) for _ in range(3))
+        for full, planar in ((q, pos), (qd, vel), (qdd, acc)):
+            full[plant._q_pos] = planar[:len(plant._q_pos)]
+        res = optimize_tensions(hcdr, q, qd, qdd, scan_points=39)
+
+        p = hcdr.platform
+        pose = Pose.from_q(q)
+        tau = inverse_dynamics(hcdr, q, qd, qdd)
+        w = generalized_to_wrench(hcdr, q[3:6], tau[0:6])
+        W = tension_wrench_matrix(hcdr, pose)
+        L = cable_geometry(hcdr, pose).lengths
+        lead, other = sorted(p.tension_controlled_groups)
+        upper = [g for g in sorted(p.actuator_groups) if g not in (lead, other)]
+        # unknowns: the other force-group tension, 1/L0 of each upper group
+        A = np.column_stack(
+            [W[:, p.group_indices(other)].sum(axis=1)]
+            + [W[:, p.group_indices(g)] @ (p.axial_stiffness[p.group_indices(g)]
+                                           * L[p.group_indices(g)]) for g in upper]
+        )
+        best_J, best_t = -np.inf, None
+        for tl in np.linspace(5.0, 80.0, 39):
+            rhs = w - tl * W[:, p.group_indices(lead)].sum(axis=1)
+            for g in upper:
+                rhs = rhs + W[:, p.group_indices(g)] @ p.axial_stiffness[p.group_indices(g)]
+            xi = np.linalg.lstsq(A, rhs, rcond=None)[0]
+            if np.linalg.norm(A @ xi - rhs) > 1e-7 * (1 + np.linalg.norm(w)) or np.any(xi[1:] <= 0):
+                continue
+            T = np.empty(12)
+            T[p.group_indices(lead)] = tl
+            T[p.group_indices(other)] = xi[0]
+            for g, eta in zip(upper, xi[1:]):
+                idx = p.group_indices(g)
+                T[idx] = p.axial_stiffness[idx] * (L[idx] * eta - 1.0)
+            if T.min() < 5.0 - 1e-9 or T.max() > 80.0 + 1e-9:
+                continue
+            J = objective_JK(stiffness_KT(hcdr, pose, T)
+                             + stiffness_Kk(hcdr, pose, position_controlled_cables(hcdr), T=T))
+            if J > best_J:
+                best_J, best_t = J, tl
+        assert best_t is not None
+        assert np.isclose(res.scan_tensions[lead], best_t, rtol=0, atol=1e-9)
+        assert np.isclose(res.J_K, best_J, rtol=1e-9)
 
     def test_unstretched_lengths_shared_per_group(self, hcdr):
         res = optimize_tensions(hcdr, np.zeros(9), scan_points=39)
