@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, metrics, sim
-from .control import MpcParams, PidGains
 from .errors import (
     CableRobotError,
     ComparisonError,
@@ -131,37 +130,6 @@ def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
     return cfg
 
 
-def _build_controller(cfg: dict):
-    arch = sim.Architecture(cfg["architecture"])
-    c = cfg["controller"]
-    p = 4 if arch is sim.Architecture.INTEGRATED_II else 2
-    s = 10 if arch is sim.Architecture.INTEGRATED_II else 6
-    pid_doc = c.get("pid", {})
-    try:
-        Ts = float(c.get("Ts_s", 0.01))
-        du = np.asarray(c.get("du_bound", [80.0, 80.0, 2.0, 2.0][:p]), dtype=float)
-        if du.shape != (p,):
-            raise ScenarioError(f"du_bound must have {p} entries for {arch.value}")
-        params = MpcParams(
-            Ts=Ts,
-            Np=int(c.get("Np", 50)),
-            Nc=int(c.get("Nc", 50)),
-            Q=float(c.get("Q_scale", 1.0)) * np.eye(s),
-            R=float(c.get("R_scale", 1e-4)) * np.eye(p),
-            P=float(c.get("P_scale", 1.0)) * np.eye(s),
-            du_min=-du,
-            du_max=du,
-        )
-        gains = PidGains(
-            Kp=float(pid_doc.get("Kp", 400.0)),
-            Ki=float(pid_doc.get("Ki", 100.0)),
-            Kd=float(pid_doc.get("Kd", 10.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid controller settings: {exc}") from None
-    return params, gains, Ts
-
-
 def _build_trajectory(ref):
     if ref == "case_study":
         return sim.case_study_trajectory()
@@ -180,7 +148,7 @@ def run_scenario(path_or_doc, out_dir, seed: int | None = None, fmt: str = "csv"
     """
     cfg = resolve_scenario(load_scenario(path_or_doc), seed)
     model = _resolve_model(cfg["model"])
-    params, gains, Ts = _build_controller(cfg)
+    params, gains = sim.controller_params(cfg["architecture"], cfg["controller"])
     traj = _build_trajectory(cfg["trajectory"])
     digest = sim.config_digest(cfg)
     trace = sim.simulate(
@@ -192,7 +160,6 @@ def run_scenario(path_or_doc, out_dir, seed: int | None = None, fmt: str = "csv"
         noise_std=cfg["noise_std"],
         seed=cfg["seed"],
         T_end=cfg["t_end_s"],
-        Ts=Ts,
         substeps=cfg["integrator_substeps"],
         scan_points=cfg["tension_scan_points"],
         config_hash=digest,

@@ -48,7 +48,6 @@ class LtvModel:
 
     A: np.ndarray
     B: np.ndarray
-    C_out: np.ndarray
     x_r: np.ndarray
     u_r: np.ndarray
     f_r: np.ndarray   # plant drift at the linearization point
@@ -81,7 +80,7 @@ def linearize(plant, x_r, u_r, exogenous=(), step: float = 1e-6) -> LtvModel:
         raise DivergenceError("plant returned non-finite derivatives during linearization")
     A = (F[0:s] - F[s:2 * s]).T / (2.0 * hx)
     B = (F[2 * s:2 * s + p] - F[2 * s + p:2 * s + 2 * p]).T / (2.0 * hu)
-    return LtvModel(A=A, B=B, C_out=np.eye(s), x_r=x_r, u_r=u_r, f_r=F[-1])
+    return LtvModel(A=A, B=B, x_r=x_r, u_r=u_r, f_r=F[-1])
 
 
 def zoh_discretize(A: np.ndarray, B: np.ndarray, Ts: float) -> tuple[np.ndarray, np.ndarray]:
@@ -365,29 +364,6 @@ def mpc_step(
     return u_prev + z[:params.R.shape[0]]
 
 
-class MpcController:
-    """Stateful wrapper: tracks the previous state and applied input."""
-
-    def __init__(self, params: MpcParams):
-        self.params = params
-        self.x_prev = None
-        self.u_prev = None
-
-    def reset(self, x0, u0):
-        self.x_prev = np.asarray(x0, dtype=float)
-        self.u_prev = np.asarray(u0, dtype=float)
-
-    def step(self, ltv: LtvModel, x_now, x_ref_window, u_ref_window) -> np.ndarray:
-        if self.x_prev is None:
-            self.reset(x_now, ltv.u_r)
-        u = mpc_step(
-            ltv, x_now, self.x_prev, self.u_prev, x_ref_window, u_ref_window, self.params
-        )
-        self.x_prev = np.asarray(x_now, dtype=float)
-        self.u_prev = u
-        return u
-
-
 @dataclass(frozen=True)
 class PidGains:
     """Scalar gains applied elementwise to the joint channels."""
@@ -438,12 +414,3 @@ def pid_step(theta_ref, dtheta_ref, theta, dtheta, state: PidState, gains: PidGa
         tau = np.clip(tau, -lim, lim)
     return tau, PidState(integral=integral_new, prev_error=e)
 
-
-def select_states(x, which: str) -> np.ndarray:
-    """Partition of the 10-state vector: platform (first 6) or arm (last 4)."""
-    x = np.asarray(x, dtype=float)
-    if which == "platform":
-        return x[..., 0:6]
-    if which == "arm":
-        return x[..., 6:10]
-    raise ValueError("which must be 'platform' or 'arm'")

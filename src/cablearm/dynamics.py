@@ -107,11 +107,14 @@ def _dynamics_core(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
 
 
 def _energy_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
-    """Kinetic energy, gravity potential (datum z = 0) and cable lengths of one state."""
+    """Kinetic energy, gravity potential (datum z = 0) and cable lengths;
+    batched over leading axes of q and qdot."""
     M, _, _, chain = _dynamics_core(model, q, qdot)
-    ke = 0.5 * qdot @ M @ qdot
-    L = _cable_frames(model, q[0:3], chain["R_gm"]).lengths
-    return float(ke), float(model.gravity * (model.bodies.mass @ chain["p_com"][:, 2])), L
+    ke = 0.5 * (qdot[..., None, :] @ M @ qdot[..., None])[..., 0, 0]
+    # sum of m_b z_b as a stacked product: one state rounds as the plain dot did
+    mz = (chain["p_com"][..., None, :, 2] @ model.bodies.mass[:, None])[..., 0, 0]
+    L = _cable_frames(model, q[..., 0:3], chain["R_gm"]).lengths
+    return ke, model.gravity * mz, L
 
 
 def energies(model: RobotModel, q, qdot, L0) -> tuple[float, float]:
@@ -129,7 +132,7 @@ def energies(model: RobotModel, q, qdot, L0) -> tuple[float, float]:
         raise ValidationError("unstretched cable lengths must be positive")
     ke, ve, L = _energy_terms(model, q, qdot)
     kc = model.platform.axial_stiffness / L0
-    return ke, float(ve + 0.5 * np.sum(kc * (L - L0) ** 2))
+    return float(ke), float(ve + 0.5 * np.sum(kc * (L - L0) ** 2))
 
 
 def coriolis_force(model: RobotModel, q, qdot) -> np.ndarray:

@@ -9,15 +9,23 @@ inputs are ``[T_low_A, T_low_B, tau_2, tau_3]`` with the two
 length-commanded upper groups driven by the exogenous unstretched lengths
 (L01, L02).
 
-Closed-loop architectures:
+Closed loop (:func:`simulate`).  An architecture fixes two things
+(:class:`Architecture`): the design model, from which the tension/length
+feedforward and the MPC's linearization come, and the MPC's reach.
 
-* independent: the tension/length references come from the platform-only
-  model and the MPC uses the decoupled platform linearization, so the arm
-  reaction (mostly its weight) is invisible to the design path; the arm is
-  PID controlled.  The simulated plant is always the coupled system.
-* integrated1: references and the platform LTV come from the coupled
-  model; the arm stays on PID.
-* integrated2: one MPC over all 10 states and 4 inputs.
+* independent: platform-only design model, so the arm reaction (mostly
+  its weight) is invisible to the design path; MPC over the 6 platform
+  states and 2 lower tensions, arm joints on PID.
+* integrated1: coupled design model; the same 6-state MPC, arm on PID.
+* integrated2: coupled design model; one MPC over all 10 states and 4
+  inputs, no PID.
+
+Every architecture runs the same loop: one reference schedule on the
+design model, a linearization of the design plant per distinct schedule
+row (cut to the MPC's leading states and inputs), one MPC call per period
+and, where the arm is on PID, one PID call per integration substep.  The
+simulated plant is always the coupled system.  :func:`controller_params`
+is the one home of the controller defaults.
 """
 
 from __future__ import annotations
@@ -29,27 +37,30 @@ from enum import Enum
 
 import numpy as np
 
-from . import dynamics
-from .control import (
-    LtvModel,
-    MpcController,
-    MpcParams,
-    PidGains,
-    PidState,
-    linearize,
-    pid_step,
-    select_states,
-)
-from .errors import DivergenceError, ReductionError, ValidationError
+from . import control, dynamics
+from .control import LtvModel, MpcParams, PidGains, PidState, linearize, pid_step
+from .errors import DivergenceError, ReductionError, ScenarioError, ValidationError
 from .kinematics import _cable_frames, arm_chain, check_euler_regular, rotation
 from .model import RobotModel
 from .stiffness import optimize_tensions
 
 
 class Architecture(str, Enum):
+    """Closed-loop architecture: fixes the design model and the MPC's reach."""
+
     INDEPENDENT = "independent"
     INTEGRATED_I = "integrated1"
     INTEGRATED_II = "integrated2"
+
+    @property
+    def mpc_size(self) -> tuple[int, int]:
+        """(states, inputs) of the MPC: all 10 and 4 for integrated2, else
+        the 6 platform states and 2 lower tensions (the arm is on PID)."""
+        return (10, 4) if self is Architecture.INTEGRATED_II else (6, 2)
+
+    def design_model(self, model: RobotModel) -> RobotModel:
+        """The model the feedforward and the MPC's linearization see."""
+        return model.platform_only() if self is Architecture.INDEPENDENT else model
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +141,12 @@ class PlanarPlant:
         return T
 
     def full_tensions(self, x, u, L01, L02):
-        """All cable tensions: elastic upper groups, commanded lower groups."""
+        """All cable tensions: elastic upper groups, commanded lower groups;
+        broadcasts over leading axes of x, u and the lengths."""
         q, _ = self.embed(x)
         R = rotation(q[..., 3:6], self.model.euler_convention)
         L = _cable_frames(self.model, q[..., 0:3], R).lengths
+        L01, L02 = (np.asarray(L0, dtype=float)[..., None] for L0 in (L01, L02))
         return self._tensions(L, np.asarray(u, dtype=float), L01, L02)
 
     def _xdot(self, x, tension_law, tau_arm):
@@ -173,13 +186,15 @@ class PlanarPlant:
     def energies(self, x, L01, L02):
         """Kinetic and potential energy; elastic part covers the
         length-commanded groups only (force-commanded cables have no
-        defined unstretched length)."""
+        defined unstretched length).  Broadcasts over leading axes of x
+        and the lengths."""
         q, qd = self.embed(np.asarray(x, dtype=float))
         ke, ve, L = dynamics._energy_terms(self.model, q, qd)
         ea = self.model.platform.axial_stiffness
         for idx, L0 in zip(self.pos_idx, (L01, L02)):
-            ve += 0.5 * np.sum(ea[idx] / L0 * (L[idx] - L0) ** 2)
-        return ke, float(ve)
+            L0 = np.asarray(L0, dtype=float)[..., None]
+            ve = ve + 0.5 * np.sum(ea[idx] / L0 * (L[..., idx] - L0) ** 2, axis=-1)
+        return ke, ve
 
     def end_effector(self, x):
         """World (x, z) of the arm tip (platform position for an empty arm);
@@ -349,12 +364,10 @@ def reference_schedule(model: RobotModel, plant: PlanarPlant, traj: TrajectorySp
             qd[plant._q_pos] = vel[k][: len(plant._q_pos)]
             qdd[plant._q_pos] = acc[k][: len(plant._q_pos)]
             res = optimize_tensions(model, q, qd, qdd, scan_points=scan_points)
-            tau = dynamics.inverse_dynamics(model, q, qd, qdd)
-            tau_a = np.array([tau[6 + j] for j in plant.free_joints])
             hit = (
                 np.array([res.scan_tensions[g] for g in plant.low_groups]),
                 np.array([res.group_L0[g] for g in plant.pos_groups]),
-                tau_a,
+                res.tau_ref[[6 + j for j in plant.free_joints]],
             )
             cache[key] = hit
         low, L0, tau_a = hit
@@ -387,28 +400,36 @@ class SimTrace:
     config_hash: str
 
 
-def default_mpc_params(architecture: Architecture, Ts: float = 0.01) -> MpcParams:
-    """Controller defaults for the three architectures (one sampling time,
-    50-step horizons, identity state weights, 1e-4 input weights, increment
-    bounds of 80 N on tensions and 2 N m on joint torques)."""
+def controller_params(architecture, controller: dict) -> tuple[MpcParams, PidGains]:
+    """MPC parameters and joint PID gains from a scenario ``controller`` object.
+
+    The MPC covers ``architecture.mpc_size`` states and inputs.  Omitted
+    fields take the defaults written here, the package's one copy of them
+    (see the README's scenario schema).  Raises ScenarioError for unusable
+    settings.
+    """
     arch = Architecture(architecture)
-    if arch is Architecture.INTEGRATED_II:
-        return MpcParams(
-            Ts=Ts, Np=50, Nc=50,
-            Q=np.eye(10), R=1e-4 * np.eye(4), P=np.eye(10),
-            du_min=-np.array([80.0, 80.0, 2.0, 2.0]),
-            du_max=np.array([80.0, 80.0, 2.0, 2.0]),
+    s, p = arch.mpc_size
+    pid = controller.get("pid", {})
+    try:
+        du = np.asarray(controller.get("du_bound", [80.0, 80.0, 2.0, 2.0][:p]), dtype=float)
+        if du.shape != (p,):
+            raise ScenarioError(f"du_bound must have {p} entries for {arch.value}")
+        params = MpcParams(
+            Ts=float(controller.get("Ts_s", 0.01)),
+            Np=int(controller.get("Np", 50)),
+            Nc=int(controller.get("Nc", 50)),
+            Q=float(controller.get("Q_scale", 1.0)) * np.eye(s),
+            R=float(controller.get("R_scale", 1e-4)) * np.eye(p),
+            P=float(controller.get("P_scale", 1.0)) * np.eye(s),
+            du_min=-du,
+            du_max=du,
         )
-    return MpcParams(
-        Ts=Ts, Np=50, Nc=50,
-        Q=np.eye(6), R=1e-4 * np.eye(2), P=np.eye(6),
-        du_min=-np.array([80.0, 80.0]),
-        du_max=np.array([80.0, 80.0]),
-    )
-
-
-def default_pid_gains() -> PidGains:
-    return PidGains(Kp=400.0, Ki=100.0, Kd=10.0)
+        gains = PidGains(Kp=float(pid.get("Kp", 400.0)), Ki=float(pid.get("Ki", 100.0)),
+                         Kd=float(pid.get("Kd", 10.0)))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid controller settings: {exc}") from None
+    return params, gains
 
 
 def simulate(
@@ -420,135 +441,101 @@ def simulate(
     noise_std=0.0,
     seed: int = 0,
     T_end: float = 6.0,
-    Ts: float = 0.01,
     substeps: int = 10,
     scan_points: int = 76,
     config_hash: str = "",
 ) -> SimTrace:
     """Run one closed-loop architecture and record the trace.
 
-    Per controller period: evaluate the reference, look up the scheduled
-    tension/length feedforward, relinearize the architecture's design
-    plant, solve the MPC (and PID where applicable), then integrate the
-    coupled plant over the period with RK4 substeps.  Input noise is
-    zero-mean Gaussian per channel, sampled once per period and held.
+    Per controller period (``mpc_params.Ts``): relinearize the design plant
+    at the feedforward scheduled on the architecture's design model, solve
+    the MPC over its states and inputs, then integrate the coupled plant
+    with RK4 substeps; joints the MPC leaves out get PID torques at the
+    start of every substep.  Input noise is zero-mean Gaussian per channel,
+    sampled once per period and held.  Tensions, energies and the end
+    effector come from batched calls over the recorded rows after the loop.
+
+    ``T_end`` must be a positive whole number of periods (ScenarioError,
+    raised before the schedule is computed).  Omitted ``mpc_params`` /
+    ``pid_gains`` take the defaults of :func:`controller_params`.
     """
     arch = Architecture(architecture)
     traj = case_study_trajectory() if traj is None else traj
-    mpc_params = default_mpc_params(arch, Ts) if mpc_params is None else mpc_params
-    pid_gains = default_pid_gains() if pid_gains is None else pid_gains
-    # The MPC runs at Ts; the joint PID approximates the continuous law and
-    # is re-evaluated at every integration substep.
+    if mpc_params is None or pid_gains is None:
+        default_params, default_gains = controller_params(arch, {})
+        mpc_params = default_params if mpc_params is None else mpc_params
+        pid_gains = default_gains if pid_gains is None else pid_gains
     plant = PlanarPlant(model)
     if plant.n_states != 10:
         raise ValidationError("closed-loop simulation expects the 10-state planar plant")
-    K = int(round(T_end / Ts))
-    Np = mpc_params.Np
-    times = np.arange(K + 1 + Np) * Ts
+    s, p = arch.mpc_size
+    if mpc_params.Q.shape[0] != s or mpc_params.R.shape[0] != p:
+        raise ValidationError(f"{arch.value} needs MPC parameters for {s} states and {p} inputs")
+    Ts, Np = mpc_params.Ts, mpc_params.Np
+    K = round(T_end / Ts) if 0 < T_end < np.inf else 0
+    if K < 1 or abs(K * Ts - T_end) > 1e-9 * T_end:
+        raise ScenarioError(
+            f"T_end ({T_end} s) must be a positive whole number of controller periods ({Ts} s)"
+        )
 
-    sched_full = reference_schedule(model, plant, traj, times, scan_points)
-    if arch is Architecture.INDEPENDENT:
-        model_d = model.platform_only()
-        plant_d = PlanarPlant(model_d)
-        sched_design = reference_schedule(model_d, plant_d, traj, times, scan_points)
-    else:
-        model_d = model
-        plant_d = plant
-        sched_design = sched_full
+    model_d = arch.design_model(model)
+    plant_d = plant if model_d is model else PlanarPlant(model_d)
+    sched = reference_schedule(model_d, plant_d, traj, np.arange(K + 1 + Np) * Ts, scan_points)
+    x_ref, u_ref, L0_ref = sched["x"], sched["u"], sched["L0"]
 
     rng = np.random.default_rng(seed)
     noise_std = np.broadcast_to(np.asarray(noise_std, dtype=float), (4,))
-
-    mpc = MpcController(mpc_params)
     pid_state = PidState.zero(2)
-    use_pid = arch is not Architecture.INTEGRATED_II
-
-    x = sched_full["x"][0].copy()
-    u_applied = np.concatenate([sched_design["u"][0][0:2], sched_full["u"][0][2:4]])
-    mpc.reset(
-        select_states(x, "platform") if use_pid else x,
-        sched_design["u"][0][0:2] if use_pid else sched_full["u"][0],
-    )
-
-    rows = {name: [] for name in ("x", "u", "T", "L0", "ke", "ve", "pe")}
     lin_cache: dict[bytes, LtvModel] = {}
-
-    def design_ltv(k: int) -> LtvModel:
-        x_r = sched_design["x"][k]
-        u_r = sched_design["u"][k]
-        L01, L02 = sched_design["L0"][k]
-        key = np.concatenate([x_r, u_r, [L01, L02]]).tobytes()
-        ltv = lin_cache.get(key)
-        if ltv is not None:
-            return ltv
-        if arch is Architecture.INDEPENDENT:
-            ltv = linearize(plant_d.f, select_states(x_r, "platform"), u_r[0:2], (L01, L02))
-        elif arch is Architecture.INTEGRATED_I:
-            full = linearize(plant.f, x_r, u_r, (L01, L02))
-            ltv = LtvModel(
-                A=full.A[0:6, 0:6], B=full.B[0:6, 0:2], C_out=np.eye(6),
-                x_r=select_states(x_r, "platform"), u_r=u_r[0:2], f_r=full.f_r[0:6],
-            )
-        else:
-            ltv = linearize(plant.f, x_r, u_r, (L01, L02))
-        lin_cache[key] = ltv
-        return ltv
-
+    x = x_ref[0]
+    x_prev, u_prev = x[:s], u_ref[0, :p]
+    xs, us = [], []
+    joint_pid = p < plant.n_inputs
     dt = Ts / substeps
-    for k in range(K + 1):
-        L01, L02 = sched_design["L0"][k]
-        w = np.zeros(4)
-        if k < K:
-            ltv = design_ltv(k)
-            w = rng.normal(0.0, 1.0, 4) * noise_std
-            if arch is Architecture.INTEGRATED_II:
-                xw = sched_full["x"][k:k + Np + 1]
-                uw = sched_full["u"][k:k + Np + 1]
-                u_applied = mpc.step(ltv, x, xw, uw) + w
-            else:
-                xw = select_states(sched_design["x"][k:k + Np + 1], "platform")
-                uw = sched_design["u"][k:k + Np + 1, 0:2]
-                u_m = mpc.step(ltv, select_states(x, "platform"), xw, uw)
-                ref = traj.sample(k * Ts)
-                tau_pid, pid_state = pid_step(
-                    ref[[6, 8]], ref[[7, 9]], x[[6, 8]], x[[7, 9]],
-                    pid_state, pid_gains, dt,
-                )
-                u_applied = np.concatenate([u_m + w[0:2], tau_pid + w[2:4]])
+    for k in range(K):
+        L01, L02 = L0_ref[k]
+        key = np.concatenate([x_ref[k], u_ref[k], L0_ref[k]]).tobytes()
+        ltv = lin_cache.get(key)
+        if ltv is None:
+            lin = linearize(plant_d.f, x_ref[k, :plant_d.n_states], u_ref[k], (L01, L02))
+            ltv = lin_cache[key] = LtvModel(A=lin.A[:s, :s], B=lin.B[:s, :p], x_r=lin.x_r[:s],
+                                            u_r=lin.u_r[:p], f_r=lin.f_r[:s])
+        w = rng.normal(0.0, 1.0, 4) * noise_std
+        u_prev = control.mpc_step(ltv, x[:s], x_prev, u_prev, x_ref[k:k + Np + 1, :s],
+                                  u_ref[k:k + Np + 1, :p], mpc_params)
+        x_prev = x[:s]
+        u = u_prev + w[:p]
+        xs.append(x)
+        for n in range(substeps):
+            if joint_pid:
+                ref = traj.sample(k * Ts + n * dt)
+                tau, pid_state = pid_step(ref[[6, 8]], ref[[7, 9]], x[[6, 8]], x[[7, 9]],
+                                          pid_state, pid_gains, dt)
+                u = np.concatenate([u[:2], tau + w[2:]])
+            if n == 0:
+                us.append(u)
+            x = rk4_step(plant.f, x, (u, L01, L02), dt)
+    xs.append(x)
+    us.append(u)
 
-        rows["x"].append(x.copy())
-        rows["u"].append(u_applied.copy())
-        rows["T"].append(plant.full_tensions(x, u_applied[0:2], L01, L02))
-        rows["L0"].append([L01, L02])
-        ke, ve = plant.energies(x, L01, L02)
-        rows["ke"].append(ke)
-        rows["ve"].append(ve)
-        rows["pe"].append(plant.end_effector(x))
-
-        if k < K:
-            for n in range(substeps):
-                x = rk4_step(plant.f, x, (u_applied, L01, L02), dt)
-                if use_pid and n < substeps - 1:
-                    ref = traj.sample(k * Ts + (n + 1) * dt)
-                    tau_pid, pid_state = pid_step(
-                        ref[[6, 8]], ref[[7, 9]], x[[6, 8]], x[[7, 9]],
-                        pid_state, pid_gains, dt,
-                    )
-                    u_applied = np.concatenate([u_applied[0:2], tau_pid + w[2:4]])
-
-    x_ref = sched_full["x"][: K + 1]
-    p_e_ref = plant.end_effector(x_ref)
+    X, U, L0 = np.array(xs), np.array(us), L0_ref[:K + 1]
+    # One batched call each per block of 64 rows: a whole-run batch would
+    # hold about 10 kB of dynamics temporaries per row at once.
+    derived = [(plant.full_tensions(X[b], U[b, 0:2], L0[b, 0], L0[b, 1]),
+                *plant.energies(X[b], L0[b, 0], L0[b, 1]), plant.end_effector(X[b]))
+               for b in (slice(i, i + 64) for i in range(0, K + 1, 64))]
+    tensions, ke, ve, p_e = (np.concatenate(col) for col in zip(*derived))
     return SimTrace(
         t=np.arange(K + 1) * Ts,
-        x=np.array(rows["x"]),
-        u=np.array(rows["u"]),
-        tensions=np.array(rows["T"]),
-        L0=np.array(rows["L0"]),
-        ke=np.array(rows["ke"]),
-        ve=np.array(rows["ve"]),
-        x_ref=x_ref,
-        p_e=np.array(rows["pe"]),
-        p_e_ref=p_e_ref,
+        x=X,
+        u=U,
+        tensions=tensions,
+        L0=L0,
+        ke=ke,
+        ve=ve,
+        x_ref=x_ref[:K + 1],
+        p_e=p_e,
+        p_e_ref=plant.end_effector(x_ref[:K + 1]),
         architecture=arch.value,
         seed=seed,
         config_hash=config_hash,

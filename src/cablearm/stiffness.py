@@ -53,6 +53,7 @@ class StiffnessResult:
     sym_error: float = field(default=0.0)
     group_L0: dict = field(default_factory=dict)   # unstretched length per length-commanded group
     scan_tensions: dict = field(default_factory=dict)  # commanded tension per force group
+    tau_ref: np.ndarray | None = None   # inverse dynamics at the reference (optimize_tensions)
 
 
 def stiffness_KT(model: RobotModel, pose: Pose, T) -> np.ndarray:
@@ -274,7 +275,8 @@ def optimize_tensions(
     """Maximum-stiffness tensions consistent with the reference dynamics.
 
     The platform wrench comes from the inverse dynamics at
-    (q_ref, qdot_ref, qddot_ref); omitted rates are zero.  The first
+    (q_ref, qdot_ref, qddot_ref), which the result keeps as ``tau_ref``;
+    omitted rates are zero.  The first
     force-commanded group is scanned over ``scan_points`` tensions between
     its largest ``tension_min`` and smallest ``tension_max`` (from the
     model).  At each scan value the static balance fixes the other
@@ -339,6 +341,7 @@ def optimize_tensions(
         scan_tensions={
             g: float(T_opt[model.platform.group_indices(g)][0]) for g in scan_groups
         },
+        tau_ref=tau,
     )
 
 

@@ -197,7 +197,7 @@ def test_criterion_07_mpc_suite():
     for s, p, du in ((6, 2, [80.0, 80.0]), (10, 4, [80.0, 80.0, 2.0, 2.0])):
         A = r.normal(0, 0.4, (s, s))
         B = r.normal(0, 0.4, (s, p))
-        ltv = LtvModel(A=A, B=B, C_out=np.eye(s), x_r=np.zeros(s), u_r=np.zeros(p),
+        ltv = LtvModel(A=A, B=B, x_r=np.zeros(s), u_r=np.zeros(p),
                        f_r=np.zeros(s))
         params = MpcParams(Ts=0.01, Np=50, Nc=50, Q=np.eye(s), R=1e-4 * np.eye(p),
                            P=np.eye(s), du_min=-np.array(du), du_max=np.array(du))
@@ -212,7 +212,7 @@ def test_criterion_07_mpc_suite():
     s, p, Np = 4, 2, 5
     A = r.normal(0, 0.4, (s, s))
     B = r.normal(0, 0.4, (s, p))
-    ltv = LtvModel(A=A, B=B, C_out=np.eye(s), x_r=np.zeros(s), u_r=np.zeros(p),
+    ltv = LtvModel(A=A, B=B, x_r=np.zeros(s), u_r=np.zeros(p),
                    f_r=np.zeros(s))
     params = MpcParams(Ts=0.02, Np=Np, Nc=Np, Q=np.eye(s), R=0.05 * np.eye(p),
                        P=np.eye(s), du_min=-np.full(p, np.inf), du_max=np.full(p, np.inf))

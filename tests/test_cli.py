@@ -164,6 +164,8 @@ class TestCliMain:
          "scenario", 4),
         ({"t_end_s": "abc"}, "scenario", 4),
         ({"t_end_s": float("nan")}, "scenario", 4),
+        ({"t_end_s": 0.305}, "scenario", 4),
+        ({"t_end_s": 0.004}, "scenario", 4),
     ])
     def test_malformed_scenario_table(self, tmp_path, capsys, override, category, code):
         doc = dict(SHORT)

@@ -10,7 +10,6 @@ from cablearm.control import (
     linearize,
     mpc_step,
     pid_step,
-    select_states,
     solve_qp_active_set,
     zoh_discretize,
 )
@@ -28,7 +27,6 @@ class TestLinearize:
         ltv = linearize(double_integrator, np.zeros(2), np.zeros(1))
         assert np.max(np.abs(ltv.A - [[0, 1], [0, 0]])) <= 1e-9
         assert np.max(np.abs(ltv.B - [[0], [1]])) <= 1e-9
-        assert np.allclose(ltv.C_out, np.eye(2))
 
     def test_equilibrium_offset_reported(self, hcdr):
         """At a consistent reference the drift term f_r is ~0."""
@@ -117,7 +115,7 @@ def _batch_least_squares(ltv, x_now, x_prev, u_prev, xw, uw, params):
 def _random_ltv(rng, s=4, p=2):
     A = rng.normal(0, 0.5, (s, s))
     B = rng.normal(0, 0.5, (s, p))
-    return LtvModel(A=A, B=B, C_out=np.eye(s), x_r=np.zeros(s), u_r=np.zeros(p),
+    return LtvModel(A=A, B=B, x_r=np.zeros(s), u_r=np.zeros(p),
                     f_r=np.zeros(s))
 
 
@@ -346,7 +344,7 @@ class TestRangeSpaceQp:
         r = np.random.default_rng(42)
         s, p = 4, 2
         ltv = LtvModel(A=r.normal(0, 0.4, (s, s)), B=r.normal(0, 0.4, (s, p)),
-                       C_out=np.eye(s), x_r=np.zeros(s), u_r=np.zeros(p), f_r=np.zeros(s))
+                       x_r=np.zeros(s), u_r=np.zeros(p), f_r=np.zeros(s))
         params = MpcParams(Ts=0.02, Np=5, Nc=5, Q=np.eye(s), R=1e-6 * np.eye(p),
                            P=np.eye(s), du_min=-np.array([80.0, 2.0]),
                            du_max=np.array([80.0, 2.0]))
@@ -479,18 +477,3 @@ class TestPid:
         with pytest.raises(ValueError):
             PidGains(-1, 0, 0)
 
-
-class TestSelectStates:
-    def test_partition(self):
-        x = np.arange(1.0, 11.0)
-        assert np.array_equal(select_states(x, "platform"), np.arange(1.0, 7.0))
-        assert np.array_equal(select_states(x, "arm"), np.arange(7.0, 11.0))
-
-    def test_concatenation_recovers_state(self):
-        x = np.arange(10.0)
-        both = np.concatenate([select_states(x, "platform"), select_states(x, "arm")])
-        assert np.array_equal(both, x)
-
-    def test_bad_selector(self):
-        with pytest.raises(ValueError):
-            select_states(np.zeros(10), "everything")

@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cablearm import dynamics, sim
 from cablearm.dynamics import forward_dynamics, inverse_dynamics
-from cablearm.errors import DivergenceError, ReductionError, SingularityError
+from cablearm.control import MpcParams
+from cablearm.errors import (
+    DivergenceError,
+    ReductionError,
+    ScenarioError,
+    SingularityError,
+    ValidationError,
+)
 from cablearm.model import Anchor
 from cablearm.sim import (
     Architecture,
     PlanarPlant,
     case_study_trajectory,
+    controller_params,
     quintic_trajectory,
     reference_schedule,
     rk4_step,
@@ -81,6 +90,19 @@ class TestPlanarReduce:
             plant.end_effector(x)
         assert np.array_equal(PlanarPlant(hcdr.platform_only()).end_effector(x[..., :6]),
                               x[..., [0, 2]])
+
+    def test_batched_tensions_and_energies_match_single_rows(self, hcdr, rng):
+        """The trace's derived columns come from batched calls; every row
+        equals the single-state call bit for bit."""
+        plant = PlanarPlant(hcdr)
+        x = rng.normal(0, 0.1, (6, 10)) + [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]
+        u = rng.uniform(10, 60, (6, 2))
+        L01, L02 = rng.uniform(0.8, 0.9, 6), rng.uniform(0.8, 0.9, 6)
+        T = plant.full_tensions(x, u, L01, L02)
+        ke, ve = plant.energies(x, L01, L02)
+        for i in range(6):
+            assert np.array_equal(T[i], plant.full_tensions(x[i], u[i], L01[i], L02[i]))
+            assert (ke[i], ve[i]) == plant.energies(x[i], L01[i], L02[i])
 
     def test_energies_share_kinetic_and_gravity_terms(self, hcdr, rng):
         """The planar energies equal the full-model ones once the force-
@@ -253,6 +275,22 @@ class TestReferenceSchedule:
         assert np.ptp(sched["u"], axis=0).max() == 0.0
         assert np.ptp(sched["L0"], axis=0).max() == 0.0
 
+    def test_one_inverse_dynamics_per_new_row(self, hcdr, monkeypatch):
+        """The arm torques come from the tension optimizer's own inverse
+        dynamics, so each new row evaluates it once."""
+        calls = []
+        real = dynamics.inverse_dynamics
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "inverse_dynamics", counted)
+        times = np.array([0.0, 1.5, 2.0, 2.5])    # the hold, then three ramp rows
+        reference_schedule(hcdr, PlanarPlant(hcdr), case_study_trajectory(), times,
+                           scan_points=10)
+        assert len(calls) == 4
+
 
 class TestSimulate:
     def test_regulation_at_equilibrium(self, hcdr):
@@ -298,6 +336,55 @@ class TestSimulate:
         assert np.allclose(np.diff(trace.t), 0.01)
         for arr in (trace.x, trace.u, trace.tensions, trace.L0, trace.x_ref, trace.p_e):
             assert len(arr) == 21
+
+    def test_independent_schedules_only_the_design_model(self, hcdr, monkeypatch):
+        """Every tension optimization runs on the platform-only model, once
+        per distinct schedule row."""
+        calls = []
+        real = sim.optimize_tensions
+
+        def counted(model, q, qd, qdd, **kwargs):
+            calls.append((model.n_arm, np.concatenate([q, qd, qdd]).tobytes()))
+            return real(model, q, qd, qdd, **kwargs)
+
+        monkeypatch.setattr(sim, "optimize_tensions", counted)
+        simulate(hcdr, "independent", T_end=0.3, scan_points=10)
+        assert calls and all(n_arm == 0 for n_arm, _ in calls)
+        assert len({row for _, row in calls}) == len(calls)
+
+    def test_period_is_the_mpc_period(self, hcdr):
+        du = np.array([80.0, 80.0, 2.0, 2.0])
+        params = MpcParams(Ts=0.02, Np=50, Nc=50, Q=np.eye(10), R=1e-4 * np.eye(4),
+                           P=np.eye(10), du_min=-du, du_max=du)
+        trace = simulate(hcdr, "integrated2", mpc_params=params, T_end=0.2, scan_points=10)
+        assert len(trace.t) == 11
+        assert np.allclose(np.diff(trace.t), 0.02)
+        assert len(trace.x) == len(trace.tensions) == 11
+
+    @pytest.mark.parametrize("T_end", [0.305, 0.004, 0.0])
+    def test_rejects_partial_periods(self, hcdr, monkeypatch, T_end):
+        """T_end must be a positive whole number of periods, checked before
+        the schedule is computed."""
+        monkeypatch.setattr(sim, "reference_schedule", None)
+        with pytest.raises(ScenarioError, match="whole number"):
+            simulate(hcdr, "integrated2", T_end=T_end)
+
+    def test_rejects_mpc_params_of_another_architecture(self, hcdr):
+        params, _ = controller_params("integrated2", {})
+        with pytest.raises(ValidationError, match="6 states and 2 inputs"):
+            simulate(hcdr, "integrated1", mpc_params=params, T_end=0.1)
+
+    @pytest.mark.parametrize("arch, s, p", [
+        ("independent", 6, 2), ("integrated1", 6, 2), ("integrated2", 10, 4),
+    ])
+    def test_controller_defaults(self, arch, s, p):
+        params, gains = controller_params(arch, {})
+        assert (params.Ts, params.Np, params.Nc) == (0.01, 50, 50)
+        assert np.array_equal(params.Q, np.eye(s)) and np.array_equal(params.P, np.eye(s))
+        assert np.array_equal(params.R, 1e-4 * np.eye(p))
+        assert np.array_equal(params.du_max, [80.0, 80.0, 2.0, 2.0][:p])
+        assert np.array_equal(params.du_min, -params.du_max)
+        assert (gains.Kp, gains.Ki, gains.Kd) == (400.0, 100.0, 10.0)
 
     def test_architecture_enum_round_trip(self):
         assert Architecture("independent") is Architecture.INDEPENDENT
