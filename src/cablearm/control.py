@@ -61,26 +61,33 @@ def linearize(plant, x_r, u_r, exogenous=(), step: float = 1e-6) -> LtvModel:
     """Jacobians of a plant by central differences, step scaled per coordinate.
 
     ``plant(x, u, *exogenous)`` must return the state derivative and accept
-    batched ``x`` / ``u`` (leading axes broadcast).  Raises DivergenceError
-    on non-finite plant output.
+    batched ``x`` / ``u`` (leading axes broadcast).  Broadcasts over leading
+    axes of ``x_r`` and ``u_r``: the exogenous values then carry the same
+    leading shape, every field of the result gains it, and all the points'
+    stencils go to the plant in one call.  Raises DivergenceError on
+    non-finite plant output.
     """
     x_r = np.asarray(x_r, dtype=float)
     u_r = np.asarray(u_r, dtype=float)
-    s, p = x_r.size, u_r.size
+    s, p = x_r.shape[-1], u_r.shape[-1]
+    if x_r.ndim > 1:    # a stencil axis after the points' leading axes
+        exogenous = tuple(np.asarray(e, dtype=float)[..., None] for e in exogenous)
     hx = step * np.maximum(1.0, np.abs(x_r))
     hu = step * np.maximum(1.0, np.abs(u_r))
-    X = np.tile(x_r, (2 * s + 2 * p + 1, 1))
-    U = np.tile(u_r, (2 * s + 2 * p + 1, 1))
-    X[0:s] += np.diag(hx)
-    X[s:2 * s] -= np.diag(hx)
-    U[2 * s:2 * s + p] += np.diag(hu)
-    U[2 * s + p:2 * s + 2 * p] -= np.diag(hu)
+    X = np.repeat(x_r[..., None, :], 2 * s + 2 * p + 1, axis=-2)
+    U = np.repeat(u_r[..., None, :], 2 * s + 2 * p + 1, axis=-2)
+    dX, dU = hx[..., None] * np.eye(s), hu[..., None] * np.eye(p)    # diag(hx), diag(hu)
+    X[..., 0:s, :] += dX
+    X[..., s:2 * s, :] -= dX
+    U[..., 2 * s:2 * s + p, :] += dU
+    U[..., 2 * s + p:2 * s + 2 * p, :] -= dU
     F = np.asarray(plant(X, U, *exogenous), dtype=float)
     if not np.all(np.isfinite(F)):
         raise DivergenceError("plant returned non-finite derivatives during linearization")
-    A = (F[0:s] - F[s:2 * s]).T / (2.0 * hx)
-    B = (F[2 * s:2 * s + p] - F[2 * s + p:2 * s + 2 * p]).T / (2.0 * hu)
-    return LtvModel(A=A, B=B, x_r=x_r, u_r=u_r, f_r=F[-1])
+    A = np.swapaxes(F[..., 0:s, :] - F[..., s:2 * s, :], -1, -2) / (2.0 * hx[..., None, :])
+    B = np.swapaxes(F[..., 2 * s:2 * s + p, :] - F[..., 2 * s + p:2 * s + 2 * p, :], -1, -2) / (
+        2.0 * hu[..., None, :])
+    return LtvModel(A=A, B=B, x_r=x_r, u_r=u_r, f_r=F[..., -1, :])
 
 
 def zoh_discretize(A: np.ndarray, B: np.ndarray, Ts: float) -> tuple[np.ndarray, np.ndarray]:

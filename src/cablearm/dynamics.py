@@ -185,13 +185,14 @@ def inverse_dynamics(model: RobotModel, q, qdot, qddot, tau_d=None) -> np.ndarra
 
     The first six entries are the platform block (the cable-side wrench in
     generalized coordinates); the trailing entries are the joint torques.
+    Broadcasts over leading axes of the states.
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     qddot = np.asarray(qddot, dtype=float)
-    check_euler_regular(q[3:6], model.euler_convention)
+    check_euler_regular(q[..., 3:6], model.euler_convention)
     M, G, h, _ = _dynamics_core(model, q, qdot)
-    tau = M @ qddot + h + G
+    tau = (M @ qddot[..., None])[..., 0] + h + G
     if tau_d is not None:
         tau = tau + np.asarray(tau_d, dtype=float)
     return tau

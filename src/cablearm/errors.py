@@ -1,8 +1,27 @@
 """Exception hierarchy shared across the package.
 
 Every error carries a short machine-readable ``category`` used by the CLI
-to map failures to exit codes and structured error reports.
+to map failures to exit codes and structured error reports.  Checks that
+run on a stack of rows name the first failing row with :func:`at_row`.
 """
+
+import numpy as np
+
+
+def first_row(mask) -> tuple:
+    """Index of the first True entry of a per-row failure mask over the
+    leading axes of a stack (``()`` for a single row)."""
+    mask = np.asarray(mask)
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
+
+
+def at_row(mask) -> str:
+    """Message suffix naming that row: empty for a single row, `` at row i``
+    over one leading axis and `` at row (i, j, ..)`` over several."""
+    idx = first_row(mask)
+    if not idx:
+        return ""
+    return f" at row {idx[0] if len(idx) == 1 else idx}"
 
 
 class CableRobotError(Exception):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError, SingularityError
+from .errors import GeometryError, SingularityError, at_row, first_row
 from .model import RobotModel
 
 AXIS_INDEX = {"X": 0, "Y": 1, "Z": 2}
@@ -78,11 +78,13 @@ def _middle_angle(euler, convention: str):
 
 
 def check_euler_regular(euler, convention: str = "XYZ", eps: float = EULER_SINGULARITY_EPS):
-    """Raise SingularityError when the middle angle is within eps of +-pi/2."""
-    mid = _middle_angle(euler, convention)
-    if np.any(np.abs(np.abs(mid) - np.pi / 2) < eps):
+    """Raise SingularityError when the middle angle is within eps of +-pi/2
+    (naming the first such row of a stack)."""
+    locked = np.abs(np.abs(_middle_angle(euler, convention)) - np.pi / 2) < eps
+    if np.any(locked):
         raise SingularityError(
             f"middle Euler angle within {eps:g} rad of +-pi/2 for convention {convention}"
+            + at_row(locked)
         )
 
 
@@ -166,11 +168,21 @@ def cable_geometry(model: RobotModel, pose: Pose) -> CableGeometry:
     a positive tension pulls the platform along ``-units``.  Raises
     GeometryError (naming the 1-based cable) when a length collapses.
     """
+    return _checked_frames(model, pose.p, pose.rotation())
+
+
+def _checked_frames(model: RobotModel, p, R) -> CableGeometry:
+    """:func:`_cable_frames` that raises GeometryError when a length
+    collapses, naming the 1-based cable and the first such row of a stack."""
     with np.errstate(divide="ignore", invalid="ignore"):   # a collapsed cable raises below
-        geo = _cable_frames(model, pose.p, pose.rotation())
-    if np.any(geo.lengths <= CABLE_LENGTH_EPS):
-        bad = int(np.argmax(geo.lengths <= CABLE_LENGTH_EPS)) + 1
-        raise GeometryError(f"cable {bad} has near-zero length ({geo.lengths[bad - 1]:.3e} m)")
+        geo = _cable_frames(model, p, R)
+    short = geo.lengths <= CABLE_LENGTH_EPS
+    if np.any(short):
+        rows = np.any(short, axis=-1)
+        row = first_row(rows)
+        bad = int(np.argmax(short[row])) + 1
+        raise GeometryError(f"cable {bad} has near-zero length "
+                            f"({geo.lengths[row][bad - 1]:.3e} m)" + at_row(rows))
     return geo
 
 

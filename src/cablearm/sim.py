@@ -22,10 +22,20 @@ feedforward and the MPC's linearization come, and the MPC's reach.
 
 Every architecture runs the same loop: one reference schedule on the
 design model, a linearization of the design plant per distinct schedule
-row (cut to the MPC's leading states and inputs), one MPC call per period
+point (cut to the MPC's leading states and inputs), one MPC call per period
 and, where the arm is on PID, one PID call per integration substep.  The
 simulated plant is always the coupled system.  :func:`controller_params`
 is the one home of the controller defaults.
+
+The whole reference is known before the loop starts, so the design path
+runs in blocks: the schedule optimizes the distinct reference rows (as the
+design model sees them, ``-0.0`` counted as ``0.0``) with one
+:func:`optimize_tensions` call per ``SCHEDULE_BLOCK`` rows, the
+linearizations of the distinct design points are made before the loop with
+one :func:`linearize` call per ``LINEARIZE_BLOCK`` points, and the PID's
+joint reference comes from one trajectory sample per period.  Every block
+row is bit-equal to its one-row call, so the traces do not depend on the
+block sizes.
 """
 
 from __future__ import annotations
@@ -131,10 +141,12 @@ class PlanarPlant:
         return x
 
     def _tensions(self, L, u, L01, L02):
-        """Elastic upper groups at lengths L, commanded lower groups from u."""
+        """Elastic upper groups at lengths L, commanded lower groups from u;
+        the unstretched lengths broadcast over the leading axes of L."""
         T = np.zeros(L.shape)
         ea = self.model.platform.axial_stiffness
         for idx, L0 in zip(self.pos_idx, (L01, L02)):
+            L0 = np.asarray(L0, dtype=float)[..., None]
             T[..., idx] = ea[idx] / L0 * (L[..., idx] - L0)
         for k, idx in enumerate(self.low_idx):
             T[..., idx] = u[..., k, None]
@@ -146,7 +158,6 @@ class PlanarPlant:
         q, _ = self.embed(x)
         R = rotation(q[..., 3:6], self.model.euler_convention)
         L = _cable_frames(self.model, q[..., 0:3], R).lengths
-        L01, L02 = (np.asarray(L0, dtype=float)[..., None] for L0 in (L01, L02))
         return self._tensions(L, np.asarray(u, dtype=float), L01, L02)
 
     def _xdot(self, x, tension_law, tau_arm):
@@ -166,7 +177,8 @@ class PlanarPlant:
         return xdot
 
     def f(self, x, u, L01, L02):
-        """State derivative; broadcasts over leading axes of x and u."""
+        """State derivative; broadcasts over leading axes of x, u and the
+        lengths."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         tau = np.zeros(x.shape[:-1] + (self.model.n_arm,))
@@ -336,45 +348,45 @@ def rk4_step(f, x, inputs, dt: float):
 # ---------------------------------------------------------------------------
 # Reference schedules (Algorithm-1 style tension/length feedforward)
 
+SCHEDULE_BLOCK = 64      # reference rows per optimize_tensions call
+LINEARIZE_BLOCK = 4      # linearization points per linearize call (29 plant rows each)
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the first occurrence of each distinct row, in order, and
+    each row's position among them; ``-0.0`` counts as ``0.0``."""
+    seen: dict[bytes, int] = {}
+    slot = np.array([seen.setdefault(r.tobytes(), len(seen)) for r in rows + 0.0], dtype=int)
+    return np.unique(slot, return_index=True)[1], slot
+
 
 def reference_schedule(model: RobotModel, plant: PlanarPlant, traj: TrajectorySpec,
                        times, scan_points: int = 76) -> dict:
     """Feedforward along the reference: optimal lower tensions, upper
     unstretched lengths, and joint torques at each controller period.
 
-    Identical reference rows reuse one optimization (the trajectory holds
-    are constant), keeping the per-period cost small.
+    The distinct reference rows of the coordinates ``model`` has (the
+    trajectory holds repeat one row) are optimized once each, in
+    first-occurrence order, by one :func:`optimize_tensions` call per block
+    of ``SCHEDULE_BLOCK`` rows.
     """
     times = np.asarray(times, dtype=float)
-    pos, vel, acc = traj.sample_pva(times)
-    x_ref = traj.sample(times)
-    K = len(times)
-    n_free = len(plant.free_joints)
-    u_ref = np.zeros((K, 2 + n_free))
-    L0_ref = np.zeros((K, 2))
-    cache: dict[bytes, tuple] = {}
-    for k in range(K):
-        key = np.concatenate([pos[k], vel[k], acc[k]]).tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            q = np.zeros(model.nq)
-            qd = np.zeros(model.nq)
-            qdd = np.zeros(model.nq)
-            q[plant._q_pos] = pos[k][: len(plant._q_pos)]
-            qd[plant._q_pos] = vel[k][: len(plant._q_pos)]
-            qdd[plant._q_pos] = acc[k][: len(plant._q_pos)]
-            res = optimize_tensions(model, q, qd, qdd, scan_points=scan_points)
-            hit = (
-                np.array([res.scan_tensions[g] for g in plant.low_groups]),
-                np.array([res.group_L0[g] for g in plant.pos_groups]),
-                res.tau_ref[[6 + j for j in plant.free_joints]],
-            )
-            cache[key] = hit
-        low, L0, tau_a = hit
-        u_ref[k, 0:2] = low
-        u_ref[k, 2:] = tau_a
-        L0_ref[k] = L0
-    return {"t": times, "x": x_ref, "u": u_ref, "L0": L0_ref}
+    n = len(plant._q_pos)
+    rows = np.concatenate([planar[:, :n] for planar in traj.sample_pva(times)], axis=1)
+    first, slot = _distinct_rows(rows)
+    q, qd, qdd = (np.zeros((len(first), model.nq)) for _ in range(3))
+    for i, full in enumerate((q, qd, qdd)):
+        full[:, plant._q_pos] = rows[first, i * n:(i + 1) * n]
+    joints = [6 + j for j in plant.free_joints]
+    u, L0 = [np.zeros((0, 2 + len(joints)))], [np.zeros((0, 2))]
+    for b in range(0, len(first), SCHEDULE_BLOCK):
+        blk = slice(b, b + SCHEDULE_BLOCK)
+        res = optimize_tensions(model, q[blk], qd[blk], qdd[blk], scan_points=scan_points)
+        u.append(np.column_stack([res.scan_tensions[g] for g in plant.low_groups]
+                                 + [res.tau_ref[:, joints]]))
+        L0.append(np.column_stack([res.group_L0[g] for g in plant.pos_groups]))
+    return {"t": times, "x": traj.sample(times), "u": np.concatenate(u)[slot],
+            "L0": np.concatenate(L0)[slot]}
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +459,10 @@ def simulate(
 ) -> SimTrace:
     """Run one closed-loop architecture and record the trace.
 
-    Per controller period (``mpc_params.Ts``): relinearize the design plant
-    at the feedforward scheduled on the architecture's design model, solve
-    the MPC over its states and inputs, then integrate the coupled plant
+    Per controller period (``mpc_params.Ts``): take the linearization of the
+    design plant at the feedforward scheduled on the architecture's design
+    model (made before the loop, one per distinct point), solve the MPC
+    over its states and inputs, then integrate the coupled plant
     with RK4 substeps; joints the MPC leaves out get PID torques at the
     start of every substep.  Input noise is zero-mean Gaussian per channel,
     sampled once per period and held.  Tensions, energies and the end
@@ -483,10 +496,21 @@ def simulate(
     sched = reference_schedule(model_d, plant_d, traj, np.arange(K + 1 + Np) * Ts, scan_points)
     x_ref, u_ref, L0_ref = sched["x"], sched["u"], sched["L0"]
 
+    # One linearization per distinct (x, u, L0) point of the design plant in
+    # periods 0..K-1, in blocks of LINEARIZE_BLOCK points, each cut to the
+    # MPC's states and inputs.
+    x_d = x_ref[:, :plant_d.n_states]
+    first, slot = _distinct_rows(np.concatenate([x_d, u_ref, L0_ref], axis=1)[:K])
+    table = []
+    for b in range(0, len(first), LINEARIZE_BLOCK):
+        rows = first[b:b + LINEARIZE_BLOCK]
+        lin = linearize(plant_d.f, x_d[rows], u_ref[rows], (L0_ref[rows, 0], L0_ref[rows, 1]))
+        table += [LtvModel(A=lin.A[i, :s, :s], B=lin.B[i, :s, :p], x_r=lin.x_r[i, :s],
+                           u_r=lin.u_r[i, :p], f_r=lin.f_r[i, :s]) for i in range(len(rows))]
+
     rng = np.random.default_rng(seed)
     noise_std = np.broadcast_to(np.asarray(noise_std, dtype=float), (4,))
     pid_state = PidState.zero(2)
-    lin_cache: dict[bytes, LtvModel] = {}
     x = x_ref[0]
     x_prev, u_prev = x[:s], u_ref[0, :p]
     xs, us = [], []
@@ -494,21 +518,17 @@ def simulate(
     dt = Ts / substeps
     for k in range(K):
         L01, L02 = L0_ref[k]
-        key = np.concatenate([x_ref[k], u_ref[k], L0_ref[k]]).tobytes()
-        ltv = lin_cache.get(key)
-        if ltv is None:
-            lin = linearize(plant_d.f, x_ref[k, :plant_d.n_states], u_ref[k], (L01, L02))
-            ltv = lin_cache[key] = LtvModel(A=lin.A[:s, :s], B=lin.B[:s, :p], x_r=lin.x_r[:s],
-                                            u_r=lin.u_r[:p], f_r=lin.f_r[:s])
         w = rng.normal(0.0, 1.0, 4) * noise_std
-        u_prev = control.mpc_step(ltv, x[:s], x_prev, u_prev, x_ref[k:k + Np + 1, :s],
-                                  u_ref[k:k + Np + 1, :p], mpc_params)
+        u_prev = control.mpc_step(table[slot[k]], x[:s], x_prev, u_prev,
+                                  x_ref[k:k + Np + 1, :s], u_ref[k:k + Np + 1, :p], mpc_params)
         x_prev = x[:s]
         u = u_prev + w[:p]
         xs.append(x)
+        if joint_pid:   # the joint reference at the period's substep times
+            refs = traj.sample(k * Ts + np.arange(substeps) * dt)
         for n in range(substeps):
             if joint_pid:
-                ref = traj.sample(k * Ts + n * dt)
+                ref = refs[n]
                 tau, pid_state = pid_step(ref[[6, 8]], ref[[7, 9]], x[[6, 8]], x[[7, 9]],
                                           pid_state, pid_gains, dt)
                 u = np.concatenate([u[:2], tau + w[2:]])

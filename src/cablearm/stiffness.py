@@ -20,16 +20,26 @@ stiffness surface (no force-balance constraint).  Both read the tension
 bounds from the model, weight all eigenvalues equally, and build K_k over
 the cables of the length-commanded groups.  Each call builds the pose's
 cable frames (:class:`cablearm.kinematics.CableGeometry`) once.
+
+``optimize_tensions`` broadcasts over stacks of reference rows, as the
+package's heavy functions do: the inverse dynamics, cable frames, balance
+pseudo-inverses, K assembly, objective, minimum-norm tensions and null
+space all run on the stack, every check runs per row and names the first
+failing row, and each row of a stack is bit-equal to its one-row call.
+Because K is affine in the scan tension, J_K is a convex quadratic along
+the scan and only the first and last feasible scan points are evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleError, NonPhysicalError, ValidationError
-from .kinematics import CableGeometry, Pose, _skew, cable_geometry, euler_frames
+from .errors import InfeasibleError, NonPhysicalError, ValidationError, at_row, first_row
+from .kinematics import (CableGeometry, Pose, _checked_frames, _skew, cable_geometry,
+                         check_euler_regular, euler_frames, rotation)
 from .model import RobotModel
 from .redundancy import null_space, pinv_tensions
 from . import dynamics
@@ -40,9 +50,10 @@ _BALANCE_RTOL = 1e-7
 
 @dataclass(frozen=True)
 class StiffnessResult:
-    """Stiffness matrices and optimal tensions at one reference state."""
+    """Stiffness matrices and optimal tensions at one reference state, or at
+    a stack of them (the leading axes of every array field)."""
 
-    K: np.ndarray            # 6x6, symmetrized
+    K: np.ndarray            # (..., 6, 6), symmetrized
     K_T: np.ndarray
     K_k: np.ndarray
     eigs: np.ndarray         # ascending
@@ -67,21 +78,22 @@ def stiffness_KT(model: RobotModel, pose: Pose, T) -> np.ndarray:
 
 
 def _stiffness_KT(model: RobotModel, geo: CableGeometry, T) -> np.ndarray:
+    """K_T at tensions T (..., N) over cable frames of the same leading shape."""
     T = np.asarray(T, dtype=float)
-    if T.shape != (model.n_cables,):
+    if T.shape[-1:] != (model.n_cables,):
         raise ValidationError(f"T must have length {model.n_cables}")
     Lhat = geo.units
-    P = np.eye(3) - Lhat[:, :, None] * Lhat[:, None, :]      # (N,3,3)
+    P = np.eye(3) - Lhat[..., :, None] * Lhat[..., None, :]      # (..., N, 3, 3)
     Sr = _skew(geo.levers)
     SL = _skew(Lhat)
     w = T / geo.lengths
-    K = np.zeros((6, 6))
+    K = np.zeros(w.shape[:-1] + (6, 6))
     PSrT = P @ np.swapaxes(Sr, -1, -2)
-    K[0:3, 0:3] = np.einsum("n,nij->ij", w, P)
-    K[0:3, 3:6] = np.einsum("n,nij->ij", w, PSrT)
-    K[3:6, 0:3] = np.einsum("n,nij->ij", w, Sr @ P)
-    K[3:6, 3:6] = np.einsum("n,nij->ij", w, Sr @ PSrT) + np.einsum(
-        "n,nij->ij", T, SL @ Sr
+    K[..., 0:3, 0:3] = np.einsum("...n,...nij->...ij", w, P)
+    K[..., 0:3, 3:6] = np.einsum("...n,...nij->...ij", w, PSrT)
+    K[..., 3:6, 0:3] = np.einsum("...n,...nij->...ij", w, Sr @ P)
+    K[..., 3:6, 3:6] = np.einsum("...n,...nij->...ij", w, Sr @ PSrT) + np.einsum(
+        "...n,...nij->...ij", T, SL @ Sr
     )
     return K
 
@@ -121,25 +133,28 @@ def _stiffness_Kk(model: RobotModel, geo: CableGeometry, cable_subset, L0=None, 
         idx = np.asarray(sorted(cable_subset), dtype=int) - 1
         if idx.size and (idx.min() < 0 or idx.max() >= model.n_cables):
             raise ValidationError("cable_subset indices must be in 1..N")
-    b = geo.structure.T  # (N,6)
     if idx.size == 0:
-        return np.zeros((6, 6))
-    return np.einsum("n,ni,nj->ij", kc[idx], b[idx], b[idx])
+        return np.zeros(kc.shape[:-1] + (6, 6))
+    b = np.swapaxes(geo.structure, -1, -2)[..., idx, :]  # (..., n, 6)
+    return np.einsum("...n,...ni,...nj->...ij", kc[..., idx], b, b)
 
 
-def _symmetrize(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Symmetrize K, recording the asymmetry.
+def _symmetrize(K: np.ndarray):
+    """Symmetrize K (..., 6, 6), recording the asymmetry of each matrix.
 
     The differential of the cable wrench is exactly symmetric only when the
     balanced moment vanishes; at a reference balancing a moment M the
     rotational block carries a genuine skew part of magnitude ~|M|/2.  The
     error is therefore recorded and only a relative sanity bound (guarding
-    against assembly bugs) is enforced.
+    against assembly bugs) is enforced, naming the first failing row.
     """
-    err = float(np.max(np.abs(K - K.T)))
-    if err > max(SYMMETRIZATION_LIMIT, 0.05 * np.linalg.norm(K)):
-        raise ValidationError(f"stiffness symmetrization error {err:.3e} exceeds limit")
-    return 0.5 * (K + K.T), err
+    Kt = np.swapaxes(K, -1, -2)
+    err = np.max(np.abs(K - Kt), axis=(-2, -1))
+    over = err > np.maximum(SYMMETRIZATION_LIMIT, 0.05 * np.linalg.norm(K, axis=(-2, -1)))
+    if np.any(over):
+        raise ValidationError(f"stiffness symmetrization error {err[first_row(over)]:.3e} "
+                              "exceeds limit" + at_row(over))
+    return 0.5 * (K + Kt), err
 
 
 def objective_JK(K, H=None):
@@ -163,9 +178,19 @@ def objective_JK(K, H=None):
     return np.einsum("...i,ij,...j->...", eigs, H, eigs)
 
 
+def _plain(a):
+    """Python scalar for a single row (0-d), else the array of the stack."""
+    return a.item() if np.ndim(a) == 0 else a
+
+
+def _matvec(A, v):
+    """A @ v over leading axes of both."""
+    return (A @ v[..., None])[..., 0]
+
+
 def _result(model: RobotModel, geo: CableGeometry, T, cable_subset, lam, H=None,
             **labels) -> StiffnessResult:
-    """StiffnessResult of K = K_T + K_k at tensions T."""
+    """StiffnessResult of K = K_T + K_k at tensions T (..., N)."""
     K_T = _stiffness_KT(model, geo, T)
     K_k = _stiffness_Kk(model, geo, cable_subset, T=T)
     K, err = _symmetrize(K_T + K_k)
@@ -175,11 +200,11 @@ def _result(model: RobotModel, geo: CableGeometry, T, cable_subset, lam, H=None,
         K_T=K_T,
         K_k=K_k,
         eigs=eigs,
-        J_K=float(objective_JK(K, H)),
+        J_K=_plain(objective_JK(K, H)),
         lambda_opt=lam,
         T_opt=T,
-        is_stable=bool(eigs.min() > 0),
-        sym_error=err,
+        is_stable=_plain(eigs[..., 0] > 0),
+        sym_error=_plain(err),
         **labels,
     )
 
@@ -225,44 +250,119 @@ def _balanced_tensions(model: RobotModel, geo: CableGeometry, wrench: np.ndarray
     Unknowns are the remaining force-group tensions and one inverse
     unstretched length eta per length-commanded group; the balance
     equations are linear in all of them, so the solution is affine in t.
-    Returns (T, eta_by_group, residual_norm), one row per entry of t.
+    Returns (T, eta_by_group, residual_norm) with a scan axis of len(t)
+    after the leading axes of ``geo`` and ``wrench``.
     """
     W = -geo.structure
     ea = model.platform.axial_stiffness
-    cols = []
-    for g in scan_groups[1:]:
-        idx = model.platform.group_indices(g)
-        cols.append(W[:, idx].sum(axis=1))
+    group = model.platform.group_indices
+    cols = [W[..., group(g)].sum(axis=-1) for g in scan_groups[1:]]
+    cols += [_matvec(W[..., group(g)], ea[group(g)] * geo.lengths[..., group(g)])
+             for g in pos_groups]
+    A_ls = np.stack(cols, axis=-1) if cols else np.zeros(W.shape[:-1] + (0,))
+    lead_idx = group(scan_groups[0])
+    lead_col = W[..., lead_idx].sum(axis=-1)
+    rhs0 = wrench
     for g in pos_groups:
-        idx = model.platform.group_indices(g)
-        cols.append(W[:, idx] @ (ea[idx] * geo.lengths[idx]))
-    A_ls = np.array(cols).T if cols else np.zeros((6, 0))
-    lead_idx = model.platform.group_indices(scan_groups[0])
-    lead_col = W[:, lead_idx].sum(axis=1)
-    rhs0 = wrench.copy()
-    for g in pos_groups:
-        idx = model.platform.group_indices(g)
-        rhs0 = rhs0 + W[:, idx] @ ea[idx]
+        rhs0 = rhs0 + W[..., group(g)] @ ea[group(g)]
     pinv = np.linalg.pinv(A_ls)
-    xi0, xi1 = pinv @ rhs0, -(pinv @ lead_col)      # xi(t) = xi0 + t * xi1
-    res0 = rhs0 - A_ls @ xi0
-    res1 = -lead_col - A_ls @ xi1
+    xi0, xi1 = _matvec(pinv, rhs0), -_matvec(pinv, lead_col)     # xi(t) = xi0 + t * xi1
+    res0 = rhs0 - _matvec(A_ls, xi0)
+    res1 = -lead_col - _matvec(A_ls, xi1)
 
-    xi = xi0[None, :] + t[:, None] * xi1[None, :]
-    T = np.zeros(t.shape + (model.n_cables,))
-    T[:, lead_idx] = t[:, None]
+    xi = xi0[..., None, :] + t[:, None] * xi1[..., None, :]
+    T = np.zeros(xi.shape[:-1] + (model.n_cables,))
+    T[..., lead_idx] = t[:, None]
     k = 0
     for g in scan_groups[1:]:
-        T[:, model.platform.group_indices(g)] = xi[:, k, None]
+        T[..., group(g)] = xi[..., k, None]
         k += 1
     eta = {}
     for g in pos_groups:
-        idx = model.platform.group_indices(g)
-        eta[g] = xi[:, k]
-        T[:, idx] = ea[idx] * (geo.lengths[idx] * xi[:, k, None] - 1.0)
+        idx = group(g)
+        eta[g] = xi[..., k]
+        T[..., idx] = ea[idx] * (geo.lengths[..., None, idx] * xi[..., k, None] - 1.0)
         k += 1
-    res = np.linalg.norm(res0[None, :] + t[:, None] * res1[None, :], axis=1)
+    res = np.linalg.norm(res0[..., None, :] + t[:, None] * res1[..., None, :], axis=-1)
     return T, eta, res
+
+
+class _Scan(NamedTuple):
+    """The tension scan of :func:`optimize_tensions` over a stack of rows."""
+
+    geo: CableGeometry
+    tau: np.ndarray        # (..., nq) inverse dynamics at the reference
+    wrench: np.ndarray     # (..., 6) platform wrench the cables balance
+    T: np.ndarray          # (..., S, N) balanced tensions at each scan point
+    eta: dict              # length-commanded group -> (..., S) inverse unstretched length
+    feasible: np.ndarray   # (..., S)
+    K_a: np.ndarray        # (..., 6, 6) K_T + K_k at the first scan point
+    K_b: np.ndarray        # (..., 6, 6) and at the last
+    frac: np.ndarray       # (S,) position of each scan point from the first to the last
+
+
+def _tension_scan(model: RobotModel, q_ref, qdot_ref, qddot_ref, scan_points: int) -> _Scan:
+    """Balanced tensions and feasibility at every scan point of every row,
+    with the stage-by-stage checks of :func:`optimize_tensions`."""
+    if scan_points < 2:
+        raise ValidationError("scan_points must be at least 2")
+    scan_groups, pos_groups = model.platform.actuation_layout()
+    if not scan_groups:
+        raise ValidationError(
+            "model declares no tension-controlled actuator groups; "
+            "optimize_tensions requires the force/length actuation split"
+        )
+    q_ref = np.asarray(q_ref, dtype=float)
+    qdot_ref = np.zeros(model.nq) if qdot_ref is None else np.asarray(qdot_ref, float)
+    qddot_ref = np.zeros(model.nq) if qddot_ref is None else np.asarray(qddot_ref, float)
+    shape = np.broadcast_shapes(q_ref.shape, qdot_ref.shape, qddot_ref.shape)
+    q_ref, qdot_ref, qddot_ref = (np.broadcast_to(a, shape) for a in (q_ref, qdot_ref, qddot_ref))
+    check_euler_regular(q_ref[..., 3:6], model.euler_convention)
+    geo = _checked_frames(model, q_ref[..., 0:3], rotation(q_ref[..., 3:6], model.euler_convention))
+    tau = dynamics.inverse_dynamics(model, q_ref, qdot_ref, qddot_ref)
+    wrench = generalized_to_wrench(model, q_ref[..., 3:6], tau[..., 0:6])
+
+    tmin, tmax = model.platform.tension_min, model.platform.tension_max
+    lead_idx = model.platform.group_indices(scan_groups[0])
+    grid = np.linspace(tmin[lead_idx].max(), tmax[lead_idx].min(), scan_points)
+    T_grid, eta, res = _balanced_tensions(model, geo, wrench, grid, scan_groups, pos_groups)
+    feas = (
+        (res <= _BALANCE_RTOL * (1.0 + np.linalg.norm(wrench, axis=-1))[..., None])
+        & np.all(T_grid >= tmin - 1e-9, axis=-1)
+        & np.all(T_grid <= tmax + 1e-9, axis=-1)
+    )
+    for g in pos_groups:
+        feas &= eta[g] > 0
+    none = ~np.any(feas, axis=-1)
+    if np.any(none):
+        raise InfeasibleError(
+            "no statically consistent tensions satisfy the per-cable bounds "
+            f"at this reference (scanned group {scan_groups[0]})" + at_row(none)
+        )
+    # K is affine in the scan value: assemble it at both ends of the grid.
+    cable_subset = position_controlled_cables(model)
+    K_a, K_b = (
+        _stiffness_KT(model, geo, T) + _stiffness_Kk(model, geo, cable_subset, T=T)
+        for T in (T_grid[..., 0, :], T_grid[..., -1, :])
+    )
+    return _Scan(geo, tau, wrench, T_grid, eta, feas, K_a, K_b,
+                 (grid - grid[0]) / (grid[-1] - grid[0]))
+
+
+def _stiffest(K_a, K_b, frac, feasible):
+    """Index and J_K of the stiffest feasible scan point, ties to the lower
+    tension, for K(t) = K_a + frac_t (K_b - K_a).
+
+    J_K = ||sym K||_F^2 is then a convex quadratic in the scan value, and
+    every feasibility condition cuts out an interval of it, so the maximum
+    lies at the first or the last feasible point: only those two are
+    evaluated.
+    """
+    ends = np.stack([np.argmax(feasible, axis=-1),
+                     feasible.shape[-1] - 1 - np.argmax(feasible[..., ::-1], axis=-1)], axis=-1)
+    J = objective_JK(K_a[..., None, :, :] + frac[ends][..., None, None] * (K_b - K_a)[..., None, :, :])
+    last = J[..., 1] > J[..., 0]
+    return np.where(last, ends[..., 1], ends[..., 0]), np.where(last, J[..., 1], J[..., 0])
 
 
 def optimize_tensions(
@@ -285,63 +385,36 @@ def optimize_tensions(
     within its bounds and every unstretched length is positive.  Among
     feasible points the one with the largest J_K (sum of squared
     eigenvalues of K_T + K_k, K_k over the length-commanded cables) wins;
-    ties break toward the lower scan tension.
+    ties break toward the lower scan tension.  Only the first and the last
+    feasible points can win, and only they are evaluated.
+
+    Broadcasts over leading axes of the reference rows: every array of the
+    result then carries them, and ``J_K``, ``is_stable``, ``sym_error`` and
+    the ``group_L0`` / ``scan_tensions`` values become arrays.  Each row is
+    bit-equal to its own one-row call.  The checks run stage by stage over
+    the stack (gimbal lock, collapsed cable, infeasible scan, rank of the
+    wrench map, symmetrization bound), and each error names the first
+    failing row.
 
     Raises ValidationError when the model has no force-commanded group or
     ``scan_points`` is below 2, and InfeasibleError when no scan point is
     feasible.
     """
-    if scan_points < 2:
-        raise ValidationError("scan_points must be at least 2")
-    q_ref = np.asarray(q_ref, dtype=float)
-    qdot_ref = np.zeros(model.nq) if qdot_ref is None else np.asarray(qdot_ref, float)
-    qddot_ref = np.zeros(model.nq) if qddot_ref is None else np.asarray(qddot_ref, float)
-    scan_groups, pos_groups = model.platform.actuation_layout()
-    if not scan_groups:
-        raise ValidationError(
-            "model declares no tension-controlled actuator groups; "
-            "optimize_tensions requires the force/length actuation split"
-        )
-    geo = cable_geometry(model, Pose.from_q(q_ref, model.euler_convention))
-    tau = dynamics.inverse_dynamics(model, q_ref, qdot_ref, qddot_ref)
-    wrench = generalized_to_wrench(model, q_ref[3:6], tau[0:6])
-    cable_subset = position_controlled_cables(model)
-
-    tmin, tmax = model.platform.tension_min, model.platform.tension_max
-    lead_idx = model.platform.group_indices(scan_groups[0])
-    grid = np.linspace(tmin[lead_idx].max(), tmax[lead_idx].min(), scan_points)
-    T_grid, eta, res = _balanced_tensions(model, geo, wrench, grid, scan_groups, pos_groups)
-    feas = (
-        (res <= _BALANCE_RTOL * (1.0 + np.linalg.norm(wrench)))
-        & np.all(T_grid >= tmin[None, :] - 1e-9, axis=1)
-        & np.all(T_grid <= tmax[None, :] + 1e-9, axis=1)
-    )
-    for g in pos_groups:
-        feas &= eta[g] > 0
-    if not np.any(feas):
-        raise InfeasibleError(
-            "no statically consistent tensions satisfy the per-cable bounds "
-            f"at this reference (scanned group {scan_groups[0]})"
-        )
-    # K is affine in the scan value: assemble at both ends and interpolate.
-    K_a, K_b = (
-        _stiffness_KT(model, geo, T) + _stiffness_Kk(model, geo, cable_subset, T=T)
-        for T in (T_grid[0], T_grid[-1])
-    )
-    frac = (grid - grid[0]) / (grid[-1] - grid[0])
-    K_all = K_a[None] + frac[:, None, None] * (K_b - K_a)[None]
-    best = int(np.argmax(np.where(feas, objective_JK(K_all), -np.inf)))  # first (lowest-tension) tie
-
-    T_opt = T_grid[best]
-    W = -geo.structure
-    lam = null_space(W).T @ (T_opt - pinv_tensions(W, wrench))
+    scan = _tension_scan(model, q_ref, qdot_ref, qddot_ref, scan_points)
+    best, _ = _stiffest(scan.K_a, scan.K_b, scan.frac, scan.feasible)
+    T_opt = np.take_along_axis(scan.T, best[..., None, None], axis=-2)[..., 0, :]
+    W = -scan.geo.structure
+    T_min_norm = pinv_tensions(W, scan.wrench)
+    lam = _matvec(np.swapaxes(null_space(W), -1, -2), T_opt - T_min_norm)
     return _result(
-        model, geo, T_opt, cable_subset, lam,
-        group_L0={g: float(1.0 / eta[g][best]) for g in pos_groups},
+        model, scan.geo, T_opt, position_controlled_cables(model), lam,
+        group_L0={g: _plain(1.0 / np.take_along_axis(eta, best[..., None], axis=-1)[..., 0])
+                  for g, eta in scan.eta.items()},
         scan_tensions={
-            g: float(T_opt[model.platform.group_indices(g)][0]) for g in scan_groups
+            g: _plain(T_opt[..., model.platform.group_indices(g)[0]])
+            for g in model.platform.actuation_layout()[0]
         },
-        tau_ref=tau,
+        tau_ref=scan.tau,
     )
 
 
@@ -349,10 +422,12 @@ def generalized_to_wrench(model: RobotModel, euler, gen6) -> np.ndarray:
     """Invert the S^T pairing: world wrench from the platform force block.
 
     The moment block pairs with the world Euler-rate Jacobian W = R E_b.
+    Broadcasts over leading axes of ``euler`` and ``gen6``.
     """
     gen6 = np.asarray(gen6, dtype=float)
     _, W, _ = euler_frames(euler, model.euler_convention)
-    return np.concatenate([gen6[0:3], np.linalg.solve(W.T, gen6[3:6])])
+    moment = np.linalg.solve(np.swapaxes(W, -1, -2), gen6[..., 3:6, None])[..., 0]
+    return np.concatenate([gen6[..., 0:3], moment], axis=-1)
 
 
 def stiffness_landscape(model: RobotModel, q_ref, group_L0: dict, resolution: int = 76):

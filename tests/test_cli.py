@@ -196,6 +196,27 @@ class TestCliMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "parse"
 
+    def test_infeasible_tension_bounds(self, tmp_path, capsys, hcdr):
+        """A model whose bounds leave no feasible tension at the reference
+        ends in the error record (exit 4), naming the first infeasible row
+        of the schedule's first block."""
+        from dataclasses import replace
+
+        from cablearm.model import serialize_model
+
+        narrow = replace(hcdr, platform=replace(
+            hcdr.platform, tension_min=np.full(12, 30.0), tension_max=np.full(12, 80.0)
+        ))
+        model = tmp_path / "narrow.json"
+        model.write_text(serialize_model(narrow))
+        doc = dict(SHORT, model=str(model))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(p), "--out-dir", str(tmp_path / "o")]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["category"] == "infeasible"
+        assert err["error"]["message"].endswith("at row 0")
+
     def test_linearize_nonfinite_state(self, tmp_path, capsys):
         """A NaN in the state makes the plant output non-finite: a
         divergence error (exit 4), not a traceback."""

@@ -47,6 +47,22 @@ class TestLinearize:
         assert ltv.A.shape == (10, 10)
         assert ltv.B.shape == (10, 4)
 
+    def test_broadcasts_over_points(self, hcdr):
+        """A block of schedule points linearized in one call equals one
+        call per point, bit for bit."""
+        from cablearm import sim as S
+
+        plant = S.PlanarPlant(hcdr)
+        sched = S.reference_schedule(hcdr, plant, S.case_study_trajectory(),
+                                     np.array([0.0, 1.5, 2.0, 3.5]))
+        x, u, L0 = sched["x"], sched["u"], sched["L0"]
+        block = linearize(plant.f, x, u, (L0[:, 0], L0[:, 1]))
+        assert block.A.shape == (4, 10, 10) and block.B.shape == (4, 10, 4)
+        for i in range(4):
+            one = linearize(plant.f, x[i], u[i], (L0[i, 0], L0[i, 1]))
+            for name in ("A", "B", "x_r", "u_r", "f_r"):
+                assert getattr(block, name)[i].tobytes() == getattr(one, name).tobytes(), name
+
     def test_gradient_step_consistency(self):
         """Central-difference Jacobian is step-size converged (Richardson)."""
 

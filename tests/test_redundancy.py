@@ -42,6 +42,29 @@ class TestPinv:
             pinv_tensions(A, np.zeros(6))
 
 
+class TestStacks:
+    """pinv_tensions and null_space broadcast over stacks of wrench maps."""
+
+    def test_rows_equal_single_calls(self, hcdr, gravity_wrench):
+        from cablearm.kinematics import _cable_frames, rotation
+
+        q = np.zeros((3, 6))
+        q[1, 0], q[2, 2], q[2, 4] = 0.05, 0.1, 0.2
+        W = -_cable_frames(hcdr, q[:, 0:3], rotation(q[:, 3:6])).structure
+        T, N = pinv_tensions(W, gravity_wrench), null_space(W)
+        for i in range(3):
+            assert T[i].tobytes() == pinv_tensions(W[i], gravity_wrench).tobytes()
+            assert N[i].tobytes() == null_space(W[i]).tobytes()
+
+    def test_rank_deficient_row_is_named(self, W):
+        A = np.stack([W, W, W])
+        A[1, 1] = 2.0 * A[1, 0]
+        with pytest.raises(RankDeficiencyError, match=r"rank 5 < 6\) at row 1$"):
+            pinv_tensions(A, np.zeros(6))
+        with pytest.raises(RankDeficiencyError, match="at row 1$"):
+            null_space(A)
+
+
 class TestNullSpace:
     def test_dimensions(self, W):
         N = null_space(W)

@@ -275,21 +275,60 @@ class TestReferenceSchedule:
         assert np.ptp(sched["u"], axis=0).max() == 0.0
         assert np.ptp(sched["L0"], axis=0).max() == 0.0
 
+    def test_empty_times(self, hcdr):
+        sched = reference_schedule(hcdr, PlanarPlant(hcdr), case_study_trajectory(), [])
+        assert sched["u"].shape == (0, 4) and sched["L0"].shape == (0, 2)
+
+    def test_distinct_rows_fold_negative_zero(self):
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 1.0], [0.0, 1.0], [2.0, -0.0]])
+        first, slot = sim._distinct_rows(rows)
+        assert first.tolist() == [0, 2, 4]
+        assert slot.tolist() == [0, 0, 1, 0, 2]
+
+    @pytest.mark.parametrize("platform_only", [False, True])
+    def test_blocks_match_the_per_row_path(self, hcdr, platform_only):
+        """The schedule of the 6 s reference (651 periods, several blocks)
+        equals one one-row optimization per period, bit for bit."""
+        model = hcdr.platform_only() if platform_only else hcdr
+        plant = PlanarPlant(model)
+        traj = case_study_trajectory()
+        times = np.arange(651) * 0.01
+        sched = reference_schedule(model, plant, traj, times)
+        pos, vel, acc = traj.sample_pva(times)
+        n = len(plant._q_pos)
+        memo = {}
+        for k in range(len(times)):
+            key = np.concatenate([pos[k, :n], vel[k, :n], acc[k, :n]]).tobytes()
+            if key not in memo:   # equal inputs give equal bits; skip repeats
+                q, qd, qdd = (np.zeros(model.nq) for _ in range(3))
+                q[plant._q_pos], qd[plant._q_pos], qdd[plant._q_pos] = (
+                    pos[k, :n], vel[k, :n], acc[k, :n])
+                res = optimize_tensions(model, q, qd, qdd)
+                memo[key] = (
+                    [res.scan_tensions[g] for g in plant.low_groups]
+                    + list(res.tau_ref[[6 + j for j in plant.free_joints]]),
+                    [res.group_L0[g] for g in plant.pos_groups],
+                )
+            u, L0 = memo[key]
+            assert sched["u"][k].tobytes() == np.array(u).tobytes(), k
+            assert sched["L0"][k].tobytes() == np.array(L0).tobytes(), k
+
     def test_one_inverse_dynamics_per_new_row(self, hcdr, monkeypatch):
         """The arm torques come from the tension optimizer's own inverse
-        dynamics, so each new row evaluates it once."""
-        calls = []
+        dynamics, so each new row evaluates it once (the rows of one block
+        go in one stacked call)."""
+        rows = []
         real = dynamics.inverse_dynamics
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(model, q, *args, **kwargs):
+            rows.extend(np.reshape(q, (-1, model.nq)))
+            return real(model, q, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "inverse_dynamics", counted)
         times = np.array([0.0, 1.5, 2.0, 2.5])    # the hold, then three ramp rows
         reference_schedule(hcdr, PlanarPlant(hcdr), case_study_trajectory(), times,
                            scan_points=10)
-        assert len(calls) == 4
+        assert len(rows) == 4
 
 
 class TestSimulate:
@@ -339,18 +378,31 @@ class TestSimulate:
 
     def test_independent_schedules_only_the_design_model(self, hcdr, monkeypatch):
         """Every tension optimization runs on the platform-only model, once
-        per distinct schedule row."""
-        calls = []
+        per distinct schedule row: the schedule of a 0.3 s run (0-0.8 s)
+        lies in the hold, which is one row once -0.0 counts as 0.0."""
+        rows = []
         real = sim.optimize_tensions
 
         def counted(model, q, qd, qdd, **kwargs):
-            calls.append((model.n_arm, np.concatenate([q, qd, qdd]).tobytes()))
+            assert model.n_arm == 0
+            rows.extend(np.concatenate([q, qd, qdd], axis=-1))
             return real(model, q, qd, qdd, **kwargs)
 
         monkeypatch.setattr(sim, "optimize_tensions", counted)
         simulate(hcdr, "independent", T_end=0.3, scan_points=10)
-        assert calls and all(n_arm == 0 for n_arm, _ in calls)
-        assert len({row for _, row in calls}) == len(calls)
+        assert len(rows) == 1
+
+    def test_batched_pid_reference_matches_single_times(self):
+        """The PID reference of a period's substeps comes from one sample
+        call; its rows equal the single-time calls at all 600 periods of
+        the case study, bit for bit."""
+        traj = case_study_trajectory()
+        Ts, substeps = 0.01, 10
+        dt = Ts / substeps
+        for k in range(600):
+            refs = traj.sample(k * Ts + np.arange(substeps) * dt)
+            for n in range(substeps):
+                assert refs[n].tobytes() == traj.sample(k * Ts + n * dt).tobytes(), (k, n)
 
     def test_period_is_the_mpc_period(self, hcdr):
         du = np.array([80.0, 80.0, 2.0, 2.0])

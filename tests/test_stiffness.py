@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from cablearm import sim, stiffness
 from cablearm.dynamics import inverse_dynamics
-from cablearm.errors import InfeasibleError, NonPhysicalError, ValidationError
+from cablearm.errors import (
+    GeometryError,
+    InfeasibleError,
+    NonPhysicalError,
+    SingularityError,
+    ValidationError,
+)
 from cablearm.kinematics import Pose, cable_geometry, structure_matrix, tension_wrench_matrix
 from cablearm.sim import PlanarPlant, case_study_trajectory
 from cablearm.stiffness import (
@@ -21,6 +28,22 @@ from cablearm.stiffness import (
 
 HOME = Pose(np.zeros(3), np.zeros(3))
 UPPER = (1, 2, 5, 6, 7, 8, 11, 12)
+
+
+def reference_rows(model, times, traj=None):
+    """(q, qdot, qddot) stacks of a reference (the case study's by default)
+    at ``times``."""
+    plant = PlanarPlant(model)
+    traj = case_study_trajectory() if traj is None else traj
+    pos, vel, acc = traj.sample_pva(np.asarray(times, dtype=float))
+    rows = [np.zeros((len(times), model.nq)) for _ in range(3)]
+    for full, planar in zip(rows, (pos, vel, acc)):
+        full[:, plant._q_pos] = planar[:, :len(plant._q_pos)]
+    return rows
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
 
 
 class TestKT:
@@ -303,3 +326,97 @@ class TestUnstretchedLengths:
         T[4] = -120.0
         with pytest.raises(NonPhysicalError, match="cable 5"):
             unstretched_lengths_for(hcdr, HOME, T)
+
+
+class TestBatchedOptimizer:
+    """optimize_tensions over a stack of reference rows."""
+
+    TIMES = [0.0, 0.5, 1.5, 2.0, 3.0, 5.5, 6.0]   # two hold rows, then ramps
+
+    def test_block_call_matches_one_row_calls(self, hcdr):
+        q, qd, qdd = reference_rows(hcdr, self.TIMES)
+        block = optimize_tensions(hcdr, q, qd, qdd)
+        for i in range(len(self.TIMES)):
+            one = optimize_tensions(hcdr, q[i], qd[i], qdd[i])
+            assert type(one.J_K) is float and type(one.is_stable) is bool
+            for name in ("T_opt", "K", "eigs", "J_K", "lambda_opt", "tau_ref", "is_stable",
+                         "sym_error"):
+                assert bits(getattr(block, name)[i]) == bits(getattr(one, name)), name
+            for name in ("group_L0", "scan_tensions"):
+                per_row = getattr(one, name)
+                assert all(type(v) is float for v in per_row.values())
+                assert {g: bits(v[i]) for g, v in getattr(block, name).items()} == {
+                    g: bits(v) for g, v in per_row.items()}, name
+
+    def test_infeasible_row_is_named(self, hcdr):
+        """With every cable at 30-80 N only the late rows of the reference
+        are feasible: the block names its first infeasible row."""
+        narrow = replace(hcdr, platform=replace(
+            hcdr.platform, tension_min=np.full(12, 30.0), tension_max=np.full(12, 80.0)
+        ))
+        q, qd, qdd = reference_rows(hcdr, [6.0, 5.5, 1.5, 0.0])
+        optimize_tensions(narrow, q[:2], qd[:2], qdd[:2])
+        with pytest.raises(InfeasibleError, match="at row 2$"):
+            optimize_tensions(narrow, q, qd, qdd)
+        with pytest.raises(InfeasibleError, match=r"group 3\)$"):
+            optimize_tensions(narrow, q[2], qd[2], qdd[2])
+
+    def test_gimbal_lock_and_collapsed_cable_are_named(self, hcdr):
+        q = np.zeros((3, 9))
+        q[1, 4] = np.pi / 2
+        with pytest.raises(SingularityError, match="at row 1$"):
+            optimize_tensions(hcdr, q)
+        q[1, 4] = 0.0
+        q[2, 0:3] = hcdr.platform.a_world[4] - hcdr.platform.r_body[4]   # cable 5 at zero length
+        with pytest.raises(GeometryError, match="cable 5 .* at row 2$"):
+            optimize_tensions(hcdr, q)
+
+
+class TestArgmaxShortcut:
+    """The optimizer evaluates J_K at the first and last feasible scan
+    points only; the full scan must agree."""
+
+    @staticmethod
+    def full_scan(K_a, K_b, frac, feasible):
+        K = K_a[..., None, :, :] + frac[:, None, None] * (K_b - K_a)[..., None, :, :]
+        J = np.where(feasible, objective_JK(K), -np.inf)
+        best = np.argmax(J, axis=-1)
+        return best, np.take_along_axis(J, best[..., None], axis=-1)[..., 0]
+
+    @pytest.mark.parametrize("platform_only, reference, distinct", [
+        (False, "case_study", 501),
+        (True, "case_study", 1),       # the platform holds still throughout
+        (False, "platform_move", 101),
+        (True, "platform_move", 101),
+    ])
+    def test_matches_full_scan_on_the_reference(self, hcdr, platform_only, reference, distinct):
+        """Every distinct row of the 6 s case-study reference (651 periods)
+        and of a 1 s platform move, on both design models, 76 points."""
+        model = hcdr.platform_only() if platform_only else hcdr
+        if reference == "case_study":
+            q, qd, qdd = reference_rows(model, np.arange(651) * 0.01)
+        else:
+            rest = [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]
+            move = sim.quintic_trajectory([(0.0, rest), (1.0, [0.07, 0, 0.12, 0, 0.03, 0,
+                                                               0.5, 0, 0.3, 0])])
+            q, qd, qdd = reference_rows(model, np.arange(101) * 0.01, move)
+        first, _ = sim._distinct_rows(np.concatenate([q, qd, qdd], axis=1))
+        assert len(first) == distinct
+        for b in range(0, len(first), 64):
+            rows = first[b:b + 64]
+            scan = stiffness._tension_scan(model, q[rows], qd[rows], qdd[rows], 76)
+            best, J = stiffness._stiffest(scan.K_a, scan.K_b, scan.frac, scan.feasible)
+            full_best, full_J = self.full_scan(scan.K_a, scan.K_b, scan.frac, scan.feasible)
+            assert np.array_equal(best, full_best)
+            assert bits(J) == bits(full_J)
+
+    def test_first_feasible_end_wins(self):
+        """K(t) = (1 - 2t) I is stiffest at t = 0 and t = 1; with the
+        points 0.1..0.7 feasible the first end is the stiffer one."""
+        frac = np.linspace(0.0, 1.0, 11)
+        feasible = (frac > 0.05) & (frac < 0.75)
+        K_a, K_b = np.eye(6), -np.eye(6)
+        best, J = stiffness._stiffest(K_a, K_b, frac, feasible)
+        assert best == 1
+        assert bits(J) == bits(self.full_scan(K_a, K_b, frac, feasible)[1])
+        assert np.isclose(J, 6 * 0.8**2)
