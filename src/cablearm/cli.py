@@ -285,13 +285,25 @@ def _read_json_file(path, required=()) -> dict:
     return doc
 
 
+def _numbers(doc: dict, key: str, shape: tuple, path) -> np.ndarray:
+    """Field ``key`` of a state document as a float array of ``shape``
+    (``()`` for a number)."""
+    try:
+        value = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value.shape != shape:
+        what = f"a list of {shape[0]} numbers" if shape else "a number"
+        raise ModelParseError(f"{path}: '{key}' must be {what}")
+    return value
+
+
 def _cmd_inverse_dynamics(args) -> int:
     model = _resolve_model(args.model)
-    doc = _read_json_file(args.state, ("q",))
-    q = np.asarray(doc["q"], dtype=float)
-    qd = np.asarray(doc.get("qdot", np.zeros(model.nq)), dtype=float)
-    qdd = np.asarray(doc.get("qddot", np.zeros(model.nq)), dtype=float)
-    tau_d = doc.get("tau_d")
+    doc = {"qdot": [0.0] * model.nq, "qddot": [0.0] * model.nq,
+           **_read_json_file(args.state, ("q",))}
+    q, qd, qdd = (_numbers(doc, key, (model.nq,), args.state) for key in ("q", "qdot", "qddot"))
+    tau_d = None if doc.get("tau_d") is None else _numbers(doc, "tau_d", (model.nq,), args.state)
     tau = dynamics.inverse_dynamics(model, q, qd, qdd, tau_d)
     print(json.dumps({
         "tau": tau.tolist(),
@@ -305,12 +317,12 @@ def _cmd_linearize(args) -> int:
     model = _resolve_model(args.model)
     doc = _read_json_file(args.state, ("x", "u", "L01", "L02"))
     plant = sim.PlanarPlant(model)
-    x = np.asarray(doc["x"], dtype=float)
-    u = np.asarray(doc["u"], dtype=float)
-    L01, L02 = float(doc["L01"]), float(doc["L02"])
+    x = _numbers(doc, "x", (plant.n_states,), args.state)
+    u = _numbers(doc, "u", (plant.n_inputs,), args.state)
+    L0 = tuple(float(_numbers(doc, key, (), args.state)) for key in ("L01", "L02"))
     from .control import linearize
 
-    ltv = linearize(plant.f, x, u, (L01, L02))
+    ltv = linearize(plant.f, x, u, L0)
     out = {"A": ltv.A.tolist(), "B": ltv.B.tolist(), "f_r": ltv.f_r.tolist()}
     if args.out_dir:
         outdir = Path(args.out_dir)

@@ -18,8 +18,7 @@ The MPC's work is split by how often its inputs change:
   Hessian ``H`` (assembled from the block-Toeplitz Gram structure of the
   step response) and the Cholesky factor of ``H``;
 * per period: the free response of the measured increment, the gradient
-  ``g``, the right-hand sides of state-increment bounds, and the
-  active-set QP, solved against the cached factor.
+  ``g`` and the active-set QP, solved against the cached factor.
 
 ``LtvModel.A`` / ``B`` and the ``MpcParams`` arrays are read-only copies, so
 a cached design cannot go stale through an in-place edit.
@@ -117,11 +116,8 @@ class MpcParams:
     P: np.ndarray
     du_min: np.ndarray
     du_max: np.ndarray
-    dx_min: np.ndarray | None = None
-    dx_max: np.ndarray | None = None
     _URU: np.ndarray = field(init=False, repr=False, compare=False)
     _box: tuple = field(init=False, repr=False, compare=False)
-    _dx_bounds: tuple | None = field(init=False, repr=False, compare=False)
     _slot: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -139,18 +135,11 @@ class MpcParams:
                 raise ValueError(f"{name} must be positive definite")
             if not pd and eig.min() < -1e-12:
                 raise ValueError(f"{name} must be positive semidefinite")
-        s, p = self.Q.shape[0], self.R.shape[0]
+        p = self.R.shape[0]
         if self.du_min.shape != (p,) or self.du_max.shape != (p,):
             raise ValueError("du bounds must have one entry per input")
         if np.any(self.du_min > self.du_max):
             raise ValueError("du bounds must satisfy du_min <= du_max")
-        for name in ("dx_min", "dx_max"):
-            v = getattr(self, name)
-            if v is not None:
-                v = _frozen(v)
-                if v.shape != (s,):
-                    raise ValueError("dx bounds must have one entry per state")
-                object.__setattr__(self, name, v)
 
         # u(j) - u(-1) sums du(0..min(j, Nc-1)), so the input weights see
         # du(i)^T R du(l) once for every j >= max(i, l)
@@ -162,12 +151,6 @@ class MpcParams:
             np.vstack([eye[np.isfinite(up)], -eye[np.isfinite(lo)]]),
             np.concatenate([up[np.isfinite(up)], -lo[np.isfinite(lo)]]),
         ))
-        dx_bounds = None
-        if self.dx_min is not None or self.dx_max is not None:
-            hi = np.full(s, np.inf) if self.dx_max is None else self.dx_max
-            sm = np.full(s, -np.inf) if self.dx_min is None else self.dx_min
-            dx_bounds = (np.tile(hi, self.Np), np.tile(sm, self.Np))
-        object.__setattr__(self, "_dx_bounds", dx_bounds)
         object.__setattr__(self, "_slot", [None])
 
 
@@ -178,8 +161,11 @@ def _cholesky(H):
         raise ConditioningError(f"QP Hessian is not positive definite ({exc})") from None
 
 
-def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, tol: float = 1e-9, max_iter: int = 500,
-                        *, cho=None):
+QP_TOL = 1e-9          # step, multiplier and feasibility tolerance of the QP
+QP_MAX_ITER = 500      # active-set iterations before IterationLimitError
+
+
+def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, *, cho=None):
     """Minimize 0.5 z^T H z + g^T z subject to A z <= b (primal active set).
 
     H must be positive definite; ``cho`` is its ``scipy.linalg.cho_factor``
@@ -188,7 +174,7 @@ def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, tol: float = 1e-9, max_i
     (Goldfarb & Idnani, 1983): with y = H^-1 r and Y = H^-1 A_W^T, the
     multipliers solve (A_W Y) lam = A_W y and the step d = y - Y lam is
     projected onto null(A_W), which removes the cancellation error that
-    would otherwise keep d above ``tol`` when the working set is full.
+    would otherwise keep d above ``QP_TOL`` when the working set is full.
     Starts from z = 0, which must be feasible; ties in blocking constraints
     break toward the lowest row index, making the iteration deterministic.
     Raises ConditioningError when H is not positive definite or the
@@ -208,14 +194,14 @@ def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, tol: float = 1e-9, max_i
     b_ineq = np.asarray(b_ineq, dtype=float)
     z = np.zeros(g.size)
     viol = A_ineq @ z - b_ineq
-    if np.any(viol > tol):
+    if np.any(viol > QP_TOL):
         row = int(np.argmax(viol))
         raise InfeasibleError(
             f"QP infeasible at the origin: constraint row {row} violated by {viol[row]:.3e}"
         )
     active: list[int] = []
     free = np.ones(A_ineq.shape[0], dtype=bool)     # rows outside the working set
-    for _ in range(max_iter):
+    for _ in range(QP_MAX_ITER):
         d = h_solve(-(g + H @ z))
         lam = None
         if active:
@@ -229,13 +215,13 @@ def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, tol: float = 1e-9, max_i
                 raise ConditioningError(
                     f"active-set QP: singular working-set system ({len(active)} rows)"
                 ) from None
-        if np.linalg.norm(d, ord=np.inf) <= tol:
-            if lam is None or np.all(lam >= -tol):
+        if np.linalg.norm(d, ord=np.inf) <= QP_TOL:
+            if lam is None or np.all(lam >= -QP_TOL):
                 return z
             free[active.pop(int(np.argmin(lam)))] = True
             continue
         Ad = A_ineq @ d
-        blocking = np.flatnonzero(free & (Ad > tol))
+        blocking = np.flatnonzero(free & (Ad > QP_TOL))
         alpha = 1.0
         add_row = None
         if blocking.size:
@@ -248,7 +234,7 @@ def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, tol: float = 1e-9, max_i
         if add_row is not None:
             active.append(add_row)
             free[add_row] = False
-    raise IterationLimitError(f"active-set QP did not converge within {max_iter} iterations")
+    raise IterationLimitError(f"active-set QP did not converge within {QP_MAX_ITER} iterations")
 
 
 @dataclass(frozen=True)
@@ -260,8 +246,6 @@ class _Design:
     cum: np.ndarray            # (Np*s, p): rows m*s.. hold sum_{t<=m} Ad^t Bd
     H: np.ndarray
     cho: tuple
-    Apow: np.ndarray | None    # (Np, s, s) Ad^j, j = 1..Np (state-increment bounds only)
-    A_ineq: np.ndarray
 
 
 def _hessian(cum, params: MpcParams) -> np.ndarray:
@@ -285,15 +269,6 @@ def _hessian(cum, params: MpcParams) -> np.ndarray:
     return H + H.T
 
 
-def _toeplitz(blocks, Nc: int) -> np.ndarray:
-    """(Np*s, Nc*p) block-lower-triangular Toeplitz matrix, block (r, i) = blocks[r - i]."""
-    Np, s, p = blocks.shape
-    out = np.zeros((Np, s, Nc, p))
-    for i in range(Nc):
-        out[i:, :, i, :] = blocks[:Np - i]
-    return out.reshape(Np * s, Nc * p)
-
-
 def _design(ltv: LtvModel, params: MpcParams) -> _Design:
     """The design of ``ltv`` under ``params``: the one in ``params``' slot
     when it was built for this very ``ltv`` object, otherwise a new one
@@ -301,7 +276,7 @@ def _design(ltv: LtvModel, params: MpcParams) -> _Design:
     last = params._slot[0]
     if last is not None and last.ltv is ltv:
         return last
-    Np, Nc = params.Np, params.Nc
+    Np = params.Np
     Ad, Bd = zoh_discretize(ltv.A, ltv.B, params.Ts)
     s, p = Bd.shape
     Apow = np.empty((Np + 1, s, s))
@@ -311,14 +286,8 @@ def _design(ltv: LtvModel, params: MpcParams) -> _Design:
     markov = Apow[:Np] @ Bd                # Ad^t Bd: response of dx(t+1) to du(0)
     cum = np.cumsum(markov, axis=0)        # response of x(t+1) - x(0) to du(0)
     H = _hessian(cum, params)
-    A_ineq, Apow_dx = params._box[0], None
-    if params._dx_bounds is not None:
-        hi, sm = params._dx_bounds
-        T = _toeplitz(markov, Nc)          # dx(j) = Ad^j dx0 + T[j-1] z
-        A_ineq = np.vstack([A_ineq, T[np.isfinite(hi)], -T[np.isfinite(sm)]])
-        Apow_dx = Apow[1:]
     design = _Design(ltv=ltv, S=np.cumsum(Apow[1:], axis=0), cum=cum.reshape(Np * s, p),
-                     H=H, cho=_cholesky(H), Apow=Apow_dx, A_ineq=A_ineq)
+                     H=H, cho=_cholesky(H))
     params._slot[0] = design
     return design
 
@@ -361,13 +330,7 @@ def mpc_step(
     gu = np.cumsum((stil @ params.R.T)[::-1], axis=0)[::-1][:Nc]
     g = -2.0 * (gx + gu).ravel()
 
-    b_ineq = params._box[1]
-    if params._dx_bounds is not None:
-        hi, sm = params._dx_bounds
-        base = (design.Apow @ dx0).reshape(Np * s)          # dx(j) offsets
-        mh, ml = np.isfinite(hi), np.isfinite(sm)
-        b_ineq = np.concatenate([b_ineq, hi[mh] - base[mh], base[ml] - sm[ml]])
-    z = solve_qp_active_set(design.H, g, design.A_ineq, b_ineq, cho=design.cho)
+    z = solve_qp_active_set(design.H, g, *params._box, cho=design.cho)
     return u_prev + z[:params.R.shape[0]]
 
 
@@ -397,14 +360,8 @@ class PidState:
 
 
 def pid_step(theta_ref, dtheta_ref, theta, dtheta, state: PidState, gains: PidGains,
-             dt: float, limits=None) -> tuple[np.ndarray, PidState]:
-    """One PID update of the joint torques.
-
-    Integral by trapezoid rule with conditional anti-windup: a channel
-    whose output saturates while the error pushes it further keeps its
-    previous integral.  ``limits`` is the symmetric torque bound per
-    channel (None = unbounded).
-    """
+             dt: float) -> tuple[np.ndarray, PidState]:
+    """One PID update of the joint torques, integral by trapezoid rule."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     e = np.asarray(theta_ref, dtype=float) - np.asarray(theta, dtype=float)
@@ -412,12 +369,5 @@ def pid_step(theta_ref, dtheta_ref, theta, dtheta, state: PidState, gains: PidGa
     prev = e if state.prev_error is None else state.prev_error
     integral_new = state.integral + 0.5 * (e + prev) * dt
     tau = gains.Kp * e + gains.Ki * integral_new + gains.Kd * edot
-    if limits is not None:
-        lim = np.broadcast_to(np.asarray(limits, dtype=float), tau.shape)
-        over = np.abs(tau) > lim
-        windup = over & (np.sign(e) == np.sign(tau))
-        integral_new = np.where(windup, state.integral, integral_new)
-        tau = gains.Kp * e + gains.Ki * integral_new + gains.Kd * edot
-        tau = np.clip(tau, -lim, lim)
     return tau, PidState(integral=integral_new, prev_error=e)
 

@@ -33,7 +33,6 @@ from .kinematics import (
     _cable_frames,
     _cross,
     check_euler_regular,
-    euler_frames,
     tension_wrench_matrix,
     velocity_jacobians,
 )
@@ -56,13 +55,6 @@ def mass_matrix(model: RobotModel, q) -> np.ndarray:
     """Symmetric positive-definite inertia matrix M(q); batched."""
     q = np.asarray(q, dtype=float)
     return _dynamics_core(model, q, np.zeros_like(q))[0]
-
-
-def gravity_vector(model: RobotModel, q) -> np.ndarray:
-    """Gradient of the gravitational potential (cable elasticity excluded:
-    cable forces enter the equations of motion as inputs)."""
-    q = np.asarray(q, dtype=float)
-    return _dynamics_core(model, q, np.zeros_like(q))[1]
 
 
 def _dynamics_core(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
@@ -135,11 +127,6 @@ def energies(model: RobotModel, q, qdot, L0) -> tuple[float, float]:
     return float(ke), float(ve + 0.5 * np.sum(kc * (L - L0) ** 2))
 
 
-def coriolis_force(model: RobotModel, q, qdot) -> np.ndarray:
-    """C(q, qdot) @ qdot; batched."""
-    return _dynamics_core(model, np.asarray(q, float), np.asarray(qdot, float))[2]
-
-
 def dyn_terms(model: RobotModel, q, qdot) -> DynTerms:
     """Full (M, C, G) with C from Christoffel symbols of finite-differenced M.
 
@@ -171,15 +158,6 @@ def _pair_wrench(W: np.ndarray, wrench: np.ndarray, nq: int) -> np.ndarray:
     return out
 
 
-def wrench_to_generalized(model: RobotModel, euler, wrench) -> np.ndarray:
-    """Map a world wrench [F; M] on the platform to generalized forces.
-
-    Applies S^T = blkdiag(I, (R E_b)^T); arm coordinates receive zero.
-    """
-    W = euler_frames(euler, model.euler_convention)[1]
-    return _pair_wrench(W, np.asarray(wrench, dtype=float), model.nq)
-
-
 def inverse_dynamics(model: RobotModel, q, qdot, qddot, tau_d=None) -> np.ndarray:
     """Generalized forces tau = M qddot + C qdot + G + tau_d.
 
@@ -198,9 +176,9 @@ def inverse_dynamics(model: RobotModel, q, qdot, qddot, tau_d=None) -> np.ndarra
     return tau
 
 
-def accelerations(model: RobotModel, q, qdot, wrench, tau_arm, tau_d=None,
+def accelerations(model: RobotModel, q, qdot, wrench, tau_arm,
                   check_conditioning: bool = True) -> np.ndarray:
-    """Solve M qddot = S^T w + [0; tau_arm] - C qdot - G - tau_d; batched.
+    """Solve M qddot = S^T w + [0; tau_arm] - C qdot - G; batched.
 
     ``q`` and ``qdot`` are float arrays of shape (..., nq).  ``wrench`` is
     the world wrench w = [F; M] on the platform, or a callable that builds
@@ -214,8 +192,6 @@ def accelerations(model: RobotModel, q, qdot, wrench, tau_arm, tau_d=None,
     rhs = _pair_wrench(chain["W_euler"], wrench, q.shape[-1])
     rhs[..., 6:] += tau_arm
     rhs -= h + G
-    if tau_d is not None:
-        rhs -= np.asarray(tau_d, dtype=float)
     if check_conditioning:
         cond = np.linalg.cond(M)
         if not np.all(np.isfinite(cond)) or np.max(cond) > CONDITION_LIMIT:
@@ -225,33 +201,17 @@ def accelerations(model: RobotModel, q, qdot, wrench, tau_arm, tau_d=None,
     return np.linalg.solve(M, rhs[..., None])[..., 0]
 
 
-def forward_dynamics(model: RobotModel, q, qdot, T, tau_a, tau_d=None) -> np.ndarray:
+def forward_dynamics(model: RobotModel, q, qdot, T, tau_a) -> np.ndarray:
     """Accelerations from cable tensions and joint torques.
 
-    Solves M qddot = [cable wrench; tau_a] - C qdot - G - tau_d, where the
+    Solves M qddot = [cable wrench; tau_a] - C qdot - G, where the
     cable wrench is mapped into generalized coordinates (see module notes
     on the tension sign convention).
     """
     q = np.asarray(q, dtype=float)
     W = tension_wrench_matrix(model, Pose.from_q(q, model.euler_convention))
     return accelerations(model, q, np.asarray(qdot, dtype=float),
-                         W @ np.asarray(T, dtype=float), np.asarray(tau_a, dtype=float), tau_d)
-
-
-def cable_tensions_from_stretch(model: RobotModel, pose: Pose, L0, clamp_slack: bool = False) -> np.ndarray:
-    """Elastic tensions T_i = (EA_i / L0_i) (L_i - L0_i).
-
-    Signed by default (taut-cable assumption); ``clamp_slack`` zeroes
-    negative entries.
-    """
-    L0 = np.asarray(L0, dtype=float)
-    if model.n_cables and np.any(L0 <= 0):
-        raise ValidationError("unstretched cable lengths must be positive")
-    L = _cable_frames(model, pose.p, pose.rotation()).lengths
-    T = model.platform.axial_stiffness / L0 * (L - L0)
-    if clamp_slack:
-        T = np.maximum(T, 0.0)
-    return T
+                         W @ np.asarray(T, dtype=float), np.asarray(tau_a, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +245,7 @@ def quadrotor_structure_matrix(params: QuadrotorParams, pose: Pose) -> tuple[np.
 
 
 def hybrid_forward_dynamics_quadrotor(
-    params: QuadrotorParams, model: RobotModel, q, qdot, F, tau_a, tau_d=None
+    params: QuadrotorParams, model: RobotModel, q, qdot, F, tau_a
 ) -> np.ndarray:
     """Whole-body accelerations of the quadrotor + arm under rotor thrusts F."""
     q = np.asarray(q, dtype=float)
@@ -294,4 +254,4 @@ def hybrid_forward_dynamics_quadrotor(
         raise ValueError("F must be the 4 rotor thrusts")
     A_tilde, _ = quadrotor_structure_matrix(params, Pose.from_q(q, model.euler_convention))
     return accelerations(model, q, np.asarray(qdot, dtype=float), A_tilde @ F,
-                         np.asarray(tau_a, dtype=float), tau_d)
+                         np.asarray(tau_a, dtype=float))

@@ -15,7 +15,7 @@ structure matrix pairs cable-length rates with the world-referenced twist
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,17 +96,6 @@ def euler_rate_jacobian(euler, convention: str = "XYZ") -> np.ndarray:
     R3^T e2, for the last e3.
     """
     return euler_frames(euler, convention)[2]
-
-
-def euler_rates_to_omega(euler, euler_rates, convention: str = "XYZ") -> np.ndarray:
-    """Body-frame angular velocity from Euler angle rates.
-
-    Raises SingularityError at gimbal lock, where the inverse mapping
-    ceases to exist.
-    """
-    check_euler_regular(euler, convention)
-    E = euler_rate_jacobian(euler, convention)
-    return (E @ np.asarray(euler_rates, float)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -206,49 +195,22 @@ def tension_wrench_matrix(model: RobotModel, pose: Pose) -> np.ndarray:
     return -structure_matrix(model, pose)
 
 
-def cable_rates(model: RobotModel, pose: Pose, twist) -> np.ndarray:
-    """Cable length rates for a world twist [v_m; R omega_b] (6-vector)."""
-    A = structure_matrix(model, pose)
-    return A.T @ np.asarray(twist, dtype=float)
-
-
-@dataclass(frozen=True)
-class LinkKinematics:
-    """Positions, rotations, and velocities of every arm link.
-
-    ``p_joint[j]`` is the arm base for j=0 and the outboard end of link j
-    (the next joint, or the tip for the last link) for j >= 1.  Angular
-    velocities are expressed in each link's own frame and are identical
-    for the link body and its outboard joint.
-    """
-
-    p_joint: np.ndarray     # (m+1, 3) world
-    p_com: np.ndarray       # (m, 3) world
-    rotations: np.ndarray   # (m+1, 3, 3): R_g^{a0} .. R_g^{am}
-    v_com: np.ndarray       # (m, 3) world
-    omega: np.ndarray       # (m, 3) link body frame
-    tip: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "tip", self.p_joint[-1])
-
-
 def arm_chain(model: RobotModel, q: np.ndarray) -> dict:
     """Forward pass over the bodies of the platform + arm tree; batched.
 
     Body 0 is the platform and body j the arm link j.  Returns body
     rotations, joint and COM positions, world axes (Euler-rate axes, then
-    joint axes), per-body world levers and the Euler-rate Jacobians needed
-    by the velocity and mass-matrix assembly.
+    joint axes), per-body world levers and the world Euler-rate Jacobian
+    needed by the velocity and mass-matrix assembly.
     """
     q = np.asarray(q, dtype=float)
     bodies = model.bodies
     m = model.n_arm
-    R_gm, W_euler, E_b = euler_frames(q[..., 3:6], model.euler_convention)
+    R_gm, W_euler, _ = euler_frames(q[..., 3:6], model.euler_convention)
     R_rel = basic_rotation(bodies.joint_axis, q[..., 6:] * bodies.revolute[3:])
     R_body = np.empty(q.shape[:-1] + (m + 1, 3, 3))
     R_body[..., 0, :, :] = R_gm
-    R_base = R = R_gm @ model.mount_rotation
+    R = R_gm @ model.mount_rotation
     for j in range(m):
         R = R_body[..., j + 1, :, :] = R @ R_rel[..., j, :, :]
     # columns: lever to the outboard joint, lever to the COM, joint axis.
@@ -257,11 +219,8 @@ def arm_chain(model: RobotModel, q: np.ndarray) -> dict:
     # p_m, arm base, joints 2..m, tip
     p_joint = np.cumsum(np.concatenate([q[..., None, 0:3], levers[..., 0]], axis=-2), axis=-2)
     return {
-        "p_m": q[..., 0:3],
         "R_gm": R_gm,
-        "E_b": E_b,
         "W_euler": W_euler,
-        "R_base": R_base,
         "R_body": R_body,
         "p_joint": p_joint,
         "p_com": p_joint[..., :-1, :] + levers[..., 1],
@@ -305,22 +264,3 @@ def velocity_jacobians(model: RobotModel, q: np.ndarray, chain: dict | None = No
     Jv[..., 3:] = np.swapaxes(_cross(spin, lever) + axes * bodies.slides[..., None], -1, -2)
     Jw[..., 3:] = np.swapaxes(spin, -1, -2)
     return Jv, np.swapaxes(chain["R_body"], -1, -2) @ Jw, chain
-
-
-def link_kinematics(model: RobotModel, q, qdot) -> LinkKinematics:
-    """Positions, rotations, COM velocities, and body angular rates.
-
-    Velocities are analytic (geometric Jacobians), not finite differences.
-    Raises SingularityError at gimbal lock.
-    """
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    check_euler_regular(q[3:6], model.euler_convention)
-    Jv, Jw, chain = velocity_jacobians(model, q)
-    return LinkKinematics(
-        p_joint=chain["p_joint"][1:],
-        p_com=chain["p_com"][1:],
-        rotations=np.concatenate([chain["R_base"][None], chain["R_body"][1:]]),
-        v_com=Jv[1:] @ qdot,
-        omega=Jw[1:] @ qdot,
-    )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError
+from .errors import AlignmentError, ModelParseError
 from .sim import SimTrace
 
 _STATE_COLS = ["p_mx", "dp_mx", "p_mz", "dp_mz", "beta_m", "dbeta_m",
@@ -101,12 +101,23 @@ def trace_to_csv(trace: SimTrace) -> str:
 
 
 def trace_from_csv(text: str) -> dict:
-    """Parse a trace CSV back into column arrays keyed by header name."""
+    """Parse a trace CSV back into column arrays keyed by header name.
+
+    Raises AlignmentError for a header other than :data:`TRACE_HEADER` and
+    ModelParseError unless every row holds one number per column and there
+    is at least one row.
+    """
     lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
     if header != TRACE_HEADER:
         raise AlignmentError("trace header does not match the documented contract")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    try:
+        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    except ValueError:   # a non-numeric cell, or rows of different lengths
+        data = None
+    if data is None or data.shape[1:] != (len(header),):
+        raise ModelParseError(f"trace rows must hold {len(header)} numbers each, "
+                              "and the trace at least one row")
     return {name: data[:, j] for j, name in enumerate(header)}
 
 

@@ -1,6 +1,6 @@
 """Tension distribution for over-actuated cable sets.
 
-All three operations are pure linear algebra on the wrench map ``A``
+Both operations are pure linear algebra on the wrench map ``A``
 passed by the caller (either sign convention works; the null space and
 residuals are identical).  Decompositions use SVD with a deterministic
 rank tolerance so rank decisions and basis ordering are reproducible.
@@ -65,20 +65,3 @@ def null_space(A: np.ndarray) -> np.ndarray:
     lead = np.argmax(np.abs(basis) > 1e-12, axis=-1)
     flip = np.take_along_axis(basis, lead[..., None], axis=-1) < 0
     return np.swapaxes(np.where(flip, -basis, basis), -1, -2)
-
-
-def distribute(A: np.ndarray, tau_m: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Tensions T = A^T (A A^T)^{-1} tau_m + N_A lam.
-
-    The null-space term adds antagonistic tension without changing the
-    wrench: A (N_A lam) = 0.
-    """
-    A = np.asarray(A, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    T = pinv_tensions(A, tau_m)
-    N = null_space(A)
-    if lam.shape != (N.shape[1],):
-        raise ValueError(
-            f"lambda must have {N.shape[1]} entries (degree of redundancy), got {lam.shape}"
-        )
-    return T + N @ lam

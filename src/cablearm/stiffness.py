@@ -32,7 +32,7 @@ the scan and only the first and last feasible scan points are evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -60,11 +60,11 @@ class StiffnessResult:
     J_K: float
     lambda_opt: np.ndarray   # null-space coordinates of T_opt
     T_opt: np.ndarray
-    is_stable: bool = field(default=False)
-    sym_error: float = field(default=0.0)
-    group_L0: dict = field(default_factory=dict)   # unstretched length per length-commanded group
-    scan_tensions: dict = field(default_factory=dict)  # commanded tension per force group
-    tau_ref: np.ndarray | None = None   # inverse dynamics at the reference (optimize_tensions)
+    is_stable: bool
+    sym_error: float
+    group_L0: dict        # unstretched length per length-commanded group
+    scan_tensions: dict   # commanded tension per force group
+    tau_ref: np.ndarray   # inverse dynamics at the reference
 
 
 def stiffness_KT(model: RobotModel, pose: Pose, T) -> np.ndarray:
@@ -157,25 +157,12 @@ def _symmetrize(K: np.ndarray):
     return 0.5 * (K + Kt), err
 
 
-def objective_JK(K, H=None):
-    """Eigenvalue-weighted objective eig(K)^T H eig(K); batched over leading axes.
-
-    Eigenvalues are those of the symmetric part of K, ascending.  With
-    ``H`` None (the identity weight) the objective is the sum of squared
-    eigenvalues.  Returns a scalar for one 6x6 K, else an array of the
-    leading shape.
-    """
+def objective_JK(K):
+    """Sum of the squared eigenvalues of the symmetric part of K; batched
+    over leading axes (a scalar for one 6x6 K)."""
     K = np.asarray(K, dtype=float)
-    if H is not None:
-        H = np.asarray(H, dtype=float)
-        if H.shape != (6, 6) or not np.allclose(H, H.T, atol=1e-12):
-            raise ValueError("H must be a symmetric 6x6 matrix")
-        if np.linalg.eigvalsh(H).min() < -1e-10:
-            raise ValueError("H must be positive semidefinite")
     eigs = np.linalg.eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))
-    if H is None:
-        return np.sum(eigs**2, axis=-1)
-    return np.einsum("...i,ij,...j->...", eigs, H, eigs)
+    return np.sum(eigs**2, axis=-1)
 
 
 def _plain(a):
@@ -186,39 +173,6 @@ def _plain(a):
 def _matvec(A, v):
     """A @ v over leading axes of both."""
     return (A @ v[..., None])[..., 0]
-
-
-def _result(model: RobotModel, geo: CableGeometry, T, cable_subset, lam, H=None,
-            **labels) -> StiffnessResult:
-    """StiffnessResult of K = K_T + K_k at tensions T (..., N)."""
-    K_T = _stiffness_KT(model, geo, T)
-    K_k = _stiffness_Kk(model, geo, cable_subset, T=T)
-    K, err = _symmetrize(K_T + K_k)
-    eigs = np.linalg.eigvalsh(K)
-    return StiffnessResult(
-        K=K,
-        K_T=K_T,
-        K_k=K_k,
-        eigs=eigs,
-        J_K=_plain(objective_JK(K, H)),
-        lambda_opt=lam,
-        T_opt=T,
-        is_stable=_plain(eigs[..., 0] > 0),
-        sym_error=_plain(err),
-        **labels,
-    )
-
-
-def stiffness_of_lambda(model: RobotModel, pose: Pose, tau_m, lam, cable_subset=None, H=None) -> StiffnessResult:
-    """Stiffness of the tension distribution T(lambda); affine in lambda."""
-    geo = cable_geometry(model, pose)
-    W = -geo.structure
-    T = pinv_tensions(W, np.asarray(tau_m, float))
-    N = null_space(W)
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (N.shape[1],):
-        raise ValueError(f"lambda must have {N.shape[1]} entries, got {lam.shape}")
-    return _result(model, geo, T + N @ lam, cable_subset, lam, H)
 
 
 def unstretched_lengths_for(model: RobotModel, pose: Pose, T) -> np.ndarray:
@@ -406,8 +360,20 @@ def optimize_tensions(
     W = -scan.geo.structure
     T_min_norm = pinv_tensions(W, scan.wrench)
     lam = _matvec(np.swapaxes(null_space(W), -1, -2), T_opt - T_min_norm)
-    return _result(
-        model, scan.geo, T_opt, position_controlled_cables(model), lam,
+    K_T = _stiffness_KT(model, scan.geo, T_opt)
+    K_k = _stiffness_Kk(model, scan.geo, position_controlled_cables(model), T=T_opt)
+    K, err = _symmetrize(K_T + K_k)
+    eigs = np.linalg.eigvalsh(K)
+    return StiffnessResult(
+        K=K,
+        K_T=K_T,
+        K_k=K_k,
+        eigs=eigs,
+        J_K=_plain(objective_JK(K)),
+        lambda_opt=lam,
+        T_opt=T_opt,
+        is_stable=_plain(eigs[..., 0] > 0),
+        sym_error=_plain(err),
         group_L0={g: _plain(1.0 / np.take_along_axis(eta, best[..., None], axis=-1)[..., 0])
                   for g, eta in scan.eta.items()},
         scan_tensions={
@@ -446,6 +412,8 @@ def stiffness_landscape(model: RobotModel, q_ref, group_L0: dict, resolution: in
     if resolution < 1:
         raise ValidationError("resolution must be at least 1")
     q_ref = np.asarray(q_ref, dtype=float)
+    if not np.all(np.isfinite(q_ref)):
+        raise ValidationError("reference pose must be finite")
     scan_groups, pos_groups = model.platform.actuation_layout()
     if len(scan_groups) != 2:
         raise ValidationError("stiffness_landscape expects exactly 2 force-commanded groups")
@@ -457,8 +425,8 @@ def stiffness_landscape(model: RobotModel, q_ref, group_L0: dict, resolution: in
     L0 = geo.lengths.copy()   # scan-group entries are placeholders, excluded below
     for g, l0 in group_L0.items():
         idx = model.platform.group_indices(g)
-        if l0 <= 0:
-            raise ValidationError("unstretched lengths must be positive")
+        if not 0 < l0 < np.inf:
+            raise ValidationError("unstretched lengths must be positive and finite")
         T_base[idx] = ea[idx] / l0 * (geo.lengths[idx] - l0)
         L0[idx] = l0
     tmin, tmax = model.platform.tension_min, model.platform.tension_max

@@ -22,6 +22,8 @@ SHORT = {
     "noise_std": 0.002,
     "tension_scan_points": 10,
 }
+TRACE_HEAD = ",".join(metrics.TRACE_HEADER) + "\n"
+TRACE_ROW = ",".join(["0"] * len(metrics.TRACE_HEADER)) + "\n"
 
 
 class TestRmse:
@@ -184,17 +186,42 @@ class TestCliMain:
         ("linearize", {"x": [0] * 10, "u": [0] * 4, "L01": 0.85}),
         ("linearize", [0] * 10),
         ("evaluate", None),
+        pytest.param("inverse-dynamics", {"q": [0] * 3}, id="short-q"),
+        pytest.param("inverse-dynamics", {"q": [0] * 9, "qdot": "abc"}, id="text-qdot"),
+        pytest.param("inverse-dynamics", {"q": [0] * 9, "tau_d": [0, 0]}, id="short-tau_d"),
+        pytest.param("linearize", {"x": [0] * 3, "u": [0] * 4, "L01": 0.85, "L02": 0.8},
+                     id="short-x"),
+        pytest.param("linearize", {"x": [0] * 10, "u": [0] * 4, "L01": "a", "L02": 0.8},
+                     id="text-L01"),
+        pytest.param("linearize", {"x": [0] * 10, "u": [0] * 2, "L01": 0.85, "L02": 0.8},
+                     id="short-u"),
+        pytest.param("evaluate", TRACE_HEAD + TRACE_ROW[:-1] + "x\n", id="nonnumeric-cell"),
+        pytest.param("evaluate", TRACE_HEAD, id="header-only"),
+        pytest.param("evaluate", TRACE_HEAD + TRACE_ROW + "0,1\n", id="ragged-row"),
     ])
     def test_malformed_input_file_table(self, tmp_path, capsys, command, doc):
-        """A missing input file or a state document without its required
-        fields is a parse error (exit 2)."""
+        """A missing input file, a state document without its required
+        fields or with a field of the wrong type or length, and a trace
+        whose rows are not one number per column are parse errors (exit 2)."""
         path = tmp_path / "input.json"
-        if doc is not None:
+        if isinstance(doc, str):
+            path.write_text(doc)
+        elif doc is not None:
             path.write_text(json.dumps(doc))
         flag = "--trace" if command == "evaluate" else "--state"
         assert main([command, flag, str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "parse"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--px", "nan"), ("--pz", "inf"), ("--l01", "nan"), ("--l02", "-inf"),
+    ])
+    def test_optimize_stiffness_rejects_nonfinite_bounds(self, tmp_path, capsys, flag, value):
+        code = main(["optimize-stiffness", "--out-dir", str(tmp_path), "--resolution", "3",
+                     f"{flag}={value}"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["category"] == "validation"
 
     def test_infeasible_tension_bounds(self, tmp_path, capsys, hcdr):
         """A model whose bounds leave no feasible tension at the reference

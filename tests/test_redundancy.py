@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from cablearm.errors import RankDeficiencyError
 from cablearm.kinematics import Pose, tension_wrench_matrix
-from cablearm.redundancy import distribute, null_space, pinv_tensions
+from cablearm.redundancy import null_space, pinv_tensions
 
 
 @pytest.fixture(scope="module")
@@ -92,20 +92,20 @@ class TestNullSpace:
 
 
 class TestDistribute:
+    """Tensions T = W^+ tau_m + N_W lam: the minimum-norm solution plus
+    antagonistic tension from the null space."""
+
     def test_zero_lambda_equals_pinv(self, W, gravity_wrench):
-        T = distribute(W, gravity_wrench, np.zeros(6))
-        assert np.allclose(T, pinv_tensions(W, gravity_wrench))
+        """The minimum-norm tensions have zero null-space coordinates."""
+        lam = null_space(W).T @ pinv_tensions(W, gravity_wrench)
+        assert np.allclose(lam, 0.0, atol=1e-10)
 
     @given(seed=st.integers(0, 2**31))
     def test_wrench_invariance(self, seed, W, gravity_wrench):
         lam = np.random.default_rng(seed).normal(0, 10, 6)
-        T = distribute(W, gravity_wrench, lam)
+        T = pinv_tensions(W, gravity_wrench) + null_space(W) @ lam
         res = np.linalg.norm(W @ T - gravity_wrench)
         assert res <= 1e-8 * (1 + np.linalg.norm(gravity_wrench))
-
-    def test_dimension_mismatch(self, W, gravity_wrench):
-        with pytest.raises(ValueError, match="degree of redundancy"):
-            distribute(W, gravity_wrench, np.zeros(4))
 
     def test_optimizer_lambda_is_feasible(self, hcdr, gravity_wrench):
         """The stiffness optimizer's distribution keeps every cable in bounds."""
@@ -113,7 +113,7 @@ class TestDistribute:
 
         res = optimize_tensions(hcdr, np.zeros(9), scan_points=39)
         W = tension_wrench_matrix(hcdr, Pose(np.zeros(3), np.zeros(3)))
-        T = distribute(W, gravity_wrench, res.lambda_opt)
+        T = pinv_tensions(W, gravity_wrench) + null_space(W) @ res.lambda_opt
         assert np.allclose(T, res.T_opt, atol=1e-8)
         assert T.min() >= 5.0 - 1e-8
         assert T.max() <= 80.0 + 1e-8

@@ -75,7 +75,7 @@ class TestPlanarReduce:
 
     def test_end_effector_batch_matches_link_kinematics(self, hcdr, rng):
         """Batched tips equal the single-state tips of link_kinematics."""
-        from cablearm.kinematics import link_kinematics
+        from oracles import link_kinematics
 
         plant = PlanarPlant(hcdr)
         x = rng.normal(0, 0.3, (2, 3, 10))
