@@ -285,15 +285,15 @@ def _read_json_file(path, required=()) -> dict:
     return doc
 
 
-def _numbers(doc: dict, key: str, shape: tuple, path) -> np.ndarray:
+def _numbers(doc: dict, key: str, shape: tuple, path, finite: bool = True) -> np.ndarray:
     """Field ``key`` of a state document as a float array of ``shape``
-    (``()`` for a number)."""
+    (``()`` for a number), all finite unless ``finite`` is false."""
     try:
         value = np.asarray(doc[key], dtype=float)
     except (TypeError, ValueError):
         value = None
-    if value is None or value.shape != shape:
-        what = f"a list of {shape[0]} numbers" if shape else "a number"
+    if value is None or value.shape != shape or (finite and not np.all(np.isfinite(value))):
+        what = f"a list of {shape[0]} finite numbers" if shape else "a finite number"
         raise ModelParseError(f"{path}: '{key}' must be {what}")
     return value
 
@@ -317,9 +317,10 @@ def _cmd_linearize(args) -> int:
     model = _resolve_model(args.model)
     doc = _read_json_file(args.state, ("x", "u", "L01", "L02"))
     plant = sim.PlanarPlant(model)
-    x = _numbers(doc, "x", (plant.n_states,), args.state)
-    u = _numbers(doc, "u", (plant.n_inputs,), args.state)
-    L0 = tuple(float(_numbers(doc, key, (), args.state)) for key in ("L01", "L02"))
+    # a non-finite point reaches the plant, whose non-finite output is a divergence
+    x = _numbers(doc, "x", (plant.n_states,), args.state, finite=False)
+    u = _numbers(doc, "u", (plant.n_inputs,), args.state, finite=False)
+    L0 = tuple(float(_numbers(doc, key, (), args.state, finite=False)) for key in ("L01", "L02"))
     from .control import linearize
 
     ltv = linearize(plant.f, x, u, L0)

@@ -185,8 +185,11 @@ def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, *, cho=None):
     if cho is None:
         cho = _cholesky(H)
 
-    def h_solve(rhs):
-        return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+    def h_solve(rhs):   # the LAPACK call cho_solve ends in, without its checks
+        x, info = scipy.linalg.lapack.dpotrs(cho[0], rhs, lower=cho[1])
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        return x
 
     if A_ineq is None or len(A_ineq) == 0:
         return h_solve(-g)

@@ -9,7 +9,9 @@ recursion of body velocities and bias accelerations (the accelerations at
 ``qddot = 0``), as in the recursive Newton-Euler algorithm.  The Euler-rate
 floating base counts as three revolute axes along the columns of
 ``W = R E_b``.  :func:`dyn_terms` keeps the Christoffel symbols of a
-finite-differenced ``M`` as the test oracle for ``h``.
+finite-differenced ``M`` as the test oracle for ``h``.  The pass runs on
+every plant-derivative evaluation, so it calls ufunc and array methods, not
+the numpy functions that wrap them.
 
 Wrench pairing: a world wrench ``w = [F; M]`` maps to generalized forces
 through ``S(q)^T w`` with ``S = blkdiag(I, R E_b)``, the Jacobian from
@@ -72,25 +74,26 @@ def _dynamics_core(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     # Base to tip, every revolute axis (Euler-rate axes first) adds spin s_k
     # to the angular velocity and omega_k x s_k to the bias acceleration.
     rates = qdot[..., 3:] * bodies.revolute
-    spins = (chain["axes"] * rates[..., None])[..., bodies.order, :]
-    omega = np.cumsum(spins, axis=-2)
-    alpha = np.cumsum(_cross(omega, spins), axis=-2)
+    spins = (chain["axes"] * rates[..., None]).take(bodies.order, axis=-2)
+    omega = np.add.accumulate(spins, axis=-2)
+    alpha = np.add.accumulate(_cross(omega, spins), axis=-2)
     omega, alpha = omega[..., 2:, :], alpha[..., 2:, :]      # per body
 
     # Lever r on body b: alpha x r + omega x (omega x r + 2 v), v the slide
     # velocity of a prismatic axis 2+b; the COM adds to the inboard joint's.
     slide = 2.0 * (qdot[..., 5:] - rates[..., 2:])[..., None] * chain["levers"][..., 2]
-    levers = np.swapaxes(chain["levers"][..., 0:2], -1, -2)  # (..., m+1, 2, 3)
+    levers = chain["levers"][..., 0:2].swapaxes(-1, -2)     # (..., m+1, 2, 3)
     om = omega[..., None, :]
     acc = _cross(alpha[..., None, :], levers) + _cross(om, _cross(om, levers) + slide[..., None, :])
     step = acc[..., 0, :]
-    force = bodies.mass[:, None] * (np.cumsum(step, axis=-2) - step + acc[..., 1, :])
-    rot = np.swapaxes(chain["R_body"], -1, -2) @ np.stack([omega, alpha], axis=-1)
+    force = bodies.mass[:, None] * (np.add.accumulate(step, axis=-2) - step + acc[..., 1, :])
+    rot = chain["R_body"].swapaxes(-1, -2) @ np.concatenate([omega[..., None], alpha[..., None]],
+                                                            axis=-1)
     moments = bodies.inertia @ rot
     torque = moments[..., 1] + _cross(rot[..., 0], moments[..., 0])
 
     rows = q.shape[:-1] + (6 * (model.n_arm + 1), q.shape[-1])
-    JT = np.swapaxes(np.concatenate([Jv, Jw], axis=-2).reshape(rows), -1, -2)
+    JT = np.concatenate([Jv, Jw], axis=-2).reshape(rows).swapaxes(-1, -2)
     K = np.concatenate([bodies.mass[:, None, None] * Jv, bodies.inertia @ Jw], axis=-2)
     M = JT @ K.reshape(rows)
     h = (JT @ np.concatenate([force, torque], axis=-1).reshape(rows[:-1] + (1,)))[..., 0]
@@ -150,14 +153,6 @@ def dyn_terms(model: RobotModel, q, qdot) -> DynTerms:
     return DynTerms(M=Mb[0], C=C, G=Gb[0])
 
 
-def _pair_wrench(W: np.ndarray, wrench: np.ndarray, nq: int) -> np.ndarray:
-    """Generalized forces S^T w of a world wrench, W = R E_b."""
-    out = np.zeros(wrench.shape[:-1] + (nq,))
-    out[..., 0:3] = wrench[..., 0:3]
-    out[..., 3:6] = (np.swapaxes(W, -1, -2) @ wrench[..., 3:6, None])[..., 0]
-    return out
-
-
 def inverse_dynamics(model: RobotModel, q, qdot, qddot, tau_d=None) -> np.ndarray:
     """Generalized forces tau = M qddot + C qdot + G + tau_d.
 
@@ -189,7 +184,9 @@ def accelerations(model: RobotModel, q, qdot, wrench, tau_arm,
     M, G, h, chain = _dynamics_core(model, q, qdot)
     if callable(wrench):
         wrench = wrench(chain["R_gm"])
-    rhs = _pair_wrench(chain["W_euler"], wrench, q.shape[-1])
+    rhs = np.zeros(wrench.shape[:-1] + q.shape[-1:])     # S^T w, W = R E_b
+    rhs[..., 0:3] = wrench[..., 0:3]
+    rhs[..., 3:6] = (chain["W_euler"].swapaxes(-1, -2) @ wrench[..., 3:6, None])[..., 0]
     rhs[..., 6:] += tau_arm
     rhs -= h + G
     if check_conditioning:

@@ -11,11 +11,17 @@ Angular-velocity referencing: the platform body rate ``omega_b`` satisfies
 ``skew(omega_b) = R^T dR/dt``; the world rate is ``R @ omega_b``.  The
 structure matrix pairs cable-length rates with the world-referenced twist
 ``[v; R omega_b]``; both pairings are exercised by finite-difference tests.
+
+:func:`arm_chain`, :func:`velocity_jacobians` and :func:`_cable_frames` run
+on every plant-derivative evaluation, where numpy's per-call cost outweighs
+the arithmetic, so they make few numpy calls (one rotation call for the whole
+chain, two ``take`` calls per cross product) for the same floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +35,7 @@ CABLE_LENGTH_EPS = 1e-9        # m; shorter cables are degenerate
 
 
 _EYE = np.eye(3)
+_XYZ = np.arange(3)
 _SKEW = np.array([np.cross(e, -_EYE) for e in _EYE])   # _SKEW[a] @ v = e_a x v
 _SKEW2 = _SKEW @ _SKEW
 
@@ -40,7 +47,8 @@ def basic_rotation(axis, angle) -> np.ndarray:
     be an index array matched against the trailing axis of ``angle``.
     """
     angle = np.asarray(angle, dtype=float)[..., None, None]
-    return _EYE + np.sin(angle) * _SKEW[axis] + (1.0 - np.cos(angle)) * _SKEW2[axis]
+    return (_EYE + np.sin(angle) * _SKEW.take(axis, 0)
+            + (1.0 - np.cos(angle)) * _SKEW2.take(axis, 0))
 
 
 def euler_frames(euler, convention: str = "XYZ"):
@@ -50,17 +58,20 @@ def euler_frames(euler, convention: str = "XYZ"):
     is ``W @ euler_rates`` with columns ``e_a1``, ``R_a1 e_a2`` and
     ``R_a1 R_a2 e_a3``; the body rate is ``E_b @ euler_rates``, ``E_b = R^T W``.
     """
-    euler = np.asarray(euler, dtype=float)
-    axes = [AXIS_INDEX[c] for c in convention]
+    R, W = _compose(basic_rotation(_XYZ, euler), [AXIS_INDEX[c] for c in convention])
+    return R, W, R.swapaxes(-1, -2) @ W
+
+
+def _compose(Rk, axes):
+    """(R, W) of :func:`euler_frames` from the rotations ``Rk[..., a, :, :]``
+    about each coordinate axis a, composed in the order ``axes``."""
     a1, a2, a3 = axes
-    Rk = basic_rotation(axes, euler[..., axes])
-    R12 = Rk[..., 0, :, :] @ Rk[..., 1, :, :]
-    R = R12 @ Rk[..., 2, :, :]
-    W = np.empty(R.shape)
+    R12 = Rk[..., a1, :, :] @ Rk[..., a2, :, :]
+    W = np.empty(R12.shape)
     W[..., :, a1] = _EYE[a1]
-    W[..., :, a2] = Rk[..., 0, :, a2]
+    W[..., :, a2] = Rk[..., a1, :, a2]
     W[..., :, a3] = R12[..., :, a3]
-    return R, W, np.swapaxes(R, -1, -2) @ W
+    return R12 @ Rk[..., a3, :, :], W
 
 
 def rotation(euler, convention: str = "XYZ") -> np.ndarray:
@@ -122,8 +133,7 @@ class Pose:
         return rotation(self.euler, self.convention)
 
 
-@dataclass(frozen=True)
-class CableGeometry:
+class CableGeometry(NamedTuple):
     """Cable frames at a pose: line vectors (anchor -> platform attachment),
     lengths, unit vectors, levers R r_i and the structure matrix A_m."""
 
@@ -141,11 +151,10 @@ def _cable_frames(model: RobotModel, p, R) -> CableGeometry:
     """
     levers = np.einsum("...ij,nj->...ni", R, model.platform.r_body)
     vec = np.asarray(p, float)[..., None, :] + levers - model.platform.a_world
-    lengths = np.linalg.norm(vec, axis=-1)
+    lengths = np.sqrt(np.add.reduce(vec * vec, axis=-1))   # np.linalg.norm's own sum
     units = vec / lengths[..., None]
-    structure = np.concatenate(
-        [np.swapaxes(units, -1, -2), np.swapaxes(_cross(levers, units), -1, -2)], axis=-2
-    )
+    structure = np.concatenate([units.swapaxes(-1, -2), _cross(levers, units).swapaxes(-1, -2)],
+                               axis=-2)
     return CableGeometry(vectors=vec, lengths=lengths, units=units, levers=levers,
                          structure=structure)
 
@@ -206,18 +215,20 @@ def arm_chain(model: RobotModel, q: np.ndarray) -> dict:
     q = np.asarray(q, dtype=float)
     bodies = model.bodies
     m = model.n_arm
-    R_gm, W_euler, _ = euler_frames(q[..., 3:6], model.euler_convention)
-    R_rel = basic_rotation(bodies.joint_axis, q[..., 6:] * bodies.revolute[3:])
+    # one rotation per axis: the Euler angles, then the joints (prismatic: I)
+    Rk = basic_rotation(bodies.axis, q[..., 3:] * bodies.revolute)
+    R_gm, W_euler = _compose(Rk, bodies.order[:3])
     R_body = np.empty(q.shape[:-1] + (m + 1, 3, 3))
     R_body[..., 0, :, :] = R_gm
     R = R_gm @ model.mount_rotation
     for j in range(m):
-        R = R_body[..., j + 1, :, :] = R @ R_rel[..., j, :, :]
+        R = R_body[..., j + 1, :, :] = R @ Rk[..., 3 + j, :, :]
     # columns: lever to the outboard joint, lever to the COM, joint axis.
     # slide[0] is zero, so the Euler angle in q[..., 5] drops out.
     levers = R_body @ (bodies.frame + q[..., 5:, None, None] * bodies.slide)
     # p_m, arm base, joints 2..m, tip
-    p_joint = np.cumsum(np.concatenate([q[..., None, 0:3], levers[..., 0]], axis=-2), axis=-2)
+    p_joint = np.add.accumulate(np.concatenate([q[..., None, 0:3], levers[..., 0]], axis=-2),
+                                axis=-2)
     return {
         "R_gm": R_gm,
         "W_euler": W_euler,
@@ -225,17 +236,19 @@ def arm_chain(model: RobotModel, q: np.ndarray) -> dict:
         "p_joint": p_joint,
         "p_com": p_joint[..., :-1, :] + levers[..., 1],
         "levers": levers,
-        "axes": np.concatenate([np.swapaxes(W_euler, -1, -2), levers[..., 1:, :, 2]], axis=-2),
+        "axes": np.concatenate([W_euler.swapaxes(-1, -2), levers[..., 1:, :, 2]], axis=-2),
     }
 
 
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
+_TURN = np.array([[1, 2, 0], [2, 0, 1]])        # [next, previous] component
+_TURN_BACK = np.array([[2, 0, 1], [1, 2, 0]])   # a contiguous copy takes faster than a view
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product on trailing axes without np.cross's dispatch overhead."""
-    return a.take(_NEXT, axis=-1) * b.take(_PREV, axis=-1) - a.take(_PREV, axis=-1) * b.take(_NEXT, axis=-1)
+    """Cross product on trailing axes without np.cross's dispatch overhead:
+    ``a_next b_prev - a_prev b_next`` from two stacked takes."""
+    ab = a.take(_TURN, axis=-1) * b.take(_TURN_BACK, axis=-1)
+    return ab[..., 0, :] - ab[..., 1, :]
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -257,10 +270,11 @@ def velocity_jacobians(model: RobotModel, q: np.ndarray, chain: dict | None = No
     axes = chain["axes"][..., None, :, :]                     # (..., 1, 3+m, 3)
     # revolute axis k moves body b by z_k x (p_com_b - p_k), prismatic by z_k
     spin = axes * bodies.turns[..., None]
-    lever = chain["p_com"][..., :, None, :] - chain["p_joint"][..., None, bodies.origin, :]
+    origin = chain["p_joint"].take(bodies.origin, axis=-2)
+    lever = chain["p_com"][..., :, None, :] - origin[..., None, :, :]
     Jv = np.empty(q.shape[:-1] + (model.n_arm + 1, 3, model.nq))
     Jw = np.zeros(Jv.shape)
     Jv[..., 0:3] = _EYE
-    Jv[..., 3:] = np.swapaxes(_cross(spin, lever) + axes * bodies.slides[..., None], -1, -2)
-    Jw[..., 3:] = np.swapaxes(spin, -1, -2)
-    return Jv, np.swapaxes(chain["R_body"], -1, -2) @ Jw, chain
+    Jv[..., 3:] = (_cross(spin, lever) + axes * bodies.slides[..., None]).swapaxes(-1, -2)
+    Jw[..., 3:] = spin.swapaxes(-1, -2)
+    return Jv, chain["R_body"].swapaxes(-1, -2) @ Jw, chain

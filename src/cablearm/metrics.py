@@ -104,8 +104,8 @@ def trace_from_csv(text: str) -> dict:
     """Parse a trace CSV back into column arrays keyed by header name.
 
     Raises AlignmentError for a header other than :data:`TRACE_HEADER` and
-    ModelParseError unless every row holds one number per column and there
-    is at least one row.
+    ModelParseError unless every row holds one finite number per column and
+    there is at least one row.
     """
     lines = [ln for ln in text.strip().splitlines() if ln]
     header = lines[0].split(",") if lines else []
@@ -118,6 +118,10 @@ def trace_from_csv(text: str) -> dict:
     if data is None or data.shape[1:] != (len(header),):
         raise ModelParseError(f"trace rows must hold {len(header)} numbers each, "
                               "and the trace at least one row")
+    finite = np.isfinite(data).all(axis=0)
+    if not finite.all():
+        raise ModelParseError(f"trace column '{header[int(np.argmin(finite))]}' "
+                              "holds a non-finite cell")
     return {name: data[:, j] for j, name in enumerate(header)}
 
 

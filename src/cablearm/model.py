@@ -180,7 +180,7 @@ class BodyArrays:
 
     mass: np.ndarray        # (m+1,)
     inertia: np.ndarray     # (m+1, 3, 3)
-    joint_axis: np.ndarray  # (m,) axis index of each arm joint
+    axis: np.ndarray        # (3+m,) coordinate axis (0=X) each axis turns or slides along
     revolute: np.ndarray    # (3+m,) 1.0 for revolute axes, 0.0 for prismatic
     frame: np.ndarray       # (m+1, 3, 3)
     slide: np.ndarray       # (m+1, 3, 3)
@@ -197,9 +197,9 @@ class BodyArrays:
     def stack(cls, model: "RobotModel") -> "BodyArrays":
         arm = model.arm
         m = len(arm)
-        joint_axis = np.array([link.axis_index for link in arm], dtype=int)
+        axis = np.array([0, 1, 2] + [link.axis_index for link in arm], dtype=int)
         revolute = np.array([1.0, 1.0, 1.0] + [l.joint_kind == "revolute" for l in arm])
-        unit = np.eye(3)[joint_axis].reshape(m, 3)
+        unit = np.eye(3)[axis[3:]].reshape(m, 3)
         frame = np.zeros((m + 1, 3, 3))
         frame[0, :, 0] = model.mount_offset
         frame[1:] = np.stack([np.array([l.joint_offset for l in arm]).reshape(m, 3),
@@ -211,7 +211,7 @@ class BodyArrays:
         return cls(
             mass=np.array([p.mass] + [l.mass for l in arm]),
             inertia=np.array([p.inertia] + [l.inertia for l in arm]),
-            joint_axis=joint_axis,
+            axis=axis,
             revolute=revolute,
             frame=frame,
             slide=slide,

@@ -7,7 +7,9 @@ test against the full 3-D model).  The 10-dim state is
 ``[p_mx, dp_mx, p_mz, dp_mz, beta, dbeta, th2, dth2, th3, dth3]``;
 inputs are ``[T_low_A, T_low_B, tau_2, tau_3]`` with the two
 length-commanded upper groups driven by the exogenous unstretched lengths
-(L01, L02).
+(L01, L02).  :meth:`PlanarPlant.f` is the one derivative, for single states
+(RK4: nearly all of a run's time) and stacks (linearization); its index maps
+are built once, so a call moves the state and the tensions in one copy each.
 
 Closed loop (:func:`simulate`).  An architecture fixes two things
 (:class:`Architecture`): the design model, from which the tension/length
@@ -122,34 +124,37 @@ class PlanarPlant:
         self.low_idx = [model.platform.group_indices(g) for g in self.low_groups]
         self.pos_idx = [model.platform.group_indices(g) for g in self.pos_groups]
         self._q_pos = np.array([0, 2, 4] + [6 + j for j in free])
-        self._x_pos = np.arange(0, self.n_states, 2)
+        # state entry i sits at _embed[i] of [q, qdot]; _second marks the
+        # cables of the second length-commanded group, _lower_input the input
+        # each force-commanded cable takes
+        self._embed = np.ravel([self._q_pos, model.nq + self._q_pos], order="F")
+        self._upper = np.concatenate(self.pos_idx)
+        self._second = np.repeat([False, True], [len(i) for i in self.pos_idx])
+        self._ea_upper = model.platform.axial_stiffness[self._upper]
+        self._lower = np.concatenate(self.low_idx)
+        self._lower_input = np.repeat([0, 1], [len(i) for i in self.low_idx])
+        self._tau_idx = np.array(free, dtype=int)
 
     def embed(self, x):
         """Planar state -> full (q, qdot); broadcasts over leading axes."""
         x = np.asarray(x, dtype=float)
-        batch = x.shape[:-1]
-        q = np.zeros(batch + (self.model.nq,))
-        qd = np.zeros(batch + (self.model.nq,))
-        q[..., self._q_pos] = x[..., self._x_pos]
-        qd[..., self._q_pos] = x[..., self._x_pos + 1]
-        return q, qd
+        nq = self.model.nq
+        full = np.zeros(x.shape[:-1] + (2 * nq,))
+        full[..., self._embed] = x
+        return full[..., :nq], full[..., nq:]
 
     def extract(self, q, qd):
-        x = np.zeros(q.shape[:-1] + (self.n_states,))
-        x[..., self._x_pos] = q[..., self._q_pos]
-        x[..., self._x_pos + 1] = qd[..., self._q_pos]
-        return x
+        """Full (q, qdot) -> planar state; broadcasts over leading axes."""
+        return np.concatenate([q, qd], axis=-1).take(self._embed, axis=-1)
 
     def _tensions(self, L, u, L01, L02):
         """Elastic upper groups at lengths L, commanded lower groups from u;
         the unstretched lengths broadcast over the leading axes of L."""
         T = np.zeros(L.shape)
-        ea = self.model.platform.axial_stiffness
-        for idx, L0 in zip(self.pos_idx, (L01, L02)):
-            L0 = np.asarray(L0, dtype=float)[..., None]
-            T[..., idx] = ea[idx] / L0 * (L[..., idx] - L0)
-        for k, idx in enumerate(self.low_idx):
-            T[..., idx] = u[..., k, None]
+        L0 = np.where(self._second, np.asarray(L02, dtype=float)[..., None],
+                      np.asarray(L01, dtype=float)[..., None])
+        T[..., self._upper] = self._ea_upper / L0 * (L.take(self._upper, axis=-1) - L0)
+        T[..., self._lower] = u.take(self._lower_input, axis=-1)
         return T
 
     def full_tensions(self, x, u, L01, L02):
@@ -171,10 +176,7 @@ class PlanarPlant:
 
         qdd = dynamics.accelerations(self.model, q, qd, wrench, tau_arm,
                                      check_conditioning=False)
-        xdot = np.empty_like(x)
-        xdot[..., self._x_pos] = x[..., self._x_pos + 1]
-        xdot[..., self._x_pos + 1] = qdd[..., self._q_pos]
-        return xdot
+        return self.extract(qd, qdd)
 
     def f(self, x, u, L01, L02):
         """State derivative; broadcasts over leading axes of x, u and the
@@ -182,7 +184,7 @@ class PlanarPlant:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         tau = np.zeros(x.shape[:-1] + (self.model.n_arm,))
-        tau[..., self.free_joints] = u[..., 2:]
+        tau[..., self._tau_idx] = u[..., 2:]
         return self._xdot(x, lambda L: self._tensions(L, u, L01, L02), tau)
 
     def conservative_f(self, L0_full):

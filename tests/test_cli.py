@@ -198,10 +198,18 @@ class TestCliMain:
         pytest.param("evaluate", TRACE_HEAD + TRACE_ROW[:-1] + "x\n", id="nonnumeric-cell"),
         pytest.param("evaluate", TRACE_HEAD, id="header-only"),
         pytest.param("evaluate", TRACE_HEAD + TRACE_ROW + "0,1\n", id="ragged-row"),
+        pytest.param("inverse-dynamics", {"q": [float("nan")] * 9}, id="nan-q"),
+        pytest.param("inverse-dynamics", {"q": [0] * 9, "qddot": [float("inf")] + [0] * 8},
+                     id="inf-qddot"),
+        pytest.param("inverse-dynamics", {"q": [0] * 9, "tau_d": [float("nan")] * 9},
+                     id="nan-tau_d"),
+        pytest.param("evaluate", TRACE_HEAD + TRACE_ROW[:-2] + "nan\n", id="nan-cell"),
+        pytest.param("evaluate", TRACE_HEAD + TRACE_ROW + "-inf" + TRACE_ROW[1:], id="inf-cell"),
     ])
     def test_malformed_input_file_table(self, tmp_path, capsys, command, doc):
         """A missing input file, a state document without its required
-        fields or with a field of the wrong type or length, and a trace
+        fields or with a field of the wrong type or length, a non-finite
+        number where the document or trace needs a finite one, and a trace
         whose rows are not one number per column are parse errors (exit 2)."""
         path = tmp_path / "input.json"
         if isinstance(doc, str):

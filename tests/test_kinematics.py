@@ -5,8 +5,12 @@ from hypothesis import given, strategies as st
 from cablearm.errors import GeometryError, SingularityError
 from cablearm.kinematics import (
     Pose,
+    _cable_frames,
+    _cross,
+    arm_chain,
     cable_geometry,
     check_euler_regular,
+    euler_frames,
     euler_rate_jacobian,
     rotation,
     structure_matrix,
@@ -94,6 +98,41 @@ class TestCableGeometry:
         p = hcdr.platform.anchors[0].a - hcdr.platform.anchors[0].r
         with pytest.raises(GeometryError, match="cable 1"):
             cable_geometry(hcdr, Pose(p, np.zeros(3)))
+
+
+class TestDerivativePrimitives:
+    """The primitives of the plant derivative return the bits of the numpy
+    routines and the functions they stand in for."""
+
+    def test_cross_is_np_cross(self, rng):
+        a = rng.normal(size=(4, 1, 5, 3))
+        b = rng.normal(size=(2, 5, 3))
+        a[0, 0, 0] = [0.0, -0.0, 1.0]     # signed zeros keep their signs
+        b[:, 1] = [-0.0, 0.0, 0.0]
+        for x, y in ((a, b), (b, a), (a[0, 0, 2], b[1, 3])):
+            out, ref = _cross(x, y), np.cross(x, y)
+            assert out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes()
+
+    def test_cable_lengths_are_np_norm(self, hcdr, rng):
+        p = rng.normal(0, 0.1, (3, 4, 3))
+        R = rotation(rng.normal(0, 0.3, (3, 4, 3)))
+        for geo in (_cable_frames(hcdr, p, R), _cable_frames(hcdr, p[1, 2], R[1, 2])):
+            assert geo.lengths.tobytes() == np.linalg.norm(geo.vectors, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("convention", ["XYZ", "ZXY", "YZX"])
+    def test_arm_chain_frames_are_euler_frames(self, hcdr, rng, convention):
+        """arm_chain builds the platform frames from one rotation call over
+        all the axes; they equal euler_frames' for a stack and one state."""
+        from dataclasses import replace
+
+        model = replace(hcdr, euler_convention=convention)
+        q = rng.normal(0, 0.4, (5, model.nq))
+        for qi in (q, q[3]):
+            chain = arm_chain(model, qi)
+            R, W, _ = euler_frames(qi[..., 3:6], convention)
+            assert chain["R_gm"].tobytes() == R.tobytes()
+            assert chain["W_euler"].tobytes() == W.tobytes()
 
 
 class TestStructureMatrix:

@@ -1,5 +1,6 @@
 """Smoke tests of the runnable scripts under ``scripts/``."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -24,3 +25,37 @@ def test_stiffness_grid_script(tmp_path):
     lines = (tmp_path / "stiffness_grid.csv").read_text().splitlines()
     assert len(lines) == 1 + 3 * 3
     assert lines[0] == "T_3,T_4,J_K,min_eig"
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary():
+    """Quartiles, pairs won and ties of synthetic parent/change records; a
+    pair that lacks one side's metric is left out of that metric only."""
+    def run(pair, side, host, rss=None, failed=0):
+        metrics = {"host_s_per_sim_s": host, **({} if rss is None else {"peak_rss_mb": rss})}
+        return {"workload": "w", "pair": pair, "side": side, "seed": 900 + pair,
+                "attempted": 5, "failed": failed, "metrics": metrics}
+
+    runs = [run(0, "parent", 4.0, 60.0), run(0, "change", 3.0, 61.0),
+            run(1, "change", 2.0, 60.0), run(1, "parent", 2.0, 60.0),
+            run(2, "parent", 6.0), run(2, "change", 3.0, 59.0, failed=1)]
+    entry, = _bench_pairs().summarize(runs, {"host_s_per_sim_s": "lower",
+                                             "peak_rss_mb": "lower", "setup_s": "lower"})
+    assert entry["pairs"] == 3 and entry["seeds"] == [900, 901, 902]
+    assert entry["failed_runs"] == {"parent": 0, "change": 1}
+    assert entry["attempted_runs"] == {"parent": 15, "change": 15}
+    host = entry["metrics"]["host_s_per_sim_s"]
+    assert host["parent_runs"] == [4.0, 2.0, 6.0] and host["change_runs"] == [3.0, 2.0, 3.0]
+    assert host["parent_q25_median_q75"] == [3.0, 4.0, 5.0]
+    assert host["parent_iqr"] == 2.0
+    assert (host["change_better_in_pairs"], host["ties"], host["complete_pairs"]) == (2, 1, 3)
+    assert host["median_change_rel"] == -0.25
+    rss = entry["metrics"]["peak_rss_mb"]
+    assert rss["complete_pairs"] == 2 and rss["change_better_in_pairs"] == 0
+    assert "setup_s" not in entry["metrics"]

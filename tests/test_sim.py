@@ -104,6 +104,18 @@ class TestPlanarReduce:
             assert np.array_equal(T[i], plant.full_tensions(x[i], u[i], L01[i], L02[i]))
             assert (ke[i], ve[i]) == plant.energies(x[i], L01[i], L02[i])
 
+    def test_batched_derivative_matches_single_rows(self, hcdr, rng):
+        """A (2, 3) stack of states with per-row lengths gives, row by row,
+        the bits of the single-state derivative."""
+        plant = PlanarPlant(hcdr)
+        x = rng.normal(0, 0.1, (2, 3, 10)) + [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]
+        u = np.concatenate([rng.uniform(10, 60, (2, 3, 2)), rng.normal(0, 1, (2, 3, 2))], axis=-1)
+        L01, L02 = rng.uniform(0.8, 0.9, (2, 3)), rng.uniform(0.8, 0.9, (2, 3))
+        F = plant.f(x, u, L01, L02)
+        assert F.shape == (2, 3, 10)
+        for i, j in np.ndindex(2, 3):
+            assert F[i, j].tobytes() == plant.f(x[i, j], u[i, j], L01[i, j], L02[i, j]).tobytes()
+
     def test_energies_share_kinetic_and_gravity_terms(self, hcdr, rng):
         """The planar energies equal the full-model ones once the force-
         commanded cables are given their current length as L0 (no stretch)."""
