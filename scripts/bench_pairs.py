@@ -22,7 +22,7 @@ The output records the environment the harness prints, both revisions,
 the seeds, every run's end-to-end metrics and, per workload and metric,
 the quartiles of each side, the pairs the change won and the median
 relative change.  It is rewritten after every pair, so an interrupted
-session keeps the pairs it finished.
+run keeps the pairs it finished.
 """
 
 from __future__ import annotations
