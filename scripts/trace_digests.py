@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Print one sha256 per artifact of a fixed set of runs, to check that a
+change keeps ``trace.csv``, ``summary.json`` and the stiffness grid CSV
+byte for byte.
+
+Every run goes through ``cablearm.cli.run_scenario`` and the grid through
+the ``optimize-stiffness`` command, with the cablearm package that
+``PYTHONPATH`` selects, so the output of two checkouts compares directly::
+
+    mkdir /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
+    PYTHONPATH=/tmp/parent/src python3 scripts/trace_digests.py > parent.txt
+    PYTHONPATH=src python3 scripts/trace_digests.py > change.txt
+    diff parent.txt change.txt
+
+The runs (``RUNS``): each architecture at 0.3 s with seed 3 and noise
+``[1, 1, 0.02, 0.02]``; integrated2 at 2 s with one integrator substep,
+``du_bound [5, 5, 0.2, 0.2]``, that noise and seed 1; independent at 2 s
+with that noise and seed 3.  Then the default ``optimize-stiffness`` grid.
+The artifacts are written to a temporary directory and removed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from cablearm import cli
+
+NOISE = [1.0, 1.0, 0.02, 0.02]
+
+# name -> (bundled scenario, overrides)
+RUNS = {
+    **{f"{arch}_0.3s": (f"case_study_{arch}", {"t_end_s": 0.3, "seed": 3, "noise_std": NOISE})
+       for arch in ("independent", "integrated1", "integrated2")},
+    "integrated2_coarse_tight_2s": ("case_study_integrated2", {
+        "t_end_s": 2.0, "seed": 1, "noise_std": NOISE, "integrator_substeps": 1,
+        "controller": {"du_bound": [5.0, 5.0, 0.2, 0.2]},
+    }),
+    "independent_noisy_2s": ("case_study_independent",
+                             {"t_end_s": 2.0, "seed": 3, "noise_std": NOISE}),
+}
+
+
+def _line(path: Path, name: str) -> str:
+    return f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}"
+
+
+def run_digests(runs: dict, out: Path) -> list[str]:
+    """Digest lines of the trace and summary of each run, written under ``out``."""
+    lines = []
+    for name, (bundled, overrides) in runs.items():
+        result = cli.run_scenario({**cli.load_scenario(bundled), **overrides}, out / name)
+        lines += [_line(Path(result[key]), name) for key in ("trace", "summary")]
+    return lines
+
+
+def grid_digest(out: Path) -> str:
+    """Digest line of the default ``optimize-stiffness`` grid, written under ``out``."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["optimize-stiffness", "--out-dir", str(out / "grid")])
+    if code:
+        raise SystemExit(f"optimize-stiffness exited with {code}")
+    return _line(out / "grid" / "stiffness_grid.csv", "grid")
+
+
+def main():
+    print(f"cablearm from {Path(cli.__file__).parent}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        print("\n".join(run_digests(RUNS, out) + [grid_digest(out)]))
+
+
+if __name__ == "__main__":
+    main()

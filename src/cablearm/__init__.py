@@ -29,6 +29,7 @@ from .errors import (  # noqa: E402
     IterationLimitError,
     ModelParseError,
     NonPhysicalError,
+    OutputError,
     RankDeficiencyError,
     ReductionError,
     ScenarioError,
@@ -60,6 +61,7 @@ __all__ = [
     "IterationLimitError",
     "ModelParseError",
     "NonPhysicalError",
+    "OutputError",
     "PlatformParams",
     "QuadrotorParams",
     "RankDeficiencyError",

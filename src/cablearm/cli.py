@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from importlib import resources
 from pathlib import Path
@@ -29,9 +30,10 @@ from .errors import (
     CableRobotError,
     ComparisonError,
     ModelParseError,
+    OutputError,
     ScenarioError,
 )
-from .model import RobotModel, builtin_model, load_model_file
+from .model import RobotModel, builtin_model, load_model
 from .stiffness import stiffness_landscape
 
 _ARCHES = tuple(a.value for a in sim.Architecture)
@@ -43,7 +45,7 @@ def _resolve_model(ref: str) -> RobotModel:
     path = Path(ref)
     if not path.exists():
         raise ModelParseError(f"model reference '{ref}' is neither a builtin nor a file")
-    return load_model_file(path)
+    return load_model(_read_text(path))
 
 
 def bundled_scenario_text(name: str) -> str:
@@ -60,7 +62,7 @@ def load_scenario(path_or_name) -> dict:
         return dict(path_or_name)
     p = Path(str(path_or_name))
     if p.exists():
-        text = p.read_text(encoding="utf-8")
+        text = _read_text(p)
     else:
         text = bundled_scenario_text(str(path_or_name))
     try:
@@ -74,8 +76,12 @@ def load_scenario(path_or_name) -> dict:
     return doc
 
 
-_CONTROLLER_FIELDS = {"Ts_s", "Np", "Nc", "Q_scale", "R_scale", "P_scale", "du_bound", "pid"}
-_PID_FIELDS = {"Kp", "Ki", "Kd"}
+# numeric field -> whether it holds a whole number (None: the nested pid object)
+_SCENARIO_NUMBERS = {"t_end_s": False, "seed": True, "noise_std": False,
+                     "integrator_substeps": True, "tension_scan_points": True}
+_CONTROLLER_FIELDS = {"Ts_s": False, "Np": True, "Nc": True, "Q_scale": False,
+                      "R_scale": False, "P_scale": False, "du_bound": False, "pid": None}
+_PID_FIELDS = {"Kp": False, "Ki": False, "Kd": False}
 
 
 def _check_fields(doc, allowed, where: str) -> None:
@@ -86,6 +92,22 @@ def _check_fields(doc, allowed, where: str) -> None:
         raise ModelParseError(f"unknown {where} fields: {sorted(unknown)}")
 
 
+def _check_numbers(doc: dict, fields: dict, where: str) -> None:
+    """ScenarioError unless each numeric field present holds a JSON number,
+    or a list of them where that is allowed, and a whole one where
+    ``fields`` says so: strings and bools are not read as numbers, and
+    fractions are not truncated."""
+    for key, whole in fields.items():
+        if key not in doc or whole is None:
+            continue
+        value = doc[key]
+        for v in (value if isinstance(value, (list, tuple)) and not whole else [value]):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or (
+                    whole and not (isinstance(v, numbers.Integral) or float(v).is_integer())):
+                raise ScenarioError(f"{where}{key} must be a "
+                                    + ("whole number" if whole else "number"))
+
+
 def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
     """Fill scenario defaults and validate the fields."""
     controller = doc.get("controller", {})
@@ -93,25 +115,27 @@ def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
     _check_fields(controller.get("pid", {}), _PID_FIELDS, "controller.pid")
     if isinstance(doc.get("trajectory"), dict):
         _check_fields(doc["trajectory"], {"waypoints"}, "trajectory")
-    try:
-        cfg = {
-            "model": doc.get("model", "hcdr9dof"),
-            "architecture": doc.get("architecture", "integrated2"),
-            "trajectory": doc.get("trajectory", "case_study"),
-            "t_end_s": float(doc.get("t_end_s", 6.0)),
-            "seed": int(doc.get("seed", 0)),
-            "noise_std": doc.get("noise_std", 0.0),
-            "controller": dict(controller),
-            "integrator_substeps": int(doc.get("integrator_substeps", 10)),
-            "tension_scan_points": int(doc.get("tension_scan_points", 76)),
-        }
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid scenario value: {exc}") from None
+    _check_numbers(doc, _SCENARIO_NUMBERS, "")
+    _check_numbers(controller, _CONTROLLER_FIELDS, "controller.")
+    _check_numbers(controller.get("pid", {}), _PID_FIELDS, "controller.pid.")
+    cfg = {
+        "model": doc.get("model", "hcdr9dof"),
+        "architecture": doc.get("architecture", "integrated2"),
+        "trajectory": doc.get("trajectory", "case_study"),
+        "t_end_s": float(doc.get("t_end_s", 6.0)),
+        "seed": int(doc.get("seed", 0)),
+        "noise_std": doc.get("noise_std", 0.0),
+        "controller": dict(controller),
+        "integrator_substeps": int(doc.get("integrator_substeps", 10)),
+        "tension_scan_points": int(doc.get("tension_scan_points", 76)),
+    }
     _check_fields(doc, cfg, "scenario")
     if cfg["architecture"] not in _ARCHES:
         raise ScenarioError(f"architecture must be one of {_ARCHES}")
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
+    if cfg["seed"] < 0:
+        raise ScenarioError("seed must be non-negative")
     if not 0 < cfg["t_end_s"] < np.inf:
         raise ScenarioError("t_end_s must be positive and finite")
     if cfg["integrator_substeps"] < 1:
@@ -165,20 +189,15 @@ def run_scenario(path_or_doc, out_dir, seed: int | None = None, fmt: str = "csv"
         config_hash=digest,
     )
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     summary = metrics.summary_dict(trace)
     trace_path = out / "trace.csv"
     summary_path = out / "summary.json"
-    trace_path.write_text(metrics.trace_to_csv(trace), encoding="utf-8")
-    summary_path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_text(trace_path, metrics.trace_to_csv(trace))
+    _write_json(summary_path, summary)
     if fmt == "json":
         cols = metrics.trace_columns(trace)
-        rows = {name: cols[:, j].tolist() for j, name in enumerate(metrics.TRACE_HEADER)}
-        (out / "trace.json").write_text(
-            json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(out / "trace.json",
+                    {name: cols[:, j].tolist() for j, name in enumerate(metrics.TRACE_HEADER)})
     return {"trace": str(trace_path), "summary": str(summary_path), "report": summary,
             "config": cfg}
 
@@ -186,23 +205,20 @@ def run_scenario(path_or_doc, out_dir, seed: int | None = None, fmt: str = "csv"
 def compare_architectures(paths, out_dir, seed: int | None = None) -> dict:
     """Run scenarios that differ only in architecture and tabulate RMSEs.
 
-    Raises ComparisonError when the scenario set does not cover the three
-    architectures exactly or differs in any other field.
+    Raises ComparisonError, before any run, unless the scenarios hold each
+    of the three architectures once and agree in every other field.
     """
     cfgs = [resolve_scenario(load_scenario(p), seed) for p in paths]
-    seen = {}
-    for cfg in cfgs:
-        stripped = {k: v for k, v in cfg.items() if k != "architecture"}
-        seen[cfg["architecture"]] = stripped
-    missing = [a for a in _ARCHES if a not in seen]
+    arches = [cfg["architecture"] for cfg in cfgs]
+    missing = [a for a in _ARCHES if a not in arches]
     if missing:
         raise ComparisonError(f"missing architectures in comparison: {missing}")
-    base = None
-    for arch, stripped in seen.items():
-        if base is None:
-            base = stripped
-        elif stripped != base:
-            raise ComparisonError("scenarios must differ only in architecture")
+    if len(arches) != len(_ARCHES):
+        repeated = sorted({a for a in arches if arches.count(a) > 1})
+        raise ComparisonError(f"each architecture must appear once; repeated: {repeated}")
+    stripped = [{k: v for k, v in cfg.items() if k != "architecture"} for cfg in cfgs]
+    if any(s != stripped[0] for s in stripped[1:]):
+        raise ComparisonError("scenarios must differ only in architecture")
     out = Path(out_dir)
     rows = []
     for cfg in cfgs:
@@ -214,10 +230,7 @@ def compare_architectures(paths, out_dir, seed: int | None = None) -> dict:
         "order": [r["architecture"] for r in rows],
         "results": rows,
     }
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "comparison.json").write_text(
-        json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "comparison.json", table)
     header = "architecture,rmse_x_m,rmse_z_m,rmse_2d_m,min_tension_N,max_tension_N"
     lines = [header] + [
         ",".join(
@@ -226,7 +239,7 @@ def compare_architectures(paths, out_dir, seed: int | None = None) -> dict:
         )
         for r in rows
     ]
-    (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out / "comparison.csv", "\n".join(lines) + "\n")
     return table
 
 
@@ -244,16 +257,14 @@ def _cmd_optimize_stiffness(args) -> int:
     land = stiffness_landscape(
         model, q, dict(zip(pos_groups, (args.l01, args.l02))), resolution=args.resolution
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ga, gb = land["groups"]
     lines = [f"T_{ga},T_{gb},J_K,min_eig"]
     for i, ta in enumerate(land["axis_a"]):
         for j, tb in enumerate(land["axis_b"]):
             vals = (ta, tb, land["J_K"][i, j], land["min_eig"][i, j])
             lines.append(",".join(repr(float(v)) for v in vals))
-    path = out / "stiffness_grid.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = Path(args.out_dir) / "stiffness_grid.csv"
+    _write_text(path, "\n".join(lines) + "\n")
     best = np.unravel_index(np.argmax(land["J_K"]), land["J_K"].shape)
     print(json.dumps({
         "grid": str(path),
@@ -269,6 +280,20 @@ def _read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ModelParseError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, making its directory; OutputError (exit 4)
+    when either fails."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _write_json(path: Path, doc) -> None:
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json_file(path, required=()) -> dict:
@@ -326,11 +351,7 @@ def _cmd_linearize(args) -> int:
     ltv = linearize(plant.f, x, u, L0)
     out = {"A": ltv.A.tolist(), "B": ltv.B.tolist(), "f_r": ltv.f_r.tolist()}
     if args.out_dir:
-        outdir = Path(args.out_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "ltv.json").write_text(
-            json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(Path(args.out_dir) / "ltv.json", out)
     print(json.dumps({"A_shape": list(np.shape(out["A"])),
                       "B_shape": list(np.shape(out["B"]))}, sort_keys=True))
     return 0

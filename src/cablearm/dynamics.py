@@ -31,10 +31,10 @@ import numpy as np
 
 from .errors import ConditioningError, ValidationError
 from .kinematics import (
-    Pose,
     _cable_frames,
     _cross,
     check_euler_regular,
+    rotation,
     tension_wrench_matrix,
     velocity_jacobians,
 )
@@ -206,7 +206,7 @@ def forward_dynamics(model: RobotModel, q, qdot, T, tau_a) -> np.ndarray:
     on the tension sign convention).
     """
     q = np.asarray(q, dtype=float)
-    W = tension_wrench_matrix(model, Pose.from_q(q, model.euler_convention))
+    W = tension_wrench_matrix(model, q)
     return accelerations(model, q, np.asarray(qdot, dtype=float),
                          W @ np.asarray(T, dtype=float), np.asarray(tau_a, dtype=float))
 
@@ -217,8 +217,9 @@ def forward_dynamics(model: RobotModel, q, qdot, T, tau_a) -> np.ndarray:
 _ROTOR_MOMENT_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def quadrotor_structure_matrix(params: QuadrotorParams, pose: Pose) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced (6x4) and full (6x8) thrust maps of the quadrotor.
+def quadrotor_structure_matrix(params: QuadrotorParams, model: RobotModel,
+                               q) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced (6x4) and full (6x8) thrust maps of the quadrotor at q.
 
     The full map pairs [F_1..F_4, M_1..M_4] with the platform wrench, all
     thrust axes along the body +Z direction and rotor drag moments
@@ -226,7 +227,9 @@ def quadrotor_structure_matrix(params: QuadrotorParams, pose: Pose) -> tuple[np.
     thrust columns.  Both are wrench maps in the pull/thrust direction,
     matching :func:`cablearm.kinematics.tension_wrench_matrix`.
     """
-    R = pose.rotation()
+    q = np.asarray(q, dtype=float)
+    check_euler_regular(q[3:6], model.euler_convention)
+    R = rotation(q[3:6], model.euler_convention)
     u = R[:, 2]
     rho = (R @ params.rotor_positions.T).T         # (4,3) world rotor arms
     A_full = np.zeros((6, 8))
@@ -249,6 +252,6 @@ def hybrid_forward_dynamics_quadrotor(
     F = np.asarray(F, dtype=float)
     if F.shape != (4,):
         raise ValueError("F must be the 4 rotor thrusts")
-    A_tilde, _ = quadrotor_structure_matrix(params, Pose.from_q(q, model.euler_convention))
+    A_tilde, _ = quadrotor_structure_matrix(params, model, q)
     return accelerations(model, q, np.asarray(qdot, dtype=float), A_tilde @ F,
                          np.asarray(tau_a, dtype=float))

@@ -108,6 +108,12 @@ class NonPhysicalError(CableRobotError):
     category = "nonphysical"
 
 
+class OutputError(CableRobotError):
+    """An output directory or file could not be written."""
+
+    category = "output"
+
+
 class ScenarioError(CableRobotError):
     """Scenario document is structurally valid but unusable."""
 

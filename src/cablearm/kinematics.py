@@ -5,7 +5,8 @@ All heavy functions broadcast over leading batch axes: ``q`` of shape
 The generalized coordinates are ordered ``[p_mx, p_my, p_mz, alpha, beta,
 gamma, theta_1 .. theta_m]`` with the Euler angles always stored as
 (angle about X, angle about Y, angle about Z) regardless of the
-convention's application order.
+convention's application order.  A pose enters as ``(model, q)``: the
+platform coordinates ``q[..., 0:6]`` read in the model's Euler convention.
 
 Angular-velocity referencing: the platform body rate ``omega_b`` satisfies
 ``skew(omega_b) = R^T dR/dt``; the world rate is ``R @ omega_b``.  The
@@ -20,7 +21,6 @@ chain, two ``take`` calls per cross product) for the same floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +51,7 @@ def basic_rotation(axis, angle) -> np.ndarray:
             + (1.0 - np.cos(angle)) * _SKEW2.take(axis, 0))
 
 
-def euler_frames(euler, convention: str = "XYZ"):
+def euler_frames(euler, convention: str):
     """Rotation R and the world and body Euler-rate Jacobians (W, E_b).
 
     ``R = R_a1 R_a2 R_a3`` in convention order.  The world angular velocity
@@ -74,7 +74,7 @@ def _compose(Rk, axes):
     return R12 @ Rk[..., a3, :, :], W
 
 
-def rotation(euler, convention: str = "XYZ") -> np.ndarray:
+def rotation(euler, convention: str) -> np.ndarray:
     """Platform rotation matrix: product of axis rotations in convention order.
 
     ``euler`` holds (angle about X, angle about Y, angle about Z); the
@@ -88,54 +88,24 @@ def _middle_angle(euler, convention: str):
     return np.asarray(euler, dtype=float)[..., AXIS_INDEX[convention[1]]]
 
 
-def check_euler_regular(euler, convention: str = "XYZ", eps: float = EULER_SINGULARITY_EPS):
-    """Raise SingularityError when the middle angle is within eps of +-pi/2
-    (naming the first such row of a stack)."""
-    locked = np.abs(np.abs(_middle_angle(euler, convention)) - np.pi / 2) < eps
+def check_euler_regular(euler, convention: str):
+    """Raise SingularityError when the middle angle is within
+    EULER_SINGULARITY_EPS of +-pi/2 (naming the first such row of a stack)."""
+    locked = np.abs(np.abs(_middle_angle(euler, convention)) - np.pi / 2) < EULER_SINGULARITY_EPS
     if np.any(locked):
         raise SingularityError(
-            f"middle Euler angle within {eps:g} rad of +-pi/2 for convention {convention}"
-            + at_row(locked)
+            f"middle Euler angle within {EULER_SINGULARITY_EPS:g} rad of +-pi/2 "
+            f"for convention {convention}" + at_row(locked)
         )
-
-
-def euler_rate_jacobian(euler, convention: str = "XYZ") -> np.ndarray:
-    """Matrix E with omega_body = E @ euler_rates (rates axis-ordered).
-
-    Columns are the body-frame directions of the three elementary rotation
-    axes; column for the first-applied axis is (R2 R3)^T e1, for the second
-    R3^T e2, for the last e3.
-    """
-    return euler_frames(euler, convention)[2]
-
-
-@dataclass(frozen=True)
-class Pose:
-    """Platform position and orientation (Euler angles, axis-ordered)."""
-
-    p: np.ndarray
-    euler: np.ndarray
-    convention: str = "XYZ"
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).reshape(3)
-        e = np.asarray(self.euler, dtype=float).reshape(3)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "euler", e)
-        check_euler_regular(e, self.convention)
-
-    @classmethod
-    def from_q(cls, q, convention: str = "XYZ") -> "Pose":
-        q = np.asarray(q, dtype=float)
-        return cls(q[0:3], q[3:6], convention)
-
-    def rotation(self) -> np.ndarray:
-        return rotation(self.euler, self.convention)
 
 
 class CableGeometry(NamedTuple):
     """Cable frames at a pose: line vectors (anchor -> platform attachment),
-    lengths, unit vectors, levers R r_i and the structure matrix A_m."""
+    lengths, unit vectors, levers R r_i and the structure matrix A_m.
+
+    A_m satisfies the rate identity Ldot = A_m^T [v; R omega_b]; because its
+    columns use the anchor->platform direction, positive tensions apply the
+    wrench ``-A_m T`` (:func:`tension_wrench_matrix`)."""
 
     vectors: np.ndarray   # (N, 3)
     lengths: np.ndarray   # (N,)
@@ -159,21 +129,18 @@ def _cable_frames(model: RobotModel, p, R) -> CableGeometry:
                          structure=structure)
 
 
-def cable_geometry(model: RobotModel, pose: Pose) -> CableGeometry:
-    """Cable frames at a pose.
+def cable_geometry(model: RobotModel, q) -> CableGeometry:
+    """Cable frames at the platform poses ``q[..., 0:6]``; batched.
 
     Vectors run from the static anchor to the platform attachment point, so
     a positive tension pulls the platform along ``-units``.  Raises
-    GeometryError (naming the 1-based cable) when a length collapses.
+    SingularityError at gimbal lock and GeometryError (naming the 1-based
+    cable) when a length collapses, each naming the first such row of a stack.
     """
-    return _checked_frames(model, pose.p, pose.rotation())
-
-
-def _checked_frames(model: RobotModel, p, R) -> CableGeometry:
-    """:func:`_cable_frames` that raises GeometryError when a length
-    collapses, naming the 1-based cable and the first such row of a stack."""
+    q = np.asarray(q, dtype=float)
+    check_euler_regular(q[..., 3:6], model.euler_convention)
     with np.errstate(divide="ignore", invalid="ignore"):   # a collapsed cable raises below
-        geo = _cable_frames(model, p, R)
+        geo = _cable_frames(model, q[..., 0:3], rotation(q[..., 3:6], model.euler_convention))
     short = geo.lengths <= CABLE_LENGTH_EPS
     if np.any(short):
         rows = np.any(short, axis=-1)
@@ -184,24 +151,14 @@ def _checked_frames(model: RobotModel, p, R) -> CableGeometry:
     return geo
 
 
-def structure_matrix(model: RobotModel, pose: Pose) -> np.ndarray:
-    """6xN matrix A_m with columns [Lhat_i ; (R r_i) x Lhat_i].
-
-    Satisfies the rate identity Ldot = A_m^T [v; R omega_b].  Because the
-    columns use the anchor->platform line direction, the wrench that
-    positive tensions apply to the platform is ``-A_m T``; use
-    :func:`tension_wrench_matrix` for the actuation map.
-    """
-    return cable_geometry(model, pose).structure
-
-
-def tension_wrench_matrix(model: RobotModel, pose: Pose) -> np.ndarray:
+def tension_wrench_matrix(model: RobotModel, q) -> np.ndarray:
     """6xN map from cable tensions to the platform wrench [F; M] (world).
 
     Columns are [u_i ; (R r_i) x u_i] with u_i the unit pull direction
-    (attachment -> anchor), i.e. the negative of :func:`structure_matrix`.
+    (attachment -> anchor), i.e. the negative of the structure matrix
+    ``cable_geometry(model, q).structure``.
     """
-    return -structure_matrix(model, pose)
+    return -cable_geometry(model, q).structure
 
 
 def arm_chain(model: RobotModel, q: np.ndarray) -> dict:
@@ -256,7 +213,7 @@ def _skew(v: np.ndarray) -> np.ndarray:
     return np.tensordot(v, _SKEW, axes=1)
 
 
-def velocity_jacobians(model: RobotModel, q: np.ndarray, chain: dict | None = None):
+def velocity_jacobians(model: RobotModel, q: np.ndarray):
     """Geometric Jacobians of every body, batched.
 
     Returns ``(Jv, Jw_body, chain)`` where ``Jv[..., b, :, :]`` maps qdot to
@@ -264,8 +221,7 @@ def velocity_jacobians(model: RobotModel, q: np.ndarray, chain: dict | None = No
     ``Jw_body`` to its body-frame angular velocity.
     """
     q = np.asarray(q, dtype=float)
-    if chain is None:
-        chain = arm_chain(model, q)
+    chain = arm_chain(model, q)
     bodies = model.bodies
     axes = chain["axes"][..., None, :, :]                     # (..., 1, 3+m, 3)
     # revolute axis k moves body b by z_k x (p_com_b - p_k), prismatic by z_k

@@ -433,66 +433,15 @@ def serialize_model(model: RobotModel) -> str:
 # ---------------------------------------------------------------------------
 # Builtin instances
 
-_CABLE_TABLE = [
-    # a_x, a_y, a_z, r_x, r_y, r_z  (cables 1..12)
-    (1.500, 0.000, 0.500, 0.153, -0.065, 0.048),
-    (1.580, -0.065, 0.404, 0.233, 0.000, -0.048),
-    (1.500, 0.000, -0.500, 0.223, -0.088, -0.017),
-    (-1.500, 0.000, -0.500, -0.223, -0.088, -0.017),
-    (-1.580, -0.065, 0.404, -0.233, 0.000, -0.048),
-    (-1.500, 0.000, 0.500, -0.153, -0.065, 0.048),
-    (1.500, 0.000, 0.500, 0.153, 0.065, 0.048),
-    (1.580, 0.065, 0.404, 0.233, 0.000, -0.048),
-    (1.500, 0.000, -0.500, 0.223, 0.088, -0.017),
-    (-1.500, 0.000, -0.500, -0.223, 0.088, -0.017),
-    (-1.580, 0.065, 0.404, -0.233, 0.000, -0.048),
-    (-1.500, 0.000, 0.500, -0.153, 0.065, 0.048),
-]
-
-
 def builtin_hcdr9dof() -> RobotModel:
-    """The bundled 9-DOF instance: 12-cable platform carrying a 3-link arm.
+    """The bundled 9-DOF instance (``data/hcdr9dof.json``): a 12-cable
+    platform carrying a 3-link arm.
 
     Upper cable groups 1 (cables 5,6,11,12) and 2 (cables 1,2,7,8) are
     length-commanded; lower groups 3 (cables 4,10) and 4 (cables 3,9) are
     tension-commanded.
     """
-    anchors = tuple(Anchor(row[0:3], row[3:6]) for row in _CABLE_TABLE)
-    platform = PlatformParams(
-        mass=10.0,
-        inertia=np.diag([0.0218, 0.1187, 0.1251]),
-        anchors=anchors,
-        axial_stiffness=np.full(12, 100.0),
-        tension_min=np.full(12, 5.0),
-        tension_max=np.full(12, 80.0),
-        actuator_groups={
-            1: (5, 6, 11, 12),
-            2: (1, 2, 7, 8),
-            3: (4, 10),
-            4: (3, 9),
-        },
-        tension_controlled_groups=(3, 4),
-    )
-    link = dict(
-        mass=0.4,
-        inertia=np.diag([0.1, 0.1, 0.1]),
-        joint_kind="revolute",
-        joint_offset=np.array([0.0, 0.0, 0.1]),
-        com_offset=np.array([0.0, 0.0, 0.05]),
-    )
-    arm = (
-        ArmLink(joint_axis="Z", **link),
-        ArmLink(joint_axis="Y", **link),
-        ArmLink(joint_axis="Y", **link),
-    )
-    return RobotModel(
-        platform=platform,
-        arm=arm,
-        mount_offset=np.array([0.0, 0.0, 0.048]),
-        mount_rotation=np.eye(3),
-        gravity=9.81,
-        euler_convention="XYZ",
-    )
+    return builtin_model("hcdr9dof")
 
 
 def builtin_quadrotor_arm(
@@ -550,16 +499,10 @@ def builtin_quadrotor_arm(
 
 
 def builtin_model(name: str) -> RobotModel:
-    """Resolve a builtin model by name (currently only ``hcdr9dof``)."""
-    if name == "hcdr9dof":
-        return builtin_hcdr9dof()
-    raise ModelParseError(f"unknown builtin model '{name}'")
-
-
-def bundled_model_text(name: str = "hcdr9dof") -> str:
-    """Raw JSON text of a bundled model description file."""
+    """The model bundled as ``data/<name>.json`` (currently only ``hcdr9dof``)."""
     ref = resources.files("cablearm").joinpath(f"data/{name}.json")
     try:
-        return ref.read_text(encoding="utf-8")
+        text = ref.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise ModelParseError(f"no bundled model file '{name}'") from None
+        raise ModelParseError(f"unknown builtin model '{name}'") from None
+    return load_model(text)

@@ -19,7 +19,8 @@ sweeps a full 2-D grid of commanded tensions, producing the plot-ready
 stiffness surface (no force-balance constraint).  Both read the tension
 bounds from the model, weight all eigenvalues equally, and build K_k over
 the cables of the length-commanded groups.  Each call builds the pose's
-cable frames (:class:`cablearm.kinematics.CableGeometry`) once.
+cable frames (:class:`cablearm.kinematics.CableGeometry`) once; the K_T,
+K_k and unstretched-length functions take such frames.
 
 ``optimize_tensions`` broadcasts over stacks of reference rows, as the
 package's heavy functions do: the inverse dynamics, cable frames, balance
@@ -38,8 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleError, NonPhysicalError, ValidationError, at_row, first_row
-from .kinematics import (CableGeometry, Pose, _checked_frames, _skew, cable_geometry,
-                         check_euler_regular, euler_frames, rotation)
+from .kinematics import CableGeometry, _skew, cable_geometry, euler_frames
 from .model import RobotModel
 from .redundancy import null_space, pinv_tensions
 from . import dynamics
@@ -67,18 +67,14 @@ class StiffnessResult:
     tau_ref: np.ndarray   # inverse dynamics at the reference
 
 
-def stiffness_KT(model: RobotModel, pose: Pose, T) -> np.ndarray:
-    """Tension-geometry stiffness: linear in T.
+def stiffness_KT(model: RobotModel, geo: CableGeometry, T) -> np.ndarray:
+    """Tension-geometry stiffness at tensions T (..., N) over cable frames of
+    the same leading shape; linear in T.
 
     Per-cable contribution (T_i/L_i) [[P, P S_r^T], [S_r P, S_r P S_r^T]]
     + T_i [[0,0],[0, S_L S_r]] with P = I - Lhat Lhat^T, S_r = skew(R r_i),
     S_L = skew(Lhat_i); equal to d(A_m T)/dP at frozen tensions.
     """
-    return _stiffness_KT(model, cable_geometry(model, pose), T)
-
-
-def _stiffness_KT(model: RobotModel, geo: CableGeometry, T) -> np.ndarray:
-    """K_T at tensions T (..., N) over cable frames of the same leading shape."""
     T = np.asarray(T, dtype=float)
     if T.shape[-1:] != (model.n_cables,):
         raise ValidationError(f"T must have length {model.n_cables}")
@@ -99,33 +95,26 @@ def _stiffness_KT(model: RobotModel, geo: CableGeometry, T) -> np.ndarray:
 
 
 def cable_stiffness_coefficients(model: RobotModel, lengths, L0=None, T=None) -> np.ndarray:
-    """Per-cable spring rates k_ci = EA_i / L0_i.
-
-    When only tensions are known, L0 is recovered from the elastic law
-    (k_ci = (EA_i + T_i) / L_i); with neither, the zero-stretch rate
-    EA_i / L_i is used.
-    """
+    """Per-cable spring rates k_ci = EA_i / L0_i, from the unstretched
+    lengths L0 or, when only the tensions T are known, from the elastic law
+    (k_ci = (EA_i + T_i) / L_i)."""
     ea = model.platform.axial_stiffness
     if L0 is not None:
         L0 = np.asarray(L0, dtype=float)
         if np.any(L0 <= 0):
             raise ValidationError("unstretched cable lengths must be positive")
         return ea / L0
-    if T is not None:
-        return (ea + np.asarray(T, dtype=float)) / np.asarray(lengths, dtype=float)
-    return ea / np.asarray(lengths, dtype=float)
+    if T is None:
+        raise ValidationError("spring rates need the unstretched lengths L0 or the tensions T")
+    return (ea + np.asarray(T, dtype=float)) / np.asarray(lengths, dtype=float)
 
 
-def stiffness_Kk(model: RobotModel, pose: Pose, cable_subset=None, L0=None, T=None) -> np.ndarray:
+def stiffness_Kk(model: RobotModel, geo: CableGeometry, cable_subset, L0=None, T=None) -> np.ndarray:
     """Cable-elasticity stiffness: Gram sum of wrench columns over a subset.
 
-    ``cable_subset`` holds 1-based cable indices (default: all cables).
+    ``cable_subset`` holds 1-based cable indices (None: all cables).
     Spring rates follow :func:`cable_stiffness_coefficients`.
     """
-    return _stiffness_Kk(model, cable_geometry(model, pose), cable_subset, L0=L0, T=T)
-
-
-def _stiffness_Kk(model: RobotModel, geo: CableGeometry, cable_subset, L0=None, T=None) -> np.ndarray:
     kc = cable_stiffness_coefficients(model, geo.lengths, L0=L0, T=T)
     if cable_subset is None:
         idx = np.arange(model.n_cables)
@@ -175,8 +164,8 @@ def _matvec(A, v):
     return (A @ v[..., None])[..., 0]
 
 
-def unstretched_lengths_for(model: RobotModel, pose: Pose, T) -> np.ndarray:
-    """Unstretched lengths that realize tensions T at this pose.
+def unstretched_lengths_for(model: RobotModel, geo: CableGeometry, T) -> np.ndarray:
+    """Unstretched lengths that realize tensions T over the cable frames geo.
 
     Inverts T = (EA/L0)(L - L0) exactly: L0 = EA L / (EA + T).
     """
@@ -185,7 +174,6 @@ def unstretched_lengths_for(model: RobotModel, pose: Pose, T) -> np.ndarray:
     if np.any(T <= -ea):
         bad = int(np.argmax(T <= -ea)) + 1
         raise NonPhysicalError(f"cable {bad}: tension {T[bad-1]:.3f} N <= -EA")
-    geo = cable_geometry(model, pose)
     return ea * geo.lengths / (ea + T)
 
 
@@ -271,8 +259,7 @@ def _tension_scan(model: RobotModel, q_ref, qdot_ref, qddot_ref, scan_points: in
     qddot_ref = np.zeros(model.nq) if qddot_ref is None else np.asarray(qddot_ref, float)
     shape = np.broadcast_shapes(q_ref.shape, qdot_ref.shape, qddot_ref.shape)
     q_ref, qdot_ref, qddot_ref = (np.broadcast_to(a, shape) for a in (q_ref, qdot_ref, qddot_ref))
-    check_euler_regular(q_ref[..., 3:6], model.euler_convention)
-    geo = _checked_frames(model, q_ref[..., 0:3], rotation(q_ref[..., 3:6], model.euler_convention))
+    geo = cable_geometry(model, q_ref)
     tau = dynamics.inverse_dynamics(model, q_ref, qdot_ref, qddot_ref)
     wrench = generalized_to_wrench(model, q_ref[..., 3:6], tau[..., 0:6])
 
@@ -296,7 +283,7 @@ def _tension_scan(model: RobotModel, q_ref, qdot_ref, qddot_ref, scan_points: in
     # K is affine in the scan value: assemble it at both ends of the grid.
     cable_subset = position_controlled_cables(model)
     K_a, K_b = (
-        _stiffness_KT(model, geo, T) + _stiffness_Kk(model, geo, cable_subset, T=T)
+        stiffness_KT(model, geo, T) + stiffness_Kk(model, geo, cable_subset, T=T)
         for T in (T_grid[..., 0, :], T_grid[..., -1, :])
     )
     return _Scan(geo, tau, wrench, T_grid, eta, feas, K_a, K_b,
@@ -360,8 +347,8 @@ def optimize_tensions(
     W = -scan.geo.structure
     T_min_norm = pinv_tensions(W, scan.wrench)
     lam = _matvec(np.swapaxes(null_space(W), -1, -2), T_opt - T_min_norm)
-    K_T = _stiffness_KT(model, scan.geo, T_opt)
-    K_k = _stiffness_Kk(model, scan.geo, position_controlled_cables(model), T=T_opt)
+    K_T = stiffness_KT(model, scan.geo, T_opt)
+    K_k = stiffness_Kk(model, scan.geo, position_controlled_cables(model), T=T_opt)
     K, err = _symmetrize(K_T + K_k)
     eigs = np.linalg.eigvalsh(K)
     return StiffnessResult(
@@ -419,7 +406,7 @@ def stiffness_landscape(model: RobotModel, q_ref, group_L0: dict, resolution: in
         raise ValidationError("stiffness_landscape expects exactly 2 force-commanded groups")
     if tuple(sorted(group_L0)) != pos_groups:
         raise ValidationError(f"group_L0 must give lengths for groups {list(pos_groups)}")
-    geo = cable_geometry(model, Pose.from_q(q_ref, model.euler_convention))
+    geo = cable_geometry(model, q_ref)
     ea = model.platform.axial_stiffness
     T_base = np.zeros(model.n_cables)
     L0 = geo.lengths.copy()   # scan-group entries are placeholders, excluded below
@@ -435,13 +422,13 @@ def stiffness_landscape(model: RobotModel, q_ref, group_L0: dict, resolution: in
     ax_a = np.linspace(tmin[gA].max(), tmax[gA].min(), resolution)
     ax_b = np.linspace(tmin[gB].max(), tmax[gB].min(), resolution)
     # K is affine in (tA, tB): three corner assemblies span the plane.
-    Kk = _stiffness_Kk(model, geo, position_controlled_cables(model), L0=L0)
+    Kk = stiffness_Kk(model, geo, position_controlled_cables(model), L0=L0)
 
     def assemble(ta, tb):
         T = T_base.copy()
         T[gA] = ta
         T[gB] = tb
-        return _stiffness_KT(model, geo, T) + Kk
+        return stiffness_KT(model, geo, T) + Kk
 
     K00 = assemble(0.0, 0.0)
     K10 = assemble(1.0, 0.0)

@@ -23,7 +23,7 @@ from cablearm.dynamics import (
     mass_matrix,
     quadrotor_structure_matrix,
 )
-from cablearm.kinematics import Pose, cable_geometry, structure_matrix, tension_wrench_matrix
+from cablearm.kinematics import cable_geometry, tension_wrench_matrix
 from cablearm.model import builtin_hcdr9dof, builtin_quadrotor_arm
 from cablearm.redundancy import null_space
 from cablearm.sim import (
@@ -80,7 +80,7 @@ def test_criterion_01_property1_suite(model):
 
 def test_criterion_02_dynamics_round_trip(model):
     """forward(inverse(qddot)) recovers qddot to 1e-8 relative at 100 states."""
-    from cablearm.kinematics import euler_rate_jacobian, rotation
+    from cablearm.kinematics import euler_frames
 
     t0 = time.perf_counter()
     qs, qds = _random_states(100, seed=777)
@@ -89,9 +89,10 @@ def test_criterion_02_dynamics_round_trip(model):
     for q, qd in zip(qs, qds):
         qdd = r.normal(0, 1.0, 9)
         tau = inverse_dynamics(model, q, qd, qdd)
-        E_w = rotation(q[3:6]) @ euler_rate_jacobian(q[3:6])
+        R, _, E_b = euler_frames(q[3:6], model.euler_convention)
+        E_w = R @ E_b
         wrench = np.concatenate([tau[0:3], np.linalg.solve(E_w.T, tau[3:6])])
-        W = tension_wrench_matrix(model, Pose.from_q(q))
+        W = tension_wrench_matrix(model, q)
         T = np.linalg.pinv(W) @ wrench
         qdd2 = forward_dynamics(model, q, qd, T, tau[6:9])
         rel = np.linalg.norm(qdd2 - qdd) / max(1.0, np.linalg.norm(qdd))
@@ -105,7 +106,7 @@ def test_criterion_02_dynamics_round_trip(model):
 def test_criterion_03_energy_conservation(model):
     """Unforced conservative planar system: |dE|/E0 <= 1e-4 over 2 s at 1e-4."""
     plant = PlanarPlant(model)
-    L = cable_geometry(model, Pose(np.zeros(3), np.zeros(3))).lengths
+    L = cable_geometry(model, np.zeros(9)).lengths
     L0 = L * 0.8
     f = plant.conservative_f(L0)
     x = np.zeros(10)
@@ -127,15 +128,15 @@ def test_criterion_03_energy_conservation(model):
 
 def test_criterion_04_stiffness_definition_oracle(model):
     """K_T + K_k matches the finite-differenced cable force balance."""
-    pose = Pose(np.zeros(3), np.zeros(3))
+    pose = cable_geometry(model, np.zeros(9))
     res = optimize_tensions(model, np.zeros(9), scan_points=76)
     L0 = unstretched_lengths_for(model, pose, res.T_opt)
     Kc = model.platform.axial_stiffness / L0
 
     def balance(dpose):
-        p2 = Pose(dpose[0:3], dpose[3:6])
-        return structure_matrix(model, p2) @ (
-            Kc * (cable_geometry(model, p2).lengths - L0)
+        p2 = cable_geometry(model, np.r_[dpose, np.zeros(3)])
+        return p2.structure @ (
+            Kc * (p2.lengths - L0)
         )
 
     h = 1e-6
@@ -170,7 +171,7 @@ def test_criterion_05_stiffness_grid_reproduction(model):
 
 def test_criterion_06_redundancy_suite(model):
     """Null-space annihilation and bounded optimal tensions along the path."""
-    W = tension_wrench_matrix(model, Pose(np.zeros(3), np.zeros(3)))
+    W = tension_wrench_matrix(model, np.zeros(9))
     N = null_space(W)
     assert np.linalg.norm(W @ N) <= 1e-10
     assert np.linalg.norm(N.T @ N - np.eye(N.shape[1])) <= 1e-10
@@ -299,7 +300,7 @@ def test_criterion_09_quadrotor_variant():
                                             np.zeros(2))
     residual = np.linalg.norm(qdd)
     assert residual <= 1e-9
-    A_tilde, _ = quadrotor_structure_matrix(params, Pose(np.zeros(3), np.zeros(3), "ZXY"))
+    A_tilde, _ = quadrotor_structure_matrix(params, body, np.zeros(8))
     d, k = params.arm_length, params.moment_ratio
     expected = np.array([
         [0, 0, 0, 0],

@@ -168,6 +168,19 @@ class TestCliMain:
         ({"t_end_s": float("nan")}, "scenario", 4),
         ({"t_end_s": 0.305}, "scenario", 4),
         ({"t_end_s": 0.004}, "scenario", 4),
+        ({"integrator_substeps": 2.7}, "scenario", 4),
+        ({"seed": "3"}, "scenario", 4),
+        ({"seed": True}, "scenario", 4),
+        ({"seed": None}, "scenario", 4),
+        ({"tension_scan_points": 10.5}, "scenario", 4),
+        ({"controller": {"Np": 50.9}}, "scenario", 4),
+        ({"controller": {"Nc": 5.5}}, "scenario", 4),
+        ({"t_end_s": "0.3"}, "scenario", 4),
+        ({"controller": {"Ts_s": "0.01"}}, "scenario", 4),
+        ({"controller": {"pid": {"Kp": True}}}, "scenario", 4),
+        ({"noise_std": [1, 1, "0.02", 0.02]}, "scenario", 4),
+        ({"controller": {"du_bound": [5.0, 5.0, False, 0.2]}}, "scenario", 4),
+        ({"seed": -1}, "scenario", 4),
     ])
     def test_malformed_scenario_table(self, tmp_path, capsys, override, category, code):
         doc = dict(SHORT)
@@ -220,6 +233,33 @@ class TestCliMain:
         assert main([command, flag, str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "parse"
+
+    @pytest.mark.parametrize("argv, code, category", [
+        pytest.param(["simulate", "--scenario", "{dir}"], 2, "parse", id="scenario-dir"),
+        pytest.param(["inverse-dynamics", "--model", "{dir}", "--state", "{state}"], 2, "parse",
+                     id="model-dir"),
+        pytest.param(["simulate", "--scenario", "{scenario}", "--out-dir", "{file}"], 4, "output",
+                     id="out-dir-is-file"),
+        pytest.param(["simulate", "--scenario", "{scenario}", "--out-dir", "{file}/sub"], 4,
+                     "output", id="out-dir-under-file"),
+        pytest.param(["optimize-stiffness", "--resolution", "2", "--out-dir", "{file}"], 4,
+                     "output", id="grid-out-dir-is-file"),
+        pytest.param(["linearize", "--state", "{point}", "--out-dir", "{file}"], 4, "output",
+                     id="ltv-out-dir-is-file"),
+    ])
+    def test_unusable_path_table(self, tmp_path, capsys, argv, code, category):
+        """A directory given where a file is read is a parse error (exit 2);
+        an output directory that cannot be made is an output error (exit 4)."""
+        paths = {name: tmp_path / f"{name}.json" for name in ("scenario", "state", "point")}
+        paths["scenario"].write_text(json.dumps(dict(SHORT, t_end_s=0.05)))
+        paths["state"].write_text(json.dumps({"q": [0] * 9}))
+        paths["point"].write_text(json.dumps({"x": [0] * 10, "u": [30.0, 30.0, 0, 0],
+                                              "L01": 0.85, "L02": 0.8}))
+        paths.update(dir=tmp_path, file=tmp_path / "file.txt")
+        paths["file"].write_text("")
+        assert main([a.format(**paths) for a in argv]) == code
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["category"] == category
 
     @pytest.mark.parametrize("flag, value", [
         ("--px", "nan"), ("--pz", "inf"), ("--l01", "nan"), ("--l02", "-inf"),
@@ -346,6 +386,21 @@ class TestCompare:
         with pytest.raises(ComparisonError, match="missing"):
             compare_architectures([str(p)] * 3, tmp_path / "cmp")
 
+    def test_repeated_architecture_rejected(self, tmp_path, capsys):
+        """Four scenarios that cover the three architectures, one of them
+        twice, are rejected before any run (exit 4)."""
+        paths = []
+        for i, (arch, seed) in enumerate((("integrated2", 7), ("integrated2", 0),
+                                          ("integrated1", 0), ("independent", 0))):
+            p = tmp_path / f"{i}.json"
+            p.write_text(json.dumps(_short(arch, {"seed": seed})))
+            paths.append(str(p))
+        with pytest.raises(ComparisonError, match="repeated: \\['integrated2'\\]"):
+            compare_architectures(paths, tmp_path / "cmp")
+        assert main(["compare", "--scenario", *paths, "--out-dir", str(tmp_path / "cmp")]) == 4
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "comparison"
+        assert not (tmp_path / "cmp").exists()
+
     def test_mismatched_configs_rejected(self, tmp_path):
         paths = []
         for arch, t_end in (("independent", 0.3), ("integrated1", 0.3), ("integrated2", 0.4)):
@@ -363,6 +418,12 @@ class TestScenarioResolution:
             cfg = resolve_scenario(doc)
             assert cfg["architecture"] == arch
             assert cfg["t_end_s"] == 6.0
+
+    def test_integral_floats_are_whole_numbers(self):
+        doc = dict(SHORT, seed=3.0, integrator_substeps=2.0, controller={"Np": 10.0, "Nc": 5.0})
+        cfg = resolve_scenario(doc)
+        assert (cfg["seed"], cfg["integrator_substeps"]) == (3, 2)
+        assert cfg["controller"] == {"Np": 10.0, "Nc": 5.0}
 
     def test_seed_override(self):
         cfg = resolve_scenario(dict(SHORT), seed_override=99)

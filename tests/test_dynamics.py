@@ -16,9 +16,8 @@ from cablearm.dynamics import (
 )
 from cablearm.errors import ConditioningError
 from cablearm.kinematics import (
-    Pose,
     cable_geometry,
-    euler_rate_jacobian,
+    euler_frames,
     rotation,
     tension_wrench_matrix,
 )
@@ -42,11 +41,10 @@ def coriolis_force(model, q, qdot):
 
 def recover_tensions(model, q, tau):
     """Invert the platform block of generalized forces into cable tensions."""
-    E_w = rotation(q[3:6], model.euler_convention) @ euler_rate_jacobian(
-        q[3:6], model.euler_convention
-    )
+    R, _, E_b = euler_frames(q[3:6], model.euler_convention)
+    E_w = R @ E_b
     wrench = np.concatenate([tau[0:3], np.linalg.solve(E_w.T, tau[3:6])])
-    W = tension_wrench_matrix(model, Pose.from_q(q, model.euler_convention))
+    W = tension_wrench_matrix(model, q)
     return np.linalg.pinv(W) @ wrench
 
 
@@ -66,7 +64,7 @@ class TestEnergies:
             ),
         )
         q = np.zeros(9)
-        L = cable_geometry(flat, Pose.from_q(q)).lengths
+        L = cable_geometry(flat, q).lengths
         ke, ve = energies(flat, q, np.zeros(9), L)
         assert ke == 0.0
         assert abs(ve) < 1e-12
@@ -75,7 +73,7 @@ class TestEnergies:
         """Stationary platform with stretched upper cables: elastic part
         equals the per-cable sum computed independently."""
         q = np.zeros(9)
-        L = cable_geometry(hcdr, Pose.from_q(q)).lengths
+        L = cable_geometry(hcdr, q).lengths
         L0 = L.copy()
         upper = np.array([1, 2, 5, 6, 7, 8, 11, 12]) - 1
         L0[upper] = 1.005
@@ -152,7 +150,7 @@ def _offset_prismatic_model(hcdr):
     return replace(
         hcdr,
         mount_offset=np.array([0.03, -0.02, 0.048]),
-        mount_rotation=rotation([0.1, -0.2, 0.3]),
+        mount_rotation=rotation([0.1, -0.2, 0.3], "XYZ"),
         arm=(hcdr.arm[0], slider, hcdr.arm[2]),
     )
 
@@ -241,13 +239,13 @@ class TestCableTensions:
     UPPER = np.array([1, 2, 5, 6, 7, 8, 11, 12]) - 1
 
     def test_unstretched_zero(self, hcdr):
-        L = cable_geometry(hcdr, Pose(np.zeros(3), np.zeros(3))).lengths
+        L = cable_geometry(hcdr, np.zeros(9)).lengths
         T = PlanarPlant(hcdr).full_tensions(np.zeros(10), np.zeros(2), L[0], L[4])
         assert np.allclose(T, 0.0)
 
     def test_known_stretch_value(self, hcdr):
         """EA=100, L0=1.005, L=1.015 -> T = (100/1.005)*0.010."""
-        L = cable_geometry(hcdr, Pose(np.zeros(3), np.zeros(3))).lengths
+        L = cable_geometry(hcdr, np.zeros(9)).lengths
         L0 = L[0] - 0.010
         L0ref = 1.005
         T = PlanarPlant(hcdr).full_tensions(np.zeros(10), np.zeros(2), L0, L0)
@@ -264,7 +262,7 @@ class TestEnergyConsistency:
 
         def f(x):
             q, qd = x[:9], x[9:]
-            T = ea / L0 * (cable_geometry(hcdr, Pose.from_q(q)).lengths - L0)
+            T = ea / L0 * (cable_geometry(hcdr, q).lengths - L0)
             return np.concatenate([qd, forward_dynamics(hcdr, q, qd, T, tau_a)])
 
         x = np.zeros(18)
@@ -290,9 +288,7 @@ def quad():
 class TestQuadrotor:
     def test_reduced_matrix_level_pose(self, quad):
         params, body = quad
-        A_tilde, A_full = quadrotor_structure_matrix(
-            params, Pose(np.zeros(3), np.zeros(3), "ZXY")
-        )
+        A_tilde, A_full = quadrotor_structure_matrix(params, body, np.zeros(8))
         d, k = params.arm_length, params.moment_ratio
         expected = np.array(
             [
@@ -312,27 +308,25 @@ class TestQuadrotor:
 
     def test_reduced_equals_full_with_drag_ratio(self, quad, rng):
         params, body = quad
-        pose = Pose(rng.normal(0, 0.1, 3), rng.normal(0, 0.2, 3), "ZXY")
-        A_tilde, A_full = quadrotor_structure_matrix(params, pose)
+        q = np.r_[rng.normal(0, 0.1, 3), rng.normal(0, 0.2, 3), np.zeros(2)]
+        A_tilde, A_full = quadrotor_structure_matrix(params, body, q)
         F = rng.uniform(0.5, 2.0, 4)
         M = params.moment_ratio * F
         full = A_full @ np.concatenate([F, M])
         assert np.allclose(A_tilde @ F, full, atol=1e-12)
 
     def test_tilted_pose_rotates_blocks(self, quad):
-        params, _ = quad
+        params, body = quad
         euler = np.array([0.2, -0.1, 0.4])
-        pose = Pose(np.zeros(3), euler, "ZXY")
-        A_tilde, _ = quadrotor_structure_matrix(params, pose)
+        A_tilde, _ = quadrotor_structure_matrix(params, body, np.r_[np.zeros(3), euler, 0, 0])
         R = rotation(euler, "ZXY")
-        level, _ = quadrotor_structure_matrix(params, Pose(np.zeros(3), np.zeros(3), "ZXY"))
+        level, _ = quadrotor_structure_matrix(params, body, np.zeros(8))
         assert np.allclose(A_tilde[0:3], R @ level[0:3], atol=1e-14)
         assert np.allclose(A_tilde[3:6], R @ level[3:6], atol=1e-14)
 
     def test_equal_thrusts_produce_no_moment(self, quad):
-        params, _ = quad
-        pose = Pose(np.zeros(3), [0.1, 0.2, -0.3], "ZXY")
-        A_tilde, _ = quadrotor_structure_matrix(params, pose)
+        params, body = quad
+        A_tilde, _ = quadrotor_structure_matrix(params, body, np.r_[0, 0, 0, 0.1, 0.2, -0.3, 0, 0])
         for F in (0.5, 1.7):
             wrench = A_tilde @ np.full(4, F)
             assert np.allclose(wrench[3:6], 0.0, atol=1e-14)
@@ -365,9 +359,10 @@ class TestQuadrotor:
             tau_a = rng.normal(0, 0.1, 2)
             qdd = hybrid_forward_dynamics_quadrotor(params, body, q, qd, F, tau_a)
             tau = inverse_dynamics(body, q, qd, qdd)
-            E_w = rotation(q[3:6], "ZXY") @ euler_rate_jacobian(q[3:6], "ZXY")
+            R, _, E_b = euler_frames(q[3:6], "ZXY")
+            E_w = R @ E_b
             wrench = np.concatenate([tau[0:3], np.linalg.solve(E_w.T, tau[3:6])])
-            A_tilde, _ = quadrotor_structure_matrix(params, Pose.from_q(q, "ZXY"))
+            A_tilde, _ = quadrotor_structure_matrix(params, body, q)
             F2 = np.linalg.lstsq(A_tilde, wrench, rcond=None)[0]
             assert np.linalg.norm(F2 - F) <= 1e-8 * max(1.0, np.linalg.norm(F))
             assert np.allclose(tau[6:], tau_a, atol=1e-8)
@@ -388,7 +383,7 @@ class TestWrenchMapping:
         q, qd = random_state(rng)
         gen = rng.normal(0, 1, 6)
         wrench = generalized_to_wrench(hcdr, q[3:6], gen)
-        R = rotation(q[3:6])
-        om_w = R @ euler_rate_jacobian(q[3:6]) @ qd[3:6]
+        R, _, E_b = euler_frames(q[3:6], hcdr.euler_convention)
+        om_w = R @ E_b @ qd[3:6]
         twist_power = wrench[0:3] @ qd[0:3] + wrench[3:6] @ om_w
         assert np.isclose(gen @ qd[0:6], twist_power, rtol=1e-12)

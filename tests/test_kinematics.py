@@ -4,16 +4,13 @@ from hypothesis import given, strategies as st
 
 from cablearm.errors import GeometryError, SingularityError
 from cablearm.kinematics import (
-    Pose,
     _cable_frames,
     _cross,
     arm_chain,
     cable_geometry,
     check_euler_regular,
     euler_frames,
-    euler_rate_jacobian,
     rotation,
-    structure_matrix,
     tension_wrench_matrix,
 )
 from cablearm.model import ArmLink
@@ -35,12 +32,12 @@ def explicit_axis_rotation(axis, t):
 def body_rate(euler, euler_rates, convention="XYZ"):
     """Body-frame angular velocity E(euler) @ rates, checked for gimbal lock."""
     check_euler_regular(euler, convention)
-    return euler_rate_jacobian(euler, convention) @ np.asarray(euler_rates, dtype=float)
+    return euler_frames(euler, convention)[2] @ np.asarray(euler_rates, dtype=float)
 
 
 class TestRotation:
     def test_identity(self):
-        assert np.array_equal(rotation([0, 0, 0]), np.eye(3))
+        assert np.array_equal(rotation([0, 0, 0], "XYZ"), np.eye(3))
 
     def test_single_axis_exact(self):
         R = rotation([np.pi / 2, 0, 0], "XYZ")
@@ -66,14 +63,14 @@ class TestRotation:
 
     @given(a=angles, b=angles, g=angles)
     def test_orthonormal(self, a, b, g):
-        R = rotation([a, b, g])
+        R = rotation([a, b, g], "XYZ")
         assert np.allclose(R.T @ R, np.eye(3), atol=1e-14)
         assert np.isclose(np.linalg.det(R), 1.0)
 
 
 class TestCableGeometry:
     def test_home_pose_first_length(self, hcdr):
-        geo = cable_geometry(hcdr, Pose(np.zeros(3), np.zeros(3)))
+        geo = cable_geometry(hcdr, np.zeros(9))
         # hand arithmetic: [0.153-1.5, -0.065, 0.048-0.5]
         expected_vec = np.array([-1.347, -0.065, -0.452])
         assert np.allclose(geo.vectors[0], expected_vec, atol=1e-15)
@@ -82,22 +79,30 @@ class TestCableGeometry:
 
     @given(dx=st.floats(-0.2, 0.2))
     def test_translation_shifts_all_vectors(self, dx, hcdr):
-        base = cable_geometry(hcdr, Pose(np.zeros(3), np.zeros(3)))
-        moved = cable_geometry(hcdr, Pose([dx, 0, 0], np.zeros(3)))
+        base = cable_geometry(hcdr, np.zeros(9))
+        moved = cable_geometry(hcdr, np.r_[dx, np.zeros(8)])
         assert np.allclose(moved.vectors - base.vectors, [dx, 0, 0], atol=1e-14)
 
     def test_unit_norms(self, hcdr, rng):
         for _ in range(10):
-            pose = Pose(rng.normal(0, 0.1, 3), rng.normal(0, 0.2, 3))
-            geo = cable_geometry(hcdr, pose)
+            q = np.r_[rng.normal(0, 0.1, 3), rng.normal(0, 0.2, 3), np.zeros(3)]
+            geo = cable_geometry(hcdr, q)
             assert np.allclose(np.linalg.norm(geo.units, axis=1), 1.0, atol=1e-12)
             assert np.allclose(geo.units * geo.lengths[:, None], geo.vectors)
 
     def test_degenerate_cable_raises(self, hcdr):
         # place the platform so attachment 1 lands on its anchor
-        p = hcdr.platform.anchors[0].a - hcdr.platform.anchors[0].r
-        with pytest.raises(GeometryError, match="cable 1"):
-            cable_geometry(hcdr, Pose(p, np.zeros(3)))
+        collapsed = np.zeros(9)
+        collapsed[0:3] = hcdr.platform.anchors[0].a - hcdr.platform.anchors[0].r
+        near_gimbal = np.zeros(9)
+        near_gimbal[4] = np.pi / 2 - 1e-9
+        stack = np.zeros((3, 9))
+        stack[1] = near_gimbal
+        for q, error, match in ((collapsed, GeometryError, "cable 1"),
+                                (near_gimbal, SingularityError, "middle Euler angle"),
+                                (stack, SingularityError, "at row 1$")):
+            with pytest.raises(error, match=match):
+                cable_geometry(hcdr, q)
 
 
 class TestDerivativePrimitives:
@@ -116,7 +121,7 @@ class TestDerivativePrimitives:
 
     def test_cable_lengths_are_np_norm(self, hcdr, rng):
         p = rng.normal(0, 0.1, (3, 4, 3))
-        R = rotation(rng.normal(0, 0.3, (3, 4, 3)))
+        R = rotation(rng.normal(0, 0.3, (3, 4, 3)), "XYZ")
         for geo in (_cable_frames(hcdr, p, R), _cable_frames(hcdr, p[1, 2], R[1, 2])):
             assert geo.lengths.tobytes() == np.linalg.norm(geo.vectors, axis=-1).tobytes()
 
@@ -137,47 +142,45 @@ class TestDerivativePrimitives:
 
 class TestStructureMatrix:
     def test_shape(self, hcdr):
-        A = structure_matrix(hcdr, Pose(np.zeros(3), np.zeros(3)))
+        A = cable_geometry(hcdr, np.zeros(9)).structure
         assert A.shape == (6, 12)
         assert np.allclose(np.linalg.norm(A[0:3], axis=0), 1.0, atol=1e-12)
 
     def test_rate_identity_finite_difference(self, hcdr, rng):
         """Ldot = A^T [v; R omega_b] against direct length differencing."""
         for _ in range(5):
-            pose = Pose(rng.normal(0, 0.05, 3), rng.normal(0, 0.1, 3))
+            q = np.r_[rng.normal(0, 0.05, 3), rng.normal(0, 0.1, 3), np.zeros(3)]
             v = rng.normal(0, 1, 3)
             om_b = rng.normal(0, 1, 3)
-            R = pose.rotation()
+            R, _, e_rates = euler_frames(q[3:6], "XYZ")
             twist = np.concatenate([v, R @ om_b])
-            rates = structure_matrix(hcdr, pose).T @ twist
+            rates = cable_geometry(hcdr, q).structure.T @ twist
             dt = 1e-6
-            e_rates = euler_rate_jacobian(pose.euler)
             de = np.linalg.solve(e_rates, om_b)      # euler rates giving omega_b
-            pose2 = Pose(pose.p + dt * v, pose.euler + dt * de)
-            pose0 = Pose(pose.p - dt * v, pose.euler - dt * de)
-            fd = (cable_geometry(hcdr, pose2).lengths - cable_geometry(hcdr, pose0).lengths) / (2 * dt)
+            dq = np.r_[v, de, np.zeros(3)]
+            fd = (cable_geometry(hcdr, q + dt * dq).lengths
+                  - cable_geometry(hcdr, q - dt * dq).lengths) / (2 * dt)
             assert np.max(np.abs(rates - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
     def test_mirror_cables_sign_pattern(self, hcdr):
         """Cables 1 and 7 differ only by the y-sign flip of their mounts."""
-        A = structure_matrix(hcdr, Pose(np.zeros(3), np.zeros(3)))
+        A = cable_geometry(hcdr, np.zeros(9)).structure
         signs = np.array([1, -1, 1, -1, 1, -1])
         assert np.allclose(A[:, 6], signs * A[:, 0], atol=1e-14)
 
     def test_wrench_matrix_is_negated(self, hcdr):
-        pose = Pose([0.02, 0, 0.05], [0, 0.05, 0])
-        assert np.allclose(tension_wrench_matrix(hcdr, pose), -structure_matrix(hcdr, pose))
+        q = np.r_[0.02, 0, 0.05, 0, 0.05, 0, np.zeros(3)]
+        assert np.allclose(tension_wrench_matrix(hcdr, q), -cable_geometry(hcdr, q).structure)
 
 
 class TestCableRates:
     def test_zero_twist(self, hcdr):
-        rates = structure_matrix(hcdr, Pose(np.zeros(3), np.zeros(3))).T @ np.zeros(6)
+        rates = cable_geometry(hcdr, np.zeros(9)).structure.T @ np.zeros(6)
         assert np.array_equal(rates, np.zeros(12))
 
     def test_pure_vertical_translation(self, hcdr):
-        pose = Pose(np.zeros(3), np.zeros(3))
-        geo = cable_geometry(hcdr, pose)
-        rates = structure_matrix(hcdr, pose).T @ np.array([0, 0, 1, 0, 0, 0])
+        geo = cable_geometry(hcdr, np.zeros(9))
+        rates = geo.structure.T @ np.array([0, 0, 1, 0, 0, 0])
         assert np.allclose(rates, geo.units[:, 2], atol=1e-14)
 
 
@@ -192,9 +195,9 @@ class TestEulerRates:
         rates = np.array([0.7, -0.4, 0.2])
         om = body_rate(euler, rates)
         dt = 1e-6
-        R1 = rotation(euler + dt * rates)
-        R0 = rotation(euler - dt * rates)
-        Omega = rotation(euler).T @ ((R1 - R0) / (2 * dt))
+        R1 = rotation(euler + dt * rates, "XYZ")
+        R0 = rotation(euler - dt * rates, "XYZ")
+        Omega = rotation(euler, "XYZ").T @ ((R1 - R0) / (2 * dt))
         fd = np.array([Omega[2, 1], Omega[0, 2], Omega[1, 0]])
         assert np.max(np.abs(om - fd)) <= 1e-6
 
@@ -304,14 +307,3 @@ def rotation_joint(link, theta):
     axis = {"X": 0, "Y": 1, "Z": 2}[link.joint_axis]
     return explicit_axis_rotation(axis, theta)
 
-
-class TestPose:
-    def test_guard_rejects_near_gimbal(self):
-        with pytest.raises(SingularityError):
-            Pose(np.zeros(3), [0, np.pi / 2 - 1e-9, 0])
-
-    def test_from_q(self):
-        q = np.arange(9.0) / 10
-        pose = Pose.from_q(q)
-        assert np.array_equal(pose.p, q[0:3])
-        assert np.array_equal(pose.euler, q[3:6])

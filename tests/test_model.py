@@ -8,7 +8,6 @@ from cablearm.errors import ModelParseError, ValidationError
 from cablearm.model import (
     builtin_hcdr9dof,
     builtin_quadrotor_arm,
-    bundled_model_text,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -71,10 +70,6 @@ class TestBuiltinHcdr:
             4: (3, 9),
         }
         assert hcdr.platform.tension_controlled_groups == (3, 4)
-
-    def test_bundled_file_matches_builtin(self, hcdr):
-        loaded = load_model(bundled_model_text("hcdr9dof"))
-        assert model_to_dict(loaded) == model_to_dict(hcdr)
 
 
 class TestRoundTrip:

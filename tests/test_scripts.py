@@ -59,3 +59,17 @@ def test_bench_pairs_summary():
     rss = entry["metrics"]["peak_rss_mb"]
     assert rss["complete_pairs"] == 2 and rss["change_better_in_pairs"] == 0
     assert "setup_s" not in entry["metrics"]
+
+
+def test_trace_digests_repeat(tmp_path):
+    """Two runs of one 0.05 s scenario give equal digests, one line per
+    artifact."""
+    spec = importlib.util.spec_from_file_location("trace_digests",
+                                                  ROOT / "scripts" / "trace_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    runs = {"short": ("case_study_integrated2",
+                      {"t_end_s": 0.05, "seed": 3, "noise_std": module.NOISE})}
+    first, second = (module.run_digests(runs, tmp_path / side) for side in ("a", "b"))
+    assert first == second
+    assert [line.split("  ")[1] for line in first] == ["short/trace.csv", "short/summary.json"]

@@ -11,7 +11,8 @@ from cablearm.errors import (
     SingularityError,
     ValidationError,
 )
-from cablearm.kinematics import Pose, cable_geometry, structure_matrix, tension_wrench_matrix
+from cablearm.kinematics import cable_geometry, tension_wrench_matrix
+from cablearm.model import builtin_hcdr9dof
 from cablearm.sim import PlanarPlant, case_study_trajectory
 from cablearm.stiffness import (
     cable_stiffness_coefficients,
@@ -26,7 +27,7 @@ from cablearm.stiffness import (
 )
 from cablearm.redundancy import null_space, pinv_tensions
 
-HOME = Pose(np.zeros(3), np.zeros(3))
+HOME = cable_geometry(builtin_hcdr9dof(), np.zeros(9))   # cable frames at the home pose
 UPPER = (1, 2, 5, 6, 7, 8, 11, 12)
 
 
@@ -62,10 +63,10 @@ class TestKT:
 
 class TestKk:
     def test_empty_subset(self, hcdr):
-        assert np.allclose(stiffness_Kk(hcdr, HOME, ()), 0.0)
+        assert np.allclose(stiffness_Kk(hcdr, HOME, (), T=np.zeros(12)), 0.0)
 
     def test_full_subset_positive_semidefinite(self, hcdr):
-        K = stiffness_Kk(hcdr, HOME, None)
+        K = stiffness_Kk(hcdr, HOME, None, T=np.zeros(12))
         assert np.linalg.eigvalsh(0.5 * (K + K.T)).min() >= -1e-10
 
     def test_doubling_stiffness_doubles_Kk(self, hcdr):
@@ -80,11 +81,10 @@ class TestKk:
 
     def test_coefficient_recovery_from_tension(self, hcdr):
         """k from tension equals EA / L0 with L0 from the elastic law."""
-        geo = cable_geometry(hcdr, HOME)
         T = np.full(12, 20.0)
         L0 = unstretched_lengths_for(hcdr, HOME, T)
-        k_T = cable_stiffness_coefficients(hcdr, geo.lengths, T=T)
-        k_L0 = cable_stiffness_coefficients(hcdr, geo.lengths, L0=L0)
+        k_T = cable_stiffness_coefficients(hcdr, HOME.lengths, T=T)
+        k_L0 = cable_stiffness_coefficients(hcdr, HOME.lengths, L0=L0)
         assert np.allclose(k_T, k_L0, rtol=1e-12)
 
 
@@ -96,9 +96,9 @@ class TestDefinitionOracle:
         Kc = hcdr.platform.axial_stiffness / L0
 
         def balance(dpose):
-            pose = Pose(dpose[0:3], dpose[3:6])
-            A = structure_matrix(hcdr, pose)
-            L = cable_geometry(hcdr, pose).lengths
+            geo = cable_geometry(hcdr, np.r_[dpose, np.zeros(3)])
+            A = geo.structure
+            L = geo.lengths
             return A @ (Kc * (L - L0))
 
         h = 1e-6
@@ -117,7 +117,7 @@ class TestStiffnessOfLambda:
         T(l) = W^+ w + N_W l."""
         total = hcdr.platform.mass + sum(l.mass for l in hcdr.arm)
         w = np.array([0, 0, total * hcdr.gravity, 0, 0, 0])
-        W = tension_wrench_matrix(hcdr, HOME)
+        W = tension_wrench_matrix(hcdr, np.zeros(9))
 
         def K(lam):
             T = pinv_tensions(W, w) + null_space(W) @ lam
@@ -164,8 +164,7 @@ class TestLandscape:
         T = land["T_base"].copy()
         T[hcdr.platform.group_indices(3)] = ta
         T[hcdr.platform.group_indices(4)] = tb
-        geo = cable_geometry(hcdr, HOME)
-        L0 = geo.lengths.copy()
+        L0 = HOME.lengths.copy()
         upper = np.asarray(UPPER) - 1
         L0[upper] = 1.005
         K = stiffness_KT(hcdr, HOME, T) + stiffness_Kk(hcdr, HOME, UPPER, L0=L0)
@@ -189,7 +188,6 @@ class TestOptimizeTensions:
         assert res.is_stable
 
     def test_balances_reference_wrench(self, hcdr):
-        from cablearm.kinematics import tension_wrench_matrix
         from cablearm.stiffness import generalized_to_wrench
         from cablearm.dynamics import inverse_dynamics
 
@@ -198,7 +196,7 @@ class TestOptimizeTensions:
         res = optimize_tensions(hcdr, q, scan_points=39)
         tau = inverse_dynamics(hcdr, q, np.zeros(9), np.zeros(9))
         w = generalized_to_wrench(hcdr, q[3:6], tau[0:6])
-        W = tension_wrench_matrix(hcdr, Pose.from_q(q))
+        W = tension_wrench_matrix(hcdr, q)
         assert np.linalg.norm(W @ res.T_opt - w) <= 1e-8 * (1 + np.linalg.norm(w))
 
     def test_two_resolution_refinement(self, hcdr):
@@ -235,11 +233,11 @@ class TestOptimizeTensions:
         res = optimize_tensions(hcdr, q, qd, qdd, scan_points=39)
 
         p = hcdr.platform
-        pose = Pose.from_q(q)
+        pose = cable_geometry(hcdr, q)
         tau = inverse_dynamics(hcdr, q, qd, qdd)
         w = generalized_to_wrench(hcdr, q[3:6], tau[0:6])
-        W = tension_wrench_matrix(hcdr, pose)
-        L = cable_geometry(hcdr, pose).lengths
+        W = tension_wrench_matrix(hcdr, q)
+        L = pose.lengths
         lead, other = sorted(p.tension_controlled_groups)
         upper = [g for g in sorted(p.actuator_groups) if g not in (lead, other)]
         # unknowns: the other force-group tension, 1/L0 of each upper group
@@ -285,8 +283,7 @@ class TestOptimizeTensions:
 
 class TestUnstretchedLengths:
     def test_zero_tension_returns_lengths(self, hcdr):
-        geo = cable_geometry(hcdr, HOME)
-        assert np.allclose(unstretched_lengths_for(hcdr, HOME, np.zeros(12)), geo.lengths)
+        assert np.allclose(unstretched_lengths_for(hcdr, HOME, np.zeros(12)), HOME.lengths)
 
     def test_closed_form_value(self):
         # EA=100, L=1.0151, T=1.0 -> L0 = 100*1.0151/101
@@ -295,7 +292,7 @@ class TestUnstretchedLengths:
     def test_round_trip_with_tension_law(self, hcdr, rng):
         T = rng.uniform(5, 80, 12)
         L0 = unstretched_lengths_for(hcdr, HOME, T)
-        T2 = hcdr.platform.axial_stiffness / L0 * (cable_geometry(hcdr, HOME).lengths - L0)
+        T2 = hcdr.platform.axial_stiffness / L0 * (HOME.lengths - L0)
         assert np.max(np.abs(T2 - T)) <= 1e-10
 
     def test_nonphysical_tension(self, hcdr):
