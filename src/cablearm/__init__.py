@@ -45,7 +45,6 @@ from .model import (  # noqa: E402
     builtin_model,
     builtin_quadrotor_arm,
     load_model,
-    load_model_file,
     serialize_model,
 )
 
@@ -74,6 +73,5 @@ __all__ = [
     "builtin_model",
     "builtin_quadrotor_arm",
     "load_model",
-    "load_model_file",
     "serialize_model",
 ]

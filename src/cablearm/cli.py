@@ -76,12 +76,14 @@ def load_scenario(path_or_name) -> dict:
     return doc
 
 
-# numeric field -> whether it holds a whole number (None: the nested pid object)
-_SCENARIO_NUMBERS = {"t_end_s": False, "seed": True, "noise_std": False,
-                     "integrator_substeps": True, "tension_scan_points": True}
-_CONTROLLER_FIELDS = {"Ts_s": False, "Np": True, "Nc": True, "Q_scale": False,
-                      "R_scale": False, "P_scale": False, "du_bound": False, "pid": None}
-_PID_FIELDS = {"Kp": False, "Ki": False, "Kd": False}
+# numeric field -> "whole" number, "number", or "numbers" (one number or a
+# list of them); None marks the nested pid object
+_SCENARIO_NUMBERS = {"t_end_s": "number", "seed": "whole", "noise_std": "numbers",
+                     "integrator_substeps": "whole", "tension_scan_points": "whole"}
+_CONTROLLER_FIELDS = {"Ts_s": "number", "Np": "whole", "Nc": "whole", "Q_scale": "number",
+                      "R_scale": "number", "P_scale": "number", "du_bound": "numbers",
+                      "pid": None}
+_PID_FIELDS = {"Kp": "number", "Ki": "number", "Kd": "number"}
 
 
 def _check_fields(doc, allowed, where: str) -> None:
@@ -93,19 +95,21 @@ def _check_fields(doc, allowed, where: str) -> None:
 
 
 def _check_numbers(doc: dict, fields: dict, where: str) -> None:
-    """ScenarioError unless each numeric field present holds a JSON number,
-    or a list of them where that is allowed, and a whole one where
-    ``fields`` says so: strings and bools are not read as numbers, and
-    fractions are not truncated."""
-    for key, whole in fields.items():
-        if key not in doc or whole is None:
+    """ScenarioError unless each numeric field present holds what ``fields``
+    names: a single JSON number, a whole one, or (for "numbers") a list of
+    them. Strings and bools are not read as numbers, and fractions are not
+    truncated."""
+    for key, kind in fields.items():
+        if key not in doc or kind is None:
             continue
         value = doc[key]
-        for v in (value if isinstance(value, (list, tuple)) and not whole else [value]):
+        listed = kind == "numbers" and isinstance(value, (list, tuple))
+        for v in (value if listed else [value]):
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or (
-                    whole and not (isinstance(v, numbers.Integral) or float(v).is_integer())):
+                    kind == "whole"
+                    and not (isinstance(v, numbers.Integral) or float(v).is_integer())):
                 raise ScenarioError(f"{where}{key} must be a "
-                                    + ("whole number" if whole else "number"))
+                                    + ("whole number" if kind == "whole" else "number"))
 
 
 def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:

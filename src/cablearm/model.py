@@ -380,11 +380,6 @@ def load_model(text: str) -> RobotModel:
     return model_from_dict(doc)
 
 
-def load_model_file(path) -> RobotModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_model(fh.read())
-
-
 def model_to_dict(model: RobotModel) -> dict:
     """Inverse of :func:`model_from_dict` (field-for-field round trip)."""
     p = model.platform

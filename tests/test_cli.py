@@ -181,6 +181,11 @@ class TestCliMain:
         ({"noise_std": [1, 1, "0.02", 0.02]}, "scenario", 4),
         ({"controller": {"du_bound": [5.0, 5.0, False, 0.2]}}, "scenario", 4),
         ({"seed": -1}, "scenario", 4),
+        ({"t_end_s": [0.3]}, "scenario", 4),
+        ({"t_end_s": []}, "scenario", 4),
+        ({"seed": [3]}, "scenario", 4),
+        ({"controller": {"Ts_s": [0.01]}}, "scenario", 4),
+        ({"controller": {"pid": {"Kp": [1.0]}}}, "scenario", 4),
     ])
     def test_malformed_scenario_table(self, tmp_path, capsys, override, category, code):
         doc = dict(SHORT)
