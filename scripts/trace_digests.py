@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 per artifact of a fixed set of runs, to check that a
-change keeps ``trace.csv``, ``summary.json`` and the stiffness grid CSV
-byte for byte.
+change keeps ``trace.csv``, ``summary.json``, the stiffness grid CSV and
+the 6 s reference schedule byte for byte.
 
 Every run goes through ``cablearm.cli.run_scenario`` and the grid through
 the ``optimize-stiffness`` command, with the cablearm package that
@@ -15,8 +15,11 @@ the ``optimize-stiffness`` command, with the cablearm package that
 The runs (``RUNS``): each architecture at 0.3 s with seed 3 and noise
 ``[1, 1, 0.02, 0.02]``; integrated2 at 2 s with one integrator substep,
 ``du_bound [5, 5, 0.2, 0.2]``, that noise and seed 1; independent at 2 s
-with that noise and seed 3.  Then the default ``optimize-stiffness`` grid.
-The artifacts are written to a temporary directory and removed.
+with that noise and seed 3.  Then the default ``optimize-stiffness`` grid,
+and the ``u`` and ``L0`` bytes of ``sim.reference_schedule`` along the whole
+6 s case-study reference (the runs above reach its first 2.5 s only) on
+both design models.  The artifacts are written to a temporary directory
+and removed.
 """
 
 from __future__ import annotations
@@ -28,7 +31,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from cablearm import cli
+import numpy as np
+
+from cablearm import cli, sim
+from cablearm.model import builtin_hcdr9dof
 
 NOISE = [1.0, 1.0, 0.02, 0.02]
 
@@ -67,11 +73,26 @@ def grid_digest(out: Path) -> str:
     return _line(out / "grid" / "stiffness_grid.csv", "grid")
 
 
+def schedule_digest() -> str:
+    """Digest line of the case study's reference schedule: the times a 6 s
+    ``simulate`` run asks for, on the full model and on the platform-only
+    one (the two design models)."""
+    cfg = cli.resolve_scenario(cli.load_scenario("case_study_integrated2"))
+    params, _ = sim.controller_params(cfg["architecture"], cfg["controller"])
+    times = np.arange(round(cfg["t_end_s"] / params.Ts) + 1 + params.Np) * params.Ts
+    digest = hashlib.sha256()
+    for model in (builtin_hcdr9dof(), builtin_hcdr9dof().platform_only()):
+        sched = sim.reference_schedule(model, sim.PlanarPlant(model), sim.case_study_trajectory(),
+                                       times, cfg["tension_scan_points"])
+        digest.update(sched["u"].tobytes() + sched["L0"].tobytes())
+    return f"{digest.hexdigest()}  schedule_6s/u+L0"
+
+
 def main():
     print(f"cablearm from {Path(cli.__file__).parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        print("\n".join(run_digests(RUNS, out) + [grid_digest(out)]))
+        print("\n".join(run_digests(RUNS, out) + [grid_digest(out), schedule_digest()]))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .errors import (  # noqa: E402
     InfeasibleError,
     IterationLimitError,
     ModelParseError,
-    NonPhysicalError,
     OutputError,
     RankDeficiencyError,
     ReductionError,
@@ -59,7 +58,6 @@ __all__ = [
     "InfeasibleError",
     "IterationLimitError",
     "ModelParseError",
-    "NonPhysicalError",
     "OutputError",
     "PlatformParams",
     "QuadrotorParams",

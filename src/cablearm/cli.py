@@ -134,6 +134,8 @@ def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
         "tension_scan_points": int(doc.get("tension_scan_points", 76)),
     }
     _check_fields(doc, cfg, "scenario")
+    if not isinstance(cfg["model"], str):
+        raise ModelParseError("model must be a builtin name or a model file path")
     if cfg["architecture"] not in _ARCHES:
         raise ScenarioError(f"architecture must be one of {_ARCHES}")
     if seed_override is not None:

@@ -102,12 +102,6 @@ class ComparisonError(CableRobotError):
     category = "comparison"
 
 
-class NonPhysicalError(CableRobotError):
-    """Requested quantity has no physical solution (e.g. tension <= -EA)."""
-
-    category = "nonphysical"
-
-
 class OutputError(CableRobotError):
     """An output directory or file could not be written."""
 

@@ -80,8 +80,8 @@ class PlatformParams:
 
     def __post_init__(self):
         n = len(self.anchors)
-        if self.mass <= 0:
-            raise ValidationError("platform mass must be positive")
+        if not 0 < self.mass < np.inf:
+            raise ValidationError("platform mass must be positive and finite")
         object.__setattr__(self, "inertia", _arr(self.inertia, (3, 3), "platform inertia"))
         _check_inertia(self.inertia, "platform", positive_definite=True)
         object.__setattr__(self, "anchors", tuple(self.anchors))
@@ -146,8 +146,8 @@ class ArmLink:
     com_offset: np.ndarray
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValidationError("arm link mass must be positive")
+        if not 0 < self.mass < np.inf:
+            raise ValidationError("arm link mass must be positive and finite")
         object.__setattr__(self, "inertia", _arr(self.inertia, (3, 3), "link inertia"))
         _check_inertia(self.inertia, "arm link", positive_definite=False)
         if self.joint_kind not in _JOINT_KINDS:
@@ -280,7 +280,7 @@ class QuadrotorParams:
     inertia: np.ndarray
     arm_length: float                 # d [m]
     moment_ratio: float               # k_M / k_F [m]
-    rotor_positions: np.ndarray = field(default=None)  # (4,3) body frame
+    rotor_positions: np.ndarray = field(init=False)  # (4,3) body frame, derived from d
 
     def __post_init__(self):
         if self.arm_length <= 0:
@@ -288,19 +288,16 @@ class QuadrotorParams:
         object.__setattr__(self, "inertia", _arr(self.inertia, (3, 3), "quadrotor inertia"))
         _check_inertia(self.inertia, "quadrotor", positive_definite=True)
         d = self.arm_length
-        expected = np.array([[d, 0, 0], [0, d, 0], [-d, 0, 0], [0, -d, 0]])
-        pos = expected if self.rotor_positions is None else np.asarray(self.rotor_positions, float)
-        if not np.allclose(pos, expected):
-            raise ValidationError("rotor positions must be [d,0,0],[0,d,0],[-d,0,0],[0,-d,0]")
-        object.__setattr__(self, "rotor_positions", _arr(pos, (4, 3), "rotor positions"))
+        object.__setattr__(self, "rotor_positions", _arr(
+            [[d, 0, 0], [0, d, 0], [-d, 0, 0], [0, -d, 0]], (4, 3), "rotor positions"))
 
 
 # ---------------------------------------------------------------------------
 # JSON schema <-> model
 
 
-def _inertia_from_doc(val, where: str) -> np.ndarray:
-    arr = np.asarray(val, dtype=float)
+def _inertia_from_doc(doc: dict, where: str) -> np.ndarray:
+    arr = _field(doc, "inertia_kgm2", where, "numbers")
     if arr.shape == (3,):
         return np.diag(arr)          # diagonal shorthand, expanded on load
     if arr.shape == (3, 3):
@@ -308,62 +305,90 @@ def _inertia_from_doc(val, where: str) -> np.ndarray:
     raise ModelParseError(f"{where}: inertia_kgm2 must be a 3-vector diagonal or 3x3 matrix")
 
 
-def _require(doc: dict, key: str, where: str):
+# JSON kind -> (Python types, description in errors)
+_KINDS = {"object": (dict, "an object"), "array": (list, "an array"), "string": (str, "a string"),
+          "number": ((int, float), "a number"), "numbers": (list, "an array of numbers")}
+
+
+def _field(doc, key: str, where: str, kind: str, default=None):
+    """``doc[key]`` (``default`` when given and the field is omitted) if it
+    is of the JSON ``kind`` in ``_KINDS``; a number comes back as a float
+    and numbers (nested to any depth) as a float array.  Raises
+    ModelParseError naming the JSON path otherwise."""
+    if not isinstance(doc, dict):
+        raise ModelParseError(f"{where}: expected an object")
     if key not in doc:
-        raise ModelParseError(f"{where}: missing required field '{key}'")
-    return doc[key]
+        if default is None:
+            raise ModelParseError(f"{where}: missing required field '{key}'")
+        return default
+    val = doc[key]
+    types, description = _KINDS[kind]
+    ok = isinstance(val, types) and not isinstance(val, bool)
+    if ok and kind == "numbers":
+        try:
+            val = np.asarray(val)
+        except ValueError:       # ragged nesting
+            ok = False
+        ok = ok and val.dtype.kind in "iuf"
+    if not ok:
+        raise ModelParseError(f"{where}.{key}: expected {description}")
+    if kind == "number":
+        return float(val)
+    return val.astype(float) if kind == "numbers" else val
 
 
 def model_from_dict(doc: dict) -> RobotModel:
-    """Build and validate a RobotModel from a schema-conforming dictionary."""
-    if not isinstance(doc, dict):
-        raise ModelParseError("model document root must be an object")
-    pdoc = _require(doc, "platform", "$")
-    cables = _require(pdoc, "cables", "$.platform")
+    """Build and validate a RobotModel from a schema-conforming dictionary.
+
+    A missing field or a value of the wrong JSON type at any level raises
+    ModelParseError naming its path; values of the right type that break an
+    invariant raise ValidationError."""
+    pdoc = _field(doc, "platform", "$", "object")
     anchors, ea, tmin, tmax = [], [], [], []
-    for i, c in enumerate(cables, start=1):
+    for i, c in enumerate(_field(pdoc, "cables", "$.platform", "array"), start=1):
         where = f"$.platform.cables[{i}]"
-        anchors.append(Anchor(_require(c, "a_m", where), _require(c, "r_m", where)))
-        ea.append(float(_require(c, "EA_N", where)))
-        tmin.append(float(_require(c, "Tmin_N", where)))
-        tmax.append(float(_require(c, "Tmax_N", where)))
-    groups_doc = pdoc.get("actuator_groups", {})
+        anchors.append(Anchor(_field(c, "a_m", where, "numbers"), _field(c, "r_m", where, "numbers")))
+        ea.append(_field(c, "EA_N", where, "number"))
+        tmin.append(_field(c, "Tmin_N", where, "number"))
+        tmax.append(_field(c, "Tmax_N", where, "number"))
     try:
-        groups = {int(k): tuple(int(i) for i in v) for k, v in groups_doc.items()}
+        groups = {int(k): tuple(int(i) for i in v)
+                  for k, v in _field(pdoc, "actuator_groups", "$.platform", "object", {}).items()}
     except (TypeError, ValueError) as exc:
         raise ModelParseError(f"$.platform.actuator_groups: {exc}") from None
     platform = PlatformParams(
-        mass=float(_require(pdoc, "mass_kg", "$.platform")),
-        inertia=_inertia_from_doc(_require(pdoc, "inertia_kgm2", "$.platform"), "$.platform"),
+        mass=_field(pdoc, "mass_kg", "$.platform", "number"),
+        inertia=_inertia_from_doc(pdoc, "$.platform"),
         anchors=tuple(anchors),
         axial_stiffness=np.array(ea),
         tension_min=np.array(tmin),
         tension_max=np.array(tmax),
         actuator_groups=groups,
-        tension_controlled_groups=tuple(pdoc.get("tension_controlled_groups", ())),
+        tension_controlled_groups=tuple(
+            _field(pdoc, "tension_controlled_groups", "$.platform", "numbers", [])),
     )
     links = []
-    for j, ldoc in enumerate(doc.get("arm", []), start=1):
+    for j, ldoc in enumerate(_field(doc, "arm", "$", "array", []), start=1):
         where = f"$.arm[{j}]"
-        joint = _require(ldoc, "joint", where)
+        joint = _field(ldoc, "joint", where, "object")
         links.append(
             ArmLink(
-                mass=float(_require(ldoc, "mass_kg", where)),
-                inertia=_inertia_from_doc(_require(ldoc, "inertia_kgm2", where), where),
-                joint_kind=str(_require(joint, "kind", where + ".joint")),
-                joint_axis=str(_require(joint, "axis", where + ".joint")),
-                joint_offset=_require(ldoc, "joint_offset_m", where),
-                com_offset=_require(ldoc, "com_offset_m", where),
+                mass=_field(ldoc, "mass_kg", where, "number"),
+                inertia=_inertia_from_doc(ldoc, where),
+                joint_kind=_field(joint, "kind", where + ".joint", "string"),
+                joint_axis=_field(joint, "axis", where + ".joint", "string"),
+                joint_offset=_field(ldoc, "joint_offset_m", where, "numbers"),
+                com_offset=_field(ldoc, "com_offset_m", where, "numbers"),
             )
         )
-    mount = doc.get("mount", {})
+    mount = _field(doc, "mount", "$", "object", {})
     return RobotModel(
         platform=platform,
         arm=tuple(links),
-        mount_offset=np.asarray(mount.get("l_m_m", [0.0, 0.0, 0.0]), float),
-        mount_rotation=np.asarray(mount.get("R_m_a0", np.eye(3)), float),
-        gravity=float(doc.get("gravity_mps2", 9.81)),
-        euler_convention=str(doc.get("euler_order", "XYZ")),
+        mount_offset=_field(mount, "l_m_m", "$.mount", "numbers", np.zeros(3)),
+        mount_rotation=_field(mount, "R_m_a0", "$.mount", "numbers", np.eye(3)),
+        gravity=_field(doc, "gravity_mps2", "$", "number", 9.81),
+        euler_convention=_field(doc, "euler_order", "$", "string", "XYZ"),
     )
 
 

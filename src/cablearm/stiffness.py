@@ -19,16 +19,18 @@ sweeps a full 2-D grid of commanded tensions, producing the plot-ready
 stiffness surface (no force-balance constraint).  Both read the tension
 bounds from the model, weight all eigenvalues equally, and build K_k over
 the cables of the length-commanded groups.  Each call builds the pose's
-cable frames (:class:`cablearm.kinematics.CableGeometry`) once; the K_T,
-K_k and unstretched-length functions take such frames.
+cable frames (:class:`cablearm.kinematics.CableGeometry`) once; the K_T
+and K_k functions take such frames.
 
 ``optimize_tensions`` broadcasts over stacks of reference rows, as the
 package's heavy functions do: the inverse dynamics, cable frames, balance
-pseudo-inverses, K assembly, objective, minimum-norm tensions and null
-space all run on the stack, every check runs per row and names the first
-failing row, and each row of a stack is bit-equal to its one-row call.
-Because K is affine in the scan tension, J_K is a convex quadratic along
-the scan and only the first and last feasible scan points are evaluated.
+pseudo-inverses, K assembly, objective and tension distribution all run
+on the stack, every check runs per row and names the first failing row,
+and each row of a stack is bit-equal to its one-row call.  K is affine in
+the scan tension: it is assembled once, at both ends of the scan, and
+taken from that line everywhere else.  J_K is then a convex quadratic
+along the scan, and only the first and last feasible scan points are
+evaluated.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleError, NonPhysicalError, ValidationError, at_row, first_row
+from .errors import InfeasibleError, ValidationError, at_row, first_row
 from .kinematics import CableGeometry, _skew, cable_geometry, euler_frames
 from .model import RobotModel
-from .redundancy import null_space, pinv_tensions
+from .redundancy import resolve
 from . import dynamics
 
 SYMMETRIZATION_LIMIT = 1e-8
@@ -54,8 +56,6 @@ class StiffnessResult:
     a stack of them (the leading axes of every array field)."""
 
     K: np.ndarray            # (..., 6, 6), symmetrized
-    K_T: np.ndarray
-    K_k: np.ndarray
     eigs: np.ndarray         # ascending
     J_K: float
     lambda_opt: np.ndarray   # null-space coordinates of T_opt
@@ -68,8 +68,8 @@ class StiffnessResult:
 
 
 def stiffness_KT(model: RobotModel, geo: CableGeometry, T) -> np.ndarray:
-    """Tension-geometry stiffness at tensions T (..., N) over cable frames of
-    the same leading shape; linear in T.
+    """Tension-geometry stiffness at tensions T (..., N) over cable frames
+    whose leading shape broadcasts against T's; linear in T.
 
     Per-cable contribution (T_i/L_i) [[P, P S_r^T], [S_r P, S_r P S_r^T]]
     + T_i [[0,0],[0, S_L S_r]] with P = I - Lhat Lhat^T, S_r = skew(R r_i),
@@ -94,28 +94,24 @@ def stiffness_KT(model: RobotModel, geo: CableGeometry, T) -> np.ndarray:
     return K
 
 
-def cable_stiffness_coefficients(model: RobotModel, lengths, L0=None, T=None) -> np.ndarray:
-    """Per-cable spring rates k_ci = EA_i / L0_i, from the unstretched
-    lengths L0 or, when only the tensions T are known, from the elastic law
-    (k_ci = (EA_i + T_i) / L_i)."""
+def stiffness_Kk(model: RobotModel, geo: CableGeometry, cable_subset, L0=None, T=None) -> np.ndarray:
+    """Cable-elasticity stiffness: Gram sum of wrench columns over a subset.
+
+    ``cable_subset`` holds 1-based cable indices (None: all cables).  The
+    spring rates k_ci = EA_i / L0_i come from the unstretched lengths L0
+    or, when only the tensions T are known, from the elastic law
+    T = (EA / L0)(L - L0) as (EA_i + T_i) / L_i.
+    """
     ea = model.platform.axial_stiffness
     if L0 is not None:
         L0 = np.asarray(L0, dtype=float)
         if np.any(L0 <= 0):
             raise ValidationError("unstretched cable lengths must be positive")
-        return ea / L0
-    if T is None:
+        kc = ea / L0
+    elif T is not None:
+        kc = (ea + np.asarray(T, dtype=float)) / geo.lengths
+    else:
         raise ValidationError("spring rates need the unstretched lengths L0 or the tensions T")
-    return (ea + np.asarray(T, dtype=float)) / np.asarray(lengths, dtype=float)
-
-
-def stiffness_Kk(model: RobotModel, geo: CableGeometry, cable_subset, L0=None, T=None) -> np.ndarray:
-    """Cable-elasticity stiffness: Gram sum of wrench columns over a subset.
-
-    ``cable_subset`` holds 1-based cable indices (None: all cables).
-    Spring rates follow :func:`cable_stiffness_coefficients`.
-    """
-    kc = cable_stiffness_coefficients(model, geo.lengths, L0=L0, T=T)
     if cable_subset is None:
         idx = np.arange(model.n_cables)
     else:
@@ -162,19 +158,6 @@ def _plain(a):
 def _matvec(A, v):
     """A @ v over leading axes of both."""
     return (A @ v[..., None])[..., 0]
-
-
-def unstretched_lengths_for(model: RobotModel, geo: CableGeometry, T) -> np.ndarray:
-    """Unstretched lengths that realize tensions T over the cable frames geo.
-
-    Inverts T = (EA/L0)(L - L0) exactly: L0 = EA L / (EA + T).
-    """
-    T = np.asarray(T, dtype=float)
-    ea = model.platform.axial_stiffness
-    if np.any(T <= -ea):
-        bad = int(np.argmax(T <= -ea)) + 1
-        raise NonPhysicalError(f"cable {bad}: tension {T[bad-1]:.3f} N <= -EA")
-    return ea * geo.lengths / (ea + T)
 
 
 def position_controlled_cables(model: RobotModel) -> tuple[int, ...]:
@@ -280,12 +263,11 @@ def _tension_scan(model: RobotModel, q_ref, qdot_ref, qddot_ref, scan_points: in
             "no statically consistent tensions satisfy the per-cable bounds "
             f"at this reference (scanned group {scan_groups[0]})" + at_row(none)
         )
-    # K is affine in the scan value: assemble it at both ends of the grid.
-    cable_subset = position_controlled_cables(model)
-    K_a, K_b = (
-        stiffness_KT(model, geo, T) + stiffness_Kk(model, geo, cable_subset, T=T)
-        for T in (T_grid[..., 0, :], T_grid[..., -1, :])
-    )
+    # K is affine in the scan value: assemble it at both ends of the grid,
+    # stacked ahead of the rows so the pose's cable frames broadcast.
+    ends = np.moveaxis(T_grid[..., [0, -1], :], -2, 0)
+    K_a, K_b = (stiffness_KT(model, geo, ends)
+                + stiffness_Kk(model, geo, position_controlled_cables(model), T=ends))
     return _Scan(geo, tau, wrench, T_grid, eta, feas, K_a, K_b,
                  (grid - grid[0]) / (grid[-1] - grid[0]))
 
@@ -342,21 +324,16 @@ def optimize_tensions(
     feasible.
     """
     scan = _tension_scan(model, q_ref, qdot_ref, qddot_ref, scan_points)
-    best, _ = _stiffest(scan.K_a, scan.K_b, scan.frac, scan.feasible)
+    best, J_K = _stiffest(scan.K_a, scan.K_b, scan.frac, scan.feasible)
     T_opt = np.take_along_axis(scan.T, best[..., None, None], axis=-2)[..., 0, :]
-    W = -scan.geo.structure
-    T_min_norm = pinv_tensions(W, scan.wrench)
-    lam = _matvec(np.swapaxes(null_space(W), -1, -2), T_opt - T_min_norm)
-    K_T = stiffness_KT(model, scan.geo, T_opt)
-    K_k = stiffness_Kk(model, scan.geo, position_controlled_cables(model), T=T_opt)
-    K, err = _symmetrize(K_T + K_k)
+    T_min_norm, N = resolve(-scan.geo.structure, scan.wrench)
+    lam = _matvec(np.swapaxes(N, -1, -2), T_opt - T_min_norm)
+    K, err = _symmetrize(scan.K_a + scan.frac[best][..., None, None] * (scan.K_b - scan.K_a))
     eigs = np.linalg.eigvalsh(K)
     return StiffnessResult(
         K=K,
-        K_T=K_T,
-        K_k=K_k,
         eigs=eigs,
-        J_K=_plain(objective_JK(K)),
+        J_K=_plain(J_K),
         lambda_opt=lam,
         T_opt=T_opt,
         is_stable=_plain(eigs[..., 0] > 0),
@@ -421,18 +398,12 @@ def stiffness_landscape(model: RobotModel, q_ref, group_L0: dict, resolution: in
     gB = model.platform.group_indices(scan_groups[1])
     ax_a = np.linspace(tmin[gA].max(), tmax[gA].min(), resolution)
     ax_b = np.linspace(tmin[gB].max(), tmax[gB].min(), resolution)
-    # K is affine in (tA, tB): three corner assemblies span the plane.
-    Kk = stiffness_Kk(model, geo, position_controlled_cables(model), L0=L0)
-
-    def assemble(ta, tb):
-        T = T_base.copy()
-        T[gA] = ta
-        T[gB] = tb
-        return stiffness_KT(model, geo, T) + Kk
-
-    K00 = assemble(0.0, 0.0)
-    K10 = assemble(1.0, 0.0)
-    K01 = assemble(0.0, 1.0)
+    # K is affine in (tA, tB): three corners, (0, 0), (1, 0) and (0, 1), span the plane.
+    corners = np.tile(T_base, (3, 1))
+    corners[1, gA] = 1.0
+    corners[2, gB] = 1.0
+    K00, K10, K01 = (stiffness_KT(model, geo, corners)
+                     + stiffness_Kk(model, geo, position_controlled_cables(model), L0=L0))
     dKa, dKb = K10 - K00, K01 - K00
     TA, TB = np.meshgrid(ax_a, ax_b, indexing="ij")
     K_all = K00[None, None] + TA[..., None, None] * dKa + TB[..., None, None] * dKb

@@ -186,6 +186,9 @@ class TestCliMain:
         ({"seed": [3]}, "scenario", 4),
         ({"controller": {"Ts_s": [0.01]}}, "scenario", 4),
         ({"controller": {"pid": {"Kp": [1.0]}}}, "scenario", 4),
+        ({"model": 5}, "parse", 2),
+        ({"model": None}, "parse", 2),
+        ({"model": ["hcdr9dof"]}, "parse", 2),
     ])
     def test_malformed_scenario_table(self, tmp_path, capsys, override, category, code):
         doc = dict(SHORT)
@@ -196,6 +199,48 @@ class TestCliMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == category
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where, value, category, code", [
+        ("platform", 5, "parse", 2),
+        ("platform.cables", 5, "parse", 2),
+        ("platform.cables.0.a_m", "x", "parse", 2),
+        ("platform.mass_kg", "abc", "parse", 2),
+        ("platform.cables.0.EA_N", None, "parse", 2),
+        ("gravity_mps2", "g", "parse", 2),
+        ("arm", [5], "parse", 2),
+        ("mount", [], "parse", 2),
+        ("platform.inertia_kgm2", [[1, 0, 0], [0, 1], [0, 0, 1]], "parse", 2),
+        ("arm.1.joint.kind", 5, "parse", 2),
+        ("platform.actuator_groups", [1, 2], "parse", 2),
+        ("platform.tension_controlled_groups", 3, "parse", 2),
+        ("platform.tension_controlled_groups", ["3"], "parse", 2),
+        ("platform.mass_kg", float("nan"), "validation", 3),
+        ("platform.mass_kg", float("inf"), "validation", 3),
+        ("arm.0.mass_kg", float("nan"), "validation", 3),
+        ("arm.2.mass_kg", float("inf"), "validation", 3),
+    ])
+    def test_malformed_model_table(self, tmp_path, capsys, where, value, category, code):
+        """A copy of the bundled model with one value replaced: a value of
+        the wrong JSON type at any level is a parse error (exit 2) naming
+        its path (or, for an array, the element's; indices count from 1),
+        and a non-finite mass a validation error (exit 3)."""
+        doc = json.loads((Path(cablearm.__file__).parent / "data" / "hcdr9dof.json").read_text())
+        *parents, key = [int(k) if k.isdigit() else k for k in where.split(".")]
+        node = doc
+        for k in parents:
+            node = node[k]
+        node[key] = value
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        (tmp_path / "state.json").write_text(json.dumps({"q": [0] * 9}))
+        assert main(["inverse-dynamics", "--model", str(tmp_path / "model.json"),
+                     "--state", str(tmp_path / "state.json")]) == code
+        out = capsys.readouterr()
+        err = json.loads(out.err)["error"]
+        assert err["category"] == category and out.out == ""
+        if category == "parse":
+            path = "$" + "".join(f"[{k + 1}]" if isinstance(k, int) else f".{k}"
+                                 for k in parents + [key])
+            assert err["message"].startswith(path)
 
     @pytest.mark.parametrize("command, doc", [
         ("inverse-dynamics", None),

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from cablearm.errors import RankDeficiencyError
 from cablearm.kinematics import tension_wrench_matrix
-from cablearm.redundancy import null_space, pinv_tensions
+from cablearm.redundancy import resolve
 
 
 @pytest.fixture(scope="module")
@@ -19,16 +19,17 @@ def gravity_wrench(hcdr):
 
 
 class TestPinv:
+    """The minimum-norm tensions of :func:`resolve`."""
+
     def test_zero_wrench(self, W):
-        assert np.allclose(pinv_tensions(W, np.zeros(6)), 0.0)
+        assert np.allclose(resolve(W, np.zeros(6))[0], 0.0)
 
     def test_residual(self, W, gravity_wrench):
-        T = pinv_tensions(W, gravity_wrench)
+        T, _ = resolve(W, gravity_wrench)
         assert np.linalg.norm(W @ T - gravity_wrench) <= 1e-8
 
     def test_minimum_norm_by_sampling(self, W, gravity_wrench):
-        T = pinv_tensions(W, gravity_wrench)
-        N = null_space(W)
+        T, N = resolve(W, gravity_wrench)
         r = np.random.default_rng(3)
         for lam in r.normal(0, 5, (1000, N.shape[1])):
             other = T + N @ lam
@@ -39,54 +40,56 @@ class TestPinv:
         A[0] = 1.0
         A[1] = 2.0
         with pytest.raises(RankDeficiencyError, match="rank 1"):
-            pinv_tensions(A, np.zeros(6))
+            resolve(A, np.zeros(6))
 
 
 class TestStacks:
-    """pinv_tensions and null_space broadcast over stacks of wrench maps."""
+    """resolve broadcasts over stacks of wrench maps."""
 
     def test_rows_equal_single_calls(self, hcdr, gravity_wrench):
         q = np.zeros((3, 6))
         q[1, 0], q[2, 2], q[2, 4] = 0.05, 0.1, 0.2
         W = tension_wrench_matrix(hcdr, q)
-        T, N = pinv_tensions(W, gravity_wrench), null_space(W)
+        T, N = resolve(W, gravity_wrench)
         for i in range(3):
-            assert T[i].tobytes() == pinv_tensions(W[i], gravity_wrench).tobytes()
-            assert N[i].tobytes() == null_space(W[i]).tobytes()
+            T_i, N_i = resolve(W[i], gravity_wrench)
+            assert T[i].tobytes() == T_i.tobytes()
+            assert N[i].tobytes() == N_i.tobytes()
 
     def test_rank_deficient_row_is_named(self, W):
         A = np.stack([W, W, W])
         A[1, 1] = 2.0 * A[1, 0]
         with pytest.raises(RankDeficiencyError, match=r"rank 5 < 6\) at row 1$"):
-            pinv_tensions(A, np.zeros(6))
-        with pytest.raises(RankDeficiencyError, match="at row 1$"):
-            null_space(A)
+            resolve(A, np.zeros(6))
 
 
 class TestNullSpace:
-    def test_dimensions(self, W):
-        N = null_space(W)
+    """The null-space basis of :func:`resolve`."""
+
+    @pytest.fixture(scope="class")
+    def N(self, W):
+        return resolve(W, np.zeros(6))[1]
+
+    def test_dimensions(self, N):
         assert N.shape == (12, 6)
 
-    def test_annihilation(self, W):
-        N = null_space(W)
+    def test_annihilation(self, W, N):
         assert np.linalg.norm(W @ N) <= 1e-10
 
-    def test_orthonormal(self, W):
-        N = null_space(W)
+    def test_orthonormal(self, N):
         assert np.linalg.norm(N.T @ N - np.eye(6)) <= 1e-10
 
-    def test_sign_normalized_and_reproducible(self, W):
-        N1 = null_space(W)
-        N2 = null_space(W.copy())
-        assert np.array_equal(N1, N2)
-        for k in range(N1.shape[1]):
-            lead = np.argmax(np.abs(N1[:, k]) > 1e-12)
-            assert N1[lead, k] > 0
+    def test_sign_normalized_and_reproducible(self, W, N):
+        assert np.array_equal(N, resolve(W.copy(), np.zeros(6))[1])
+        for k in range(N.shape[1]):
+            lead = np.argmax(np.abs(N[:, k]) > 1e-12)
+            assert N[lead, k] > 0
 
     def test_full_column_rank_gives_empty_basis(self):
-        A = np.vstack([np.eye(4), np.ones((2, 4))])
-        assert null_space(A).shape == (4, 0)
+        A = np.eye(4) + np.triu(np.ones((4, 4)), k=1)
+        T, N = resolve(A, np.arange(4.0))
+        assert N.shape == (4, 0)
+        assert np.allclose(A @ T, np.arange(4.0), rtol=0, atol=1e-12)
 
 
 class TestDistribute:
@@ -95,13 +98,15 @@ class TestDistribute:
 
     def test_zero_lambda_equals_pinv(self, W, gravity_wrench):
         """The minimum-norm tensions have zero null-space coordinates."""
-        lam = null_space(W).T @ pinv_tensions(W, gravity_wrench)
+        T, N = resolve(W, gravity_wrench)
+        lam = N.T @ T
         assert np.allclose(lam, 0.0, atol=1e-10)
 
     @given(seed=st.integers(0, 2**31))
     def test_wrench_invariance(self, seed, W, gravity_wrench):
         lam = np.random.default_rng(seed).normal(0, 10, 6)
-        T = pinv_tensions(W, gravity_wrench) + null_space(W) @ lam
+        T_min_norm, N = resolve(W, gravity_wrench)
+        T = T_min_norm + N @ lam
         res = np.linalg.norm(W @ T - gravity_wrench)
         assert res <= 1e-8 * (1 + np.linalg.norm(gravity_wrench))
 
@@ -111,7 +116,8 @@ class TestDistribute:
 
         res = optimize_tensions(hcdr, np.zeros(9), scan_points=39)
         W = tension_wrench_matrix(hcdr, np.zeros(9))
-        T = pinv_tensions(W, gravity_wrench) + null_space(W) @ res.lambda_opt
+        T_min_norm, N = resolve(W, gravity_wrench)
+        T = T_min_norm + N @ res.lambda_opt
         assert np.allclose(T, res.T_opt, atol=1e-8)
         assert T.min() >= 5.0 - 1e-8
         assert T.max() <= 80.0 + 1e-8

@@ -62,8 +62,8 @@ def test_bench_pairs_summary():
 
 
 def test_trace_digests_repeat(tmp_path):
-    """Two runs of one 0.05 s scenario give equal digests, one line per
-    artifact."""
+    """Two runs of one 0.05 s scenario, and two of the 6 s schedule, give
+    equal digests, one line per artifact."""
     spec = importlib.util.spec_from_file_location("trace_digests",
                                                   ROOT / "scripts" / "trace_digests.py")
     module = importlib.util.module_from_spec(spec)
@@ -73,3 +73,6 @@ def test_trace_digests_repeat(tmp_path):
     first, second = (module.run_digests(runs, tmp_path / side) for side in ("a", "b"))
     assert first == second
     assert [line.split("  ")[1] for line in first] == ["short/trace.csv", "short/summary.json"]
+    schedule = module.schedule_digest()
+    assert schedule == module.schedule_digest()
+    assert schedule.split("  ")[1] == "schedule_6s/u+L0"

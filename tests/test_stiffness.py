@@ -1,13 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from cablearm import sim, stiffness
+from cablearm import redundancy, sim, stiffness
 from cablearm.dynamics import inverse_dynamics
 from cablearm.errors import (
     GeometryError,
     InfeasibleError,
-    NonPhysicalError,
     SingularityError,
     ValidationError,
 )
@@ -15,7 +16,6 @@ from cablearm.kinematics import cable_geometry, tension_wrench_matrix
 from cablearm.model import builtin_hcdr9dof
 from cablearm.sim import PlanarPlant, case_study_trajectory
 from cablearm.stiffness import (
-    cable_stiffness_coefficients,
     generalized_to_wrench,
     objective_JK,
     optimize_tensions,
@@ -23,9 +23,8 @@ from cablearm.stiffness import (
     stiffness_Kk,
     stiffness_KT,
     stiffness_landscape,
-    unstretched_lengths_for,
 )
-from cablearm.redundancy import null_space, pinv_tensions
+from cablearm.redundancy import resolve
 
 HOME = cable_geometry(builtin_hcdr9dof(), np.zeros(9))   # cable frames at the home pose
 UPPER = (1, 2, 5, 6, 7, 8, 11, 12)
@@ -80,20 +79,23 @@ class TestKk:
         assert np.allclose(K2, 2 * K1, atol=1e-10)
 
     def test_coefficient_recovery_from_tension(self, hcdr):
-        """k from tension equals EA / L0 with L0 from the elastic law."""
+        """K_k from tension equals K_k from L0 = EA L / (EA + T), the
+        elastic law T = (EA / L0)(L - L0) solved for L0."""
         T = np.full(12, 20.0)
-        L0 = unstretched_lengths_for(hcdr, HOME, T)
-        k_T = cable_stiffness_coefficients(hcdr, HOME.lengths, T=T)
-        k_L0 = cable_stiffness_coefficients(hcdr, HOME.lengths, L0=L0)
-        assert np.allclose(k_T, k_L0, rtol=1e-12)
+        ea = hcdr.platform.axial_stiffness
+        L0 = ea * HOME.lengths / (ea + T)
+        K_T = stiffness_Kk(hcdr, HOME, None, T=T)
+        K_L0 = stiffness_Kk(hcdr, HOME, None, L0=L0)
+        assert np.allclose(K_T, K_L0, rtol=1e-12)
 
 
 class TestDefinitionOracle:
     def test_fd_of_cable_force_balance(self, hcdr):
         """K_T + K_k matches d(A_m K_c (L - L0))/dP at a consistent equilibrium."""
         res = optimize_tensions(hcdr, np.zeros(9), scan_points=39)
-        L0 = unstretched_lengths_for(hcdr, HOME, res.T_opt)
-        Kc = hcdr.platform.axial_stiffness / L0
+        ea = hcdr.platform.axial_stiffness
+        L0 = ea * HOME.lengths / (ea + res.T_opt)
+        Kc = ea / L0
 
         def balance(dpose):
             geo = cable_geometry(hcdr, np.r_[dpose, np.zeros(3)])
@@ -119,8 +121,10 @@ class TestStiffnessOfLambda:
         w = np.array([0, 0, total * hcdr.gravity, 0, 0, 0])
         W = tension_wrench_matrix(hcdr, np.zeros(9))
 
+        T_min_norm, N = resolve(W, w)
+
         def K(lam):
-            T = pinv_tensions(W, w) + null_space(W) @ lam
+            T = T_min_norm + N @ lam
             return stiffness_KT(hcdr, HOME, T) + stiffness_Kk(hcdr, HOME, UPPER, T=T)
 
         for _ in range(5):
@@ -272,34 +276,14 @@ class TestOptimizeTensions:
 
     def test_unstretched_lengths_shared_per_group(self, hcdr):
         res = optimize_tensions(hcdr, np.zeros(9), scan_points=39)
-        L0 = unstretched_lengths_for(hcdr, HOME, res.T_opt)
+        ea = hcdr.platform.axial_stiffness
+        L0 = ea * HOME.lengths / (ea + res.T_opt)
         for g, l0 in res.group_L0.items():
             idx = hcdr.platform.group_indices(g)
             assert np.allclose(L0[idx], l0, atol=1e-9)
 
     def test_position_controlled_cables(self, hcdr):
         assert position_controlled_cables(hcdr) == UPPER
-
-
-class TestUnstretchedLengths:
-    def test_zero_tension_returns_lengths(self, hcdr):
-        assert np.allclose(unstretched_lengths_for(hcdr, HOME, np.zeros(12)), HOME.lengths)
-
-    def test_closed_form_value(self):
-        # EA=100, L=1.0151, T=1.0 -> L0 = 100*1.0151/101
-        assert np.isclose(100 * 1.0151 / 101, 1.0050495049504951)
-
-    def test_round_trip_with_tension_law(self, hcdr, rng):
-        T = rng.uniform(5, 80, 12)
-        L0 = unstretched_lengths_for(hcdr, HOME, T)
-        T2 = hcdr.platform.axial_stiffness / L0 * (HOME.lengths - L0)
-        assert np.max(np.abs(T2 - T)) <= 1e-10
-
-    def test_nonphysical_tension(self, hcdr):
-        T = np.zeros(12)
-        T[4] = -120.0
-        with pytest.raises(NonPhysicalError, match="cable 5"):
-            unstretched_lengths_for(hcdr, HOME, T)
 
 
 class TestBatchedOptimizer:
@@ -334,6 +318,22 @@ class TestBatchedOptimizer:
             optimize_tensions(narrow, q, qd, qdd)
         with pytest.raises(InfeasibleError, match=r"group 3\)$"):
             optimize_tensions(narrow, q[2], qd[2], qdd[2])
+
+    def test_one_svd_and_one_K_assembly_per_call(self, hcdr, monkeypatch):
+        """A block takes one SVD of its wrench-map stack and one K_T and one
+        K_k call, at both scan ends together; K at the optimum comes from
+        the line between them."""
+        calls = Counter()
+        for module, name in ((redundancy, "_svd_rank"), (stiffness, "stiffness_KT"),
+                             (stiffness, "stiffness_Kk")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        q, qd, qdd = reference_rows(hcdr, [0.0, 1.5, 2.0, 2.5])   # the hold, then three ramp rows
+        optimize_tensions(hcdr, q, qd, qdd, scan_points=10)
+        assert calls == {"_svd_rank": 1, "stiffness_KT": 1, "stiffness_Kk": 1}
 
     def test_gimbal_lock_and_collapsed_cable_are_named(self, hcdr):
         q = np.zeros((3, 9))
