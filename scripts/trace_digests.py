@@ -15,7 +15,9 @@ the ``optimize-stiffness`` command, with the cablearm package that
 The runs (``RUNS``): each architecture at 0.3 s with seed 3 and noise
 ``[1, 1, 0.02, 0.02]``; integrated2 at 2 s with one integrator substep,
 ``du_bound [5, 5, 0.2, 0.2]``, that noise and seed 1; independent at 2 s
-with that noise and seed 3.  Then the default ``optimize-stiffness`` grid,
+with that noise and seed 3; integrated2 at 2 s as bundled (noise-free,
+error-controlled substeps), which reaches past the 1 s hold into the
+joint-3 ramp.  Then the default ``optimize-stiffness`` grid,
 and the ``u`` and ``L0`` bytes of ``sim.reference_schedule`` along the whole
 6 s case-study reference (the runs above reach its first 2.5 s only) on
 both design models.  The artifacts are written to a temporary directory
@@ -48,6 +50,7 @@ RUNS = {
     }),
     "independent_noisy_2s": ("case_study_independent",
                              {"t_end_s": 2.0, "seed": 3, "noise_std": NOISE}),
+    "integrated2_2s": ("case_study_integrated2", {"t_end_s": 2.0}),
 }
 
 

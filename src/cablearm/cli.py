@@ -76,10 +76,11 @@ def load_scenario(path_or_name) -> dict:
     return doc
 
 
-# numeric field -> "whole" number, "number", or "numbers" (one number or a
-# list of them); None marks the nested pid object
+# numeric field -> "whole" number ("whole?": or null, the default),
+# "number", or "numbers" (one number or a list of them); None marks the
+# nested pid object
 _SCENARIO_NUMBERS = {"t_end_s": "number", "seed": "whole", "noise_std": "numbers",
-                     "integrator_substeps": "whole", "tension_scan_points": "whole"}
+                     "integrator_substeps": "whole?", "tension_scan_points": "whole"}
 _CONTROLLER_FIELDS = {"Ts_s": "number", "Np": "whole", "Nc": "whole", "Q_scale": "number",
                       "R_scale": "number", "P_scale": "number", "du_bound": "numbers",
                       "pid": None}
@@ -100,20 +101,23 @@ def _check_numbers(doc: dict, fields: dict, where: str) -> None:
     them. Strings and bools are not read as numbers, and fractions are not
     truncated."""
     for key, kind in fields.items():
-        if key not in doc or kind is None:
+        if key not in doc or kind is None or (kind == "whole?" and doc[key] is None):
             continue
         value = doc[key]
+        whole = kind.startswith("whole")
         listed = kind == "numbers" and isinstance(value, (list, tuple))
         for v in (value if listed else [value]):
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or (
-                    kind == "whole"
-                    and not (isinstance(v, numbers.Integral) or float(v).is_integer())):
+                    whole and not (isinstance(v, numbers.Integral) or float(v).is_integer())):
                 raise ScenarioError(f"{where}{key} must be a "
-                                    + ("whole number" if kind == "whole" else "number"))
+                                    + ("whole number" if whole else "number"))
 
 
 def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
-    """Fill scenario defaults and validate the fields."""
+    """Fill scenario defaults and validate the fields.
+
+    An omitted (or null) ``integrator_substeps`` takes the architecture's
+    default, :attr:`sim.Architecture.default_substeps`."""
     controller = doc.get("controller", {})
     _check_fields(controller, _CONTROLLER_FIELDS, "controller")
     _check_fields(controller.get("pid", {}), _PID_FIELDS, "controller.pid")
@@ -130,7 +134,8 @@ def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
         "seed": int(doc.get("seed", 0)),
         "noise_std": doc.get("noise_std", 0.0),
         "controller": dict(controller),
-        "integrator_substeps": int(doc.get("integrator_substeps", 10)),
+        "integrator_substeps": (None if doc.get("integrator_substeps") is None
+                                else int(doc["integrator_substeps"])),
         "tension_scan_points": int(doc.get("tension_scan_points", 76)),
     }
     _check_fields(doc, cfg, "scenario")
@@ -144,7 +149,9 @@ def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
         raise ScenarioError("seed must be non-negative")
     if not 0 < cfg["t_end_s"] < np.inf:
         raise ScenarioError("t_end_s must be positive and finite")
-    if cfg["integrator_substeps"] < 1:
+    if cfg["integrator_substeps"] is None:
+        cfg["integrator_substeps"] = sim.Architecture(cfg["architecture"]).default_substeps
+    elif cfg["integrator_substeps"] < 1:
         raise ScenarioError("integrator_substeps must be at least 1")
     if cfg["tension_scan_points"] < 2:
         raise ScenarioError("tension_scan_points must be at least 2")
@@ -212,9 +219,12 @@ def compare_architectures(paths, out_dir, seed: int | None = None) -> dict:
     """Run scenarios that differ only in architecture and tabulate RMSEs.
 
     Raises ComparisonError, before any run, unless the scenarios hold each
-    of the three architectures once and agree in every other field.
+    of the three architectures once and agree in every other field, where
+    ``integrator_substeps`` is compared as written (its default depends on
+    the architecture).
     """
-    cfgs = [resolve_scenario(load_scenario(p), seed) for p in paths]
+    docs = [load_scenario(p) for p in paths]
+    cfgs = [resolve_scenario(doc, seed) for doc in docs]
     arches = [cfg["architecture"] for cfg in cfgs]
     missing = [a for a in _ARCHES if a not in arches]
     if missing:
@@ -222,7 +232,9 @@ def compare_architectures(paths, out_dir, seed: int | None = None) -> dict:
     if len(arches) != len(_ARCHES):
         repeated = sorted({a for a in arches if arches.count(a) > 1})
         raise ComparisonError(f"each architecture must appear once; repeated: {repeated}")
-    stripped = [{k: v for k, v in cfg.items() if k != "architecture"} for cfg in cfgs]
+    stripped = [{**cfg, "architecture": None,
+                 "integrator_substeps": doc.get("integrator_substeps")}
+                for cfg, doc in zip(cfgs, docs)]
     if any(s != stripped[0] for s in stripped[1:]):
         raise ComparisonError("scenarios must differ only in architecture")
     out = Path(out_dir)

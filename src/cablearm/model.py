@@ -9,6 +9,7 @@ share across threads.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from importlib import resources
@@ -32,6 +33,13 @@ def _arr(x, shape, name: str) -> np.ndarray:
     a = a.copy()
     a.flags.writeable = False
     return a
+
+
+def _whole(v, name: str) -> int:
+    """``v`` as an int; ValidationError unless it is a whole number."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not float(v).is_integer():
+        raise ValidationError(f"{name}: {v!r} is not a whole number")
+    return int(v)
 
 
 def _check_inertia(I: np.ndarray, name: str, positive_definite: bool) -> None:
@@ -95,15 +103,16 @@ class PlatformParams:
         if np.any(self.tension_min > self.tension_max):
             bad = int(np.argmax(self.tension_min > self.tension_max)) + 1
             raise ValidationError(f"tension bounds: Tmin > Tmax for cable {bad}")
-        groups = {int(k): tuple(int(i) for i in v) for k, v in self.actuator_groups.items()}
+        groups = {_whole(k, "actuator_groups"):
+                  tuple(_whole(i, f"actuator_groups[{k}]") for i in v)
+                  for k, v in self.actuator_groups.items()}
         object.__setattr__(self, "actuator_groups", groups)
         if groups:
             flat = [i for ids in groups.values() for i in ids]
             if sorted(flat) != list(range(1, n + 1)):
                 raise ValidationError("actuator_groups must be a disjoint cover of 1..N")
-        object.__setattr__(
-            self, "tension_controlled_groups", tuple(int(g) for g in self.tension_controlled_groups)
-        )
+        object.__setattr__(self, "tension_controlled_groups", tuple(
+            _whole(g, "tension_controlled_groups") for g in self.tension_controlled_groups))
         for g in self.tension_controlled_groups:
             if g not in groups:
                 raise ValidationError(f"tension_controlled_groups: unknown group {g}")
@@ -307,14 +316,16 @@ def _inertia_from_doc(doc: dict, where: str) -> np.ndarray:
 
 # JSON kind -> (Python types, description in errors)
 _KINDS = {"object": (dict, "an object"), "array": (list, "an array"), "string": (str, "a string"),
-          "number": ((int, float), "a number"), "numbers": (list, "an array of numbers")}
+          "number": ((int, float), "a number"), "numbers": (list, "an array of numbers"),
+          "wholes": (list, "an array of whole numbers")}
 
 
 def _field(doc, key: str, where: str, kind: str, default=None):
     """``doc[key]`` (``default`` when given and the field is omitted) if it
-    is of the JSON ``kind`` in ``_KINDS``; a number comes back as a float
-    and numbers (nested to any depth) as a float array.  Raises
-    ModelParseError naming the JSON path otherwise."""
+    is of the JSON ``kind`` in ``_KINDS``; a number comes back as a float,
+    numbers (nested to any depth) as a float array and whole numbers (one
+    level, integral values) as a tuple of ints.  Raises ModelParseError
+    naming the JSON path otherwise."""
     if not isinstance(doc, dict):
         raise ModelParseError(f"{where}: expected an object")
     if key not in doc:
@@ -324,16 +335,20 @@ def _field(doc, key: str, where: str, kind: str, default=None):
     val = doc[key]
     types, description = _KINDS[kind]
     ok = isinstance(val, types) and not isinstance(val, bool)
-    if ok and kind == "numbers":
+    if ok and kind in ("numbers", "wholes"):
         try:
             val = np.asarray(val)
         except ValueError:       # ragged nesting
             ok = False
         ok = ok and val.dtype.kind in "iuf"
+    if ok and kind == "wholes":
+        ok = val.ndim == 1 and bool(np.all(np.isfinite(val) & (val == np.trunc(val))))
     if not ok:
         raise ModelParseError(f"{where}.{key}: expected {description}")
     if kind == "number":
         return float(val)
+    if kind == "wholes":
+        return tuple(int(v) for v in val)
     return val.astype(float) if kind == "numbers" else val
 
 
@@ -351,11 +366,15 @@ def model_from_dict(doc: dict) -> RobotModel:
         ea.append(_field(c, "EA_N", where, "number"))
         tmin.append(_field(c, "Tmin_N", where, "number"))
         tmax.append(_field(c, "Tmax_N", where, "number"))
-    try:
-        groups = {int(k): tuple(int(i) for i in v)
-                  for k, v in _field(pdoc, "actuator_groups", "$.platform", "object", {}).items()}
-    except (TypeError, ValueError) as exc:
-        raise ModelParseError(f"$.platform.actuator_groups: {exc}") from None
+    gdoc = _field(pdoc, "actuator_groups", "$.platform", "object", {})
+    groups = {}
+    for key in gdoc:
+        try:
+            gid = int(key)
+        except ValueError:
+            raise ModelParseError(
+                f"$.platform.actuator_groups: group id {key!r} is not a whole number") from None
+        groups[gid] = _field(gdoc, key, "$.platform.actuator_groups", "wholes")
     platform = PlatformParams(
         mass=_field(pdoc, "mass_kg", "$.platform", "number"),
         inertia=_inertia_from_doc(pdoc, "$.platform"),
@@ -364,8 +383,8 @@ def model_from_dict(doc: dict) -> RobotModel:
         tension_min=np.array(tmin),
         tension_max=np.array(tmax),
         actuator_groups=groups,
-        tension_controlled_groups=tuple(
-            _field(pdoc, "tension_controlled_groups", "$.platform", "numbers", [])),
+        tension_controlled_groups=_field(pdoc, "tension_controlled_groups", "$.platform",
+                                         "wholes", ()),
     )
     links = []
     for j, ldoc in enumerate(_field(doc, "arm", "$", "array", []), start=1):

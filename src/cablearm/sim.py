@@ -8,8 +8,9 @@ test against the full 3-D model).  The 10-dim state is
 inputs are ``[T_low_A, T_low_B, tau_2, tau_3]`` with the two
 length-commanded upper groups driven by the exogenous unstretched lengths
 (L01, L02).  :meth:`PlanarPlant.f` is the one derivative, for single states
-(RK4: nearly all of a run's time) and stacks (linearization); its index maps
-are built once, so a call moves the state and the tensions in one copy each.
+(the fixed-count RK4 substeps) and stacks (step doubling, linearization);
+its index maps are built once, so a call moves the state and the tensions
+in one copy each.
 
 Closed loop (:func:`simulate`).  An architecture fixes two things
 (:class:`Architecture`): the design model, from which the tension/length
@@ -25,7 +26,10 @@ feedforward and the MPC's linearization come, and the MPC's reach.
 Every architecture runs the same loop: one reference schedule on the
 design model, a linearization of the design plant per distinct schedule
 point (cut to the MPC's leading states and inputs), one MPC call per period
-and, where the arm is on PID, one PID call per integration substep.  The
+and, where the arm is on PID, one PID call per integration substep.  Where
+no PID runs (integrated2) the input is held over the period, and unless a
+substep count is set the period is integrated by RK4 step doubling to
+``HELD_TOL``: the substeps then control only integration error.  The
 simulated plant is always the coupled system.  :func:`controller_params`
 is the one home of the controller defaults.
 
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -73,6 +78,13 @@ class Architecture(str, Enum):
     def design_model(self, model: RobotModel) -> RobotModel:
         """The model the feedforward and the MPC's linearization see."""
         return model.platform_only() if self is Architecture.INDEPENDENT else model
+
+    @property
+    def default_substeps(self) -> int | None:
+        """RK4 substeps per period when none are set: 10 where the arm is on
+        PID (they are also its sample rate), else None, error-controlled
+        (:func:`rk4_held`)."""
+        return None if self is Architecture.INTEGRATED_II else 10
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +345,13 @@ def case_study_trajectory() -> TrajectorySpec:
     )
 
 
-def rk4_step(f, x, inputs, dt: float):
-    """Classical fourth-order step with inputs held constant (zero-order hold)."""
-    if dt <= 0:
+def rk4_step(f, x, inputs, dt):
+    """Classical fourth-order step with inputs held constant (zero-order hold).
+
+    ``dt`` is one step for every row of ``x`` or, for a stack of states, a
+    (rows, 1) array of one step per row; each row equals its own scalar call.
+    """
+    if np.any(dt <= 0) if isinstance(dt, np.ndarray) else dt <= 0:
         raise ValueError("dt must be positive")
     k1 = f(x, *inputs)
     k2 = f(x + 0.5 * dt * k1, *inputs)
@@ -345,6 +361,33 @@ def rk4_step(f, x, inputs, dt: float):
     if not np.all(np.isfinite(x_next)):
         raise DivergenceError("integration produced non-finite state")
     return x_next
+
+
+HELD_TOL = 1e-8           # accepted error estimate (max norm) per held-input period
+HELD_MAX_SUBSTEPS = 64    # most RK4 substeps one held-input period may take
+
+
+def rk4_held(f, x, inputs, Ts: float):
+    """Integrate one period ``Ts`` with the inputs held, by RK4 step doubling
+    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).
+
+    With x_n the state after n RK4 steps of ``Ts / n``, |x_2n - x_n|_inf / 15
+    estimates the error of x_2n.  Starting at n = 1, n doubles until the
+    estimate is at most ``HELD_TOL``, and x_2n is accepted: plain RK4 at 2n
+    substeps.  The one-step solve and the first half step of the two-step
+    solve run as one stacked call.  Returns ``(x_2n, 2n, estimate)``; raises
+    DivergenceError when 2n would pass ``HELD_MAX_SUBSTEPS``.
+    """
+    pair = rk4_step(f, np.stack([x, x]), inputs, np.array([[Ts], [Ts / 2]]))
+    coarse, fine, n = pair[0], rk4_step(f, pair[1], inputs, Ts / 2), 2
+    while (err := float(np.max(np.abs(fine - coarse))) / 15.0) > HELD_TOL:
+        if 2 * n > HELD_MAX_SUBSTEPS:
+            raise DivergenceError(f"RK4 error estimate {err:.2e} above {HELD_TOL:.0e} "
+                                  f"at {n} substeps")
+        coarse, fine, n = fine, x, 2 * n
+        for _ in range(n):
+            fine = rk4_step(f, fine, inputs, Ts / n)
+    return fine, n, err
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +498,7 @@ def simulate(
     noise_std=0.0,
     seed: int = 0,
     T_end: float = 6.0,
-    substeps: int = 10,
+    substeps: int | None = None,
     scan_points: int = 76,
     config_hash: str = "",
 ) -> SimTrace:
@@ -465,16 +508,26 @@ def simulate(
     design plant at the feedforward scheduled on the architecture's design
     model (made before the loop, one per distinct point), solve the MPC
     over its states and inputs, then integrate the coupled plant
-    with RK4 substeps; joints the MPC leaves out get PID torques at the
-    start of every substep.  Input noise is zero-mean Gaussian per channel,
-    sampled once per period and held.  Tensions, energies and the end
-    effector come from batched calls over the recorded rows after the loop.
+    with ``substeps`` RK4 steps; joints the MPC leaves out get PID torques at
+    the start of every substep.  With ``substeps`` None the architecture's
+    default applies (:attr:`Architecture.default_substeps`): where no PID
+    runs the input is held over the period, which :func:`rk4_held`
+    integrates to its error tolerance.  Input noise is zero-mean Gaussian
+    per channel, sampled once per period and held.  Tensions, energies and
+    the end effector come from batched calls over the recorded rows after
+    the loop.
 
-    ``T_end`` must be a positive whole number of periods (ScenarioError,
-    raised before the schedule is computed).  Omitted ``mpc_params`` /
+    ``substeps`` must be None or a whole number >= 1 (ValidationError) and
+    ``T_end`` a positive whole number of periods (ScenarioError), both
+    checked before the schedule is computed.  Omitted ``mpc_params`` /
     ``pid_gains`` take the defaults of :func:`controller_params`.
     """
     arch = Architecture(architecture)
+    if substeps is None:
+        substeps = arch.default_substeps
+    elif isinstance(substeps, bool) or not isinstance(substeps, numbers.Integral) \
+            or substeps < 1:
+        raise ValidationError(f"substeps must be None or a whole number >= 1, not {substeps!r}")
     traj = case_study_trajectory() if traj is None else traj
     if mpc_params is None or pid_gains is None:
         default_params, default_gains = controller_params(arch, {})
@@ -517,7 +570,7 @@ def simulate(
     x_prev, u_prev = x[:s], u_ref[0, :p]
     xs, us = [], []
     joint_pid = p < plant.n_inputs
-    dt = Ts / substeps
+    dt = None if substeps is None else Ts / substeps
     for k in range(K):
         L01, L02 = L0_ref[k]
         w = rng.normal(0.0, 1.0, 4) * noise_std
@@ -526,6 +579,13 @@ def simulate(
         x_prev = x[:s]
         u = u_prev + w[:p]
         xs.append(x)
+        if substeps is None:    # input held over the period, no PID
+            us.append(u)
+            try:
+                x = rk4_held(plant.f, x, (u, L01, L02), Ts)[0]
+            except DivergenceError as exc:
+                raise DivergenceError(f"period {k} (t = {k * Ts:.2f} s): {exc}") from None
+            continue
         if joint_pid:   # the joint reference at the period's substep times
             refs = traj.sample(k * Ts + np.arange(substeps) * dt)
         for n in range(substeps):

@@ -214,6 +214,9 @@ class TestCliMain:
         ("platform.actuator_groups", [1, 2], "parse", 2),
         ("platform.tension_controlled_groups", 3, "parse", 2),
         ("platform.tension_controlled_groups", ["3"], "parse", 2),
+        ("platform.tension_controlled_groups", [3.7, 4], "parse", 2),
+        ("platform.actuator_groups",
+         {"1": [5, 6, 11, 12], "2": [1, 2, 7, 8], "3": [4.9, 10.2], "4": [3, 9]}, "parse", 2),
         ("platform.mass_kg", float("nan"), "validation", 3),
         ("platform.mass_kg", float("inf"), "validation", 3),
         ("arm.0.mass_kg", float("nan"), "validation", 3),
@@ -461,6 +464,19 @@ class TestCompare:
             compare_architectures(paths, tmp_path / "cmp")
 
 
+    def test_substeps_compared_as_written(self, tmp_path):
+        """An integrator_substeps written in one scenario only is a
+        difference, though it equals another architecture's default."""
+        paths = []
+        for arch in ("independent", "integrated1", "integrated2"):
+            p = tmp_path / f"{arch}.json"
+            extra = {"integrator_substeps": 10} if arch == "independent" else {}
+            p.write_text(json.dumps(_short(arch, extra)))
+            paths.append(str(p))
+        with pytest.raises(ComparisonError, match="differ only in architecture"):
+            compare_architectures(paths, tmp_path / "cmp")
+
+
 class TestScenarioResolution:
     def test_bundled_scenarios_load(self):
         for arch in ("independent", "integrated1", "integrated2"):
@@ -474,6 +490,15 @@ class TestScenarioResolution:
         cfg = resolve_scenario(doc)
         assert (cfg["seed"], cfg["integrator_substeps"]) == (3, 2)
         assert cfg["controller"] == {"Np": 10.0, "Nc": 5.0}
+
+    def test_substeps_default_depends_on_architecture(self):
+        """Omitted, integrator_substeps resolves to 10 where the arm is on
+        PID and to null (error-controlled) for integrated2; a resolved
+        scenario resolves to itself, so null reads as omitted."""
+        for arch, default in (("independent", 10), ("integrated1", 10), ("integrated2", None)):
+            cfg = resolve_scenario(dict(SHORT, architecture=arch))
+            assert cfg["integrator_substeps"] == default
+            assert resolve_scenario(cfg) == cfg
 
     def test_seed_override(self):
         cfg = resolve_scenario(dict(SHORT), seed_override=99)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,6 +151,19 @@ class TestValidation:
         doc["platform"]["actuator_groups"] = {"1": list(range(1, 12))}
         with pytest.raises(ValidationError, match="disjoint cover"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tension_controlled_groups", (3.7, 4)),
+        ("actuator_groups", {1: (5, 6, 11, 12), 2: (1, 2, 7, 8), 3: (4.9, 10.2), 4: (3, 9)}),
+        ("actuator_groups", {1: (5, 6, 11, 12), 2: (1, 2, 7, 8), 3.5: (4, 10), 4: (3, 9)}),
+    ])
+    def test_fractional_group_ids_rejected(self, hcdr, field, value):
+        """Built directly, a fractional group id or cable index is an error,
+        not truncated; integral floats stay accepted."""
+        with pytest.raises(ValidationError, match="not a whole number"):
+            replace(hcdr.platform, **{field: value})
+        assert replace(hcdr.platform, tension_controlled_groups=(3.0, 4)) \
+            .tension_controlled_groups == (3, 4)
 
     def test_bad_mount_rotation(self):
         doc = self._doc()

@@ -22,6 +22,7 @@ from cablearm.sim import (
     controller_params,
     quintic_trajectory,
     reference_schedule,
+    rk4_held,
     rk4_step,
     simulate,
 )
@@ -236,6 +237,65 @@ class TestRk4:
         with pytest.raises(DivergenceError):
             rk4_step(f, np.zeros(2), (), 0.01)
 
+    def test_per_row_dt_matches_scalar_calls(self, hcdr):
+        """A stack of plant states with one step per row equals, row by row
+        and bit for bit, the scalar-step call on each state."""
+        plant = PlanarPlant(hcdr)
+        rng = np.random.default_rng(11)
+        x = np.array([0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]) + rng.normal(0, 0.01, (3, 10))
+        inputs = (np.array([30.0, 35.0, 0.4, 0.2]), 1.005, 1.01)
+        dt = np.array([[0.01], [0.005], [0.0025]])
+        stacked = rk4_step(plant.f, x, inputs, dt)
+        for i in range(3):
+            assert stacked[i].tobytes() == rk4_step(plant.f, x[i], inputs, dt[i, 0]).tobytes(), i
+
+    def test_nonpositive_row_dt_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            rk4_step(lambda x: x, np.zeros((2, 1)), (), np.array([[0.1], [0.0]]))
+
+
+class TestRk4Held:
+    @pytest.mark.parametrize("lam, n", [(-0.02, 2), (-0.5, 16), (-2.0, 64), (-5.0, 128)])
+    def test_linear_ode_doubling_and_estimate(self, monkeypatch, lam, n):
+        """On x' = lam x over Ts = 1 the loop doubles n as |lam Ts| grows,
+        returns plain RK4 at its substep count, and its estimate is within
+        10% of the exact error of the accepted state."""
+        monkeypatch.setattr(sim, "HELD_MAX_SUBSTEPS", 256)
+
+        def f(x):
+            return lam * x
+
+        x0 = np.array([1.0])
+        x, substeps, estimate = rk4_held(f, x0, (), 1.0)
+        assert substeps == n and estimate <= sim.HELD_TOL
+        plain = x0
+        for _ in range(n):
+            plain = rk4_step(f, plain, (), 1.0 / n)
+        assert x.tobytes() == plain.tobytes()
+        exact_error = abs(x[0] - np.exp(lam))
+        assert 0.9 * estimate <= exact_error <= 1.1 * estimate
+
+    def test_cap_raises(self):
+        """x' = -5x over Ts = 1 needs 128 substeps, past the cap of 64."""
+        with pytest.raises(DivergenceError, match="at 64 substeps"):
+            rk4_held(lambda x: -5.0 * x, np.array([1.0]), (), 1.0)
+
+    def test_default_run_equals_two_substeps(self, hcdr):
+        """Along the first 0.5 s of the case study every period accepts two
+        substeps, so the error-controlled run is bit-identical to a fixed
+        two-substep run."""
+        held = simulate(hcdr, "integrated2", T_end=0.5, scan_points=20)
+        fixed = simulate(hcdr, "integrated2", T_end=0.5, scan_points=20, substeps=2)
+        for name in ("x", "u", "tensions", "ke", "ve", "p_e"):
+            assert getattr(held, name).tobytes() == getattr(fixed, name).tobytes(), name
+
+    def test_too_small_tolerance_names_the_period(self, hcdr, monkeypatch):
+        """Period 0 starts at rest on the reference (estimate exactly 0);
+        period 1 cannot meet the tolerance within the cap."""
+        monkeypatch.setattr(sim, "HELD_TOL", 1e-30)
+        with pytest.raises(DivergenceError, match=r"period 1 \(t = 0.01 s\).*at 64 substeps"):
+            simulate(hcdr, "integrated2", T_end=0.1, scan_points=10)
+
 
 class TestEnergyDrift:
     def test_conservative_planar_run_short(self, hcdr):
@@ -432,6 +492,19 @@ class TestSimulate:
         monkeypatch.setattr(sim, "reference_schedule", None)
         with pytest.raises(ScenarioError, match="whole number"):
             simulate(hcdr, "integrated2", T_end=T_end)
+
+    @pytest.mark.parametrize("substeps", [0, -1, 2.5, 2.0, True, "2"])
+    def test_rejects_bad_substeps(self, hcdr, monkeypatch, substeps):
+        """substeps is None or a whole number >= 1, checked before the
+        schedule is computed."""
+        monkeypatch.setattr(sim, "reference_schedule", None)
+        with pytest.raises(ValidationError, match="substeps"):
+            simulate(hcdr, "integrated2", T_end=0.1, substeps=substeps)
+
+    def test_default_substeps(self):
+        assert Architecture("independent").default_substeps == 10
+        assert Architecture("integrated1").default_substeps == 10
+        assert Architecture("integrated2").default_substeps is None
 
     def test_rejects_mpc_params_of_another_architecture(self, hcdr):
         params, _ = controller_params("integrated2", {})
