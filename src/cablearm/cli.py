@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import sys
 from importlib import resources
 from pathlib import Path
@@ -33,7 +32,7 @@ from .errors import (
     OutputError,
     ScenarioError,
 )
-from .model import RobotModel, builtin_model, load_model
+from .model import RobotModel, _field, _json_object, _object, builtin_model, load_model
 from .stiffness import stiffness_landscape
 
 _ARCHES = tuple(a.value for a in sim.Architecture)
@@ -61,88 +60,39 @@ def load_scenario(path_or_name) -> dict:
     if isinstance(path_or_name, dict):
         return dict(path_or_name)
     p = Path(str(path_or_name))
-    if p.exists():
-        text = _read_text(p)
-    else:
-        text = bundled_scenario_text(str(path_or_name))
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelParseError(
-            f"invalid scenario JSON at line {exc.lineno}: {exc.msg}"
-        ) from None
-    if not isinstance(doc, dict):
-        raise ModelParseError("scenario root must be an object")
-    return doc
+    return _json_object(_read_text(p) if p.exists() else bundled_scenario_text(str(path_or_name)))
 
 
-# numeric field -> "whole" number ("whole?": or null, the default),
-# "number", or "numbers" (one number or a list of them); None marks the
-# nested pid object
-_SCENARIO_NUMBERS = {"t_end_s": "number", "seed": "whole", "noise_std": "numbers",
-                     "integrator_substeps": "whole?", "tension_scan_points": "whole"}
-_CONTROLLER_FIELDS = {"Ts_s": "number", "Np": "whole", "Nc": "whole", "Q_scale": "number",
-                      "R_scale": "number", "P_scale": "number", "du_bound": "numbers",
-                      "pid": None}
-_PID_FIELDS = {"Kp": "number", "Ki": "number", "Kd": "number"}
-
-
-def _check_fields(doc, allowed, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ModelParseError(f"{where} must be an object")
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ModelParseError(f"unknown {where} fields: {sorted(unknown)}")
-
-
-def _check_numbers(doc: dict, fields: dict, where: str) -> None:
-    """ScenarioError unless each numeric field present holds what ``fields``
-    names: a single JSON number, a whole one, or (for "numbers") a list of
-    them. Strings and bools are not read as numbers, and fractions are not
-    truncated."""
-    for key, kind in fields.items():
-        if key not in doc or kind is None or (kind == "whole?" and doc[key] is None):
-            continue
-        value = doc[key]
-        whole = kind.startswith("whole")
-        listed = kind == "numbers" and isinstance(value, (list, tuple))
-        for v in (value if listed else [value]):
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or (
-                    whole and not (isinstance(v, numbers.Integral) or float(v).is_integer())):
-                raise ScenarioError(f"{where}{key} must be a "
-                                    + ("whole number" if whole else "number"))
+_SCENARIO_FIELDS = ("model", "architecture", "trajectory", "t_end_s", "seed", "noise_std",
+                    "controller", "integrator_substeps", "tension_scan_points")
 
 
 def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
-    """Fill scenario defaults and validate the fields.
-
+    """Fill scenario defaults and validate the fields, each error naming its
+    JSON path; :func:`sim.controller_params` reads and checks the controller.
     An omitted (or null) ``integrator_substeps`` takes the architecture's
     default, :attr:`sim.Architecture.default_substeps`."""
-    controller = doc.get("controller", {})
-    _check_fields(controller, _CONTROLLER_FIELDS, "controller")
-    _check_fields(controller.get("pid", {}), _PID_FIELDS, "controller.pid")
-    if isinstance(doc.get("trajectory"), dict):
-        _check_fields(doc["trajectory"], {"waypoints"}, "trajectory")
-    _check_numbers(doc, _SCENARIO_NUMBERS, "")
-    _check_numbers(controller, _CONTROLLER_FIELDS, "controller.")
-    _check_numbers(controller.get("pid", {}), _PID_FIELDS, "controller.pid.")
+    doc = _object(doc, "$", _SCENARIO_FIELDS)
+
+    def value(key, kind, default):
+        return _field(doc, key, "$", kind, default, ScenarioError)
+
     cfg = {
-        "model": doc.get("model", "hcdr9dof"),
-        "architecture": doc.get("architecture", "integrated2"),
+        "model": _field(doc, "model", "$", "string", "hcdr9dof"),
+        "architecture": value("architecture", "string", "integrated2"),
         "trajectory": doc.get("trajectory", "case_study"),
-        "t_end_s": float(doc.get("t_end_s", 6.0)),
-        "seed": int(doc.get("seed", 0)),
-        "noise_std": doc.get("noise_std", 0.0),
-        "controller": dict(controller),
-        "integrator_substeps": (None if doc.get("integrator_substeps") is None
-                                else int(doc["integrator_substeps"])),
-        "tension_scan_points": int(doc.get("tension_scan_points", 76)),
+        "t_end_s": value("t_end_s", "number", 6.0),
+        "seed": value("seed", "whole", 0),
+        "noise_std": value("noise_std", "numeric", 0.0),
+        "controller": dict(_field(doc, "controller", "$", "object", {})),
+        "integrator_substeps": value("integrator_substeps", "whole", None),
+        "tension_scan_points": value("tension_scan_points", "whole", 76),
     }
-    _check_fields(doc, cfg, "scenario")
-    if not isinstance(cfg["model"], str):
-        raise ModelParseError("model must be a builtin name or a model file path")
+    if isinstance(cfg["trajectory"], dict):
+        _object(cfg["trajectory"], "$.trajectory", ("waypoints",))
     if cfg["architecture"] not in _ARCHES:
         raise ScenarioError(f"architecture must be one of {_ARCHES}")
+    sim.controller_params(cfg["architecture"], cfg["controller"])
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
     if cfg["seed"] < 0:
@@ -155,12 +105,8 @@ def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
         raise ScenarioError("integrator_substeps must be at least 1")
     if cfg["tension_scan_points"] < 2:
         raise ScenarioError("tension_scan_points must be at least 2")
-    try:
-        noise = np.asarray(cfg["noise_std"], dtype=float)
-        noise_ok = noise.shape in ((), (4,)) and bool(np.all(np.isfinite(noise) & (noise >= 0)))
-    except (TypeError, ValueError):
-        noise_ok = False
-    if not noise_ok:
+    noise = np.asarray(cfg["noise_std"], dtype=float)
+    if noise.shape not in ((), (4,)) or not np.all(np.isfinite(noise) & (noise >= 0)):
         raise ScenarioError(
             "noise_std must be a non-negative number or a list of 4 finite non-negative entries"
         )
@@ -314,39 +260,14 @@ def _write_json(path: Path, doc) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _read_json_file(path, required=()) -> dict:
-    """JSON object from ``path`` that holds every key in ``required``."""
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ModelParseError(f"invalid JSON in {path}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise ModelParseError(f"{path} must hold a JSON object")
-    missing = [key for key in required if key not in doc]
-    if missing:
-        raise ModelParseError(f"{path} lacks required fields: {missing}")
-    return doc
-
-
-def _numbers(doc: dict, key: str, shape: tuple, path, finite: bool = True) -> np.ndarray:
-    """Field ``key`` of a state document as a float array of ``shape``
-    (``()`` for a number), all finite unless ``finite`` is false."""
-    try:
-        value = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError):
-        value = None
-    if value is None or value.shape != shape or (finite and not np.all(np.isfinite(value))):
-        what = f"a list of {shape[0]} finite numbers" if shape else "a finite number"
-        raise ModelParseError(f"{path}: '{key}' must be {what}")
-    return value
-
-
 def _cmd_inverse_dynamics(args) -> int:
     model = _resolve_model(args.model)
-    doc = {"qdot": [0.0] * model.nq, "qddot": [0.0] * model.nq,
-           **_read_json_file(args.state, ("q",))}
-    q, qd, qdd = (_numbers(doc, key, (model.nq,), args.state) for key in ("q", "qdot", "qddot"))
-    tau_d = None if doc.get("tau_d") is None else _numbers(doc, "tau_d", (model.nq,), args.state)
+    doc = _object(_json_object(_read_text(args.state)), "$", ("q", "qdot", "qddot", "tau_d"))
+    nq = (model.nq,)
+    q = _field(doc, "q", "$", "finite numbers", shape=nq)
+    qd, qdd = (_field(doc, key, "$", "finite numbers", np.zeros(nq), shape=nq)
+               for key in ("qdot", "qddot"))
+    tau_d = _field(doc, "tau_d", "$", "finite numbers", None, shape=nq)
     tau = dynamics.inverse_dynamics(model, q, qd, qdd, tau_d)
     print(json.dumps({
         "tau": tau.tolist(),
@@ -358,12 +279,12 @@ def _cmd_inverse_dynamics(args) -> int:
 
 def _cmd_linearize(args) -> int:
     model = _resolve_model(args.model)
-    doc = _read_json_file(args.state, ("x", "u", "L01", "L02"))
+    doc = _object(_json_object(_read_text(args.state)), "$", ("x", "u", "L01", "L02"))
     plant = sim.PlanarPlant(model)
     # a non-finite point reaches the plant, whose non-finite output is a divergence
-    x = _numbers(doc, "x", (plant.n_states,), args.state, finite=False)
-    u = _numbers(doc, "u", (plant.n_inputs,), args.state, finite=False)
-    L0 = tuple(float(_numbers(doc, key, (), args.state, finite=False)) for key in ("L01", "L02"))
+    x = _field(doc, "x", "$", "numbers", shape=(plant.n_states,))
+    u = _field(doc, "u", "$", "numbers", shape=(plant.n_inputs,))
+    L0 = (_field(doc, "L01", "$", "number"), _field(doc, "L02", "$", "number"))
     from .control import linearize
 
     ltv = linearize(plant.f, x, u, L0)

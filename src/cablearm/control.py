@@ -138,6 +138,8 @@ class MpcParams:
         p = self.R.shape[0]
         if self.du_min.shape != (p,) or self.du_max.shape != (p,):
             raise ValueError("du bounds must have one entry per input")
+        if np.isnan(self.du_min).any() or np.isnan(self.du_max).any():
+            raise ValueError("du bounds must not be NaN (an infinite bound means none)")
         if np.any(self.du_min > self.du_max):
             raise ValueError("du bounds must satisfy du_min <= du_max")
 

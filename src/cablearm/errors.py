@@ -31,7 +31,7 @@ class CableRobotError(Exception):
 
 
 class ModelParseError(CableRobotError):
-    """Model or scenario document does not conform to the schema."""
+    """A model, scenario or state document does not conform to its schema."""
 
     category = "parse"
 

@@ -37,9 +37,10 @@ def _arr(x, shape, name: str) -> np.ndarray:
 
 def _whole(v, name: str) -> int:
     """``v`` as an int; ValidationError unless it is a whole number."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not float(v).is_integer():
-        raise ValidationError(f"{name}: {v!r} is not a whole number")
-    return int(v)
+    try:
+        return _whole_number(v)
+    except (ValueError, OverflowError):
+        raise ValidationError(f"{name}: {v!r} is not a whole number") from None
 
 
 def _check_inertia(I: np.ndarray, name: str, positive_definite: bool) -> None:
@@ -302,7 +303,118 @@ class QuadrotorParams:
 
 
 # ---------------------------------------------------------------------------
-# JSON schema <-> model
+# JSON documents: the one reader of model, scenario and state files
+
+
+def _unique_keys(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ModelParseError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
+
+
+def _json_object(text: str) -> dict:
+    """The object a JSON document holds.  ModelParseError for a syntax error
+    (naming its line and column), a key repeated within one object, or a
+    root that is not an object."""
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ModelParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ModelParseError("$: expected an object")
+    return doc
+
+
+def _object(doc, where: str, fields: tuple) -> dict:
+    """``doc`` if it is an object with no field outside ``fields``;
+    ModelParseError naming the path of the first unknown field otherwise."""
+    if not isinstance(doc, dict):
+        raise ModelParseError(f"{where}: expected an object")
+    for key in doc:
+        if key not in fields:
+            raise ModelParseError(f"{where}.{key}: unknown field (known: {', '.join(fields)})")
+    return doc
+
+
+def _check(ok, v):
+    if not ok:
+        raise ValueError(v)
+    return v
+
+
+def _number(v) -> float:
+    return float(_check(isinstance(v, numbers.Real) and not isinstance(v, bool), v))
+
+
+def _whole_number(v) -> int:
+    return int(_check(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                      or _number(v).is_integer(), v))
+
+
+def _number_array(v) -> np.ndarray:
+    """A rectangular nest of arrays of numbers, as a float array."""
+    for x in _check(isinstance(v, (list, tuple)), v):
+        (_number_array if isinstance(x, (list, tuple)) else _number)(x)
+    return np.asarray(v, dtype=float)
+
+
+def _wholes(v) -> tuple:
+    return tuple(_whole_number(x) for x in _check(isinstance(v, (list, tuple)), v))
+
+
+def _groups(v) -> dict:
+    """Actuator groups: plain decimal ids ("3", not "03", " 3" or "+3") to
+    arrays of cable indices."""
+    return {int(_check(str(int(k)) == k, k)): _wholes(ids)
+            for k, ids in _check(isinstance(v, dict), v).items()}
+
+
+# kind -> (parser, description in errors); a parser returns the value read
+# as its kind and raises ValueError or OverflowError for any other value
+_KINDS = {
+    "object": (lambda v: _check(isinstance(v, dict), v), "an object"),
+    "array": (lambda v: _check(isinstance(v, (list, tuple)), v), "an array"),
+    "string": (lambda v: _check(isinstance(v, str), v), "a string"),
+    "number": (_number, "a number"),
+    "whole": (_whole_number, "a whole number"),
+    # kept as written; wrapped in a list, one number or a flat array is at most 2-D
+    "numeric": (lambda v: _check(_number_array([v]).ndim <= 2, v),
+                "a number or an array of numbers"),
+    "numbers": (_number_array, "an array of numbers"),
+    "finite numbers": (lambda v: _check(np.isfinite(_number_array(v)).all(), _number_array(v)),
+                       "an array of finite numbers"),
+    "wholes": (_wholes, "an array of whole numbers"),
+    "groups": (_groups, 'an object of plain decimal group ids ("3", not "03") to arrays of '
+                        "whole numbers"),
+}
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, where: str, kind, default=_REQUIRED, error=ModelParseError,
+           shape: tuple | None = None):
+    """Field ``key`` of the object ``doc`` at JSON path ``where``, read as
+    ``kind``: a name in ``_KINDS``, or a tuple of field names for an object
+    holding only those (:func:`_object`, whose errors are ModelParseErrors).
+
+    An omitted field takes ``default`` and is required when there is none;
+    a null reads as omitted where the default is None.  A missing value or
+    one of another kind or ``shape`` raises ``error`` naming its path."""
+    if key not in doc or (doc[key] is None and default is None):
+        if default is _REQUIRED:
+            raise error(f"{where}: missing required field '{key}'")
+        return default
+    if isinstance(kind, tuple):
+        return _object(doc[key], f"{where}.{key}", kind)
+    parse, description = _KINDS[kind]
+    try:
+        value = parse(doc[key])
+        if shape is None or np.shape(value) == shape:
+            return value
+    except (ValueError, OverflowError):
+        pass
+    raise error(f"{where}.{key}: expected {description}" + (f" of shape {shape}" if shape else ""))
 
 
 def _inertia_from_doc(doc: dict, where: str) -> np.ndarray:
@@ -314,67 +426,23 @@ def _inertia_from_doc(doc: dict, where: str) -> np.ndarray:
     raise ModelParseError(f"{where}: inertia_kgm2 must be a 3-vector diagonal or 3x3 matrix")
 
 
-# JSON kind -> (Python types, description in errors)
-_KINDS = {"object": (dict, "an object"), "array": (list, "an array"), "string": (str, "a string"),
-          "number": ((int, float), "a number"), "numbers": (list, "an array of numbers"),
-          "wholes": (list, "an array of whole numbers")}
-
-
-def _field(doc, key: str, where: str, kind: str, default=None):
-    """``doc[key]`` (``default`` when given and the field is omitted) if it
-    is of the JSON ``kind`` in ``_KINDS``; a number comes back as a float,
-    numbers (nested to any depth) as a float array and whole numbers (one
-    level, integral values) as a tuple of ints.  Raises ModelParseError
-    naming the JSON path otherwise."""
-    if not isinstance(doc, dict):
-        raise ModelParseError(f"{where}: expected an object")
-    if key not in doc:
-        if default is None:
-            raise ModelParseError(f"{where}: missing required field '{key}'")
-        return default
-    val = doc[key]
-    types, description = _KINDS[kind]
-    ok = isinstance(val, types) and not isinstance(val, bool)
-    if ok and kind in ("numbers", "wholes"):
-        try:
-            val = np.asarray(val)
-        except ValueError:       # ragged nesting
-            ok = False
-        ok = ok and val.dtype.kind in "iuf"
-    if ok and kind == "wholes":
-        ok = val.ndim == 1 and bool(np.all(np.isfinite(val) & (val == np.trunc(val))))
-    if not ok:
-        raise ModelParseError(f"{where}.{key}: expected {description}")
-    if kind == "number":
-        return float(val)
-    if kind == "wholes":
-        return tuple(int(v) for v in val)
-    return val.astype(float) if kind == "numbers" else val
-
-
 def model_from_dict(doc: dict) -> RobotModel:
     """Build and validate a RobotModel from a schema-conforming dictionary.
 
-    A missing field or a value of the wrong JSON type at any level raises
-    ModelParseError naming its path; values of the right type that break an
-    invariant raise ValidationError."""
-    pdoc = _field(doc, "platform", "$", "object")
+    A missing field, an unknown field or a value of the wrong JSON type at
+    any level raises ModelParseError naming its path; values of the right
+    type that break an invariant raise ValidationError."""
+    doc = _object(doc, "$", ("platform", "arm", "mount", "gravity_mps2", "euler_order"))
+    pdoc = _field(doc, "platform", "$", ("mass_kg", "inertia_kgm2", "cables", "actuator_groups",
+                                         "tension_controlled_groups"))
     anchors, ea, tmin, tmax = [], [], [], []
     for i, c in enumerate(_field(pdoc, "cables", "$.platform", "array"), start=1):
         where = f"$.platform.cables[{i}]"
+        c = _object(c, where, ("a_m", "r_m", "EA_N", "Tmin_N", "Tmax_N"))
         anchors.append(Anchor(_field(c, "a_m", where, "numbers"), _field(c, "r_m", where, "numbers")))
         ea.append(_field(c, "EA_N", where, "number"))
         tmin.append(_field(c, "Tmin_N", where, "number"))
         tmax.append(_field(c, "Tmax_N", where, "number"))
-    gdoc = _field(pdoc, "actuator_groups", "$.platform", "object", {})
-    groups = {}
-    for key in gdoc:
-        try:
-            gid = int(key)
-        except ValueError:
-            raise ModelParseError(
-                f"$.platform.actuator_groups: group id {key!r} is not a whole number") from None
-        groups[gid] = _field(gdoc, key, "$.platform.actuator_groups", "wholes")
     platform = PlatformParams(
         mass=_field(pdoc, "mass_kg", "$.platform", "number"),
         inertia=_inertia_from_doc(pdoc, "$.platform"),
@@ -382,14 +450,16 @@ def model_from_dict(doc: dict) -> RobotModel:
         axial_stiffness=np.array(ea),
         tension_min=np.array(tmin),
         tension_max=np.array(tmax),
-        actuator_groups=groups,
+        actuator_groups=_field(pdoc, "actuator_groups", "$.platform", "groups", {}),
         tension_controlled_groups=_field(pdoc, "tension_controlled_groups", "$.platform",
                                          "wholes", ()),
     )
     links = []
     for j, ldoc in enumerate(_field(doc, "arm", "$", "array", []), start=1):
         where = f"$.arm[{j}]"
-        joint = _field(ldoc, "joint", where, "object")
+        ldoc = _object(ldoc, where, ("mass_kg", "inertia_kgm2", "joint", "joint_offset_m",
+                                     "com_offset_m"))
+        joint = _field(ldoc, "joint", where, ("kind", "axis"))
         links.append(
             ArmLink(
                 mass=_field(ldoc, "mass_kg", where, "number"),
@@ -400,7 +470,7 @@ def model_from_dict(doc: dict) -> RobotModel:
                 com_offset=_field(ldoc, "com_offset_m", where, "numbers"),
             )
         )
-    mount = _field(doc, "mount", "$", "object", {})
+    mount = _field(doc, "mount", "$", ("l_m_m", "R_m_a0"), {})
     return RobotModel(
         platform=platform,
         arm=tuple(links),
@@ -417,11 +487,7 @@ def load_model(text: str) -> RobotModel:
     Raises ModelParseError naming the offending field (and line for syntax
     errors); raises ValidationError naming the violated invariant.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return model_from_dict(doc)
+    return model_from_dict(_json_object(text))
 
 
 def model_to_dict(model: RobotModel) -> dict:

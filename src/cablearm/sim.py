@@ -58,7 +58,7 @@ from . import control, dynamics
 from .control import LtvModel, MpcParams, PidGains, PidState, linearize, pid_step
 from .errors import DivergenceError, ReductionError, ScenarioError, ValidationError
 from .kinematics import _cable_frames, arm_chain, check_euler_regular, rotation
-from .model import RobotModel
+from .model import RobotModel, _field, _object
 from .stiffness import optimize_tensions
 
 
@@ -462,29 +462,38 @@ def controller_params(architecture, controller: dict) -> tuple[MpcParams, PidGai
 
     The MPC covers ``architecture.mpc_size`` states and inputs.  Omitted
     fields take the defaults written here, the package's one copy of them
-    (see the README's scenario schema).  Raises ScenarioError for unusable
-    settings.
+    (see the README's scenario schema).  An unknown field is a
+    ModelParseError; a value of the wrong JSON type or an unusable setting
+    is a ScenarioError.
     """
     arch = Architecture(architecture)
     s, p = arch.mpc_size
-    pid = controller.get("pid", {})
+    controller = _object(controller, "$.controller", ("Ts_s", "Np", "Nc", "Q_scale", "R_scale",
+                                                      "P_scale", "du_bound", "pid"))
+    pid = _field(controller, "pid", "$.controller", ("Kp", "Ki", "Kd"), {})
+
+    def mpc(key, kind, default):
+        return _field(controller, key, "$.controller", kind, default, ScenarioError)
+
+    def gain(key, default):
+        return _field(pid, key, "$.controller.pid", "number", default, ScenarioError)
+
+    du = np.asarray(mpc("du_bound", "numeric", [80.0, 80.0, 2.0, 2.0][:p]), dtype=float)
+    if du.shape != (p,):
+        raise ScenarioError(f"du_bound must have {p} entries for {arch.value}")
     try:
-        du = np.asarray(controller.get("du_bound", [80.0, 80.0, 2.0, 2.0][:p]), dtype=float)
-        if du.shape != (p,):
-            raise ScenarioError(f"du_bound must have {p} entries for {arch.value}")
         params = MpcParams(
-            Ts=float(controller.get("Ts_s", 0.01)),
-            Np=int(controller.get("Np", 50)),
-            Nc=int(controller.get("Nc", 50)),
-            Q=float(controller.get("Q_scale", 1.0)) * np.eye(s),
-            R=float(controller.get("R_scale", 1e-4)) * np.eye(p),
-            P=float(controller.get("P_scale", 1.0)) * np.eye(s),
+            Ts=mpc("Ts_s", "number", 0.01),
+            Np=mpc("Np", "whole", 50),
+            Nc=mpc("Nc", "whole", 50),
+            Q=mpc("Q_scale", "number", 1.0) * np.eye(s),
+            R=mpc("R_scale", "number", 1e-4) * np.eye(p),
+            P=mpc("P_scale", "number", 1.0) * np.eye(s),
             du_min=-du,
             du_max=du,
         )
-        gains = PidGains(Kp=float(pid.get("Kp", 400.0)), Ki=float(pid.get("Ki", 100.0)),
-                         Kd=float(pid.get("Kd", 10.0)))
-    except (TypeError, ValueError) as exc:
+        gains = PidGains(Kp=gain("Kp", 400.0), Ki=gain("Ki", 100.0), Kd=gain("Kd", 10.0))
+    except (ValueError, OverflowError) as exc:
         raise ScenarioError(f"invalid controller settings: {exc}") from None
     return params, gains
 

@@ -10,7 +10,7 @@ import pytest
 import cablearm
 from cablearm import metrics
 from cablearm.cli import compare_architectures, load_scenario, main, resolve_scenario, run_scenario
-from cablearm.errors import AlignmentError, ComparisonError
+from cablearm.errors import AlignmentError, CableRobotError, ComparisonError
 
 
 SHORT = {
@@ -189,6 +189,9 @@ class TestCliMain:
         ({"model": 5}, "parse", 2),
         ({"model": None}, "parse", 2),
         ({"model": ["hcdr9dof"]}, "parse", 2),
+        pytest.param({"controller": {"du_bound": [float("nan")] * 4}}, "scenario", 4,
+                     id="nan-du_bound"),
+        pytest.param({"controller": {"Np": 1e300}}, "scenario", 4, id="huge-Np"),
     ])
     def test_malformed_scenario_table(self, tmp_path, capsys, override, category, code):
         doc = dict(SHORT)
@@ -221,12 +224,26 @@ class TestCliMain:
         ("platform.mass_kg", float("inf"), "validation", 3),
         ("arm.0.mass_kg", float("nan"), "validation", 3),
         ("arm.2.mass_kg", float("inf"), "validation", 3),
+        pytest.param("euler_ordr", "ZXY", "parse", 2, id="unknown-root"),
+        pytest.param("platform.tension_controled_groups", [3, 4], "parse", 2,
+                     id="unknown-platform"),
+        pytest.param("platform.cables.0.Tmax", 10.0, "parse", 2, id="unknown-cable"),
+        pytest.param("arm.0.mass", 0.4, "parse", 2, id="unknown-link"),
+        pytest.param("arm.1.joint.axes", "Y", "parse", 2, id="unknown-joint"),
+        pytest.param("mount.R", np.eye(3).tolist(), "parse", 2, id="unknown-mount"),
+        *(pytest.param("platform.actuator_groups",
+                       {"1": [5, 6, 11, 12], "2": [1, 2, 7, 8], **groups, "4": [3, 9]},
+                       "parse", 2, id=f"group-key-{name}")
+          for name, groups in (("leading-zero", {"03": [4, 10]}), ("space", {" 3": [4, 10]}),
+                               ("plus", {"+3": [4, 10]}),
+                               ("shadowed", {"03": [99], "3": [4, 10]}))),
     ])
     def test_malformed_model_table(self, tmp_path, capsys, where, value, category, code):
-        """A copy of the bundled model with one value replaced: a value of
-        the wrong JSON type at any level is a parse error (exit 2) naming
-        its path (or, for an array, the element's; indices count from 1),
-        and a non-finite mass a validation error (exit 3)."""
+        """A copy of the bundled model with one value replaced or added: a
+        value of the wrong JSON type at any level, an unknown field or a
+        group key that is not a plain decimal integer is a parse error
+        (exit 2) naming its path (or, for an array, the element's; indices
+        count from 1), and a non-finite mass a validation error (exit 3)."""
         doc = json.loads((Path(cablearm.__file__).parent / "data" / "hcdr9dof.json").read_text())
         *parents, key = [int(k) if k.isdigit() else k for k in where.split(".")]
         node = doc
@@ -271,12 +288,17 @@ class TestCliMain:
                      id="nan-tau_d"),
         pytest.param("evaluate", TRACE_HEAD + TRACE_ROW[:-2] + "nan\n", id="nan-cell"),
         pytest.param("evaluate", TRACE_HEAD + TRACE_ROW + "-inf" + TRACE_ROW[1:], id="inf-cell"),
+        pytest.param("inverse-dynamics", {"q": [0] * 9, "qdd": [1] + [0] * 8}, id="qdd-typo"),
+        pytest.param("inverse-dynamics", {"q": [0] * 9, "note": "rest"}, id="extra-field-id"),
+        pytest.param("linearize", {"x": [0] * 10, "u": [30.0, 30.0, 0, 0], "L01": 0.85,
+                                   "L02": 0.8, "L03": 0.8}, id="extra-field-linearize"),
     ])
     def test_malformed_input_file_table(self, tmp_path, capsys, command, doc):
         """A missing input file, a state document without its required
-        fields or with a field of the wrong type or length, a non-finite
-        number where the document or trace needs a finite one, and a trace
-        whose rows are not one number per column are parse errors (exit 2)."""
+        fields, with an unknown field or with a field of the wrong type or
+        length, a non-finite number where the document or trace needs a
+        finite one, and a trace whose rows are not one number per column
+        are parse errors (exit 2)."""
         path = tmp_path / "input.json"
         if isinstance(doc, str):
             path.write_text(doc)
@@ -286,6 +308,33 @@ class TestCliMain:
         assert main([command, flag, str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "parse"
+
+    @pytest.mark.parametrize("flag, text", [
+        pytest.param("--scenario", '{"t_end_s": 0.05, "seed": 1, "seed": 7}', id="scenario"),
+        pytest.param("--scenario", '{"t_end_s": 0.05, "controller": {"pid": {"Kp": 1, "Kp": 2}}}',
+                     id="scenario-pid"),
+        pytest.param("--model", None, id="model"),
+        pytest.param("--state", '{"q": [0, 0, 0, 0, 0, 0, 0, 0, 0], "q": [1, 0, 0, 0, 0, 0, 0, '
+                                '0, 0]}', id="state"),
+    ])
+    def test_duplicate_key_table(self, tmp_path, capsys, flag, text):
+        """A key written twice in one object, at any level, is a parse error
+        (exit 2) naming the key, not a silent choice of one value.  The
+        documents are raw text, since ``json.dumps`` writes each key once;
+        the model is the bundled one with its first link's mass repeated."""
+        if text is None:
+            bundled = (Path(cablearm.__file__).parent / "data" / "hcdr9dof.json").read_text()
+            text = bundled.replace('"mass_kg": ', '"mass_kg": 9.0, "mass_kg": ', 1)
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        state = tmp_path / "q.json"
+        state.write_text(json.dumps({"q": [0] * 9}))
+        argv = {"--scenario": ["simulate", "--out-dir", str(tmp_path / "o")],
+                "--model": ["inverse-dynamics", "--state", str(state)],
+                "--state": ["inverse-dynamics"]}[flag]
+        assert main(argv + [flag, str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["category"] == "parse" and err["message"].startswith("duplicate key")
 
     @pytest.mark.parametrize("argv, code, category", [
         pytest.param(["simulate", "--scenario", "{dir}"], 2, "parse", id="scenario-dir"),
@@ -499,6 +548,21 @@ class TestScenarioResolution:
             cfg = resolve_scenario(dict(SHORT, architecture=arch))
             assert cfg["integrator_substeps"] == default
             assert resolve_scenario(cfg) == cfg
+
+    @pytest.mark.parametrize("override, path", [
+        pytest.param({"controller": {"Np": 50.9}}, "$.controller.Np: expected a whole number",
+                     id="Np"),
+        pytest.param({"controller": {"pid": {"Kp": "1"}}}, "$.controller.pid.Kp: expected a number",
+                     id="Kp"),
+        pytest.param({"noise_std": "loud"}, "$.noise_std: expected a number or an array",
+                     id="noise_std"),
+        pytest.param({"controller": {"Q_scal": 2.0}}, "$.controller.Q_scal: unknown field",
+                     id="Q_scal"),
+    ])
+    def test_errors_name_their_path(self, override, path):
+        with pytest.raises(CableRobotError) as caught:
+            resolve_scenario(dict(SHORT, **override))
+        assert str(caught.value).startswith(path)
 
     def test_seed_override(self):
         cfg = resolve_scenario(dict(SHORT), seed_override=99)

@@ -1,10 +1,13 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import cablearm
+from cablearm.cli import load_scenario, resolve_scenario
 from cablearm.errors import ModelParseError, ValidationError
 from cablearm.model import (
     builtin_hcdr9dof,
@@ -109,6 +112,18 @@ class TestRoundTrip:
         }
         model = model_from_dict(doc)
         assert model_to_dict(load_model(serialize_model(model))) == model_to_dict(model)
+
+
+    def test_shipped_and_written_documents_pass_the_strict_reader(self):
+        """The bundled model and scenarios and a serialized quadrotor model
+        load through the reader that rejects unknown fields and duplicate
+        keys."""
+        text = (Path(cablearm.__file__).parent / "data" / "hcdr9dof.json").read_text()
+        assert model_to_dict(load_model(text)) == model_to_dict(builtin_hcdr9dof())
+        for arch in ("independent", "integrated1", "integrated2"):
+            assert resolve_scenario(load_scenario(f"case_study_{arch}"))["architecture"] == arch
+        _, quad = builtin_quadrotor_arm()
+        assert model_to_dict(load_model(serialize_model(quad))) == model_to_dict(quad)
 
 
 class TestValidation:
