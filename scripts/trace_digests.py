@@ -86,7 +86,7 @@ def schedule_digest() -> str:
     digest = hashlib.sha256()
     for model in (builtin_hcdr9dof(), builtin_hcdr9dof().platform_only()):
         sched = sim.reference_schedule(model, sim.PlanarPlant(model), sim.case_study_trajectory(),
-                                       times, cfg["tension_scan_points"])
+                                       times)
         digest.update(sched["u"].tobytes() + sched["L0"].tobytes())
     return f"{digest.hexdigest()}  schedule_6s/u+L0"
 

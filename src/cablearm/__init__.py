@@ -3,20 +3,18 @@ optimization, and closed-loop trajectory-tracking simulation.
 
 All linear algebra in this package operates on matrices of at most a few
 hundred rows, where BLAS thread pools cost far more than they save.  The
-pools are therefore pinned to one thread at import (opt out by setting
-``CABLEARM_KEEP_BLAS_THREADS=1``).
+pools are therefore pinned to one thread at import.
 """
 
 import os
 
-if not os.environ.get("CABLEARM_KEEP_BLAS_THREADS"):
-    try:
-        import threadpoolctl
+try:
+    import threadpoolctl
 
-        threadpoolctl.threadpool_limits(1, user_api="blas")
-    except ImportError:  # pragma: no cover - threadpoolctl is usually present
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-        os.environ.setdefault("OMP_NUM_THREADS", "1")
+    threadpoolctl.threadpool_limits(1, user_api="blas")
+except ImportError:  # pragma: no cover - threadpoolctl is usually present
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .errors import (  # noqa: E402
     AlignmentError,

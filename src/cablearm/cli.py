@@ -47,31 +47,32 @@ def _resolve_model(ref: str) -> RobotModel:
     return load_model(_read_text(path))
 
 
-def bundled_scenario_text(name: str) -> str:
-    ref = resources.files("cablearm").joinpath(f"data/scenarios/{name}.json")
-    try:
-        return ref.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ScenarioError(f"no bundled scenario '{name}'") from None
-
-
 def load_scenario(path_or_name) -> dict:
     """Load a scenario JSON document (path, bundled name, or dict)."""
     if isinstance(path_or_name, dict):
         return dict(path_or_name)
     p = Path(str(path_or_name))
-    return _json_object(_read_text(p) if p.exists() else bundled_scenario_text(str(path_or_name)))
+    if p.exists():
+        return _json_object(_read_text(p))
+    ref = resources.files("cablearm").joinpath(f"data/scenarios/{path_or_name}.json")
+    try:
+        text = ref.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ScenarioError(f"no bundled scenario '{path_or_name}'") from None
+    return _json_object(text)
 
 
 _SCENARIO_FIELDS = ("model", "architecture", "trajectory", "t_end_s", "seed", "noise_std",
-                    "controller", "integrator_substeps", "tension_scan_points")
+                    "controller", "integrator_substeps")
 
 
 def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
     """Fill scenario defaults and validate the fields, each error naming its
     JSON path; :func:`sim.controller_params` reads and checks the controller.
     An omitted (or null) ``integrator_substeps`` takes the architecture's
-    default, :attr:`sim.Architecture.default_substeps`."""
+    default, :attr:`sim.Architecture.default_substeps`; a written one is at
+    most ``sim.MAX_SUBSTEPS``.  ``t_end_s`` may not ask for more controller
+    periods than an array can index."""
     doc = _object(doc, "$", _SCENARIO_FIELDS)
 
     def value(key, kind, default):
@@ -86,25 +87,26 @@ def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
         "noise_std": value("noise_std", "numeric", 0.0),
         "controller": dict(_field(doc, "controller", "$", "object", {})),
         "integrator_substeps": value("integrator_substeps", "whole", None),
-        "tension_scan_points": value("tension_scan_points", "whole", 76),
     }
     if isinstance(cfg["trajectory"], dict):
         _object(cfg["trajectory"], "$.trajectory", ("waypoints",))
     if cfg["architecture"] not in _ARCHES:
         raise ScenarioError(f"architecture must be one of {_ARCHES}")
-    sim.controller_params(cfg["architecture"], cfg["controller"])
+    params, _ = sim.controller_params(cfg["architecture"], cfg["controller"])
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
     if cfg["seed"] < 0:
         raise ScenarioError("seed must be non-negative")
     if not 0 < cfg["t_end_s"] < np.inf:
         raise ScenarioError("t_end_s must be positive and finite")
+    # the (periods, 10) float64 reference must have a byte size numpy can index
+    if (cfg["t_end_s"] / params.Ts + 1 + params.Np) * 80 > np.iinfo(np.intp).max:
+        raise ScenarioError(f"$.t_end_s: {cfg['t_end_s']} s holds more controller periods "
+                            f"({params.Ts} s) than an array can index")
     if cfg["integrator_substeps"] is None:
         cfg["integrator_substeps"] = sim.Architecture(cfg["architecture"]).default_substeps
-    elif cfg["integrator_substeps"] < 1:
-        raise ScenarioError("integrator_substeps must be at least 1")
-    if cfg["tension_scan_points"] < 2:
-        raise ScenarioError("tension_scan_points must be at least 2")
+    elif not 1 <= cfg["integrator_substeps"] <= sim.MAX_SUBSTEPS:
+        raise ScenarioError(f"integrator_substeps must be from 1 to {sim.MAX_SUBSTEPS}")
     noise = np.asarray(cfg["noise_std"], dtype=float)
     if noise.shape not in ((), (4,)) or not np.all(np.isfinite(noise) & (noise >= 0)):
         raise ScenarioError(
@@ -133,7 +135,6 @@ def run_scenario(path_or_doc, out_dir, seed: int | None = None, fmt: str = "csv"
     model = _resolve_model(cfg["model"])
     params, gains = sim.controller_params(cfg["architecture"], cfg["controller"])
     traj = _build_trajectory(cfg["trajectory"])
-    digest = sim.config_digest(cfg)
     trace = sim.simulate(
         model,
         cfg["architecture"],
@@ -144,11 +145,9 @@ def run_scenario(path_or_doc, out_dir, seed: int | None = None, fmt: str = "csv"
         seed=cfg["seed"],
         T_end=cfg["t_end_s"],
         substeps=cfg["integrator_substeps"],
-        scan_points=cfg["tension_scan_points"],
-        config_hash=digest,
     )
     out = Path(out_dir)
-    summary = metrics.summary_dict(trace)
+    summary = {**metrics.summary_dict(trace), "config_hash": sim.config_digest(cfg)}
     trace_path = out / "trace.csv"
     summary_path = out / "summary.json"
     _write_text(trace_path, metrics.trace_to_csv(trace))

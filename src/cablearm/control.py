@@ -13,15 +13,17 @@ The MPC's work is split by how often its inputs change:
 
 * per ``MpcParams``, once at construction: the input-accumulation weight
   ``U^T R U`` and the increment box rows of the QP;
-* per linearization, in one slot per ``MpcParams`` keyed by the identity of
-  the ``LtvModel``: the zero-order-hold model, its step response, the
-  Hessian ``H`` (assembled from the block-Toeplitz Gram structure of the
-  step response) and the Cholesky factor of ``H``;
-* per period: the free response of the measured increment, the gradient
-  ``g`` and the active-set QP, solved against the cached factor.
+* per linearization, in the :class:`MpcDesign` that :func:`mpc_design`
+  builds and the caller holds while the linearization lasts: the
+  zero-order-hold model, its step response, the Hessian ``H`` (assembled
+  from the block-Toeplitz Gram structure of the step response) and the
+  Cholesky factor of ``H``;
+* per period (:func:`mpc_step`): the free response of the measured
+  increment, the gradient ``g`` and the active-set QP, solved against the
+  design's factor.
 
 ``LtvModel.A`` / ``B`` and the ``MpcParams`` arrays are read-only copies, so
-a cached design cannot go stale through an in-place edit.
+a held design cannot go stale through an in-place edit.
 """
 
 from __future__ import annotations
@@ -103,9 +105,7 @@ def zoh_discretize(A: np.ndarray, B: np.ndarray, Ts: float) -> tuple[np.ndarray,
 class MpcParams:
     """Horizon, weights, and increment bounds of one MPC instance.
 
-    Construction also builds the parameter-only parts of the QP, and the
-    instance keeps the design of the last linearization ``mpc_step`` used
-    it with.
+    Construction also builds the parameter-only parts of the QP.
     """
 
     Ts: float
@@ -118,7 +118,6 @@ class MpcParams:
     du_max: np.ndarray
     _URU: np.ndarray = field(init=False, repr=False, compare=False)
     _box: tuple = field(init=False, repr=False, compare=False)
-    _slot: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.Ts <= 0:
@@ -153,7 +152,6 @@ class MpcParams:
             np.vstack([eye[np.isfinite(up)], -eye[np.isfinite(lo)]]),
             np.concatenate([up[np.isfinite(up)], -lo[np.isfinite(lo)]]),
         ))
-        object.__setattr__(self, "_slot", [None])
 
 
 def _cholesky(H):
@@ -243,10 +241,10 @@ def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, *, cho=None):
 
 
 @dataclass(frozen=True)
-class _Design:
+class MpcDesign:
     """The part of one MPC that changes only with the linearization."""
 
-    ltv: LtvModel              # the key; held so that its identity stays unique
+    params: MpcParams
     S: np.ndarray              # (Np, s, s): free response x(j) - x(0) = S[j-1] dx0
     cum: np.ndarray            # (Np*s, p): rows m*s.. hold sum_{t<=m} Ad^t Bd
     H: np.ndarray
@@ -274,13 +272,9 @@ def _hessian(cum, params: MpcParams) -> np.ndarray:
     return H + H.T
 
 
-def _design(ltv: LtvModel, params: MpcParams) -> _Design:
-    """The design of ``ltv`` under ``params``: the one in ``params``' slot
-    when it was built for this very ``ltv`` object, otherwise a new one
-    that replaces it."""
-    last = params._slot[0]
-    if last is not None and last.ltv is ltv:
-        return last
+def mpc_design(ltv: LtvModel, params: MpcParams) -> MpcDesign:
+    """The design of ``ltv`` under ``params``, for :func:`mpc_step` to use
+    in every period that keeps this linearization."""
     Np = params.Np
     Ad, Bd = zoh_discretize(ltv.A, ltv.B, params.Ts)
     s, p = Bd.shape
@@ -291,35 +285,32 @@ def _design(ltv: LtvModel, params: MpcParams) -> _Design:
     markov = Apow[:Np] @ Bd                # Ad^t Bd: response of dx(t+1) to du(0)
     cum = np.cumsum(markov, axis=0)        # response of x(t+1) - x(0) to du(0)
     H = _hessian(cum, params)
-    design = _Design(ltv=ltv, S=np.cumsum(Apow[1:], axis=0), cum=cum.reshape(Np * s, p),
+    return MpcDesign(params=params, S=np.cumsum(Apow[1:], axis=0), cum=cum.reshape(Np * s, p),
                      H=H, cho=_cholesky(H))
-    params._slot[0] = design
-    return design
 
 
 def mpc_step(
-    ltv: LtvModel,
+    design: MpcDesign,
     x_now,
     x_prev,
     u_prev,
     x_ref_window,
     u_ref_window,
-    params: MpcParams,
 ) -> np.ndarray:
-    """One receding-horizon solve; returns the input to apply now.
+    """One receding-horizon solve under ``design``; returns the input to
+    apply now.
 
     ``x_ref_window`` has Np+1 rows, ``u_ref_window`` at least Np rows.
-    Reuses the design in ``params``' slot when ``ltv`` is the object it
-    was built for.  Raises InfeasibleError (naming the violated bound),
-    IterationLimitError or ConditioningError from the QP.
+    Raises InfeasibleError (naming the violated bound), IterationLimitError
+    or ConditioningError from the QP.
     """
     x_now = np.asarray(x_now, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)
     u_prev = np.asarray(u_prev, dtype=float)
     xr = np.asarray(x_ref_window, dtype=float)
     ur = np.asarray(u_ref_window, dtype=float)
+    params = design.params
     Np, Nc = params.Np, params.Nc
-    design = _design(ltv, params)
     s = x_now.size
     dx0 = x_now - x_prev
 

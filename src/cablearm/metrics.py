@@ -126,9 +126,6 @@ def trace_from_csv(text: str) -> dict:
 
 
 def summary_dict(trace: SimTrace) -> dict:
-    """Run summary with the documented key set."""
-    report = evaluate_trace(trace)
-    out = report.as_dict()
-    out["seed"] = trace.seed
-    out["config_hash"] = trace.config_hash
-    return out
+    """Run summary: the RMSE report and the seed (``run_scenario`` adds
+    the configuration hash)."""
+    return {**evaluate_trace(trace).as_dict(), "seed": trace.seed}

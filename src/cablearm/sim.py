@@ -25,12 +25,14 @@ feedforward and the MPC's linearization come, and the MPC's reach.
 
 Every architecture runs the same loop: one reference schedule on the
 design model, a linearization of the design plant per distinct schedule
-point (cut to the MPC's leading states and inputs), one MPC call per period
-and, where the arm is on PID, one PID call per integration substep.  Where
-no PID runs (integrated2) the input is held over the period, and unless a
-substep count is set the period is integrated by RK4 step doubling to
-``HELD_TOL``: the substeps then control only integration error.  The
-simulated plant is always the coupled system.  :func:`controller_params`
+point (cut to the MPC's leading states and inputs), one MPC design each
+time the period's linearization differs from the last period's, one MPC
+step per period and, where the arm is on PID, one PID call per integration
+substep.  Where no PID runs (integrated2) the input is held over the
+period, and unless a substep count is set the period is integrated by RK4
+step doubling to ``HELD_TOL``: the substeps then control only integration
+error.  Fixed or error-controlled, a period takes at most ``MAX_SUBSTEPS``.
+The simulated plant is always the coupled system.  :func:`controller_params`
 is the one home of the controller defaults.
 
 The whole reference is known before the loop starts, so the design path
@@ -363,8 +365,8 @@ def rk4_step(f, x, inputs, dt):
     return x_next
 
 
-HELD_TOL = 1e-8           # accepted error estimate (max norm) per held-input period
-HELD_MAX_SUBSTEPS = 64    # most RK4 substeps one held-input period may take
+HELD_TOL = 1e-8     # accepted error estimate (max norm) per held-input period
+MAX_SUBSTEPS = 64   # most RK4 substeps one period may take, fixed or error-controlled
 
 
 def rk4_held(f, x, inputs, Ts: float):
@@ -376,12 +378,12 @@ def rk4_held(f, x, inputs, Ts: float):
     estimate is at most ``HELD_TOL``, and x_2n is accepted: plain RK4 at 2n
     substeps.  The one-step solve and the first half step of the two-step
     solve run as one stacked call.  Returns ``(x_2n, 2n, estimate)``; raises
-    DivergenceError when 2n would pass ``HELD_MAX_SUBSTEPS``.
+    DivergenceError when 2n would pass ``MAX_SUBSTEPS``.
     """
     pair = rk4_step(f, np.stack([x, x]), inputs, np.array([[Ts], [Ts / 2]]))
     coarse, fine, n = pair[0], rk4_step(f, pair[1], inputs, Ts / 2), 2
     while (err := float(np.max(np.abs(fine - coarse))) / 15.0) > HELD_TOL:
-        if 2 * n > HELD_MAX_SUBSTEPS:
+        if 2 * n > MAX_SUBSTEPS:
             raise DivergenceError(f"RK4 error estimate {err:.2e} above {HELD_TOL:.0e} "
                                   f"at {n} substeps")
         coarse, fine, n = fine, x, 2 * n
@@ -406,7 +408,7 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reference_schedule(model: RobotModel, plant: PlanarPlant, traj: TrajectorySpec,
-                       times, scan_points: int = 76) -> dict:
+                       times) -> dict:
     """Feedforward along the reference: optimal lower tensions, upper
     unstretched lengths, and joint torques at each controller period.
 
@@ -426,7 +428,7 @@ def reference_schedule(model: RobotModel, plant: PlanarPlant, traj: TrajectorySp
     u, L0 = [np.zeros((0, 2 + len(joints)))], [np.zeros((0, 2))]
     for b in range(0, len(first), SCHEDULE_BLOCK):
         blk = slice(b, b + SCHEDULE_BLOCK)
-        res = optimize_tensions(model, q[blk], qd[blk], qdd[blk], scan_points=scan_points)
+        res = optimize_tensions(model, q[blk], qd[blk], qdd[blk])
         u.append(np.column_stack([res.scan_tensions[g] for g in plant.low_groups]
                                  + [res.tau_ref[:, joints]]))
         L0.append(np.column_stack([res.group_L0[g] for g in plant.pos_groups]))
@@ -454,7 +456,6 @@ class SimTrace:
     p_e_ref: np.ndarray
     architecture: str
     seed: int
-    config_hash: str
 
 
 def controller_params(architecture, controller: dict) -> tuple[MpcParams, PidGains]:
@@ -508,17 +509,16 @@ def simulate(
     seed: int = 0,
     T_end: float = 6.0,
     substeps: int | None = None,
-    scan_points: int = 76,
-    config_hash: str = "",
 ) -> SimTrace:
     """Run one closed-loop architecture and record the trace.
 
     Per controller period (``mpc_params.Ts``): take the linearization of the
     design plant at the feedforward scheduled on the architecture's design
     model (made before the loop, one per distinct point), solve the MPC
-    over its states and inputs, then integrate the coupled plant
-    with ``substeps`` RK4 steps; joints the MPC leaves out get PID torques at
-    the start of every substep.  With ``substeps`` None the architecture's
+    over its states and inputs (its design is built when the linearization
+    differs from the last period's, and held until it changes again), then
+    integrate the coupled plant with ``substeps`` RK4 steps; joints the MPC
+    leaves out get PID torques at the start of every substep.  With ``substeps`` None the architecture's
     default applies (:attr:`Architecture.default_substeps`): where no PID
     runs the input is held over the period, which :func:`rk4_held`
     integrates to its error tolerance.  Input noise is zero-mean Gaussian
@@ -526,17 +526,18 @@ def simulate(
     the end effector come from batched calls over the recorded rows after
     the loop.
 
-    ``substeps`` must be None or a whole number >= 1 (ValidationError) and
-    ``T_end`` a positive whole number of periods (ScenarioError), both
-    checked before the schedule is computed.  Omitted ``mpc_params`` /
+    ``substeps`` must be None or a whole number from 1 to ``MAX_SUBSTEPS``
+    (ValidationError) and ``T_end`` a positive whole number of periods
+    (ScenarioError), both checked before the schedule is computed.  Omitted ``mpc_params`` /
     ``pid_gains`` take the defaults of :func:`controller_params`.
     """
     arch = Architecture(architecture)
     if substeps is None:
         substeps = arch.default_substeps
     elif isinstance(substeps, bool) or not isinstance(substeps, numbers.Integral) \
-            or substeps < 1:
-        raise ValidationError(f"substeps must be None or a whole number >= 1, not {substeps!r}")
+            or not 1 <= substeps <= MAX_SUBSTEPS:
+        raise ValidationError(f"substeps must be None or a whole number from 1 to "
+                              f"{MAX_SUBSTEPS}, not {substeps!r}")
     traj = case_study_trajectory() if traj is None else traj
     if mpc_params is None or pid_gains is None:
         default_params, default_gains = controller_params(arch, {})
@@ -557,7 +558,7 @@ def simulate(
 
     model_d = arch.design_model(model)
     plant_d = plant if model_d is model else PlanarPlant(model_d)
-    sched = reference_schedule(model_d, plant_d, traj, np.arange(K + 1 + Np) * Ts, scan_points)
+    sched = reference_schedule(model_d, plant_d, traj, np.arange(K + 1 + Np) * Ts)
     x_ref, u_ref, L0_ref = sched["x"], sched["u"], sched["L0"]
 
     # One linearization per distinct (x, u, L0) point of the design plant in
@@ -583,8 +584,10 @@ def simulate(
     for k in range(K):
         L01, L02 = L0_ref[k]
         w = rng.normal(0.0, 1.0, 4) * noise_std
-        u_prev = control.mpc_step(table[slot[k]], x[:s], x_prev, u_prev,
-                                  x_ref[k:k + Np + 1, :s], u_ref[k:k + Np + 1, :p], mpc_params)
+        if k == 0 or slot[k] != slot[k - 1]:
+            design = control.mpc_design(table[slot[k]], mpc_params)
+        u_prev = control.mpc_step(design, x[:s], x_prev, u_prev,
+                                  x_ref[k:k + Np + 1, :s], u_ref[k:k + Np + 1, :p])
         x_prev = x[:s]
         u = u_prev + w[:p]
         xs.append(x)
@@ -629,7 +632,6 @@ def simulate(
         p_e_ref=plant.end_effector(x_ref[:K + 1]),
         architecture=arch.value,
         seed=seed,
-        config_hash=config_hash,
     )
 
 

@@ -48,6 +48,7 @@ from . import dynamics
 
 SYMMETRIZATION_LIMIT = 1e-8
 _BALANCE_RTOL = 1e-7
+SCAN_POINTS = 76       # tensions of the first force group that optimize_tensions scans
 
 
 @dataclass(frozen=True)
@@ -226,11 +227,9 @@ class _Scan(NamedTuple):
     frac: np.ndarray       # (S,) position of each scan point from the first to the last
 
 
-def _tension_scan(model: RobotModel, q_ref, qdot_ref, qddot_ref, scan_points: int) -> _Scan:
+def _tension_scan(model: RobotModel, q_ref, qdot_ref, qddot_ref) -> _Scan:
     """Balanced tensions and feasibility at every scan point of every row,
     with the stage-by-stage checks of :func:`optimize_tensions`."""
-    if scan_points < 2:
-        raise ValidationError("scan_points must be at least 2")
     scan_groups, pos_groups = model.platform.actuation_layout()
     if not scan_groups:
         raise ValidationError(
@@ -248,7 +247,7 @@ def _tension_scan(model: RobotModel, q_ref, qdot_ref, qddot_ref, scan_points: in
 
     tmin, tmax = model.platform.tension_min, model.platform.tension_max
     lead_idx = model.platform.group_indices(scan_groups[0])
-    grid = np.linspace(tmin[lead_idx].max(), tmax[lead_idx].min(), scan_points)
+    grid = np.linspace(tmin[lead_idx].max(), tmax[lead_idx].min(), SCAN_POINTS)
     T_grid, eta, res = _balanced_tensions(model, geo, wrench, grid, scan_groups, pos_groups)
     feas = (
         (res <= _BALANCE_RTOL * (1.0 + np.linalg.norm(wrench, axis=-1))[..., None])
@@ -293,14 +292,13 @@ def optimize_tensions(
     q_ref,
     qdot_ref=None,
     qddot_ref=None,
-    scan_points: int = 76,
 ) -> StiffnessResult:
     """Maximum-stiffness tensions consistent with the reference dynamics.
 
     The platform wrench comes from the inverse dynamics at
     (q_ref, qdot_ref, qddot_ref), which the result keeps as ``tau_ref``;
     omitted rates are zero.  The first
-    force-commanded group is scanned over ``scan_points`` tensions between
+    force-commanded group is scanned over ``SCAN_POINTS`` tensions between
     its largest ``tension_min`` and smallest ``tension_max`` (from the
     model).  At each scan value the static balance fixes the other
     commanded tensions and one unstretched length per length-commanded
@@ -319,11 +317,10 @@ def optimize_tensions(
     wrench map, symmetrization bound), and each error names the first
     failing row.
 
-    Raises ValidationError when the model has no force-commanded group or
-    ``scan_points`` is below 2, and InfeasibleError when no scan point is
-    feasible.
+    Raises ValidationError when the model has no force-commanded group, and
+    InfeasibleError when no scan point is feasible.
     """
-    scan = _tension_scan(model, q_ref, qdot_ref, qddot_ref, scan_points)
+    scan = _tension_scan(model, q_ref, qdot_ref, qddot_ref)
     best, J_K = _stiffest(scan.K_a, scan.K_b, scan.frac, scan.feasible)
     T_opt = np.take_along_axis(scan.T, best[..., None, None], axis=-2)[..., 0, :]
     T_min_norm, N = resolve(-scan.geo.structure, scan.wrench)

@@ -13,7 +13,7 @@ import pytest
 
 from cablearm import metrics
 from cablearm.cli import run_scenario
-from cablearm.control import LtvModel, MpcParams, mpc_step, zoh_discretize
+from cablearm.control import LtvModel, MpcParams, mpc_design, mpc_step, zoh_discretize
 from cablearm.dynamics import (
     dyn_terms,
     forward_dynamics,
@@ -128,7 +128,7 @@ def test_criterion_03_energy_conservation(model):
 def test_criterion_04_stiffness_definition_oracle(model):
     """K_T + K_k matches the finite-differenced cable force balance."""
     pose = cable_geometry(model, np.zeros(9))
-    res = optimize_tensions(model, np.zeros(9), scan_points=76)
+    res = optimize_tensions(model, np.zeros(9))
     ea = model.platform.axial_stiffness
     L0 = ea * pose.lengths / (ea + res.T_opt)
     Kc = ea / L0
@@ -179,7 +179,7 @@ def test_criterion_06_redundancy_suite(model):
     plant = PlanarPlant(model)
     traj = case_study_trajectory()
     times = np.arange(0, 601) * 0.01
-    sched = reference_schedule(model, plant, traj, times, scan_points=76)
+    sched = reference_schedule(model, plant, traj, times)
     tmin, tmax = np.inf, -np.inf
     for k in range(len(times)):
         L0 = sched["L0"][k]
@@ -206,7 +206,7 @@ def test_criterion_07_mpc_suite():
         ur = r.normal(0, 1, p)
         xw = np.tile(xr, (51, 1))
         uw = np.tile(ur, (51, 1))
-        u = mpc_step(ltv, xr, xr, ur, xw, uw, params)
+        u = mpc_step(mpc_design(ltv, params), xr, xr, ur, xw, uw)
         assert np.max(np.abs(u - ur)) <= 1e-8
 
     # unconstrained equivalence with an independently assembled least squares
@@ -221,7 +221,7 @@ def test_criterion_07_mpc_suite():
     u_prev = r.normal(0, 1, p)
     xw = r.normal(0, 1, (Np + 1, s))
     uw = r.normal(0, 1, (Np + 1, p))
-    u_fast = mpc_step(ltv, x_now, x_prev, u_prev, xw, uw, params)
+    u_fast = mpc_step(mpc_design(ltv, params), x_now, x_prev, u_prev, xw, uw)
     Ad, Bd = zoh_discretize(A, B, params.Ts)
     nz = Np * p
 
@@ -258,8 +258,8 @@ def test_criterion_07_mpc_suite():
                          P=np.eye(s), du_min=-np.array([80.0, 2.0]),
                          du_max=np.array([80.0, 2.0]))
     xw_big = np.tile(1e5 * np.ones(s), (6, 1))
-    u = mpc_step(ltv, np.zeros(s), np.zeros(s), np.zeros(p), xw_big, np.zeros((6, p)),
-                 params_b)
+    u = mpc_step(mpc_design(ltv, params_b), np.zeros(s), np.zeros(s), np.zeros(p), xw_big,
+                 np.zeros((6, p)))
     assert np.abs(u[0]) <= 80.0 + 1e-9
     assert np.abs(u[1]) <= 2.0 + 1e-9
     _report(7, "MPC suite", f"QP equivalence rel err {rel:.2e}")
@@ -269,7 +269,7 @@ def test_criterion_07_mpc_suite():
 def case_study_runs(model):
     t0 = time.perf_counter()
     traces = {
-        arch: simulate(model, arch, T_end=6.0, noise_std=0.0, seed=0, scan_points=76)
+        arch: simulate(model, arch, T_end=6.0, noise_std=0.0, seed=0)
         for arch in ("independent", "integrated1", "integrated2")
     }
     return traces, time.perf_counter() - t0
@@ -337,7 +337,6 @@ def test_criterion_11_artifact_determinism(tmp_path):
         "t_end_s": 1.5,
         "seed": 11,
         "noise_std": 0.002,
-        "tension_scan_points": 20,
     }
     r1 = run_scenario(scenario, tmp_path / "a")
     r2 = run_scenario(scenario, tmp_path / "b")

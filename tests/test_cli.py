@@ -20,7 +20,6 @@ SHORT = {
     "t_end_s": 0.3,
     "seed": 3,
     "noise_std": 0.002,
-    "tension_scan_points": 10,
 }
 TRACE_HEAD = ",".join(metrics.TRACE_HEADER) + "\n"
 TRACE_ROW = ",".join(["0"] * len(metrics.TRACE_HEADER)) + "\n"
@@ -157,7 +156,7 @@ class TestCliMain:
         ({"noise_std": [0.1, 0.1, -0.01, 0.0]}, "scenario", 4),
         ({"noise_std": [0.1, 0.1, float("nan"), 0.0]}, "scenario", 4),
         ({"noise_std": "loud"}, "scenario", 4),
-        ({"tension_scan_points": 1}, "scenario", 4),
+        ({"tension_scan_points": 76}, "parse", 2),
         ({"trajectory": {"waypoints": 5}}, "scenario", 4),
         ({"trajectory": {"waypoints": [[0.0, [0, 0, 0]], [1.0, [0, 0, 0]]]}}, "scenario", 4),
         ({"trajectory": {"waypoints": [[0.0, [0] * 10], [1.0, [0] * 10]], "smooth": 1}},
@@ -172,7 +171,7 @@ class TestCliMain:
         ({"seed": "3"}, "scenario", 4),
         ({"seed": True}, "scenario", 4),
         ({"seed": None}, "scenario", 4),
-        ({"tension_scan_points": 10.5}, "scenario", 4),
+        ({"integrator_substeps": 65}, "scenario", 4),
         ({"controller": {"Np": 50.9}}, "scenario", 4),
         ({"controller": {"Nc": 5.5}}, "scenario", 4),
         ({"t_end_s": "0.3"}, "scenario", 4),
@@ -192,6 +191,9 @@ class TestCliMain:
         pytest.param({"controller": {"du_bound": [float("nan")] * 4}}, "scenario", 4,
                      id="nan-du_bound"),
         pytest.param({"controller": {"Np": 1e300}}, "scenario", 4, id="huge-Np"),
+        pytest.param({"architecture": "independent", "integrator_substeps": 1e300},
+                     "scenario", 4, id="huge-substeps-independent"),
+        pytest.param({"t_end_s": 1e300}, "scenario", 4, id="huge-t_end"),
     ])
     def test_malformed_scenario_table(self, tmp_path, capsys, override, category, code):
         doc = dict(SHORT)

@@ -8,6 +8,7 @@ from cablearm.control import (
     PidGains,
     PidState,
     linearize,
+    mpc_design,
     mpc_step,
     pid_step,
     solve_qp_active_set,
@@ -37,7 +38,7 @@ class TestLinearize:
         plant = S.PlanarPlant(hcdr)
         q = np.zeros(9)
         q[0], q[2] = 0.05, 0.1
-        res = optimize_tensions(hcdr, q, scan_points=39)
+        res = optimize_tensions(hcdr, q)
         tau = inverse_dynamics(hcdr, q, np.zeros(9), np.zeros(9))
         x_r = np.zeros(10)
         x_r[0], x_r[2] = 0.05, 0.1
@@ -146,7 +147,7 @@ class TestMpc:
         ur = rng.normal(0, 1, 2)
         xw = np.tile(xr, (13, 1))
         uw = np.tile(ur, (13, 1))
-        u = mpc_step(ltv, xr, xr, ur, xw, uw, params)
+        u = mpc_step(mpc_design(ltv, params), xr, xr, ur, xw, uw)
         assert np.max(np.abs(u - ur)) <= 1e-8
 
     def test_unconstrained_matches_batch_least_squares(self, rng):
@@ -162,7 +163,7 @@ class TestMpc:
         u_prev = rng.normal(0, 1, p)
         xw = rng.normal(0, 1, (Np + 1, s))
         uw = rng.normal(0, 1, (Np + 1, p))
-        u_fast = mpc_step(ltv, x_now, x_prev, u_prev, xw, uw, params)
+        u_fast = mpc_step(mpc_design(ltv, params), x_now, x_prev, u_prev, xw, uw)
         u_ref = _batch_least_squares(ltv, x_now, x_prev, u_prev, xw, uw, params)
         assert np.max(np.abs(u_fast - u_ref)) <= 1e-6 * max(1.0, np.max(np.abs(u_ref)))
 
@@ -182,7 +183,7 @@ class TestMpc:
         u_prev = rng.normal(0, 1, p)
         xw = rng.normal(0, 1, (Np + 1, s))
         uw = rng.normal(0, 1, (Np + 1, p))
-        u_fast = mpc_step(ltv, x_now, x_prev, u_prev, xw, uw, params)
+        u_fast = mpc_step(mpc_design(ltv, params), x_now, x_prev, u_prev, xw, uw)
         u_ref = _batch_least_squares(ltv, x_now, x_prev, u_prev, xw, uw, params)
         assert np.max(np.abs(u_fast - u_ref)) <= 1e-6 * max(1.0, np.max(np.abs(u_ref)))
 
@@ -196,7 +197,7 @@ class TestMpc:
         u_prev = np.zeros(2)
         xw = np.tile(1e4 * np.ones(4), (5, 1))
         uw = np.zeros((5, 2))
-        u = mpc_step(ltv, np.zeros(4), np.zeros(4), u_prev, xw, uw, params)
+        u = mpc_step(mpc_design(ltv, params), np.zeros(4), np.zeros(4), u_prev, xw, uw)
         du = u - u_prev
         assert abs(du[0]) <= 80.0 + 1e-9
         assert abs(du[1]) <= 2.0 + 1e-9
@@ -350,8 +351,9 @@ class TestRangeSpaceQp:
         params = MpcParams(Ts=0.02, Np=5, Nc=5, Q=np.eye(s), R=1e-6 * np.eye(p),
                            P=np.eye(s), du_min=-np.array([80.0, 2.0]),
                            du_max=np.array([80.0, 2.0]))
-        H, g, A, b = _captured_qp(monkeypatch, ltv, np.zeros(s), np.zeros(s), np.zeros(p),
-                                  np.tile(1e5 * np.ones(s), (6, 1)), np.zeros((6, p)), params)
+        H, g, A, b = _captured_qp(monkeypatch, mpc_design(ltv, params), np.zeros(s), np.zeros(s),
+                                  np.zeros(p), np.tile(1e5 * np.ones(s), (6, 1)),
+                                  np.zeros((6, p)))
         assert np.max(np.abs(g)) > 1e4
         z = solve_qp_active_set(H, g, A, b)
         z_ref = _dense_kkt_qp(H, g, A, b)
@@ -368,18 +370,16 @@ class TestRangeSpaceQp:
             solve_qp_active_set(H, g, A, b)
 
 
-class TestMpcDesignSlot:
-    def test_cold_hit_and_interleaved_calls_are_bit_identical(self):
-        """Seed 2 puts an increment bound in the final working set of every
-        solve, so the active-set iterations run on each path."""
+class TestMpcDesign:
+    def test_designs_of_one_ltv_step_bit_identically(self):
+        """Two designs of one linearization give bit-identical steps, and a
+        second linearization a different step.  Seed 2 puts an increment
+        bound in the final working set of every solve, so the active-set
+        iterations run on each path."""
         rng = np.random.default_rng(2)
         s, p, Np = 4, 2, 6
-
-        def make_params():
-            return MpcParams(Ts=0.05, Np=Np, Nc=4, Q=np.eye(s), R=1e-2 * np.eye(p),
-                             P=np.eye(s), du_min=-np.full(p, 0.3), du_max=np.full(p, 0.3))
-
-        params = make_params()
+        params = MpcParams(Ts=0.05, Np=Np, Nc=4, Q=np.eye(s), R=1e-2 * np.eye(p),
+                           P=np.eye(s), du_min=-np.full(p, 0.3), du_max=np.full(p, 0.3))
         x_now = rng.normal(0, 0.1, s)
         x_prev = x_now + rng.normal(0, 0.01, s)
         u_prev = rng.normal(0, 1, p)
@@ -387,17 +387,12 @@ class TestMpcDesignSlot:
         uw = np.tile(u_prev, (Np + 1, 1))
         lin_a, lin_b = _random_ltv(rng), _random_ltv(rng)
 
-        def step(ltv, prm):
-            return mpc_step(ltv, x_now, x_prev, u_prev, xw, uw, prm)
+        def step(ltv):
+            return mpc_step(mpc_design(ltv, params), x_now, x_prev, u_prev, xw, uw)
 
-        cold_a = step(lin_a, params)
-        hit_a = step(lin_a, params)
-        cold_b = step(lin_b, params)
-        again_a = step(lin_a, params)
-        assert np.array_equal(cold_a, hit_a)
-        assert np.array_equal(cold_a, again_a)
-        assert not np.array_equal(cold_a, cold_b)
-        assert np.array_equal(cold_b, step(lin_b, make_params()))
+        first_a = step(lin_a)
+        assert np.array_equal(first_a, step(lin_a))
+        assert not np.array_equal(first_a, step(lin_b))
 
     def test_design_inputs_are_read_only(self, rng):
         params = MpcParams(Ts=0.05, Np=3, Nc=3, Q=np.eye(4), R=np.eye(2), P=np.eye(4),

@@ -114,7 +114,7 @@ class TestDistribute:
         """The stiffness optimizer's distribution keeps every cable in bounds."""
         from cablearm.stiffness import optimize_tensions
 
-        res = optimize_tensions(hcdr, np.zeros(9), scan_points=39)
+        res = optimize_tensions(hcdr, np.zeros(9))
         W = tension_wrench_matrix(hcdr, np.zeros(9))
         T_min_norm, N = resolve(W, gravity_wrench)
         T = T_min_norm + N @ res.lambda_opt

@@ -1,4 +1,5 @@
-"""Smoke tests of the runnable scripts under ``scripts/``."""
+"""Smoke tests of the runnable scripts under ``scripts/`` and of the
+``optimize-stiffness`` command run in a fresh interpreter."""
 
 import importlib.util
 import os
@@ -12,12 +13,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_stiffness_grid_script(tmp_path):
+    """``cablearm optimize-stiffness`` in a fresh interpreter writes the grid CSV."""
     package_root = str(Path(cablearm.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])
     ))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "stiffness_grid.py"), "--resolution", "3",
+        [sys.executable, "-m", "cablearm.cli", "optimize-stiffness", "--resolution", "3",
          "--out-dir", str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120,
     )

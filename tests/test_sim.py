@@ -140,7 +140,7 @@ class TestPlanarReduce:
         plant = PlanarPlant(hcdr)
         q = np.zeros(9)
         q[0], q[2] = 0.05, 0.1
-        res = optimize_tensions(hcdr, q, scan_points=39)
+        res = optimize_tensions(hcdr, q)
         tau = inverse_dynamics(hcdr, q, np.zeros(9), np.zeros(9))
         x_eq = np.zeros(10)
         x_eq[0], x_eq[2] = 0.05, 0.1
@@ -260,7 +260,7 @@ class TestRk4Held:
         """On x' = lam x over Ts = 1 the loop doubles n as |lam Ts| grows,
         returns plain RK4 at its substep count, and its estimate is within
         10% of the exact error of the accepted state."""
-        monkeypatch.setattr(sim, "HELD_MAX_SUBSTEPS", 256)
+        monkeypatch.setattr(sim, "MAX_SUBSTEPS", 256)
 
         def f(x):
             return lam * x
@@ -284,17 +284,25 @@ class TestRk4Held:
         """Along the first 0.5 s of the case study every period accepts two
         substeps, so the error-controlled run is bit-identical to a fixed
         two-substep run."""
-        held = simulate(hcdr, "integrated2", T_end=0.5, scan_points=20)
-        fixed = simulate(hcdr, "integrated2", T_end=0.5, scan_points=20, substeps=2)
+        held = simulate(hcdr, "integrated2", T_end=0.5)
+        fixed = simulate(hcdr, "integrated2", T_end=0.5, substeps=2)
         for name in ("x", "u", "tensions", "ke", "ve", "p_e"):
             assert getattr(held, name).tobytes() == getattr(fixed, name).tobytes(), name
 
     def test_too_small_tolerance_names_the_period(self, hcdr, monkeypatch):
-        """Period 0 starts at rest on the reference (estimate exactly 0);
-        period 1 cannot meet the tolerance within the cap."""
-        monkeypatch.setattr(sim, "HELD_TOL", 1e-30)
-        with pytest.raises(DivergenceError, match=r"period 1 \(t = 0.01 s\).*at 64 substeps"):
-            simulate(hcdr, "integrated2", T_end=0.1, scan_points=10)
+        """From period 2 on the tolerance is 1e-30, which period 2 cannot
+        meet within the cap; the error names that period and its start."""
+        periods, held = iter(range(10)), sim.rk4_held
+
+        def tightening(*args):
+            if next(periods) == 2:
+                monkeypatch.setattr(sim, "HELD_TOL", 1e-30)
+            return held(*args)
+
+        monkeypatch.setattr(sim, "rk4_held", tightening)
+        with pytest.raises(DivergenceError,
+                           match=r"period 2 \(t = 0.02 s\).*above 1e-30 at 64 substeps"):
+            simulate(hcdr, "integrated2", T_end=0.1)
 
 
 class TestEnergyDrift:
@@ -329,7 +337,7 @@ class TestReferenceSchedule:
         plant = PlanarPlant(hcdr)
         traj = case_study_trajectory()
         times = np.array([0.0, 2.0, 4.0])
-        sched = reference_schedule(hcdr, plant, traj, times, scan_points=20)
+        sched = reference_schedule(hcdr, plant, traj, times)
         for k in range(3):
             x_r = sched["x"][k]
             u_r = sched["u"][k]
@@ -343,7 +351,7 @@ class TestReferenceSchedule:
         plant = PlanarPlant(hcdr)
         traj = case_study_trajectory()
         times = np.arange(0, 50) * 0.01     # all inside the initial hold
-        sched = reference_schedule(hcdr, plant, traj, times, scan_points=10)
+        sched = reference_schedule(hcdr, plant, traj, times)
         assert np.ptp(sched["u"], axis=0).max() == 0.0
         assert np.ptp(sched["L0"], axis=0).max() == 0.0
 
@@ -398,8 +406,7 @@ class TestReferenceSchedule:
 
         monkeypatch.setattr(dynamics, "inverse_dynamics", counted)
         times = np.array([0.0, 1.5, 2.0, 2.5])    # the hold, then three ramp rows
-        reference_schedule(hcdr, PlanarPlant(hcdr), case_study_trajectory(), times,
-                           scan_points=10)
+        reference_schedule(hcdr, PlanarPlant(hcdr), case_study_trajectory(), times)
         assert len(rows) == 4
 
 
@@ -408,13 +415,13 @@ class TestSimulate:
         """Constant reference at a true equilibrium: state pinned over 6 s."""
         hold = [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]
         traj = quintic_trajectory([(0.0, hold), (6.0, hold)])
-        trace = simulate(hcdr, "integrated1", traj=traj, T_end=6.0, scan_points=20)
+        trace = simulate(hcdr, "integrated1", traj=traj, T_end=6.0)
         assert np.max(np.abs(trace.x - trace.x_ref)) <= 1e-6
 
     def test_regulation_integrated2(self, hcdr):
         hold = [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]
         traj = quintic_trajectory([(0.0, hold), (1.0, hold)])
-        trace = simulate(hcdr, "integrated2", traj=traj, T_end=1.0, scan_points=20)
+        trace = simulate(hcdr, "integrated2", traj=traj, T_end=1.0)
         assert np.max(np.abs(trace.x - trace.x_ref)) <= 1e-6
 
     def test_independent_cannot_remove_arm_gravity_sag(self, hcdr):
@@ -422,27 +429,27 @@ class TestSimulate:
         persistent z offset of roughly the arm-weight deflection."""
         hold = [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]
         traj = quintic_trajectory([(0.0, hold), (1.5, hold)])
-        trace = simulate(hcdr, "independent", traj=traj, T_end=1.5, scan_points=20)
+        trace = simulate(hcdr, "independent", traj=traj, T_end=1.5)
         z_err = np.abs(trace.x[:, 2] - trace.x_ref[:, 2])
         x_err = np.abs(trace.x[:, 0] - trace.x_ref[:, 0])
         assert z_err[-1] > 5e-3
         assert z_err[-1] > 10 * x_err[-1]
 
     def test_same_seed_identical_traces(self, hcdr):
-        kw = dict(T_end=0.3, noise_std=0.01, seed=13, scan_points=10)
+        kw = dict(T_end=0.3, noise_std=0.01, seed=13)
         t1 = simulate(hcdr, "integrated2", **kw)
         t2 = simulate(hcdr, "integrated2", **kw)
         for name in ("t", "x", "u", "tensions", "L0", "ke", "ve", "x_ref", "p_e"):
             assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
 
     def test_different_seed_differs_with_noise(self, hcdr):
-        kw = dict(T_end=0.2, noise_std=0.05, scan_points=10)
+        kw = dict(T_end=0.2, noise_std=0.05)
         t1 = simulate(hcdr, "integrated2", seed=1, **kw)
         t2 = simulate(hcdr, "integrated2", seed=2, **kw)
         assert not np.array_equal(t1.u, t2.u)
 
     def test_trace_alignment(self, hcdr):
-        trace = simulate(hcdr, "integrated2", T_end=0.2, scan_points=10)
+        trace = simulate(hcdr, "integrated2", T_end=0.2)
         assert len(trace.t) == 21
         assert np.allclose(np.diff(trace.t), 0.01)
         for arr in (trace.x, trace.u, trace.tensions, trace.L0, trace.x_ref, trace.p_e):
@@ -461,7 +468,7 @@ class TestSimulate:
             return real(model, q, qd, qdd, **kwargs)
 
         monkeypatch.setattr(sim, "optimize_tensions", counted)
-        simulate(hcdr, "independent", T_end=0.3, scan_points=10)
+        simulate(hcdr, "independent", T_end=0.3)
         assert len(rows) == 1
 
     def test_batched_pid_reference_matches_single_times(self):
@@ -480,7 +487,7 @@ class TestSimulate:
         du = np.array([80.0, 80.0, 2.0, 2.0])
         params = MpcParams(Ts=0.02, Np=50, Nc=50, Q=np.eye(10), R=1e-4 * np.eye(4),
                            P=np.eye(10), du_min=-du, du_max=du)
-        trace = simulate(hcdr, "integrated2", mpc_params=params, T_end=0.2, scan_points=10)
+        trace = simulate(hcdr, "integrated2", mpc_params=params, T_end=0.2)
         assert len(trace.t) == 11
         assert np.allclose(np.diff(trace.t), 0.02)
         assert len(trace.x) == len(trace.tensions) == 11
@@ -493,10 +500,10 @@ class TestSimulate:
         with pytest.raises(ScenarioError, match="whole number"):
             simulate(hcdr, "integrated2", T_end=T_end)
 
-    @pytest.mark.parametrize("substeps", [0, -1, 2.5, 2.0, True, "2"])
+    @pytest.mark.parametrize("substeps", [0, -1, 2.5, 2.0, True, "2", 65])
     def test_rejects_bad_substeps(self, hcdr, monkeypatch, substeps):
-        """substeps is None or a whole number >= 1, checked before the
-        schedule is computed."""
+        """substeps is None or a whole number from 1 to MAX_SUBSTEPS (64),
+        checked before the schedule is computed."""
         monkeypatch.setattr(sim, "reference_schedule", None)
         with pytest.raises(ValidationError, match="substeps"):
             simulate(hcdr, "integrated2", T_end=0.1, substeps=substeps)

@@ -92,7 +92,7 @@ class TestKk:
 class TestDefinitionOracle:
     def test_fd_of_cable_force_balance(self, hcdr):
         """K_T + K_k matches d(A_m K_c (L - L0))/dP at a consistent equilibrium."""
-        res = optimize_tensions(hcdr, np.zeros(9), scan_points=39)
+        res = optimize_tensions(hcdr, np.zeros(9))
         ea = hcdr.platform.axial_stiffness
         L0 = ea * HOME.lengths / (ea + res.T_opt)
         Kc = ea / L0
@@ -186,7 +186,7 @@ class TestLandscape:
 
 class TestOptimizeTensions:
     def test_bounds_respected(self, hcdr):
-        res = optimize_tensions(hcdr, np.zeros(9), scan_points=39)
+        res = optimize_tensions(hcdr, np.zeros(9))
         assert res.T_opt.min() >= 5.0 - 1e-9
         assert res.T_opt.max() <= 80.0 + 1e-9
         assert res.is_stable
@@ -197,30 +197,18 @@ class TestOptimizeTensions:
 
         q = np.zeros(9)
         q[0], q[2], q[7] = 0.05, 0.1, 0.4
-        res = optimize_tensions(hcdr, q, scan_points=39)
+        res = optimize_tensions(hcdr, q)
         tau = inverse_dynamics(hcdr, q, np.zeros(9), np.zeros(9))
         w = generalized_to_wrench(hcdr, q[3:6], tau[0:6])
         W = tension_wrench_matrix(hcdr, q)
         assert np.linalg.norm(W @ res.T_opt - w) <= 1e-8 * (1 + np.linalg.norm(w))
-
-    def test_two_resolution_refinement(self, hcdr):
-        """Coarse-grid optimum sits within one coarse cell of a fine optimum."""
-        coarse = optimize_tensions(hcdr, np.zeros(9), scan_points=20)
-        fine = optimize_tensions(hcdr, np.zeros(9), scan_points=153)
-        cell = (80.0 - 5.0) / 19
-        lead = sorted(hcdr.platform.tension_controlled_groups)[0]
-        assert abs(coarse.scan_tensions[lead] - fine.scan_tensions[lead]) <= cell
-
-    def test_rejects_single_scan_point(self, hcdr):
-        with pytest.raises(ValidationError, match="scan_points"):
-            optimize_tensions(hcdr, np.zeros(9), scan_points=1)
 
     def test_infeasible_bounds(self, hcdr):
         narrow = replace(hcdr, platform=replace(
             hcdr.platform, tension_min=np.full(12, 5.0), tension_max=np.full(12, 6.0)
         ))
         with pytest.raises(InfeasibleError):
-            optimize_tensions(narrow, np.zeros(9), scan_points=10)
+            optimize_tensions(narrow, np.zeros(9))
 
     @pytest.mark.parametrize("t", [0.0, 1.5, 6.0])
     def test_matches_brute_force_scan(self, hcdr, t):
@@ -234,7 +222,7 @@ class TestOptimizeTensions:
         q, qd, qdd = (np.zeros(9) for _ in range(3))
         for full, planar in ((q, pos), (qd, vel), (qdd, acc)):
             full[plant._q_pos] = planar[:len(plant._q_pos)]
-        res = optimize_tensions(hcdr, q, qd, qdd, scan_points=39)
+        res = optimize_tensions(hcdr, q, qd, qdd)
 
         p = hcdr.platform
         pose = cable_geometry(hcdr, q)
@@ -251,7 +239,7 @@ class TestOptimizeTensions:
                                            * L[p.group_indices(g)]) for g in upper]
         )
         best_J, best_t = -np.inf, None
-        for tl in np.linspace(5.0, 80.0, 39):
+        for tl in np.linspace(5.0, 80.0, stiffness.SCAN_POINTS):
             rhs = w - tl * W[:, p.group_indices(lead)].sum(axis=1)
             for g in upper:
                 rhs = rhs + W[:, p.group_indices(g)] @ p.axial_stiffness[p.group_indices(g)]
@@ -275,7 +263,7 @@ class TestOptimizeTensions:
         assert np.isclose(res.J_K, best_J, rtol=1e-9)
 
     def test_unstretched_lengths_shared_per_group(self, hcdr):
-        res = optimize_tensions(hcdr, np.zeros(9), scan_points=39)
+        res = optimize_tensions(hcdr, np.zeros(9))
         ea = hcdr.platform.axial_stiffness
         L0 = ea * HOME.lengths / (ea + res.T_opt)
         for g, l0 in res.group_L0.items():
@@ -332,7 +320,7 @@ class TestBatchedOptimizer:
 
             monkeypatch.setattr(module, name, counted)
         q, qd, qdd = reference_rows(hcdr, [0.0, 1.5, 2.0, 2.5])   # the hold, then three ramp rows
-        optimize_tensions(hcdr, q, qd, qdd, scan_points=10)
+        optimize_tensions(hcdr, q, qd, qdd)
         assert calls == {"_svd_rank": 1, "stiffness_KT": 1, "stiffness_Kk": 1}
 
     def test_gimbal_lock_and_collapsed_cable_are_named(self, hcdr):
@@ -378,7 +366,7 @@ class TestArgmaxShortcut:
         assert len(first) == distinct
         for b in range(0, len(first), 64):
             rows = first[b:b + 64]
-            scan = stiffness._tension_scan(model, q[rows], qd[rows], qdd[rows], 76)
+            scan = stiffness._tension_scan(model, q[rows], qd[rows], qdd[rows])
             best, J = stiffness._stiffest(scan.K_a, scan.K_b, scan.frac, scan.feasible)
             full_best, full_J = self.full_scan(scan.K_a, scan.K_b, scan.frac, scan.feasible)
             assert np.array_equal(best, full_best)
