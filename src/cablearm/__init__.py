@@ -19,7 +19,6 @@ except ImportError:  # pragma: no cover - threadpoolctl is usually present
 from .errors import (  # noqa: E402
     AlignmentError,
     CableRobotError,
-    ComparisonError,
     ConditioningError,
     DivergenceError,
     GeometryError,
@@ -49,7 +48,6 @@ __all__ = [
     "AlignmentError",
     "ArmLink",
     "CableRobotError",
-    "ComparisonError",
     "ConditioningError",
     "DivergenceError",
     "GeometryError",

@@ -7,11 +7,14 @@ Subcommands map one-to-one onto package capabilities::
     cablearm inverse-dynamics   --model hcdr9dof --state state.json
     cablearm linearize          --model hcdr9dof --state point.json
     cablearm evaluate           --trace out/trace.csv
-    cablearm compare            --scenario a.json b.json c.json --out-dir out/
+    cablearm compare            --scenario s.json --out-dir out/
 
-Errors print a machine-readable ``{"error": {"category", "message"}}``
-object on stderr; exit codes are 2 for parse errors, 3 for validation
-errors, and 4 for any other package error.
+A run's one input is its scenario document: ``--seed`` is written into it
+as its ``seed`` field, and ``compare`` runs the one scenario under each
+architecture.  Errors print a machine-readable
+``{"error": {"category", "message"}}`` object on stderr; exit codes are 2
+for parse errors, 3 for validation errors, and 4 for any other package
+error or for running out of memory (category ``memory``).
 """
 
 from __future__ import annotations
@@ -25,14 +28,18 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, metrics, sim
-from .errors import (
-    CableRobotError,
-    ComparisonError,
-    ModelParseError,
-    OutputError,
-    ScenarioError,
+from .errors import CableRobotError, ModelParseError, OutputError, ScenarioError
+from .model import (
+    RobotModel,
+    _check,
+    _field,
+    _json_object,
+    _number,
+    _number_array,
+    _object,
+    builtin_model,
+    load_model,
 )
-from .model import RobotModel, _field, _json_object, _object, builtin_model, load_model
 from .stiffness import stiffness_landscape
 
 _ARCHES = tuple(a.value for a in sim.Architecture)
@@ -66,9 +73,10 @@ _SCENARIO_FIELDS = ("model", "architecture", "trajectory", "t_end_s", "seed", "n
                     "controller", "integrator_substeps")
 
 
-def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
+def resolve_scenario(doc: dict) -> dict:
     """Fill scenario defaults and validate the fields, each error naming its
-    JSON path; :func:`sim.controller_params` reads and checks the controller.
+    JSON path; :func:`sim.controller_params` reads and checks the controller
+    and :func:`_build_trajectory` the trajectory.
     An omitted (or null) ``integrator_substeps`` takes the architecture's
     default, :attr:`sim.Architecture.default_substeps`; a written one is at
     most ``sim.MAX_SUBSTEPS``.  ``t_end_s`` may not ask for more controller
@@ -88,13 +96,10 @@ def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
         "controller": dict(_field(doc, "controller", "$", "object", {})),
         "integrator_substeps": value("integrator_substeps", "whole", None),
     }
-    if isinstance(cfg["trajectory"], dict):
-        _object(cfg["trajectory"], "$.trajectory", ("waypoints",))
+    _build_trajectory(cfg["trajectory"])
     if cfg["architecture"] not in _ARCHES:
         raise ScenarioError(f"architecture must be one of {_ARCHES}")
     params, _ = sim.controller_params(cfg["architecture"], cfg["controller"])
-    if seed_override is not None:
-        cfg["seed"] = int(seed_override)
     if cfg["seed"] < 0:
         raise ScenarioError("seed must be non-negative")
     if not 0 < cfg["t_end_s"] < np.inf:
@@ -115,30 +120,43 @@ def resolve_scenario(doc: dict, seed_override: int | None = None) -> dict:
     return cfg
 
 
-def _build_trajectory(ref):
+def _build_trajectory(ref) -> sim.TrajectorySpec:
+    """The reference a scenario's ``trajectory`` names: ``"case_study"`` or
+    ``{"waypoints": [[t, state10], ...]}``, each time a number and each
+    state 10 numbers (ScenarioError naming the first waypoint that is not)."""
     if ref == "case_study":
         return sim.case_study_trajectory()
-    if isinstance(ref, dict) and "waypoints" in ref:
+    if not isinstance(ref, dict):
+        raise ScenarioError("trajectory must be 'case_study' or "
+                            "{'waypoints': [[t, state10], ...]}")
+    waypoints = []
+    for i, wp in enumerate(_field(_object(ref, "$.trajectory", ("waypoints",)), "waypoints",
+                                  "$.trajectory", "array", error=ScenarioError), start=1):
         try:
-            return sim.quintic_trajectory(ref["waypoints"])
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"invalid trajectory waypoints: {exc}") from None
-    raise ScenarioError("trajectory must be 'case_study' or {'waypoints': [[t, state10], ...]}")
+            t, x = wp
+            state = _number_array(x)
+            waypoints.append((_number(t), _check(state.shape == (10,), state)))
+        except (TypeError, ValueError):
+            raise ScenarioError(f"$.trajectory.waypoints[{i}]: expected [time, state] with a "
+                                "number time and a state of 10 numbers") from None
+    try:
+        return sim.quintic_trajectory(waypoints)
+    except ValueError as exc:
+        raise ScenarioError(f"$.trajectory.waypoints: {exc}") from None
 
 
-def run_scenario(path_or_doc, out_dir, seed: int | None = None, fmt: str = "csv") -> dict:
+def run_scenario(path_or_doc, out_dir, fmt: str = "csv") -> dict:
     """Execute one scenario and write trace + summary artifacts.
 
     Returns {"trace": path, "summary": path, "report": dict}.
     """
-    cfg = resolve_scenario(load_scenario(path_or_doc), seed)
+    cfg = resolve_scenario(load_scenario(path_or_doc))
     model = _resolve_model(cfg["model"])
     params, gains = sim.controller_params(cfg["architecture"], cfg["controller"])
-    traj = _build_trajectory(cfg["trajectory"])
     trace = sim.simulate(
         model,
         cfg["architecture"],
-        traj=traj,
+        traj=_build_trajectory(cfg["trajectory"]),
         mpc_params=params,
         pid_gains=gains,
         noise_std=cfg["noise_std"],
@@ -147,7 +165,8 @@ def run_scenario(path_or_doc, out_dir, seed: int | None = None, fmt: str = "csv"
         substeps=cfg["integrator_substeps"],
     )
     out = Path(out_dir)
-    summary = {**metrics.summary_dict(trace), "config_hash": sim.config_digest(cfg)}
+    summary = {**metrics.rmse(trace.p_e, trace.p_e_ref, trace.tensions).as_dict(),
+               "seed": cfg["seed"], "config_hash": sim.config_digest(cfg)}
     trace_path = out / "trace.csv"
     summary_path = out / "summary.json"
     _write_text(trace_path, metrics.trace_to_csv(trace))
@@ -156,38 +175,24 @@ def run_scenario(path_or_doc, out_dir, seed: int | None = None, fmt: str = "csv"
         cols = metrics.trace_columns(trace)
         _write_json(out / "trace.json",
                     {name: cols[:, j].tolist() for j, name in enumerate(metrics.TRACE_HEADER)})
-    return {"trace": str(trace_path), "summary": str(summary_path), "report": summary,
-            "config": cfg}
+    return {"trace": str(trace_path), "summary": str(summary_path), "report": summary}
 
 
-def compare_architectures(paths, out_dir, seed: int | None = None) -> dict:
-    """Run scenarios that differ only in architecture and tabulate RMSEs.
+def compare_architectures(path_or_doc, out_dir) -> dict:
+    """Run one scenario under each architecture, replacing its own
+    ``architecture``, and tabulate the RMSEs, best first.
 
-    Raises ComparisonError, before any run, unless the scenarios hold each
-    of the three architectures once and agree in every other field, where
-    ``integrator_substeps`` is compared as written (its default depends on
-    the architecture).
+    The scenario and its three copies are resolved before the first run,
+    so one that an architecture cannot run (a 4-entry ``du_bound`` under a
+    2-input architecture) is rejected before anything is written.
     """
-    docs = [load_scenario(p) for p in paths]
-    cfgs = [resolve_scenario(doc, seed) for doc in docs]
-    arches = [cfg["architecture"] for cfg in cfgs]
-    missing = [a for a in _ARCHES if a not in arches]
-    if missing:
-        raise ComparisonError(f"missing architectures in comparison: {missing}")
-    if len(arches) != len(_ARCHES):
-        repeated = sorted({a for a in arches if arches.count(a) > 1})
-        raise ComparisonError(f"each architecture must appear once; repeated: {repeated}")
-    stripped = [{**cfg, "architecture": None,
-                 "integrator_substeps": doc.get("integrator_substeps")}
-                for cfg, doc in zip(cfgs, docs)]
-    if any(s != stripped[0] for s in stripped[1:]):
-        raise ComparisonError("scenarios must differ only in architecture")
+    doc = load_scenario(path_or_doc)
+    docs = {arch: {**doc, "architecture": arch} for arch in _ARCHES}
+    for d in (doc, *docs.values()):
+        resolve_scenario(d)
     out = Path(out_dir)
-    rows = []
-    for cfg in cfgs:
-        arch = cfg["architecture"]
-        result = run_scenario(cfg, out / arch, seed)
-        rows.append({"architecture": arch, **result["report"]})
+    rows = [{"architecture": arch, **run_scenario(d, out / arch)["report"]}
+            for arch, d in docs.items()]
     rows.sort(key=lambda r: r["rmse_2d_m"])
     table = {
         "order": [r["architecture"] for r in rows],
@@ -206,8 +211,16 @@ def compare_architectures(paths, out_dir, seed: int | None = None) -> dict:
     return table
 
 
+def _scenario_arg(args) -> dict:
+    """The ``--scenario`` document, its ``seed`` set to ``--seed`` when given."""
+    doc = load_scenario(args.scenario)
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    return doc
+
+
 def _cmd_simulate(args) -> int:
-    result = run_scenario(args.scenario, args.out_dir, args.seed, args.format)
+    result = run_scenario(_scenario_arg(args), args.out_dir, args.format)
     print(json.dumps(result["report"], indent=2, sort_keys=True))
     return 0
 
@@ -306,7 +319,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    table = compare_architectures(args.scenario, args.out_dir, args.seed)
+    table = compare_architectures(_scenario_arg(args), args.out_dir)
     print(json.dumps(table, indent=2, sort_keys=True))
     return 0
 
@@ -348,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev_p.set_defaults(func=_cmd_evaluate)
 
     cmp_p = sub.add_parser("compare", help="run and rank the three architectures")
-    cmp_p.add_argument("--scenario", nargs="+", required=True)
+    cmp_p.add_argument("--scenario", required=True)
     cmp_p.add_argument("--out-dir", default="out")
     cmp_p.add_argument("--seed", type=int, default=None)
     cmp_p.set_defaults(func=_cmd_compare)
@@ -360,13 +373,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CableRobotError as exc:
-        payload = {"error": {"category": exc.category, "message": str(exc)}}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        if exc.category == "parse":
-            return 2
-        if exc.category == "validation":
-            return 3
-        return 4
+        category, message = exc.category, str(exc)
+    except MemoryError as exc:
+        category, message = "memory", str(exc) or "out of memory"
+    print(json.dumps({"error": {"category": category, "message": message}}, sort_keys=True),
+          file=sys.stderr)
+    return {"parse": 2, "validation": 3}.get(category, 4)
 
 
 if __name__ == "__main__":

@@ -96,12 +96,6 @@ class AlignmentError(CableRobotError):
     category = "alignment"
 
 
-class ComparisonError(CableRobotError):
-    """Scenario comparison inputs are inconsistent or incomplete."""
-
-    category = "comparison"
-
-
 class OutputError(CableRobotError):
     """An output directory or file could not be written."""
 

@@ -76,10 +76,6 @@ def rmse(p_e: np.ndarray, p_e_ref: np.ndarray, tensions: np.ndarray | None = Non
     return EvalReport(rmse_x=rx, rmse_z=rz, rmse_2d=r2, min_tension=tmin, max_tension=tmax)
 
 
-def evaluate_trace(trace: SimTrace) -> EvalReport:
-    return rmse(trace.p_e, trace.p_e_ref, trace.tensions)
-
-
 def trace_columns(trace: SimTrace) -> np.ndarray:
     """Trace as one row per period, columns in :data:`TRACE_HEADER` order."""
     cols = np.column_stack([
@@ -124,8 +120,3 @@ def trace_from_csv(text: str) -> dict:
                               "holds a non-finite cell")
     return {name: data[:, j] for j, name in enumerate(header)}
 
-
-def summary_dict(trace: SimTrace) -> dict:
-    """Run summary: the RMSE report and the seed (``run_scenario`` adds
-    the configuration hash)."""
-    return {**evaluate_trace(trace).as_dict(), "seed": trace.seed}

@@ -549,34 +549,19 @@ def builtin_hcdr9dof() -> RobotModel:
     return builtin_model("hcdr9dof")
 
 
-def builtin_quadrotor_arm(
-    mass: float = 0.5,
-    inertia=None,
-    arm_length: float = 0.17,
-    moment_ratio: float = 0.016,
-    link_mass: float = 0.05,
-    link_inertia=None,
-    link_length: float = 0.06,
-) -> tuple[QuadrotorParams, RobotModel]:
+def builtin_quadrotor_arm() -> tuple[QuadrotorParams, RobotModel]:
     """Quadrotor with a 2-link (revolute Z then Y) arm mounted upside down.
 
     All numeric values here are package defaults chosen for a small
-    hover-capable vehicle; they are configurable and are not measured
-    parameters of any particular aircraft.
+    hover-capable vehicle; they are not measured parameters of any
+    particular aircraft.
     """
-    inertia = np.diag([2.3e-3, 2.3e-3, 4.0e-3]) if inertia is None else np.asarray(inertia, float)
-    link_inertia = (
-        np.diag([1e-4, 1e-4, 1e-4]) if link_inertia is None else np.asarray(link_inertia, float)
-    )
-    quad = QuadrotorParams(
-        mass=mass,
-        inertia=inertia,
-        arm_length=arm_length,
-        moment_ratio=moment_ratio,
-    )
+    mass, inertia = 0.5, np.diag([2.3e-3, 2.3e-3, 4.0e-3])
+    quad = QuadrotorParams(mass=mass, inertia=inertia, arm_length=0.17, moment_ratio=0.016)
+    link_length = 0.06
     link = dict(
-        mass=link_mass,
-        inertia=link_inertia,
+        mass=0.05,
+        inertia=np.diag([1e-4, 1e-4, 1e-4]),
         joint_kind="revolute",
         joint_offset=np.array([0.0, 0.0, link_length]),
         com_offset=np.array([0.0, 0.0, link_length / 2]),

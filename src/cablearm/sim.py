@@ -454,8 +454,6 @@ class SimTrace:
     x_ref: np.ndarray        # (K+1, 10)
     p_e: np.ndarray          # (K+1, 2) end-effector (x, z)
     p_e_ref: np.ndarray
-    architecture: str
-    seed: int
 
 
 def controller_params(architecture, controller: dict) -> tuple[MpcParams, PidGains]:
@@ -630,8 +628,6 @@ def simulate(
         x_ref=x_ref[:K + 1],
         p_e=p_e,
         p_e_ref=plant.end_effector(x_ref[:K + 1]),
-        architecture=arch.value,
-        seed=seed,
     )
 
 

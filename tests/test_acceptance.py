@@ -278,7 +278,7 @@ def case_study_runs(model):
 def test_criterion_08_case_study_ordering(case_study_runs):
     """Tracking quality orders integrated2 < integrated1 < independent."""
     traces, elapsed = case_study_runs
-    reports = {a: metrics.evaluate_trace(t) for a, t in traces.items()}
+    reports = {a: metrics.rmse(t.p_e, t.p_e_ref, t.tensions) for a, t in traces.items()}
     r_ind = reports["independent"]
     r_i1 = reports["integrated1"]
     r_i2 = reports["integrated2"]

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,16 @@ import pytest
 
 import cablearm
 from cablearm import metrics
-from cablearm.cli import compare_architectures, load_scenario, main, resolve_scenario, run_scenario
-from cablearm.errors import AlignmentError, CableRobotError, ComparisonError
+from cablearm.cli import (
+    _scenario_arg,
+    build_parser,
+    compare_architectures,
+    load_scenario,
+    main,
+    resolve_scenario,
+    run_scenario,
+)
+from cablearm.errors import AlignmentError, CableRobotError
 
 
 SHORT = {
@@ -21,6 +30,7 @@ SHORT = {
     "seed": 3,
     "noise_std": 0.002,
 }
+REST = [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]   # the case study's rest state
 TRACE_HEAD = ",".join(metrics.TRACE_HEADER) + "\n"
 TRACE_ROW = ",".join(["0"] * len(metrics.TRACE_HEADER)) + "\n"
 
@@ -194,6 +204,12 @@ class TestCliMain:
         pytest.param({"architecture": "independent", "integrator_substeps": 1e300},
                      "scenario", 4, id="huge-substeps-independent"),
         pytest.param({"t_end_s": 1e300}, "scenario", 4, id="huge-t_end"),
+        pytest.param({"trajectory": {"waypoints": [["0", REST], [1.0, REST]]}}, "scenario", 4,
+                     id="text-waypoint-time"),
+        pytest.param({"trajectory": {"waypoints": [[False, REST], [True, REST]]}}, "scenario", 4,
+                     id="bool-waypoint-time"),
+        pytest.param({"trajectory": {"waypoints": [[0.0, REST], [1.0, ["0.5"] + REST[1:]]]}},
+                     "scenario", 4, id="text-waypoint-state"),
     ])
     def test_malformed_scenario_table(self, tmp_path, capsys, override, category, code):
         doc = dict(SHORT)
@@ -396,6 +412,59 @@ class TestCliMain:
         assert err["error"]["category"] == "infeasible"
         assert err["error"]["message"].endswith("at row 0")
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--scenario", "{scenario}"], id="simulate-t_end-1e7"),
+        pytest.param(["optimize-stiffness", "--resolution", "3000"], id="stiffness-grid-3000"),
+    ])
+    def test_out_of_memory_ends_in_the_error_record(self, tmp_path, argv):
+        """An allocation refused under a 2 GB address-space limit (set in the
+        child process only) ends in the error record with category memory
+        (exit 4), not a traceback: a 1e7 s scenario (1e9 controller periods)
+        and a 3000 x 3000 stiffness grid."""
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"t_end_s": 1e7}))
+        limit = 2 * 1024**3
+
+        def limit_address_space():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        package_root = str(Path(cablearm.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        ))
+        out = subprocess.run(
+            [sys.executable, "-m", "cablearm.cli", *(a.format(scenario=scenario) for a in argv),
+             "--out-dir", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=120,
+        )
+        assert out.returncode == 4, out.stderr
+        assert json.loads(out.stderr)["error"]["category"] == "memory"
+
+    def test_seed_flag_is_the_document_seed(self, tmp_path, capsys):
+        """``--seed 7`` runs what a document with ``"seed": 7`` runs."""
+        for name, doc in (("flag", dict(SHORT, t_end_s=0.05)), ("doc", dict(SHORT, t_end_s=0.05,
+                                                                           seed=7))):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv = ["simulate", "--scenario", str(tmp_path / "flag.json"), "--seed", "7"]
+        assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
+        assert main(["simulate", "--scenario", str(tmp_path / "doc.json"),
+                     "--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("trace.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert json.loads((tmp_path / "a" / "summary.json").read_text())["seed"] == 7
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_negative_seed_flag(self, tmp_path, capsys, command):
+        """A ``--seed`` passes the checks of a written seed: -1 is a scenario
+        error (exit 4) raised before anything is written."""
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(dict(SHORT, t_end_s=0.05)))
+        assert main([command, "--scenario", str(p), "--seed", "-1",
+                     "--out-dir", str(tmp_path / "o")]) == 4
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "scenario"
+        assert not (tmp_path / "o").exists()
+
     def test_linearize_nonfinite_state(self, tmp_path, capsys):
         """A NaN in the state makes the plant output non-finite: a
         divergence error (exit 4), not a traceback."""
@@ -461,22 +530,11 @@ class TestCliMain:
         assert len(grid) == 1 + 8 * 8
 
 
-def _short(arch, extra=None):
-    doc = dict(SHORT)
-    doc["architecture"] = arch
-    doc["noise_std"] = 0.0
-    doc.update(extra or {})
-    return doc
-
-
 class TestCompare:
     def test_three_architectures(self, tmp_path):
-        paths = []
-        for arch in ("independent", "integrated1", "integrated2"):
-            p = tmp_path / f"{arch}.json"
-            p.write_text(json.dumps(_short(arch)))
-            paths.append(str(p))
-        table = compare_architectures(paths, tmp_path / "cmp")
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(dict(SHORT, noise_std=0.0)))
+        table = compare_architectures(str(p), tmp_path / "cmp")
         assert set(table["order"]) == {"independent", "integrated1", "integrated2"}
         r2 = [r["rmse_2d_m"] for r in table["results"]]
         assert r2 == sorted(r2)
@@ -484,48 +542,30 @@ class TestCompare:
         assert csv_lines[0].startswith("architecture,rmse_x_m")
         assert len(csv_lines) == 4
 
-    def test_duplicate_architectures_rejected(self, tmp_path):
-        p = tmp_path / "dup.json"
-        p.write_text(json.dumps(_short("integrated2")))
-        with pytest.raises(ComparisonError, match="missing"):
-            compare_architectures([str(p)] * 3, tmp_path / "cmp")
-
-    def test_repeated_architecture_rejected(self, tmp_path, capsys):
-        """Four scenarios that cover the three architectures, one of them
-        twice, are rejected before any run (exit 4)."""
-        paths = []
-        for i, (arch, seed) in enumerate((("integrated2", 7), ("integrated2", 0),
-                                          ("integrated1", 0), ("independent", 0))):
-            p = tmp_path / f"{i}.json"
-            p.write_text(json.dumps(_short(arch, {"seed": seed})))
-            paths.append(str(p))
-        with pytest.raises(ComparisonError, match="repeated: \\['integrated2'\\]"):
-            compare_architectures(paths, tmp_path / "cmp")
-        assert main(["compare", "--scenario", *paths, "--out-dir", str(tmp_path / "cmp")]) == 4
-        assert json.loads(capsys.readouterr().err)["error"]["category"] == "comparison"
-        assert not (tmp_path / "cmp").exists()
-
-    def test_mismatched_configs_rejected(self, tmp_path):
-        paths = []
-        for arch, t_end in (("independent", 0.3), ("integrated1", 0.3), ("integrated2", 0.4)):
-            p = tmp_path / f"{arch}.json"
-            p.write_text(json.dumps(_short(arch, {"t_end_s": t_end})))
-            paths.append(str(p))
-        with pytest.raises(ComparisonError, match="differ only in architecture"):
-            compare_architectures(paths, tmp_path / "cmp")
-
-
-    def test_substeps_compared_as_written(self, tmp_path):
-        """An integrator_substeps written in one scenario only is a
-        difference, though it equals another architecture's default."""
-        paths = []
+    def test_runs_are_the_scenario_under_each_architecture(self, tmp_path):
+        """Each architecture's artifacts are, byte for byte, those of the
+        scenario run with its ``architecture`` replaced."""
+        doc = dict(SHORT, t_end_s=0.05)
+        compare_architectures(doc, tmp_path / "cmp")
         for arch in ("independent", "integrated1", "integrated2"):
-            p = tmp_path / f"{arch}.json"
-            extra = {"integrator_substeps": 10} if arch == "independent" else {}
-            p.write_text(json.dumps(_short(arch, extra)))
-            paths.append(str(p))
-        with pytest.raises(ComparisonError, match="differ only in architecture"):
-            compare_architectures(paths, tmp_path / "cmp")
+            single = run_scenario({**doc, "architecture": arch}, tmp_path / arch)
+            for key, name in (("trace", "trace.csv"), ("summary", "summary.json")):
+                assert ((tmp_path / "cmp" / arch / name).read_bytes()
+                        == Path(single[key]).read_bytes()), (arch, name)
+
+    @pytest.mark.parametrize("override", [
+        pytest.param({"controller": {"du_bound": [5.0, 5.0, 0.2, 0.2]}}, id="4-entry-du_bound"),
+        pytest.param({"architecture": "integrated3"}, id="bogus-architecture"),
+    ])
+    def test_unrunnable_scenario_rejected_before_any_run(self, tmp_path, capsys, override):
+        """A scenario that one architecture cannot run (a 4-entry du_bound
+        under the 2-input ones), or with an unknown architecture, is a
+        scenario error (exit 4) and no output directory is made."""
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(dict(SHORT, **override)))
+        assert main(["compare", "--scenario", str(p), "--out-dir", str(tmp_path / "cmp")]) == 4
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "scenario"
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestScenarioResolution:
@@ -560,12 +600,19 @@ class TestScenarioResolution:
                      id="noise_std"),
         pytest.param({"controller": {"Q_scal": 2.0}}, "$.controller.Q_scal: unknown field",
                      id="Q_scal"),
+        pytest.param({"trajectory": {"waypoints": [[0.0, REST], [1.0, ["0.5"] + REST[1:]]]}},
+                     "$.trajectory.waypoints[2]: expected", id="waypoint-state"),
     ])
     def test_errors_name_their_path(self, override, path):
         with pytest.raises(CableRobotError) as caught:
             resolve_scenario(dict(SHORT, **override))
         assert str(caught.value).startswith(path)
 
-    def test_seed_override(self):
-        cfg = resolve_scenario(dict(SHORT), seed_override=99)
-        assert cfg["seed"] == 99
+    def test_seed_override(self, tmp_path):
+        """``--seed`` is written into the scenario document as its seed."""
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(SHORT))
+        args = build_parser().parse_args(["simulate", "--scenario", str(p), "--seed", "99"])
+        doc = _scenario_arg(args)
+        assert doc == dict(SHORT, seed=99)
+        assert resolve_scenario(doc)["seed"] == 99

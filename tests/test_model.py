@@ -219,12 +219,6 @@ class TestQuadrotorBuiltin:
         assert np.array_equal(quad.rotor_positions[2], [-d, 0, 0])
         assert np.array_equal(quad.rotor_positions[0], [d, 0, 0])
 
-    def test_defaults_configurable(self):
-        quad, body = builtin_quadrotor_arm(mass=0.75, arm_length=0.2)
-        assert quad.mass == 0.75
-        assert quad.arm_length == 0.2
-        assert body.platform.mass == 0.75
-
     def test_no_cables(self):
         _, body = builtin_quadrotor_arm()
         assert body.n_cables == 0
