@@ -17,7 +17,7 @@ The MPC's work is split by how often its inputs change:
   builds and the caller holds while the linearization lasts: the
   zero-order-hold model, its step response, the Hessian ``H`` (assembled
   from the block-Toeplitz Gram structure of the step response) and the
-  Cholesky factor of ``H``;
+  inverse Cholesky factor of ``H``;
 * per period (:func:`mpc_step`): the free response of the measured
   increment, the gradient ``g`` and the active-set QP, solved against the
   design's factor.
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError, DivergenceError, InfeasibleError, IterationLimitError
 
@@ -91,13 +90,52 @@ def linearize(plant, x_r, u_r, exogenous=(), step: float = 1e-6) -> LtvModel:
     return LtvModel(A=A, B=B, x_r=x_r, u_r=u_r, f_r=F[..., -1, :])
 
 
+# Coefficients b_0..b_13 of the [13/13] Pade approximant of exp, and the
+# 1-norm up to which it meets double precision unscaled (Higham 2005,
+# Algorithm 2.3 and Table 2.3).  Rows of _PADE13_TERMS weigh (I, A^2, A^4,
+# A^6) into U_1, U_2, V_1 and V_2 of _expm, divided by b_0 so that
+# exp(0) = I exactly.
+_PADE13_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+             1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+             33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_PADE13_TERMS = np.array([[_PADE13_B[1], _PADE13_B[3], _PADE13_B[5], _PADE13_B[7]],
+                          [0.0, _PADE13_B[9], _PADE13_B[11], _PADE13_B[13]],
+                          [_PADE13_B[0], _PADE13_B[2], _PADE13_B[4], _PADE13_B[6]],
+                          [0.0, _PADE13_B[8], _PADE13_B[10], _PADE13_B[12]]]) / _PADE13_B[0]
+_THETA13 = 5.371920351148152
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005,
+    Algorithm 2.3, always at degree 13): exp(A) = r13(A / 2^s)^(2^s) with
+    the fewest squarings ``s`` that bring the 1-norm within ``_THETA13``,
+    where r13 = (V - U)^-1 (V + U) with U = A (A^6 U_2 + U_1) and
+    V = A^6 V_2 + V_1."""
+    n = A.shape[0]
+    norm = np.linalg.norm(A, 1)
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    A = A / 2.0 ** s
+    powers = np.empty((4, n, n))
+    powers[0] = np.eye(n)
+    powers[1] = A @ A
+    powers[2] = powers[1] @ powers[1]
+    powers[3] = powers[2] @ powers[1]
+    U1, U2, V1, V2 = (_PADE13_TERMS @ powers.reshape(4, n * n)).reshape(4, n, n)
+    U = A @ (powers[3] @ U2 + U1)
+    V = powers[3] @ V2 + V1
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def zoh_discretize(A: np.ndarray, B: np.ndarray, Ts: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact zero-order-hold discretization via the augmented matrix exponential."""
     s, p = A.shape[0], B.shape[1]
     aug = np.zeros((s + p, s + p))
     aug[:s, :s] = A * Ts
     aug[:s, s:] = B * Ts
-    E = scipy.linalg.expm(aug)
+    E = _expm(aug)
     return E[:s, :s], E[:s, s:]
 
 
@@ -120,13 +158,15 @@ class MpcParams:
     _box: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.Ts <= 0:
-            raise ValueError("Ts must be positive")
+        if not 0 < self.Ts < np.inf:
+            raise ValueError("Ts must be finite and positive")
         if not (0 < self.Nc <= self.Np):
             raise ValueError("control horizon must satisfy 0 < Nc <= Np")
         for name in ("Q", "R", "P", "du_min", "du_max"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         for name, mat, pd in (("Q", self.Q, False), ("R", self.R, True), ("P", self.P, False)):
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"{name} must be finite")
             if not np.allclose(mat, mat.T, atol=1e-12):
                 raise ValueError(f"{name} must be symmetric")
             eig = np.linalg.eigvalsh(mat)
@@ -154,24 +194,53 @@ class MpcParams:
         ))
 
 
-def _cholesky(H):
+FACTOR_BLOCK = 20      # largest diagonal block when inverting the Cholesky factor
+
+
+def _inverse_factor(H) -> np.ndarray:
+    """``Li = L^-1`` for the Cholesky factor of ``H = L L^T``, so that
+    ``H^-1 r = Li^T (Li r)``.
+
+    Blocked forward substitution: the diagonal blocks of L (at most
+    ``FACTOR_BLOCK`` rows each, L padded with identity to whole blocks)
+    are inverted in one batched call, and each block row of Li follows
+    from the rows above it.  Raises ConditioningError when H is not
+    positive definite.
+    """
     try:
-        return scipy.linalg.cho_factor(H)
+        L = np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"QP Hessian is not positive definite ({exc})") from None
+    if not np.all(np.isfinite(L.diagonal())):   # a NaN or inf in H reaches the pivots
+        raise ConditioningError("QP Hessian is not positive definite (non-finite pivot)")
+    n = L.shape[0]
+    nb = -(-n // FACTOR_BLOCK)
+    b = -(-n // nb)
+    if nb * b > n:
+        L = np.pad(L, (0, nb * b - n))
+        L[n:, n:] = np.eye(nb * b - n)
+    blocks = np.arange(nb)
+    D = np.tril(np.linalg.inv(L.reshape(nb, b, nb, b)[blocks, :, blocks, :]))
+    Li = np.zeros_like(L)
+    for i in range(nb):
+        lo, hi = i * b, (i + 1) * b
+        Li[lo:hi, lo:hi] = D[i]
+        Li[lo:hi, :lo] = -D[i] @ (L[lo:hi, :lo] @ Li[:lo, :lo])
+    return np.ascontiguousarray(Li[:n, :n])
 
 
 QP_TOL = 1e-9          # step, multiplier and feasibility tolerance of the QP
 QP_MAX_ITER = 500      # active-set iterations before IterationLimitError
 
 
-def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, *, cho=None):
+def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, *, Li=None):
     """Minimize 0.5 z^T H z + g^T z subject to A z <= b (primal active set).
 
-    H must be positive definite; ``cho`` is its ``scipy.linalg.cho_factor``
-    factor, computed here when not given.  Each iteration solves the
-    working-set equality problem in range-space form against that factor
-    (Goldfarb & Idnani, 1983): with y = H^-1 r and Y = H^-1 A_W^T, the
+    H must be positive definite; ``Li`` is the inverse of its Cholesky
+    factor (:func:`_inverse_factor`), computed here when not given, so that
+    H^-1 r = Li^T (Li r) takes two matrix products.  Each iteration solves
+    the working-set equality problem in range-space form against that
+    factor (Goldfarb & Idnani, 1983): with y = H^-1 r and Y = H^-1 A_W^T, the
     multipliers solve (A_W Y) lam = A_W y and the step d = y - Y lam is
     projected onto null(A_W), which removes the cancellation error that
     would otherwise keep d above ``QP_TOL`` when the working set is full.
@@ -182,14 +251,11 @@ def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, *, cho=None):
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
-    if cho is None:
-        cho = _cholesky(H)
+    if Li is None:
+        Li = _inverse_factor(H)
 
-    def h_solve(rhs):   # the LAPACK call cho_solve ends in, without its checks
-        x, info = scipy.linalg.lapack.dpotrs(cho[0], rhs, lower=cho[1])
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of dpotrs")
-        return x
+    def h_solve(rhs):
+        return Li.T @ (Li @ rhs)
 
     if A_ineq is None or len(A_ineq) == 0:
         return h_solve(-g)
@@ -248,7 +314,7 @@ class MpcDesign:
     S: np.ndarray              # (Np, s, s): free response x(j) - x(0) = S[j-1] dx0
     cum: np.ndarray            # (Np*s, p): rows m*s.. hold sum_{t<=m} Ad^t Bd
     H: np.ndarray
-    cho: tuple
+    Li: np.ndarray             # inverse Cholesky factor: H^-1 = Li^T Li
 
 
 def _hessian(cum, params: MpcParams) -> np.ndarray:
@@ -279,14 +345,17 @@ def mpc_design(ltv: LtvModel, params: MpcParams) -> MpcDesign:
     Ad, Bd = zoh_discretize(ltv.A, ltv.B, params.Ts)
     s, p = Bd.shape
     Apow = np.empty((Np + 1, s, s))
-    Apow[0] = np.eye(s)
-    for j in range(1, Np + 1):
-        Apow[j] = Ad @ Apow[j - 1]
+    Apow[0], Apow[1] = np.eye(s), Ad
+    m = 1
+    while m < Np:                          # Ad^(m+j) = Ad^m Ad^j, j = 1..min(m, Np-m)
+        k = min(m, Np - m)
+        Apow[m + 1:m + k + 1] = Apow[m] @ Apow[1:k + 1]
+        m += k
     markov = Apow[:Np] @ Bd                # Ad^t Bd: response of dx(t+1) to du(0)
     cum = np.cumsum(markov, axis=0)        # response of x(t+1) - x(0) to du(0)
     H = _hessian(cum, params)
     return MpcDesign(params=params, S=np.cumsum(Apow[1:], axis=0), cum=cum.reshape(Np * s, p),
-                     H=H, cho=_cholesky(H))
+                     H=H, Li=_inverse_factor(H))
 
 
 def mpc_step(
@@ -326,7 +395,7 @@ def mpc_step(
     gu = np.cumsum((stil @ params.R.T)[::-1], axis=0)[::-1][:Nc]
     g = -2.0 * (gx + gu).ravel()
 
-    z = solve_qp_active_set(design.H, g, *params._box, cho=design.cho)
+    z = solve_qp_active_set(design.H, g, *params._box, Li=design.Li)
     return u_prev + z[:params.R.shape[0]]
 
 
@@ -339,6 +408,8 @@ class PidGains:
     Kd: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.Kp, self.Ki, self.Kd])):
+            raise ValueError("PID gains must be finite")
         if min(self.Kp, self.Ki, self.Kd) < 0:
             raise ValueError("PID gains must be nonnegative")
 

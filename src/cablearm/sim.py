@@ -477,6 +477,9 @@ def controller_params(architecture, controller: dict) -> tuple[MpcParams, PidGai
     def gain(key, default):
         return _field(pid, key, "$.controller.pid", "number", default, ScenarioError)
 
+    def weight(key, default, n):   # scale * I, with no 0 * inf off the diagonal
+        return np.diag(np.full(n, mpc(key, "number", default)))
+
     du = np.asarray(mpc("du_bound", "numeric", [80.0, 80.0, 2.0, 2.0][:p]), dtype=float)
     if du.shape != (p,):
         raise ScenarioError(f"du_bound must have {p} entries for {arch.value}")
@@ -485,9 +488,9 @@ def controller_params(architecture, controller: dict) -> tuple[MpcParams, PidGai
             Ts=mpc("Ts_s", "number", 0.01),
             Np=mpc("Np", "whole", 50),
             Nc=mpc("Nc", "whole", 50),
-            Q=mpc("Q_scale", "number", 1.0) * np.eye(s),
-            R=mpc("R_scale", "number", 1e-4) * np.eye(p),
-            P=mpc("P_scale", "number", 1.0) * np.eye(s),
+            Q=weight("Q_scale", 1.0, s),
+            R=weight("R_scale", 1e-4, p),
+            P=weight("P_scale", 1.0, s),
             du_min=-du,
             du_max=du,
         )

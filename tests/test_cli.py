@@ -31,6 +31,16 @@ SHORT = {
     "noise_std": 0.002,
 }
 REST = [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]   # the case study's rest state
+# Controller settings JSON reads as NaN or Infinity
+NONFINITE_CONTROLLER = {
+    "nan-Ts": {"controller": {"Ts_s": float("nan")}},
+    "nan-Kp-independent": {"architecture": "independent",
+                           "controller": {"pid": {"Kp": float("nan")}}},
+    "inf-Kd-independent": {"architecture": "independent",
+                           "controller": {"pid": {"Kd": float("inf")}}},
+    "nan-Q_scale": {"controller": {"Q_scale": float("nan")}},
+    "inf-R_scale": {"controller": {"R_scale": float("inf")}},
+}
 TRACE_HEAD = ",".join(metrics.TRACE_HEADER) + "\n"
 TRACE_ROW = ",".join(["0"] * len(metrics.TRACE_HEADER)) + "\n"
 
@@ -210,6 +220,8 @@ class TestCliMain:
                      id="bool-waypoint-time"),
         pytest.param({"trajectory": {"waypoints": [[0.0, REST], [1.0, ["0.5"] + REST[1:]]]}},
                      "scenario", 4, id="text-waypoint-state"),
+        *(pytest.param(override, "scenario", 4, id=name)
+          for name, override in NONFINITE_CONTROLLER.items()),
     ])
     def test_malformed_scenario_table(self, tmp_path, capsys, override, category, code):
         doc = dict(SHORT)
@@ -220,6 +232,23 @@ class TestCliMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == category
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("override", NONFINITE_CONTROLLER.values(),
+                             ids=NONFINITE_CONTROLLER.keys())
+    def test_nonfinite_controller_setting_named(self, tmp_path, capsys, override):
+        """A NaN or infinite controller setting is named as one, before the
+        run starts (not as an asymmetric weight or a diverged run)."""
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(dict(SHORT, **override)))
+        assert main(["simulate", "--scenario", str(p), "--out-dir", str(tmp_path / "o")]) == 4
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "must be finite" in message
+
+    def test_infinite_du_bound_means_none(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(dict(SHORT, t_end_s=0.05,
+                                     controller={"du_bound": [float("inf")] * 4})))
+        assert main(["simulate", "--scenario", str(p), "--out-dir", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("where, value, category, code", [
         ("platform", 5, "parse", 2),
@@ -489,6 +518,32 @@ class TestCliMain:
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              env=env, check=True, timeout=120)
         assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("block", [False, True], ids=["unloaded", "unimportable"])
+    def test_simulate_runs_without_scipy(self, tmp_path, block):
+        """A short integrated2 run through the CLI loads no scipy module,
+        and runs when scipy cannot be imported at all."""
+        probe = (
+            "import json, sys\n"
+            "if sys.argv[1] == '1':\n"
+            "    sys.modules['scipy'] = None\n"
+            "from cablearm.cli import main\n"
+            "code = main(['simulate', '--scenario', sys.argv[2], '--out-dir', sys.argv[3]])\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps([code, loaded]))\n"
+        )
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(dict(SHORT, t_end_s=0.05)))
+        package_root = str(Path(cablearm.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        ))
+        out = subprocess.run([sys.executable, "-c", probe, str(int(block)), str(scenario),
+                              str(tmp_path / "o")], capture_output=True, text=True, env=env,
+                             check=True, timeout=120)
+        code, scipy_modules = json.loads(out.stdout.strip().splitlines()[-1])
+        assert code == 0
+        assert scipy_modules == (["scipy"] if block else [])
 
     def test_evaluate_command(self, short_run, capsys):
         code = main(["evaluate", "--trace", short_run["trace"]])

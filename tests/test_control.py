@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cablearm import control
 from cablearm.control import (
@@ -251,24 +252,42 @@ class TestActiveSetQp:
             solve_qp_active_set(H, g, A, b)
 
 
-def _dense_kkt_qp(H, g, A_ineq, b_ineq, tol=1e-9, max_iter=500):
+def _kkt_step(H, Aw, r):
+    """Step d and multipliers of min 0.5 d^T H d - r^T d s.t. Aw d = 0,
+    from the full (n + k) KKT system by dense LU."""
+    n, k = r.size, Aw.shape[0]
+    KKT = np.zeros((n + k, n + k))
+    KKT[:n, :n] = H
+    KKT[:n, n:] = Aw.T
+    KKT[n:, :n] = Aw
+    sol = np.linalg.solve(KKT, np.concatenate([r, np.zeros(k)]))
+    return sol[:n], sol[n:]
+
+
+def _cho_solve_step(H, Aw, r):
+    """The same step in range-space form, every H solve by
+    ``scipy.linalg.cho_solve``, projected onto null(Aw) as
+    ``solve_qp_active_set`` does."""
+    cho = scipy.linalg.cho_factor(H)
+    y = scipy.linalg.cho_solve(cho, r)
+    if not len(Aw):
+        return y, np.zeros(0)
+    Y = scipy.linalg.cho_solve(cho, Aw.T)
+    lam = np.linalg.solve(Aw @ Y, Aw @ y)
+    d = y - Y @ lam
+    return d - Aw.T @ np.linalg.solve(Aw @ Aw.T, Aw @ d), lam
+
+
+def _dense_kkt_qp(H, g, A_ineq, b_ineq, tol=1e-9, max_iter=500, step=_kkt_step):
     """Reference active-set loop: the same iteration as
-    ``solve_qp_active_set``, with each equality subproblem solved through
-    the full (n + k) KKT system by dense LU."""
+    ``solve_qp_active_set``, with each equality subproblem solved by
+    ``step`` (the full KKT system by dense LU unless given)."""
     n = g.size
     z = np.zeros(n)
     active = []
     for _ in range(max_iter):
-        Aw = A_ineq[active]
         k = len(active)
-        KKT = np.zeros((n + k, n + k))
-        KKT[:n, :n] = H
-        if k:
-            KKT[:n, n:] = Aw.T
-            KKT[n:, :n] = Aw
-        rhs = np.concatenate([-(g + H @ z), np.zeros(k)])
-        sol = np.linalg.solve(KKT, rhs)
-        d, lam = sol[:n], sol[n:]
+        d, lam = step(H, A_ineq[active], -(g + H @ z))
         if np.linalg.norm(d, ord=np.inf) <= tol:
             if k == 0 or np.all(lam >= -tol):
                 return z
@@ -368,6 +387,110 @@ class TestRangeSpaceQp:
         A, b = (np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)) if bounded else (None, None)
         with pytest.raises(ConditioningError, match="not positive definite"):
             solve_qp_active_set(H, g, A, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_hessian_raises_conditioning_error(self, bad):
+        with pytest.raises(ConditioningError, match="not positive definite"):
+            solve_qp_active_set(np.diag([1.0, bad, 1.0]), np.ones(3))
+
+
+@pytest.fixture(scope="module", params=["integrated2", "independent"])
+def case_study_design(request, hcdr):
+    """The case study's linearization at t = 1.5 s on the architecture's
+    design model, its default MPC parameters and their design."""
+    from cablearm import sim as S
+
+    arch = S.Architecture(request.param)
+    model = arch.design_model(hcdr)
+    plant = S.PlanarPlant(model)
+    sched = S.reference_schedule(model, plant, S.case_study_trajectory(), np.array([1.5]))
+    s, p = arch.mpc_size
+    lin = linearize(plant.f, sched["x"][0, :plant.n_states], sched["u"][0], tuple(sched["L0"][0]))
+    ltv = LtvModel(A=lin.A[:s, :s], B=lin.B[:s, :p], x_r=lin.x_r[:s], u_r=lin.u_r[:p],
+                   f_r=lin.f_r[:s])
+    params, _ = S.controller_params(arch, {})
+    return ltv, params, mpc_design(ltv, params)
+
+
+def _relative(E, ref):
+    return np.linalg.norm(E - ref, 1) / np.linalg.norm(ref, 1)
+
+
+class TestExpm:
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_matches_scipy_from_small_to_large_norms(self, shift):
+        """1-norms 1e-3 .. 1e3 of random 6x6 matrices (shifted left by
+        ``shift``, or not); every norm above ``_THETA13`` needs squaring.
+        At norm 1e3 the relative condition number of exp is at least 1e3,
+        and each of the two results lies within 8e-14 of a 50-digit one."""
+        r = np.random.default_rng(7)
+        squared = 0
+        for norm in 10.0 ** np.arange(-3, 4):
+            X = r.normal(0, 1, (6, 6)) - shift * np.eye(6)
+            A = X * (norm / np.linalg.norm(X, 1))
+            squared += norm > control._THETA13
+            assert _relative(control._expm(A), scipy.linalg.expm(A)) <= 1e-13, norm
+        assert squared == 3
+
+    def test_case_study_zoh(self, case_study_design):
+        """The augmented matrix of the case study's zero-order hold."""
+        ltv, params, _ = case_study_design
+        s, p = ltv.B.shape
+        aug = np.zeros((s + p, s + p))
+        aug[:s] = np.hstack([ltv.A, ltv.B]) * params.Ts
+        assert np.linalg.norm(aug, 1) > control._THETA13     # takes squarings
+        ref = scipy.linalg.expm(aug)
+        assert _relative(control._expm(aug), ref) <= 1e-13
+        Ad, Bd = zoh_discretize(ltv.A, ltv.B, params.Ts)
+        assert _relative(Ad, ref[:s, :s]) <= 1e-13
+        assert _relative(Bd, ref[:s, s:]) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 4, 14])
+    def test_zero_is_identity(self, n):
+        assert np.array_equal(control._expm(np.zeros((n, n))), np.eye(n))
+
+
+class TestInverseFactor:
+    def test_backward_error_on_case_study_hessian(self, case_study_design, rng):
+        """Normwise backward error of H^-1 g = Li^T (Li g) on the case
+        study's Hessian (cond(H) ~ 1.7e9 on integrated2)."""
+        _, _, design = case_study_design
+        H = design.H
+        for _ in range(3):
+            g = rng.normal(0, 1, H.shape[0])
+            x = design.Li.T @ (design.Li @ g)
+            err = np.linalg.norm(H @ x - g) / (
+                np.linalg.norm(H, 2) * np.linalg.norm(x) + np.linalg.norm(g))
+            assert err <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 19, 20, 21, 45, 100])
+    def test_is_the_inverse_cholesky_factor(self, rng, n):
+        """Whole and partial diagonal blocks: Li is lower triangular and
+        inverts the Cholesky factor."""
+        X = rng.normal(0, 1, (n, n))
+        H = X @ X.T + np.eye(n)
+        Li = control._inverse_factor(H)
+        assert not np.triu(Li, 1).any()
+        assert np.max(np.abs(Li @ np.linalg.cholesky(H) - np.eye(n))) <= 1e-12
+
+    @pytest.mark.parametrize("scale, bounded", [(1.0, False), (1e3, False), (10.0, True),
+                                                (100.0, True)])
+    def test_qp_matches_cho_solve_reference(self, case_study_design, rng, scale, bounded):
+        """The case study's QP against the same active-set loop solved by
+        ``cho_solve``, without bounds and with increment bounds active."""
+        _, params, design = case_study_design
+        H = design.H
+        A, b = params._box
+        if not bounded:
+            A, b = A[:0], b[:0]
+        g = rng.normal(0, scale, H.shape[0])
+        z = solve_qp_active_set(H, g, A, b, Li=design.Li)
+        if bounded:
+            z_ref = _dense_kkt_qp(H, g, A, b, step=_cho_solve_step)
+            assert np.any(A @ z_ref >= b - 1e-9)
+        else:   # the solver's one solve when nothing bounds z
+            z_ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), -g)
+        assert np.max(np.abs(z - z_ref)) <= 1e-6 * np.max(np.abs(z_ref))
 
 
 class TestMpcDesign:
