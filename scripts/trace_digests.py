@@ -12,6 +12,14 @@ the ``optimize-stiffness`` command, with the cablearm package that
     PYTHONPATH=src python3 scripts/trace_digests.py > change.txt
     diff parent.txt change.txt
 
+Compare two checkouts on one host, as above, rather than with digests
+recorded elsewhere.  The integrated2 digests depend on the BLAS thread
+count, which changes the summation order of the n = 200 MPC products:
+under numpy 2.4.6 with OpenBLAS 0.3.31, two threads gave other digests
+than one.  cablearm pins one thread when it is imported before numpy
+(without threadpoolctl, through ``OPENBLAS_NUM_THREADS``), so this script
+imports it first.
+
 The runs (``RUNS``): each architecture at 0.3 s with seed 3 and noise
 ``[1, 1, 0.02, 0.02]``; integrated2 at 2 s with one integrator substep,
 ``du_bound [5, 5, 0.2, 0.2]``, that noise and seed 1; independent at 2 s
@@ -33,10 +41,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from cablearm import cli, sim
+from cablearm import cli, sim   # before numpy: pins the BLAS threads
 from cablearm.model import builtin_hcdr9dof
+
+import numpy as np
 
 NOISE = [1.0, 1.0, 0.02, 0.02]
 

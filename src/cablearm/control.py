@@ -19,8 +19,8 @@ The MPC's work is split by how often its inputs change:
   from the block-Toeplitz Gram structure of the step response) and the
   inverse Cholesky factor of ``H``;
 * per period (:func:`mpc_step`): the free response of the measured
-  increment, the gradient ``g`` and the active-set QP, solved against the
-  design's factor.
+  increment, the gradient ``g`` and the dual active-set QP, solved against
+  the design's factor.
 
 ``LtvModel.A`` / ``B`` and the ``MpcParams`` arrays are read-only copies, so
 a held design cannot go stale through an in-place edit.
@@ -229,27 +229,27 @@ def _inverse_factor(H) -> np.ndarray:
     return np.ascontiguousarray(Li[:n, :n])
 
 
-QP_TOL = 1e-9          # step, multiplier and feasibility tolerance of the QP
+QP_TOL = 1e-9          # feasibility, falling-multiplier and dependent-row tolerance of the QP
 QP_MAX_ITER = 500      # active-set iterations before IterationLimitError
 
 
 def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, *, Li=None):
-    """Minimize 0.5 z^T H z + g^T z subject to A z <= b (primal active set).
+    """Minimize 0.5 z^T H z + g^T z subject to A z <= b (dual active set).
 
     H must be positive definite; ``Li`` is the inverse of its Cholesky
     factor (:func:`_inverse_factor`), computed here when not given, so that
-    H^-1 r = Li^T (Li r) takes two matrix products.  Each iteration solves
-    the working-set equality problem in range-space form against that
-    factor (Goldfarb & Idnani, 1983): with y = H^-1 r and Y = H^-1 A_W^T, the
-    multipliers solve (A_W Y) lam = A_W y and the step d = y - Y lam is
-    projected onto null(A_W), which removes the cancellation error that
-    would otherwise keep d above ``QP_TOL`` when the working set is full.
-    Starts from z = 0, which must be feasible; ties in blocking constraints
-    break toward the lowest row index, making the iteration deterministic.
-    Raises ConditioningError when H is not positive definite or the
-    working-set system is singular.
+    H^-1 r = Li^T (Li r) takes two matrix products.  The dual method of
+    Goldfarb & Idnani (1983) starts at the unconstrained minimizer and
+    raises the multiplier t of the most violated row a: z moves by -t y,
+    with y = H^-1 a - Y dlam, Y = H^-1 A_W^T and (A_W Y) dlam = A_W H^-1 a,
+    and the working multipliers by -t dlam, until the row holds and joins
+    the working set W or a working multiplier reaches 0 and its row leaves.
+    Projecting each y onto null(A_W), and z on return onto A_W z = b_W,
+    removes the cancellation error that would move the working rows.  Ties
+    break toward the lowest row index.  Raises InfeasibleError naming a
+    violated row that no step can meet, and ConditioningError when H is not
+    positive definite or the working-set system is singular.
     """
-    H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
     if Li is None:
         Li = _inverse_factor(H)
@@ -257,52 +257,50 @@ def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, *, Li=None):
     def h_solve(rhs):
         return Li.T @ (Li @ rhs)
 
+    z = h_solve(-g)
     if A_ineq is None or len(A_ineq) == 0:
-        return h_solve(-g)
+        return z
     A_ineq = np.asarray(A_ineq, dtype=float)
     b_ineq = np.asarray(b_ineq, dtype=float)
-    z = np.zeros(g.size)
-    viol = A_ineq @ z - b_ineq
-    if np.any(viol > QP_TOL):
-        row = int(np.argmax(viol))
-        raise InfeasibleError(
-            f"QP infeasible at the origin: constraint row {row} violated by {viol[row]:.3e}"
-        )
-    active: list[int] = []
-    free = np.ones(A_ineq.shape[0], dtype=bool)     # rows outside the working set
+    active = np.zeros(0, dtype=int)     # working rows, ascending
+    lam = np.zeros(0)                   # their multipliers
+    Y = np.zeros((g.size, 0))           # their columns of H^-1 A_W^T
+    row = None                          # the violated row being added, multiplier t_row
     for _ in range(QP_MAX_ITER):
-        d = h_solve(-(g + H @ z))
-        lam = None
-        if active:
-            Aw = A_ineq[active]
-            Y = h_solve(Aw.T)
-            try:
-                lam = np.linalg.solve(Aw @ Y, Aw @ d)
-                d = d - Y @ lam
-                d = d - Aw.T @ np.linalg.solve(Aw @ Aw.T, Aw @ d)
-            except np.linalg.LinAlgError:
-                raise ConditioningError(
-                    f"active-set QP: singular working-set system ({len(active)} rows)"
-                ) from None
-        if np.linalg.norm(d, ord=np.inf) <= QP_TOL:
-            if lam is None or np.all(lam >= -QP_TOL):
-                return z
-            free[active.pop(int(np.argmin(lam)))] = True
-            continue
-        Ad = A_ineq @ d
-        blocking = np.flatnonzero(free & (Ad > QP_TOL))
-        alpha = 1.0
-        add_row = None
-        if blocking.size:
-            ratios = (b_ineq[blocking] - A_ineq[blocking] @ z) / Ad[blocking]
-            j = int(np.argmin(ratios))
-            if ratios[j] < alpha:
-                alpha = max(ratios[j], 0.0)
-                add_row = int(blocking[j])
-        z = z + alpha * d
-        if add_row is not None:
-            active.append(add_row)
-            free[add_row] = False
+        Aw = A_ineq[active]
+        try:
+            if row is None:
+                viol = A_ineq @ z - b_ineq
+                row, t_row = int(np.argmax(viol)), 0.0
+                if viol[row] <= QP_TOL:
+                    return z - Aw.T @ np.linalg.solve(Aw @ Aw.T, Aw @ z - b_ineq[active])
+            a, y0 = A_ineq[row], h_solve(A_ineq[row])
+            dlam = np.linalg.solve(Aw @ Y, Aw @ y0)
+            y = y0 - Y @ dlam
+            y = y - Aw.T @ np.linalg.solve(Aw @ Aw.T, Aw @ y)
+        except np.linalg.LinAlgError:
+            raise ConditioningError(
+                f"active-set QP: singular working-set system ({active.size} rows)") from None
+        # the t at which the row holds (inf when a lies in the span of A_W),
+        # and at which each falling working multiplier reaches 0 (inf: no drop)
+        ay = a @ y
+        t_add = (a @ z - b_ineq[row]) / ay if ay > QP_TOL * (a @ y0) else np.inf
+        falls = dlam > QP_TOL
+        ratios = np.append(np.where(falls, lam, np.inf) / np.where(falls, dlam, 1.0), np.inf)
+        j = int(np.argmin(ratios))
+        t = min(t_add, ratios[j])
+        if t == np.inf:
+            raise InfeasibleError(f"QP infeasible: constraint row {row}, violated by "
+                                  f"{a @ z - b_ineq[row]:.3e}, conflicts with the working set")
+        t = max(t, 0.0)
+        z, lam, t_row = z - t * y, lam - t * dlam, t_row + t
+        if t_add <= ratios[j]:
+            at = int(np.searchsorted(active, row))
+            active, lam, Y = (np.insert(active, at, row), np.insert(lam, at, t_row),
+                              np.insert(Y, at, y0, axis=1))
+            row = None
+        else:
+            active, lam, Y = np.delete(active, j), np.delete(lam, j), np.delete(Y, j, axis=1)
     raise IterationLimitError(f"active-set QP did not converge within {QP_MAX_ITER} iterations")
 
 
@@ -370,8 +368,8 @@ def mpc_step(
     apply now.
 
     ``x_ref_window`` has Np+1 rows, ``u_ref_window`` at least Np rows.
-    Raises InfeasibleError (naming the violated bound), IterationLimitError
-    or ConditioningError from the QP.
+    Raises IterationLimitError or ConditioningError from the QP; its
+    increment box contains 0, so the QP is never infeasible.
     """
     x_now = np.asarray(x_now, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)

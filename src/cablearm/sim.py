@@ -58,7 +58,7 @@ import numpy as np
 
 from . import control, dynamics
 from .control import LtvModel, MpcParams, PidGains, PidState, linearize, pid_step
-from .errors import DivergenceError, ReductionError, ScenarioError, ValidationError
+from .errors import CableRobotError, DivergenceError, ReductionError, ScenarioError, ValidationError
 from .kinematics import _cable_frames, arm_chain, check_euler_regular, rotation
 from .model import RobotModel, _field, _object
 from .stiffness import optimize_tensions
@@ -530,7 +530,8 @@ def simulate(
     ``substeps`` must be None or a whole number from 1 to ``MAX_SUBSTEPS``
     (ValidationError) and ``T_end`` a positive whole number of periods
     (ScenarioError), both checked before the schedule is computed.  Omitted ``mpc_params`` /
-    ``pid_gains`` take the defaults of :func:`controller_params`.
+    ``pid_gains`` take the defaults of :func:`controller_params`.  An error in
+    period k is re-raised as its class, prefixed ``period k (t = ... s)``.
     """
     arch = Architecture(architecture)
     if substeps is None:
@@ -582,34 +583,34 @@ def simulate(
     xs, us = [], []
     joint_pid = p < plant.n_inputs
     dt = None if substeps is None else Ts / substeps
-    for k in range(K):
-        L01, L02 = L0_ref[k]
-        w = rng.normal(0.0, 1.0, 4) * noise_std
-        if k == 0 or slot[k] != slot[k - 1]:
-            design = control.mpc_design(table[slot[k]], mpc_params)
-        u_prev = control.mpc_step(design, x[:s], x_prev, u_prev,
-                                  x_ref[k:k + Np + 1, :s], u_ref[k:k + Np + 1, :p])
-        x_prev = x[:s]
-        u = u_prev + w[:p]
-        xs.append(x)
-        if substeps is None:    # input held over the period, no PID
-            us.append(u)
-            try:
-                x = rk4_held(plant.f, x, (u, L01, L02), Ts)[0]
-            except DivergenceError as exc:
-                raise DivergenceError(f"period {k} (t = {k * Ts:.2f} s): {exc}") from None
-            continue
-        if joint_pid:   # the joint reference at the period's substep times
-            refs = traj.sample(k * Ts + np.arange(substeps) * dt)
-        for n in range(substeps):
-            if joint_pid:
-                ref = refs[n]
-                tau, pid_state = pid_step(ref[[6, 8]], ref[[7, 9]], x[[6, 8]], x[[7, 9]],
-                                          pid_state, pid_gains, dt)
-                u = np.concatenate([u[:2], tau + w[2:]])
-            if n == 0:
+    try:
+        for k in range(K):
+            L01, L02 = L0_ref[k]
+            w = rng.normal(0.0, 1.0, 4) * noise_std
+            if k == 0 or slot[k] != slot[k - 1]:
+                design = control.mpc_design(table[slot[k]], mpc_params)
+            u_prev = control.mpc_step(design, x[:s], x_prev, u_prev,
+                                      x_ref[k:k + Np + 1, :s], u_ref[k:k + Np + 1, :p])
+            x_prev = x[:s]
+            u = u_prev + w[:p]
+            xs.append(x)
+            if substeps is None:    # input held over the period, no PID
                 us.append(u)
-            x = rk4_step(plant.f, x, (u, L01, L02), dt)
+                x = rk4_held(plant.f, x, (u, L01, L02), Ts)[0]
+                continue
+            if joint_pid:   # the joint reference at the period's substep times
+                refs = traj.sample(k * Ts + np.arange(substeps) * dt)
+            for n in range(substeps):
+                if joint_pid:
+                    ref = refs[n]
+                    tau, pid_state = pid_step(ref[[6, 8]], ref[[7, 9]], x[[6, 8]], x[[7, 9]],
+                                              pid_state, pid_gains, dt)
+                    u = np.concatenate([u[:2], tau + w[2:]])
+                if n == 0:
+                    us.append(u)
+                x = rk4_step(plant.f, x, (u, L01, L02), dt)
+    except CableRobotError as exc:
+        raise type(exc)(f"period {k} (t = {k * Ts:.2f} s): {exc}") from None
     xs.append(x)
     us.append(u)
 

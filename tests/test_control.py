@@ -244,12 +244,16 @@ class TestActiveSetQp:
         assert np.allclose(z, z_free, atol=1e-9)
 
     def test_infeasible_origin_reports_row(self):
+        """z = 0 need not be feasible: the box 1 <= z <= 2 solves.  Two rows
+        that contradict each other (z_0 <= -1 and -z_0 <= -1) end in an
+        InfeasibleError naming the row that no step can meet."""
         H = np.eye(2)
         g = np.zeros(2)
-        A = np.array([[1.0, 0.0]])
-        b = np.array([-1.0])      # z=0 violates
-        with pytest.raises(InfeasibleError, match="row 0"):
-            solve_qp_active_set(H, g, A, b)
+        A = np.vstack([np.eye(2), -np.eye(2)])
+        z = solve_qp_active_set(H, g, A, np.array([2.0, 2.0, -1.0, -1.0]))
+        assert np.array_equal(z, [1.0, 1.0])
+        with pytest.raises(InfeasibleError, match="row 1,"):
+            solve_qp_active_set(H, g, A[[0, 2]], np.array([-1.0, -1.0]))
 
 
 def _kkt_step(H, Aw, r):
@@ -279,9 +283,12 @@ def _cho_solve_step(H, Aw, r):
 
 
 def _dense_kkt_qp(H, g, A_ineq, b_ineq, tol=1e-9, max_iter=500, step=_kkt_step):
-    """Reference active-set loop: the same iteration as
-    ``solve_qp_active_set``, with each equality subproblem solved by
-    ``step`` (the full KKT system by dense LU unless given)."""
+    """Reference primal active-set loop, the method ``solve_qp_active_set``
+    used before its dual one: from z = 0 (which must be feasible), each
+    iteration steps to the minimizer on the working set, up to the first
+    blocking row, and drops the most negative multiplier once the step
+    vanishes.  Each equality subproblem is solved by ``step`` (the full KKT
+    system by dense LU unless given)."""
     n = g.size
     z = np.zeros(n)
     active = []
@@ -350,7 +357,7 @@ class TestRangeSpaceQp:
 
     def test_full_working_set(self, rng):
         """A gradient that pushes every coordinate out of the box leaves all
-        n bounds active (k = n), where the step must vanish exactly."""
+        n bounds active (k = n), where null(A_W) is empty."""
         n = 8
         H = np.diag(rng.uniform(1.0, 2.0, n))
         g = 1e3 * np.where(rng.random(n) < 0.5, -1.0, 1.0)
@@ -476,7 +483,7 @@ class TestInverseFactor:
     @pytest.mark.parametrize("scale, bounded", [(1.0, False), (1e3, False), (10.0, True),
                                                 (100.0, True)])
     def test_qp_matches_cho_solve_reference(self, case_study_design, rng, scale, bounded):
-        """The case study's QP against the same active-set loop solved by
+        """The case study's QP against the primal reference loop solved by
         ``cho_solve``, without bounds and with increment bounds active."""
         _, params, design = case_study_design
         H = design.H
@@ -490,6 +497,48 @@ class TestInverseFactor:
             assert np.any(A @ z_ref >= b - 1e-9)
         else:   # the solver's one solve when nothing bounds z
             z_ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), -g)
+        assert np.max(np.abs(z - z_ref)) <= 1e-6 * np.max(np.abs(z_ref))
+
+
+@pytest.mark.parametrize("case_study_design", ["integrated2"], indirect=True)
+class TestCaseStudyBox:
+    """The case study's integrated2 QP (n = 200, cond(H) ~ 1.7e9) on its
+    default increment box (400 rows) under large random gradients, where
+    almost every increment ends on a bound."""
+
+    @staticmethod
+    def assert_kkt(H, g, A, b, z):
+        """A z <= b exactly; on the rows that hold with equality (unit rows,
+        so each multiplier is -a^T (H z + g)) the multipliers are
+        nonnegative and H z + g + A_act^T lam vanishes."""
+        assert np.all(A @ z <= b)
+        r = H @ z + g
+        act = A[A @ z == b]
+        lam = -(act @ r)
+        assert lam.min() >= -1e-9
+        assert np.max(np.abs(r + act.T @ lam)) <= 1e-8 * np.max(np.abs(g))
+        return len(act)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    def test_kkt_where_most_increments_bind(self, case_study_design, rng, scale):
+        """The primal method gave up here (IterationLimitError after 500
+        iterations): with one row added per iteration, a working set of
+        ~200 rows left too few iterations for the drops."""
+        _, params, design = case_study_design
+        A, b = params._box
+        for _ in range(2):
+            g = rng.normal(0, scale, design.H.shape[0])
+            z = solve_qp_active_set(design.H, g, A, b, Li=design.Li)
+            assert self.assert_kkt(design.H, g, A, b, z) >= 190
+
+    def test_matches_primal_oracle(self, case_study_design, rng):
+        """At gradient scale 1e2, where the primal oracle converges."""
+        _, params, design = case_study_design
+        A, b = params._box
+        g = rng.normal(0, 1e2, design.H.shape[0])
+        z = solve_qp_active_set(design.H, g, A, b, Li=design.Li)
+        self.assert_kkt(design.H, g, A, b, z)
+        z_ref = _dense_kkt_qp(design.H, g, A, b)
         assert np.max(np.abs(z - z_ref)) <= 1e-6 * np.max(np.abs(z_ref))
 
 

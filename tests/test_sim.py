@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cablearm import dynamics, sim
+from cablearm import control, dynamics, sim
 from cablearm.dynamics import forward_dynamics, inverse_dynamics
 from cablearm.control import MpcParams
 from cablearm.errors import (
     DivergenceError,
+    IterationLimitError,
     ReductionError,
     ScenarioError,
     SingularityError,
@@ -303,6 +304,41 @@ class TestRk4Held:
         with pytest.raises(DivergenceError,
                            match=r"period 2 \(t = 0.02 s\).*above 1e-30 at 64 substeps"):
             simulate(hcdr, "integrated2", T_end=0.1)
+
+
+class TestFailureNamesThePeriod:
+    """Every package error raised inside the closed loop is re-raised as the
+    same class with the period and its start time in front."""
+
+    def test_qp_failure(self, hcdr, monkeypatch):
+        """The QP (one solve per period) gives up from period 2 on."""
+        solves, solve = iter(range(10)), control.solve_qp_active_set
+
+        def failing(*args, **kwargs):
+            if next(solves) >= 2:
+                raise IterationLimitError("active-set QP did not converge within 500 iterations")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(control, "solve_qp_active_set", failing)
+        with pytest.raises(IterationLimitError,
+                           match=r"^period 2 \(t = 0.02 s\): active-set QP did not converge"):
+            simulate(hcdr, "integrated2", T_end=0.1)
+
+    def test_fixed_substep_divergence(self, hcdr, monkeypatch):
+        """The fixed-substep RK4 of the independent architecture diverges in
+        the first substep of period 2."""
+        substeps = Architecture.INDEPENDENT.default_substeps
+        steps, step = iter(range(10 * substeps)), sim.rk4_step
+
+        def diverging(*args):
+            if next(steps) == 2 * substeps:
+                raise DivergenceError("integration produced non-finite state")
+            return step(*args)
+
+        monkeypatch.setattr(sim, "rk4_step", diverging)
+        with pytest.raises(DivergenceError,
+                           match=r"^period 2 \(t = 0.02 s\): integration produced non-finite"):
+            simulate(hcdr, "independent", T_end=0.1)
 
 
 class TestEnergyDrift:
