@@ -88,7 +88,7 @@ def schedule_digest() -> str:
     """Digest line of the case study's reference schedule: the times a 6 s
     ``simulate`` run asks for, on the full model and on the platform-only
     one (the two design models)."""
-    cfg = cli.resolve_scenario(cli.load_scenario("case_study_integrated2"))
+    cfg = sim.resolve_scenario(cli.load_scenario("case_study_integrated2"))
     params, _ = sim.controller_params(cfg["architecture"], cfg["controller"])
     times = np.arange(round(cfg["t_end_s"] / params.Ts) + 1 + params.Np) * params.Ts
     digest = hashlib.sha256()

@@ -3,7 +3,9 @@ optimization, and closed-loop trajectory-tracking simulation.
 
 All linear algebra in this package operates on matrices of at most a few
 hundred rows, where BLAS thread pools cost far more than they save.  The
-pools are therefore pinned to one thread at import.
+pools are therefore pinned to one thread: at import with threadpoolctl,
+else through the thread-count variables, which OpenBLAS reads only when
+numpy loads it, so only when this package is imported before numpy.
 """
 
 import os

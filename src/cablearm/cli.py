@@ -9,9 +9,11 @@ Subcommands map one-to-one onto package capabilities::
     cablearm evaluate           --trace out/trace.csv
     cablearm compare            --scenario s.json --out-dir out/
 
-A run's one input is its scenario document: ``--seed`` is written into it
-as its ``seed`` field, and ``compare`` runs the one scenario under each
-architecture.  Errors print a machine-readable
+A run's one input is its scenario document, whose defaults and checks are
+:func:`sim.resolve_scenario`'s; this module loads it from a file or a
+bundled name, resolves its model and writes the artifacts.  ``--seed`` is
+written into it as its ``seed`` field, and ``compare`` runs the one
+scenario under each architecture.  Errors print a machine-readable
 ``{"error": {"category", "message"}}`` object on stderr; exit codes are 2
 for parse errors, 3 for validation errors, and 4 for any other package
 error or for running out of memory (category ``memory``).
@@ -29,20 +31,8 @@ import numpy as np
 
 from . import dynamics, metrics, sim
 from .errors import CableRobotError, ModelParseError, OutputError, ScenarioError
-from .model import (
-    RobotModel,
-    _check,
-    _field,
-    _json_object,
-    _number,
-    _number_array,
-    _object,
-    builtin_model,
-    load_model,
-)
+from .model import RobotModel, _field, _json_object, _object, builtin_model, load_model
 from .stiffness import stiffness_landscape
-
-_ARCHES = tuple(a.value for a in sim.Architecture)
 
 
 def _resolve_model(ref: str) -> RobotModel:
@@ -69,101 +59,13 @@ def load_scenario(path_or_name) -> dict:
     return _json_object(text)
 
 
-_SCENARIO_FIELDS = ("model", "architecture", "trajectory", "t_end_s", "seed", "noise_std",
-                    "controller", "integrator_substeps")
-
-
-def resolve_scenario(doc: dict) -> dict:
-    """Fill scenario defaults and validate the fields, each error naming its
-    JSON path; :func:`sim.controller_params` reads and checks the controller
-    and :func:`_build_trajectory` the trajectory.
-    An omitted (or null) ``integrator_substeps`` takes the architecture's
-    default, :attr:`sim.Architecture.default_substeps`; a written one is at
-    most ``sim.MAX_SUBSTEPS``.  ``t_end_s`` may not ask for more controller
-    periods than an array can index."""
-    doc = _object(doc, "$", _SCENARIO_FIELDS)
-
-    def value(key, kind, default):
-        return _field(doc, key, "$", kind, default, ScenarioError)
-
-    cfg = {
-        "model": _field(doc, "model", "$", "string", "hcdr9dof"),
-        "architecture": value("architecture", "string", "integrated2"),
-        "trajectory": doc.get("trajectory", "case_study"),
-        "t_end_s": value("t_end_s", "number", 6.0),
-        "seed": value("seed", "whole", 0),
-        "noise_std": value("noise_std", "numeric", 0.0),
-        "controller": dict(_field(doc, "controller", "$", "object", {})),
-        "integrator_substeps": value("integrator_substeps", "whole", None),
-    }
-    _build_trajectory(cfg["trajectory"])
-    if cfg["architecture"] not in _ARCHES:
-        raise ScenarioError(f"architecture must be one of {_ARCHES}")
-    params, _ = sim.controller_params(cfg["architecture"], cfg["controller"])
-    if cfg["seed"] < 0:
-        raise ScenarioError("seed must be non-negative")
-    if not 0 < cfg["t_end_s"] < np.inf:
-        raise ScenarioError("t_end_s must be positive and finite")
-    # the (periods, 10) float64 reference must have a byte size numpy can index
-    if (cfg["t_end_s"] / params.Ts + 1 + params.Np) * 80 > np.iinfo(np.intp).max:
-        raise ScenarioError(f"$.t_end_s: {cfg['t_end_s']} s holds more controller periods "
-                            f"({params.Ts} s) than an array can index")
-    if cfg["integrator_substeps"] is None:
-        cfg["integrator_substeps"] = sim.Architecture(cfg["architecture"]).default_substeps
-    elif not 1 <= cfg["integrator_substeps"] <= sim.MAX_SUBSTEPS:
-        raise ScenarioError(f"integrator_substeps must be from 1 to {sim.MAX_SUBSTEPS}")
-    noise = np.asarray(cfg["noise_std"], dtype=float)
-    if noise.shape not in ((), (4,)) or not np.all(np.isfinite(noise) & (noise >= 0)):
-        raise ScenarioError(
-            "noise_std must be a non-negative number or a list of 4 finite non-negative entries"
-        )
-    return cfg
-
-
-def _build_trajectory(ref) -> sim.TrajectorySpec:
-    """The reference a scenario's ``trajectory`` names: ``"case_study"`` or
-    ``{"waypoints": [[t, state10], ...]}``, each time a number and each
-    state 10 numbers (ScenarioError naming the first waypoint that is not)."""
-    if ref == "case_study":
-        return sim.case_study_trajectory()
-    if not isinstance(ref, dict):
-        raise ScenarioError("trajectory must be 'case_study' or "
-                            "{'waypoints': [[t, state10], ...]}")
-    waypoints = []
-    for i, wp in enumerate(_field(_object(ref, "$.trajectory", ("waypoints",)), "waypoints",
-                                  "$.trajectory", "array", error=ScenarioError), start=1):
-        try:
-            t, x = wp
-            state = _number_array(x)
-            waypoints.append((_number(t), _check(state.shape == (10,), state)))
-        except (TypeError, ValueError):
-            raise ScenarioError(f"$.trajectory.waypoints[{i}]: expected [time, state] with a "
-                                "number time and a state of 10 numbers") from None
-    try:
-        return sim.quintic_trajectory(waypoints)
-    except ValueError as exc:
-        raise ScenarioError(f"$.trajectory.waypoints: {exc}") from None
-
-
 def run_scenario(path_or_doc, out_dir, fmt: str = "csv") -> dict:
     """Execute one scenario and write trace + summary artifacts.
 
     Returns {"trace": path, "summary": path, "report": dict}.
     """
-    cfg = resolve_scenario(load_scenario(path_or_doc))
-    model = _resolve_model(cfg["model"])
-    params, gains = sim.controller_params(cfg["architecture"], cfg["controller"])
-    trace = sim.simulate(
-        model,
-        cfg["architecture"],
-        traj=_build_trajectory(cfg["trajectory"]),
-        mpc_params=params,
-        pid_gains=gains,
-        noise_std=cfg["noise_std"],
-        seed=cfg["seed"],
-        T_end=cfg["t_end_s"],
-        substeps=cfg["integrator_substeps"],
-    )
+    cfg = sim.resolve_scenario(load_scenario(path_or_doc))
+    trace = sim.simulate(_resolve_model(cfg["model"]), cfg)
     out = Path(out_dir)
     summary = {**metrics.rmse(trace.p_e, trace.p_e_ref, trace.tensions).as_dict(),
                "seed": cfg["seed"], "config_hash": sim.config_digest(cfg)}
@@ -187,9 +89,9 @@ def compare_architectures(path_or_doc, out_dir) -> dict:
     2-input architecture) is rejected before anything is written.
     """
     doc = load_scenario(path_or_doc)
-    docs = {arch: {**doc, "architecture": arch} for arch in _ARCHES}
+    docs = {a.value: {**doc, "architecture": a.value} for a in sim.Architecture}
     for d in (doc, *docs.values()):
-        resolve_scenario(d)
+        sim.resolve_scenario(d)
     out = Path(out_dir)
     rows = [{"architecture": arch, **run_scenario(d, out / arch)["report"]}
             for arch, d in docs.items()]
@@ -371,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a diverging run is reported by the finiteness checks, not by
+        # numpy warnings ahead of the error record
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CableRobotError as exc:
         category, message = exc.category, str(exc)
     except MemoryError as exc:

@@ -32,8 +32,9 @@ substep.  Where no PID runs (integrated2) the input is held over the
 period, and unless a substep count is set the period is integrated by RK4
 step doubling to ``HELD_TOL``: the substeps then control only integration
 error.  Fixed or error-controlled, a period takes at most ``MAX_SUBSTEPS``.
-The simulated plant is always the coupled system.  :func:`controller_params`
-is the one home of the controller defaults.
+The simulated plant is always the coupled system.  A run is described by
+one scenario document: :func:`resolve_scenario` is the one home of its
+defaults and checks, and :func:`controller_params` of the controller's.
 
 The whole reference is known before the loop starts, so the design path
 runs in blocks: the schedule optimizes the distinct reference rows (as the
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,7 +60,7 @@ from . import control, dynamics
 from .control import LtvModel, MpcParams, PidGains, PidState, linearize, pid_step
 from .errors import CableRobotError, DivergenceError, ReductionError, ScenarioError, ValidationError
 from .kinematics import _cable_frames, arm_chain, check_euler_regular, rotation
-from .model import RobotModel, _field, _object
+from .model import RobotModel, _check, _field, _number, _number_array, _object
 from .stiffness import optimize_tensions
 
 
@@ -500,63 +500,122 @@ def controller_params(architecture, controller: dict) -> tuple[MpcParams, PidGai
     return params, gains
 
 
-def simulate(
-    model: RobotModel,
-    architecture,
-    traj: TrajectorySpec | None = None,
-    mpc_params: MpcParams | None = None,
-    pid_gains: PidGains | None = None,
-    noise_std=0.0,
-    seed: int = 0,
-    T_end: float = 6.0,
-    substeps: int | None = None,
-) -> SimTrace:
-    """Run one closed-loop architecture and record the trace.
+_SCENARIO_FIELDS = ("model", "architecture", "trajectory", "t_end_s", "seed", "noise_std",
+                    "controller", "integrator_substeps")
 
-    Per controller period (``mpc_params.Ts``): take the linearization of the
-    design plant at the feedforward scheduled on the architecture's design
-    model (made before the loop, one per distinct point), solve the MPC
-    over its states and inputs (its design is built when the linearization
-    differs from the last period's, and held until it changes again), then
-    integrate the coupled plant with ``substeps`` RK4 steps; joints the MPC
-    leaves out get PID torques at the start of every substep.  With ``substeps`` None the architecture's
-    default applies (:attr:`Architecture.default_substeps`): where no PID
-    runs the input is held over the period, which :func:`rk4_held`
-    integrates to its error tolerance.  Input noise is zero-mean Gaussian
-    per channel, sampled once per period and held.  Tensions, energies and
-    the end effector come from batched calls over the recorded rows after
-    the loop.
 
-    ``substeps`` must be None or a whole number from 1 to ``MAX_SUBSTEPS``
-    (ValidationError) and ``T_end`` a positive whole number of periods
-    (ScenarioError), both checked before the schedule is computed.  Omitted ``mpc_params`` /
-    ``pid_gains`` take the defaults of :func:`controller_params`.  An error in
-    period k is re-raised as its class, prefixed ``period k (t = ... s)``.
+def _build_trajectory(ref) -> TrajectorySpec:
+    """The reference a scenario's ``trajectory`` names: ``"case_study"`` or
+    ``{"waypoints": [[t, state10], ...]}``, each time a number and each
+    state 10 numbers (ScenarioError naming the first waypoint that is not)."""
+    if ref == "case_study":
+        return case_study_trajectory()
+    if not isinstance(ref, dict):
+        raise ScenarioError("trajectory must be 'case_study' or "
+                            "{'waypoints': [[t, state10], ...]}")
+    waypoints = []
+    for i, wp in enumerate(_field(_object(ref, "$.trajectory", ("waypoints",)), "waypoints",
+                                  "$.trajectory", "array", error=ScenarioError), start=1):
+        try:
+            t, x = wp
+            state = _number_array(x)
+            waypoints.append((_number(t), _check(state.shape == (10,), state)))
+        except (TypeError, ValueError):
+            raise ScenarioError(f"$.trajectory.waypoints[{i}]: expected [time, state] with a "
+                                "number time and a state of 10 numbers") from None
+    try:
+        return quintic_trajectory(waypoints)
+    except ValueError as exc:
+        raise ScenarioError(f"$.trajectory.waypoints: {exc}") from None
+
+
+def _resolve(doc: dict) -> tuple[dict, TrajectorySpec, MpcParams, PidGains]:
+    """The resolved scenario (:func:`resolve_scenario`) with the trajectory,
+    MPC parameters and PID gains it names."""
+    doc = _object(doc, "$", _SCENARIO_FIELDS)
+
+    def value(key, kind, default):
+        return _field(doc, key, "$", kind, default, ScenarioError)
+
+    cfg = {
+        "model": _field(doc, "model", "$", "string", "hcdr9dof"),
+        "architecture": value("architecture", "string", "integrated2"),
+        "trajectory": doc.get("trajectory", "case_study"),
+        "t_end_s": value("t_end_s", "number", 6.0),
+        "seed": value("seed", "whole", 0),
+        "noise_std": value("noise_std", "numeric", 0.0),
+        "controller": dict(_field(doc, "controller", "$", "object", {})),
+        "integrator_substeps": value("integrator_substeps", "whole", None),
+    }
+    traj = _build_trajectory(cfg["trajectory"])
+    arches = tuple(a.value for a in Architecture)
+    if cfg["architecture"] not in arches:
+        raise ScenarioError(f"architecture must be one of {arches}")
+    params, gains = controller_params(cfg["architecture"], cfg["controller"])
+    if cfg["seed"] < 0:
+        raise ScenarioError("seed must be non-negative")
+    t_end, Ts = cfg["t_end_s"], params.Ts
+    # the (periods, 10) float64 reference must have a byte size numpy can index
+    if (t_end / Ts + 1 + params.Np) * 80 > np.iinfo(np.intp).max:
+        raise ScenarioError(f"$.t_end_s: {t_end} s holds more controller periods "
+                            f"({Ts} s) than an array can index")
+    K = round(t_end / Ts) if t_end > 0 else 0
+    if K < 1 or abs(K * Ts - t_end) > 1e-9 * t_end:
+        raise ScenarioError(f"$.t_end_s: {t_end} s must be a positive whole number of "
+                            f"controller periods ({Ts} s)")
+    if cfg["integrator_substeps"] is None:
+        cfg["integrator_substeps"] = Architecture(cfg["architecture"]).default_substeps
+    elif not 1 <= cfg["integrator_substeps"] <= MAX_SUBSTEPS:
+        raise ScenarioError(f"integrator_substeps must be from 1 to {MAX_SUBSTEPS}")
+    noise = np.asarray(cfg["noise_std"], dtype=float)
+    if noise.shape not in ((), (4,)) or not np.all(np.isfinite(noise) & (noise >= 0)):
+        raise ScenarioError(
+            "noise_std must be a non-negative number or a list of 4 finite non-negative entries"
+        )
+    return cfg, traj, params, gains
+
+
+def resolve_scenario(doc: dict) -> dict:
+    """Fill scenario defaults and validate the fields, each error naming its
+    JSON path; :func:`controller_params` reads and checks the controller
+    and :func:`_build_trajectory` the trajectory.
+    An omitted (or null) ``integrator_substeps`` takes the architecture's
+    default, :attr:`Architecture.default_substeps`; a written one is at
+    most ``MAX_SUBSTEPS``.  ``t_end_s`` must be a positive whole number of
+    controller periods, no more than an array can index.  A resolved
+    scenario resolves to itself."""
+    return _resolve(doc)[0]
+
+
+def simulate(model: RobotModel, scenario: dict) -> SimTrace:
+    """Run a scenario document on ``model`` and record the trace.
+
+    The scenario is resolved and checked as :func:`resolve_scenario` does,
+    before anything is computed; its ``model`` field, which the command
+    line resolves, is not read.  Per controller period (``Ts_s``): take the
+    linearization of the design plant at the feedforward scheduled on the
+    architecture's design model (made before the loop, one per distinct
+    point), solve the MPC over its states and inputs (its design is built
+    when the linearization differs from the last period's, and held until
+    it changes again), then integrate the coupled plant with
+    ``integrator_substeps`` RK4 steps; joints the MPC leaves out get PID
+    torques at the start of every substep.  With null substeps
+    (integrated2's default) the input is held over the period, which
+    :func:`rk4_held` integrates to its error tolerance.  Input noise is
+    zero-mean Gaussian per channel, sampled once per period and held.
+    Tensions, energies and the end effector come from batched calls over
+    the recorded rows after the loop.  An error in period k is re-raised as
+    its class, prefixed ``period k (t = ... s)``.
     """
-    arch = Architecture(architecture)
-    if substeps is None:
-        substeps = arch.default_substeps
-    elif isinstance(substeps, bool) or not isinstance(substeps, numbers.Integral) \
-            or not 1 <= substeps <= MAX_SUBSTEPS:
-        raise ValidationError(f"substeps must be None or a whole number from 1 to "
-                              f"{MAX_SUBSTEPS}, not {substeps!r}")
-    traj = case_study_trajectory() if traj is None else traj
-    if mpc_params is None or pid_gains is None:
-        default_params, default_gains = controller_params(arch, {})
-        mpc_params = default_params if mpc_params is None else mpc_params
-        pid_gains = default_gains if pid_gains is None else pid_gains
+    cfg, traj, mpc_params, pid_gains = _resolve(scenario)
+    arch = Architecture(cfg["architecture"])
+    substeps = cfg["integrator_substeps"]
     plant = PlanarPlant(model)
     if plant.n_states != 10:
         raise ValidationError("closed-loop simulation expects the 10-state planar plant")
     s, p = arch.mpc_size
-    if mpc_params.Q.shape[0] != s or mpc_params.R.shape[0] != p:
-        raise ValidationError(f"{arch.value} needs MPC parameters for {s} states and {p} inputs")
     Ts, Np = mpc_params.Ts, mpc_params.Np
-    K = round(T_end / Ts) if 0 < T_end < np.inf else 0
-    if K < 1 or abs(K * Ts - T_end) > 1e-9 * T_end:
-        raise ScenarioError(
-            f"T_end ({T_end} s) must be a positive whole number of controller periods ({Ts} s)"
-        )
+    K = round(cfg["t_end_s"] / Ts)
 
     model_d = arch.design_model(model)
     plant_d = plant if model_d is model else PlanarPlant(model_d)
@@ -575,8 +634,8 @@ def simulate(
         table += [LtvModel(A=lin.A[i, :s, :s], B=lin.B[i, :s, :p], x_r=lin.x_r[i, :s],
                            u_r=lin.u_r[i, :p], f_r=lin.f_r[i, :s]) for i in range(len(rows))]
 
-    rng = np.random.default_rng(seed)
-    noise_std = np.broadcast_to(np.asarray(noise_std, dtype=float), (4,))
+    rng = np.random.default_rng(cfg["seed"])
+    noise_std = np.broadcast_to(np.asarray(cfg["noise_std"], dtype=float), (4,))
     pid_state = PidState.zero(2)
     x = x_ref[0]
     x_prev, u_prev = x[:s], u_ref[0, :p]

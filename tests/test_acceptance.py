@@ -269,7 +269,8 @@ def test_criterion_07_mpc_suite():
 def case_study_runs(model):
     t0 = time.perf_counter()
     traces = {
-        arch: simulate(model, arch, T_end=6.0, noise_std=0.0, seed=0)
+        arch: simulate(model, {"architecture": arch, "t_end_s": 6.0, "noise_std": 0.0,
+                               "seed": 0})
         for arch in ("independent", "integrated1", "integrated2")
     }
     return traces, time.perf_counter() - t0

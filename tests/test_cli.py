@@ -9,17 +9,17 @@ import numpy as np
 import pytest
 
 import cablearm
-from cablearm import metrics
+from cablearm import metrics, sim
 from cablearm.cli import (
     _scenario_arg,
     build_parser,
     compare_architectures,
     load_scenario,
     main,
-    resolve_scenario,
     run_scenario,
 )
 from cablearm.errors import AlignmentError, CableRobotError
+from cablearm.sim import resolve_scenario
 
 
 SHORT = {
@@ -43,6 +43,14 @@ NONFINITE_CONTROLLER = {
 }
 TRACE_HEAD = ",".join(metrics.TRACE_HEADER) + "\n"
 TRACE_ROW = ",".join(["0"] * len(metrics.TRACE_HEADER)) + "\n"
+
+
+def _fresh_env(**extra) -> dict:
+    """Environment of a fresh interpreter that imports this cablearm."""
+    package_root = str(Path(cablearm.__file__).parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    ))
 
 
 class TestRmse:
@@ -115,6 +123,24 @@ class TestRunScenario:
         r2 = run_scenario(SHORT, tmp_path / "b")
         assert Path(r1["trace"]).read_bytes() == Path(r2["trace"]).read_bytes()
         assert Path(r1["summary"]).read_bytes() == Path(r2["summary"]).read_bytes()
+
+    def test_in_process_trace_equals_the_command_trace(self, tmp_path):
+        """The suite runs with the BLAS threads that a ``cablearm`` command
+        pins (conftest imports cablearm before numpy), so an integrated2
+        run's trace.csv here equals, byte for byte, that of the command in a
+        fresh interpreter.  A suite whose BLAS runs more threads sums the
+        n = 200 MPC products in another order; that shows only on a host
+        with 2 or more CPUs."""
+        doc = {"architecture": "integrated2", "t_end_s": 0.3, "seed": 3,
+               "noise_std": [1.0, 1.0, 0.02, 0.02]}
+        in_process = run_scenario(doc, tmp_path / "a")
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(doc))
+        subprocess.run([sys.executable, "-m", "cablearm.cli", "simulate", "--scenario",
+                        str(scenario), "--out-dir", str(tmp_path / "b")],
+                       capture_output=True, env=_fresh_env(), check=True, timeout=120)
+        assert (Path(in_process["trace"]).read_bytes()
+                == (tmp_path / "b" / "trace.csv").read_bytes())
 
     def test_trace_round_trip(self, short_run):
         cols = metrics.trace_from_csv(Path(short_run["trace"]).read_text())
@@ -222,8 +248,15 @@ class TestCliMain:
                      "scenario", 4, id="text-waypoint-state"),
         *(pytest.param(override, "scenario", 4, id=name)
           for name, override in NONFINITE_CONTROLLER.items()),
+        *(pytest.param({"integrator_substeps": n}, "scenario", 4, id=f"substeps-{n!r}")
+          for n in (2.5, True, "2")),
     ])
-    def test_malformed_scenario_table(self, tmp_path, capsys, override, category, code):
+    def test_malformed_scenario_table(self, tmp_path, capsys, monkeypatch, hcdr, override,
+                                      category, code):
+        """The command rejects the document with the row's exit code and
+        category, and ``sim.simulate`` with the same category, both before
+        the reference schedule is computed."""
+        monkeypatch.setattr(sim, "reference_schedule", None)
         doc = dict(SHORT)
         doc.update(override)
         p = tmp_path / "s.json"
@@ -232,6 +265,9 @@ class TestCliMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == category
         assert not (tmp_path / "o").exists()
+        with pytest.raises(CableRobotError) as caught:
+            sim.simulate(hcdr, doc)
+        assert caught.value.category == category
 
     @pytest.mark.parametrize("override", NONFINITE_CONTROLLER.values(),
                              ids=NONFINITE_CONTROLLER.keys())
@@ -458,10 +494,7 @@ class TestCliMain:
             hard = resource.getrlimit(resource.RLIMIT_AS)[1]
             resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
-        package_root = str(Path(cablearm.__file__).parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])
-        ))
+        env = _fresh_env(OPENBLAS_NUM_THREADS="1")
         out = subprocess.run(
             [sys.executable, "-m", "cablearm.cli", *(a.format(scenario=scenario) for a in argv),
              "--out-dir", str(tmp_path / "o")],
@@ -469,6 +502,26 @@ class TestCliMain:
         )
         assert out.returncode == 4, out.stderr
         assert json.loads(out.stderr)["error"]["category"] == "memory"
+
+    @pytest.mark.parametrize("override", [
+        pytest.param({"architecture": "independent", "controller": {"pid": {"Kp": 1e300}}},
+                     id="huge-Kp"),
+        pytest.param({"noise_std": 1e200}, id="huge-noise"),
+    ])
+    def test_diverging_run_prints_only_the_error_record(self, tmp_path, override):
+        """A run that diverges writes its divergence record and nothing else
+        on stderr, no numpy warning ahead of it.  It runs in a fresh
+        interpreter, as pytest captures warnings in its own."""
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"t_end_s": 0.05, **override}))
+        out = subprocess.run(
+            [sys.executable, "-m", "cablearm.cli", "simulate", "--scenario", str(scenario),
+             "--out-dir", str(tmp_path / "o")],
+            capture_output=True, text=True, env=_fresh_env(), timeout=120,
+        )
+        assert out.returncode == 4
+        assert out.stderr.count("\n") == 1, out.stderr
+        assert json.loads(out.stderr)["error"]["category"] == "divergence"
 
     def test_seed_flag_is_the_document_seed(self, tmp_path, capsys):
         """``--seed 7`` runs what a document with ``"seed": 7`` runs."""
@@ -511,10 +564,7 @@ class TestCliMain:
         """Importing the CLI must not pull in scipy.optimize, whose import
         alone is a large share of a run's set-up time."""
         probe = "import sys, cablearm.cli; print('scipy.optimize' in sys.modules)"
-        package_root = str(Path(cablearm.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])
-        ))
+        env = _fresh_env()
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              env=env, check=True, timeout=120)
         assert out.stdout.strip() == "False"
@@ -534,10 +584,7 @@ class TestCliMain:
         )
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps(dict(SHORT, t_end_s=0.05)))
-        package_root = str(Path(cablearm.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])
-        ))
+        env = _fresh_env()
         out = subprocess.run([sys.executable, "-c", probe, str(int(block)), str(scenario),
                               str(tmp_path / "o")], capture_output=True, text=True, env=env,
                              check=True, timeout=120)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cablearm
-from cablearm.cli import load_scenario, resolve_scenario
+from cablearm.cli import load_scenario
 from cablearm.errors import ModelParseError, ValidationError
 from cablearm.model import (
     builtin_hcdr9dof,
@@ -17,6 +17,7 @@ from cablearm.model import (
     model_to_dict,
     serialize_model,
 )
+from cablearm.sim import resolve_scenario
 
 # Cable mount table of the builtin instance, transcribed independently.
 MOUNT_TABLE = [

@@ -6,14 +6,12 @@ import scipy.linalg
 
 from cablearm import control, dynamics, sim
 from cablearm.dynamics import forward_dynamics, inverse_dynamics
-from cablearm.control import MpcParams
 from cablearm.errors import (
     DivergenceError,
     IterationLimitError,
     ReductionError,
     ScenarioError,
     SingularityError,
-    ValidationError,
 )
 from cablearm.model import Anchor
 from cablearm.sim import (
@@ -285,8 +283,9 @@ class TestRk4Held:
         """Along the first 0.5 s of the case study every period accepts two
         substeps, so the error-controlled run is bit-identical to a fixed
         two-substep run."""
-        held = simulate(hcdr, "integrated2", T_end=0.5)
-        fixed = simulate(hcdr, "integrated2", T_end=0.5, substeps=2)
+        held = simulate(hcdr, {"architecture": "integrated2", "t_end_s": 0.5})
+        fixed = simulate(hcdr, {"architecture": "integrated2", "t_end_s": 0.5,
+                                "integrator_substeps": 2})
         for name in ("x", "u", "tensions", "ke", "ve", "p_e"):
             assert getattr(held, name).tobytes() == getattr(fixed, name).tobytes(), name
 
@@ -303,7 +302,7 @@ class TestRk4Held:
         monkeypatch.setattr(sim, "rk4_held", tightening)
         with pytest.raises(DivergenceError,
                            match=r"period 2 \(t = 0.02 s\).*above 1e-30 at 64 substeps"):
-            simulate(hcdr, "integrated2", T_end=0.1)
+            simulate(hcdr, {"architecture": "integrated2", "t_end_s": 0.1})
 
 
 class TestFailureNamesThePeriod:
@@ -322,7 +321,7 @@ class TestFailureNamesThePeriod:
         monkeypatch.setattr(control, "solve_qp_active_set", failing)
         with pytest.raises(IterationLimitError,
                            match=r"^period 2 \(t = 0.02 s\): active-set QP did not converge"):
-            simulate(hcdr, "integrated2", T_end=0.1)
+            simulate(hcdr, {"architecture": "integrated2", "t_end_s": 0.1})
 
     def test_fixed_substep_divergence(self, hcdr, monkeypatch):
         """The fixed-substep RK4 of the independent architecture diverges in
@@ -338,7 +337,7 @@ class TestFailureNamesThePeriod:
         monkeypatch.setattr(sim, "rk4_step", diverging)
         with pytest.raises(DivergenceError,
                            match=r"^period 2 \(t = 0.02 s\): integration produced non-finite"):
-            simulate(hcdr, "independent", T_end=0.1)
+            simulate(hcdr, {"architecture": "independent", "t_end_s": 0.1})
 
 
 class TestEnergyDrift:
@@ -450,42 +449,42 @@ class TestSimulate:
     def test_regulation_at_equilibrium(self, hcdr):
         """Constant reference at a true equilibrium: state pinned over 6 s."""
         hold = [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]
-        traj = quintic_trajectory([(0.0, hold), (6.0, hold)])
-        trace = simulate(hcdr, "integrated1", traj=traj, T_end=6.0)
+        trace = simulate(hcdr, {"architecture": "integrated1", "t_end_s": 6.0,
+                                "trajectory": {"waypoints": [[0.0, hold], [6.0, hold]]}})
         assert np.max(np.abs(trace.x - trace.x_ref)) <= 1e-6
 
     def test_regulation_integrated2(self, hcdr):
         hold = [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]
-        traj = quintic_trajectory([(0.0, hold), (1.0, hold)])
-        trace = simulate(hcdr, "integrated2", traj=traj, T_end=1.0)
+        trace = simulate(hcdr, {"architecture": "integrated2", "t_end_s": 1.0,
+                                "trajectory": {"waypoints": [[0.0, hold], [1.0, hold]]}})
         assert np.max(np.abs(trace.x - trace.x_ref)) <= 1e-6
 
     def test_independent_cannot_remove_arm_gravity_sag(self, hcdr):
         """With the published weights the decoupled design leaves a
         persistent z offset of roughly the arm-weight deflection."""
         hold = [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]
-        traj = quintic_trajectory([(0.0, hold), (1.5, hold)])
-        trace = simulate(hcdr, "independent", traj=traj, T_end=1.5)
+        trace = simulate(hcdr, {"architecture": "independent", "t_end_s": 1.5,
+                                "trajectory": {"waypoints": [[0.0, hold], [1.5, hold]]}})
         z_err = np.abs(trace.x[:, 2] - trace.x_ref[:, 2])
         x_err = np.abs(trace.x[:, 0] - trace.x_ref[:, 0])
         assert z_err[-1] > 5e-3
         assert z_err[-1] > 10 * x_err[-1]
 
     def test_same_seed_identical_traces(self, hcdr):
-        kw = dict(T_end=0.3, noise_std=0.01, seed=13)
-        t1 = simulate(hcdr, "integrated2", **kw)
-        t2 = simulate(hcdr, "integrated2", **kw)
+        doc = {"architecture": "integrated2", "t_end_s": 0.3, "noise_std": 0.01, "seed": 13}
+        t1 = simulate(hcdr, doc)
+        t2 = simulate(hcdr, doc)
         for name in ("t", "x", "u", "tensions", "L0", "ke", "ve", "x_ref", "p_e"):
             assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
 
     def test_different_seed_differs_with_noise(self, hcdr):
-        kw = dict(T_end=0.2, noise_std=0.05)
-        t1 = simulate(hcdr, "integrated2", seed=1, **kw)
-        t2 = simulate(hcdr, "integrated2", seed=2, **kw)
+        doc = {"architecture": "integrated2", "t_end_s": 0.2, "noise_std": 0.05}
+        t1 = simulate(hcdr, dict(doc, seed=1))
+        t2 = simulate(hcdr, dict(doc, seed=2))
         assert not np.array_equal(t1.u, t2.u)
 
     def test_trace_alignment(self, hcdr):
-        trace = simulate(hcdr, "integrated2", T_end=0.2)
+        trace = simulate(hcdr, {"architecture": "integrated2", "t_end_s": 0.2})
         assert len(trace.t) == 21
         assert np.allclose(np.diff(trace.t), 0.01)
         for arr in (trace.x, trace.u, trace.tensions, trace.L0, trace.x_ref, trace.p_e):
@@ -504,7 +503,7 @@ class TestSimulate:
             return real(model, q, qd, qdd, **kwargs)
 
         monkeypatch.setattr(sim, "optimize_tensions", counted)
-        simulate(hcdr, "independent", T_end=0.3)
+        simulate(hcdr, {"architecture": "independent", "t_end_s": 0.3})
         assert len(rows) == 1
 
     def test_batched_pid_reference_matches_single_times(self):
@@ -520,39 +519,33 @@ class TestSimulate:
                 assert refs[n].tobytes() == traj.sample(k * Ts + n * dt).tobytes(), (k, n)
 
     def test_period_is_the_mpc_period(self, hcdr):
-        du = np.array([80.0, 80.0, 2.0, 2.0])
-        params = MpcParams(Ts=0.02, Np=50, Nc=50, Q=np.eye(10), R=1e-4 * np.eye(4),
-                           P=np.eye(10), du_min=-du, du_max=du)
-        trace = simulate(hcdr, "integrated2", mpc_params=params, T_end=0.2)
+        trace = simulate(hcdr, {"architecture": "integrated2", "t_end_s": 0.2,
+                                "controller": {"Ts_s": 0.02}})
         assert len(trace.t) == 11
         assert np.allclose(np.diff(trace.t), 0.02)
         assert len(trace.x) == len(trace.tensions) == 11
 
     @pytest.mark.parametrize("T_end", [0.305, 0.004, 0.0])
     def test_rejects_partial_periods(self, hcdr, monkeypatch, T_end):
-        """T_end must be a positive whole number of periods, checked before
+        """t_end_s must be a positive whole number of periods, checked before
         the schedule is computed."""
         monkeypatch.setattr(sim, "reference_schedule", None)
         with pytest.raises(ScenarioError, match="whole number"):
-            simulate(hcdr, "integrated2", T_end=T_end)
+            simulate(hcdr, {"architecture": "integrated2", "t_end_s": T_end})
 
-    @pytest.mark.parametrize("substeps", [0, -1, 2.5, 2.0, True, "2", 65])
+    @pytest.mark.parametrize("substeps", [0, -1, 2.5, True, "2", 65])
     def test_rejects_bad_substeps(self, hcdr, monkeypatch, substeps):
-        """substeps is None or a whole number from 1 to MAX_SUBSTEPS (64),
-        checked before the schedule is computed."""
+        """integrator_substeps is null or a whole number from 1 to
+        MAX_SUBSTEPS (64), checked before the schedule is computed."""
         monkeypatch.setattr(sim, "reference_schedule", None)
-        with pytest.raises(ValidationError, match="substeps"):
-            simulate(hcdr, "integrated2", T_end=0.1, substeps=substeps)
+        with pytest.raises(ScenarioError, match="substeps"):
+            simulate(hcdr, {"architecture": "integrated2", "t_end_s": 0.1,
+                            "integrator_substeps": substeps})
 
     def test_default_substeps(self):
         assert Architecture("independent").default_substeps == 10
         assert Architecture("integrated1").default_substeps == 10
         assert Architecture("integrated2").default_substeps is None
-
-    def test_rejects_mpc_params_of_another_architecture(self, hcdr):
-        params, _ = controller_params("integrated2", {})
-        with pytest.raises(ValidationError, match="6 states and 2 inputs"):
-            simulate(hcdr, "integrated1", mpc_params=params, T_end=0.1)
 
     @pytest.mark.parametrize("arch, s, p", [
         ("independent", 6, 2), ("integrated1", 6, 2), ("integrated2", 10, 4),
