@@ -9,9 +9,11 @@ recursion of body velocities and bias accelerations (the accelerations at
 ``qddot = 0``), as in the recursive Newton-Euler algorithm.  The Euler-rate
 floating base counts as three revolute axes along the columns of
 ``W = R E_b``.  :func:`dyn_terms` keeps the Christoffel symbols of a
-finite-differenced ``M`` as the test oracle for ``h``.  The pass runs on
-every plant-derivative evaluation, so it calls ufunc and array methods, not
-the numpy functions that wrap them.
+finite-differenced ``M`` as the test oracle for ``h``.  The pass serves the
+reference schedule's inverse dynamics, the energies, :func:`forward_dynamics`
+and the quadrotor; the closed loop's plant derivative runs on the planar
+kernel of ``sim.PlanarPlant``, which the tests check against this pass.  It
+calls ufunc and array methods, not the numpy functions that wrap them.
 
 Wrench pairing: a world wrench ``w = [F; M]`` maps to generalized forces
 through ``S(q)^T w`` with ``S = blkdiag(I, R E_b)``, the Jacobian from
@@ -171,30 +173,24 @@ def inverse_dynamics(model: RobotModel, q, qdot, qddot, tau_d=None) -> np.ndarra
     return tau
 
 
-def accelerations(model: RobotModel, q, qdot, wrench, tau_arm,
-                  check_conditioning: bool = True) -> np.ndarray:
+def accelerations(model: RobotModel, q, qdot, wrench, tau_arm) -> np.ndarray:
     """Solve M qddot = S^T w + [0; tau_arm] - C qdot - G; batched.
 
-    ``q`` and ``qdot`` are float arrays of shape (..., nq).  ``wrench`` is
-    the world wrench w = [F; M] on the platform, or a callable that builds
-    it from the platform rotation of the dynamics pass.  With
-    ``check_conditioning`` a near-singular M raises ConditioningError
-    instead of returning meaningless accelerations.
+    ``q`` and ``qdot`` are float arrays of shape (..., nq) and ``wrench`` the
+    world wrench w = [F; M] on the platform.  A near-singular M raises
+    ConditioningError instead of returning meaningless accelerations.
     """
     M, G, h, chain = _dynamics_core(model, q, qdot)
-    if callable(wrench):
-        wrench = wrench(chain["R_gm"])
     rhs = np.zeros(wrench.shape[:-1] + q.shape[-1:])     # S^T w, W = R E_b
     rhs[..., 0:3] = wrench[..., 0:3]
     rhs[..., 3:6] = (chain["W_euler"].swapaxes(-1, -2) @ wrench[..., 3:6, None])[..., 0]
     rhs[..., 6:] += tau_arm
     rhs -= h + G
-    if check_conditioning:
-        cond = np.linalg.cond(M)
-        if not np.all(np.isfinite(cond)) or np.max(cond) > CONDITION_LIMIT:
-            raise ConditioningError(
-                f"inertia matrix near-singular (condition number {np.max(cond):.3e})"
-            )
+    cond = np.linalg.cond(M)
+    if not np.all(np.isfinite(cond)) or np.max(cond) > CONDITION_LIMIT:
+        raise ConditioningError(
+            f"inertia matrix near-singular (condition number {np.max(cond):.3e})"
+        )
     return np.linalg.solve(M, rhs[..., None])[..., 0]
 
 

@@ -14,9 +14,12 @@ structure matrix pairs cable-length rates with the world-referenced twist
 ``[v; R omega_b]``; both pairings are exercised by finite-difference tests.
 
 :func:`arm_chain`, :func:`velocity_jacobians` and :func:`_cable_frames` run
-on every plant-derivative evaluation, where numpy's per-call cost outweighs
-the arithmetic, so they make few numpy calls (one rotation call for the whole
-chain, two ``take`` calls per cross product) for the same floats.
+under the 3-D dynamics pass (reference schedule, energies, forward dynamics)
+and the cable geometry, often on a single state or a small stack, where
+numpy's per-call cost outweighs the arithmetic, so they make few numpy calls
+(one rotation call for the whole chain, two ``take`` calls per cross product)
+for the same floats.  The closed loop's plant derivative does not use them:
+it runs on the planar kernel of ``sim.PlanarPlant``.
 """
 
 from __future__ import annotations

@@ -8,9 +8,12 @@ test against the full 3-D model).  The 10-dim state is
 inputs are ``[T_low_A, T_low_B, tau_2, tau_3]`` with the two
 length-commanded upper groups driven by the exogenous unstretched lengths
 (L01, L02).  :meth:`PlanarPlant.f` is the one derivative, for single states
-(the fixed-count RK4 substeps) and stacks (step doubling, linearization);
-its index maps are built once, so a call moves the state and the tensions
-in one copy each.
+(the fixed-count RK4 substeps) and stacks (step doubling, linearization).
+It never assembles the 9-DoF 3-D system: a planar kernel over (p_mx, p_mz,
+beta, free joints) turns each body's levers in the x-z plane, stacks the
+bodies' Jacobian rows into one J, takes M, gravity and the velocity term
+from it and solves one n x n system (n = 5 with the arm, 3 without).  The
+tests check it against the 3-D forward dynamics.
 
 Closed loop (:func:`simulate`).  An architecture fixes two things
 (:class:`Architecture`): the design model, from which the tension/length
@@ -93,6 +96,15 @@ class Architecture(str, Enum):
 # Planar plant
 
 
+def _turnable(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constants (A, A_perp) with ``cos(phi) A + sin(phi) A_perp = [R a; P R a]``
+    for planar vectors ``a`` of shape (2, ...) in (x, z): R turns by phi
+    about y, (a_x, a_z) -> cos(phi) (a_x, a_z) + sin(phi) (a_z, -a_x), and
+    P by -90 deg, so that P (e_y x r) = -r."""
+    perp = a[::-1] * np.array([1.0, -1.0]).reshape((2,) + (1,) * (a.ndim - 1))
+    return np.concatenate([a, perp]), np.concatenate([perp, -a])
+
+
 def _mirror_symmetric(arr: np.ndarray) -> bool:
     """True when every row has a partner with all y-entries negated."""
     flip = np.ones(arr.shape[1])
@@ -105,7 +117,15 @@ def _mirror_symmetric(arr: np.ndarray) -> bool:
 
 
 class PlanarPlant:
-    """In-plane forward dynamics of a mirror-symmetric cable robot."""
+    """In-plane forward dynamics of a mirror-symmetric cable robot.
+
+    The derivative comes from a planar kernel over the coordinates
+    ``(x, z, beta, free joints)``: in the x-z plane every body turns about
+    y by ``phi_b`` (beta plus the free joints upstream), so its inertia
+    enters through ``I_yy`` alone and ``omega x I omega`` vanishes.  The
+    checks below reject the models for which this kernel would differ from
+    the 3-D equations of motion restricted to the plane.
+    """
 
     def __init__(self, model: RobotModel):
         p = model.platform
@@ -124,6 +144,11 @@ class PlanarPlant:
                 free.append(j)
             elif link.joint_axis != "Z":
                 raise ReductionError("arm joints must rotate about Y (free) or Z (held)")
+            if np.any(np.abs([link.joint_offset[1], link.com_offset[1]]) > 1e-12):
+                raise ReductionError(f"arm link {j + 1}: joint and COM offsets must lie in the "
+                                     "x-z plane (no y component)")
+        if np.any(np.abs(model.bodies.inertia[:, 1, [0, 2]]) > 1e-12):
+            raise ReductionError("body inertias must have zero xy and yz products")
         low, pos = model.platform.actuation_layout()
         if len(low) != 2 or len(pos) != 2:
             raise ReductionError(
@@ -138,16 +163,55 @@ class PlanarPlant:
         self.low_idx = [model.platform.group_indices(g) for g in self.low_groups]
         self.pos_idx = [model.platform.group_indices(g) for g in self.pos_groups]
         self._q_pos = np.array([0, 2, 4] + [6 + j for j in free])
-        # state entry i sits at _embed[i] of [q, qdot]; _second marks the
-        # cables of the second length-commanded group, _lower_input the input
-        # each force-commanded cable takes
+        # state entry i sits at _embed[i] of [q, qdot]
         self._embed = np.ravel([self._q_pos, model.nq + self._q_pos], order="F")
-        self._upper = np.concatenate(self.pos_idx)
-        self._second = np.repeat([False, True], [len(i) for i in self.pos_idx])
-        self._ea_upper = model.platform.axial_stiffness[self._upper]
-        self._lower = np.concatenate(self.low_idx)
-        self._lower_input = np.repeat([0, 1], [len(i) for i in self.low_idx])
-        self._tau_idx = np.array(free, dtype=int)
+        # per cable: length-commanded or not, in the second length-commanded
+        # group or not, and the input it takes when force-commanded
+        cables = np.arange(model.n_cables)
+        self._elastic = np.isin(cables, np.concatenate(self.pos_idx))
+        self._second = np.isin(cables, self.pos_idx[1])
+        self._input = np.isin(cables, self.low_idx[1]).astype(int)
+        self._kernel_constants(model, free)
+
+    def _kernel_constants(self, model: RobotModel, free: list[int]):
+        """Constants of :meth:`_xdot`, planar vectors with their (x, z) axis
+        first (see :func:`_turnable`)."""
+        bodies = model.bodies
+        B, K = model.n_arm + 1, 1 + len(free)
+        # _turn[b, k] = 1: angle k (beta, then the free joints) turns body b
+        self._turn = np.zeros((B, K))
+        self._turn[:, 0] = 1.0
+        for k, j in enumerate(free):
+            self._turn[j + 1:, k + 1] = 1.0
+        # per body, in its frame: the lever to its COM and the lever from its
+        # COM to its outboard joint.  Their running sum is COM_0 (the platform
+        # origin), joint 1, COM_1, joint 2, ..., the tip.
+        com, out = bodies.frame[:, [0, 2], 1].T, bodies.frame[:, [0, 2], 0].T
+        self._lever = _turnable(np.stack([com, out - com], axis=-1))     # (4, B, 2) each
+        # running sum @ _to_pivot = pivot_k - COM_b where angle k turns body b,
+        # else 0; beta pivots about the platform origin, free joint j about joint j + 1
+        pivot = [0] + [2 * j + 1 for j in free]
+        to_pivot = np.zeros((2 * B, B, K))
+        for b, k in zip(*np.nonzero(self._turn)):
+            to_pivot[pivot[k], b, k] += 1.0
+            to_pivot[2 * b, b, k] -= 1.0
+        self._to_pivot = to_pivot.reshape(2 * B, B * K)
+        # J holds each body's rows P v_COM and omega; angle k moves COM_b by
+        # e_y x (COM_b - pivot_k), which P turns into pivot_k - COM_b
+        self._J0 = np.zeros((3, B, 2 + K))
+        self._J0[0, :, 1] = 1.0      # P e_z
+        self._J0[1, :, 0] = -1.0     # P e_x
+        self._J0[2, :, 2:] = self._turn
+        self._weight = np.concatenate([bodies.mass, bodies.mass, bodies.inertia[:, 1, 1]])[:, None]
+        self._mass = bodies.mass
+        self._gravity = np.outer([1.0, 0.0], model.gravity * bodies.mass)    # m P g e_z
+        # cables: attachment levers r_i and anchors a_i in (x, z); the y
+        # component of a cable vector, r_iy - a_iy, is the same at every planar state
+        p = model.platform
+        self._attach = _turnable(p.r_body[:, [0, 2]].T)                    # (4, N) each
+        self._anchor = p.a_world[:, [0, 2]].T
+        self._vy2 = (p.r_body[:, 1] - p.a_world[:, 1]) ** 2
+        self._ea = p.axial_stiffness
 
     def embed(self, x):
         """Planar state -> full (q, qdot); broadcasts over leading axes."""
@@ -157,19 +221,12 @@ class PlanarPlant:
         full[..., self._embed] = x
         return full[..., :nq], full[..., nq:]
 
-    def extract(self, q, qd):
-        """Full (q, qdot) -> planar state; broadcasts over leading axes."""
-        return np.concatenate([q, qd], axis=-1).take(self._embed, axis=-1)
-
     def _tensions(self, L, u, L01, L02):
         """Elastic upper groups at lengths L, commanded lower groups from u;
         the unstretched lengths broadcast over the leading axes of L."""
-        T = np.zeros(L.shape)
         L0 = np.where(self._second, np.asarray(L02, dtype=float)[..., None],
                       np.asarray(L01, dtype=float)[..., None])
-        T[..., self._upper] = self._ea_upper / L0 * (L.take(self._upper, axis=-1) - L0)
-        T[..., self._lower] = u.take(self._lower_input, axis=-1)
-        return T
+        return np.where(self._elastic, self._ea / L0 * (L - L0), u.take(self._input, axis=-1))
 
     def full_tensions(self, x, u, L01, L02):
         """All cable tensions: elastic upper groups, commanded lower groups;
@@ -179,27 +236,54 @@ class PlanarPlant:
         L = _cable_frames(self.model, q[..., 0:3], R).lengths
         return self._tensions(L, np.asarray(u, dtype=float), L01, L02)
 
-    def _xdot(self, x, tension_law, tau_arm):
+    def _xdot(self, x, tension_law, tau):
         """State derivative under cable tensions ``tension_law(L)`` of the
-        cable lengths and arm joint torques ``tau_arm``."""
-        q, qd = self.embed(x)
+        cable lengths and torques ``tau`` on the free joints; broadcasts over
+        leading axes of x.
 
-        def wrench(R):
-            geo = _cable_frames(self.model, q[..., 0:3], R)
-            return -(geo.structure @ tension_law(geo.lengths)[..., None])[..., 0]    # pull direction
-
-        qdd = dynamics.accelerations(self.model, q, qd, wrench, tau_arm,
-                                     check_conditioning=False)
-        return self.extract(qd, qdd)
+        With J stacking every body's COM-velocity and angular-velocity rows,
+        ``M = J^T diag(m, m, I_yy) J``, and gravity with the velocity term is
+        ``J^T m (g e_z + a)`` for the COM accelerations ``a = -sum w^2 lever``
+        at zero accelerations of the coordinates.
+        """
+        shape = x.shape[:-1]
+        B, K = self._turn.shape
+        ang = self._turn @ x[..., 4:].reshape(shape + (K, 2))       # (..., B, [phi, w])
+        phi = ang[..., None, :, 0:1]
+        c, s = np.cos(phi), np.sin(phi)
+        lever = c * self._lever[0] + s * self._lever[1]                # [R l; P R l]
+        pts = np.add.accumulate(lever[..., 0:2, :, :].reshape(shape + (2, 2 * B)), axis=-1)
+        J = np.empty(shape + self._J0.shape)
+        J[...] = self._J0
+        J[..., 0:2, :, 2:] = (pts @ self._to_pivot).reshape(shape + (2, B, K))
+        J = J.reshape(shape + (3 * B, 2 + K))
+        M = J.swapaxes(-1, -2) @ (self._weight * J)
+        # -P a at the COMs, as a running sum of w^2 P R l
+        w2 = ang[..., None, :, 1:2] ** 2
+        cen = np.add.accumulate((w2 * lever[..., 2:4, :, :]).reshape(shape + (2, 2 * B)),
+                                axis=-1)[..., 0::2]
+        rhs = ((self._mass * cen - self._gravity).reshape(shape + (1, 2 * B))
+               @ J[..., 0:2 * B, :])[..., 0, :]
+        # cables: vectors anchor -> attachment and their moments (R r x vec)_y
+        # = P R r . vec, each pulling the platform back along its vector
+        attach = c[..., 0, 0:1, :] * self._attach[0] + s[..., 0, 0:1, :] * self._attach[1]
+        vec = attach[..., 0:2, :] + (x[..., 0:3:2, None] - self._anchor)
+        L = np.sqrt(np.add.reduce(vec * vec, axis=-2) + self._vy2)
+        moment = np.add.reduce(attach[..., 2:4, :] * vec, axis=-2)
+        lines = np.concatenate([vec, moment[..., None, :]], axis=-2)
+        rhs[..., 0:3] -= (lines @ (tension_law(L) / L)[..., None])[..., 0]
+        rhs[..., 3:] += tau
+        out = np.empty(x.shape)
+        out[..., 0::2] = x[..., 1::2]
+        out[..., 1::2] = np.linalg.solve(M, rhs[..., None])[..., 0]
+        return out
 
     def f(self, x, u, L01, L02):
         """State derivative; broadcasts over leading axes of x, u and the
         lengths."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        tau = np.zeros(x.shape[:-1] + (self.model.n_arm,))
-        tau[..., self._tau_idx] = u[..., 2:]
-        return self._xdot(x, lambda L: self._tensions(L, u, L01, L02), tau)
+        return self._xdot(x, lambda L: self._tensions(L, u, L01, L02), u[..., 2:])
 
     def conservative_f(self, L0_full):
         """Unforced dynamics with every cable elastic at fixed L0 (energy tests)."""

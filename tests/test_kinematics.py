@@ -106,8 +106,8 @@ class TestCableGeometry:
 
 
 class TestDerivativePrimitives:
-    """The primitives of the plant derivative return the bits of the numpy
-    routines and the functions they stand in for."""
+    """The primitives of the 3-D dynamics pass and the cable geometry return
+    the bits of the numpy routines and the functions they stand in for."""
 
     def test_cross_is_np_cross(self, rng):
         a = rng.normal(size=(4, 1, 5, 3))

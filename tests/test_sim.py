@@ -13,6 +13,7 @@ from cablearm.errors import (
     ScenarioError,
     SingularityError,
 )
+from cablearm.kinematics import cable_geometry
 from cablearm.model import Anchor
 from cablearm.sim import (
     Architecture,
@@ -51,6 +52,91 @@ class TestPlanarReduce:
         arm = (replace(hcdr.arm[0], joint_axis="X"),) + hcdr.arm[1:]
         with pytest.raises(ReductionError):
             PlanarPlant(replace(hcdr, arm=arm))
+
+    @pytest.mark.parametrize("body, entry", [(0, (0, 1)), (2, (1, 2))])
+    def test_rejects_out_of_plane_inertia_products(self, hcdr, body, entry):
+        """An xy or yz product couples the plane to the out-of-plane axes."""
+        inertia = np.diag([0.1, 0.2, 0.3])
+        inertia[entry] = inertia[entry[::-1]] = 0.01
+        if body == 0:
+            model = replace(hcdr, platform=replace(hcdr.platform, inertia=inertia))
+        else:
+            arm = list(hcdr.arm)
+            arm[body - 1] = replace(arm[body - 1], inertia=inertia)
+            model = replace(hcdr, arm=tuple(arm))
+        with pytest.raises(ReductionError, match="xy and yz products"):
+            PlanarPlant(model)
+
+    @pytest.mark.parametrize("field", ["joint_offset", "com_offset"])
+    def test_rejects_out_of_plane_link_offsets(self, hcdr, field):
+        link = hcdr.arm[1]
+        arm = (hcdr.arm[0], replace(link, **{field: getattr(link, field) + [0, 0.01, 0]}),
+               hcdr.arm[2])
+        with pytest.raises(ReductionError, match="link 2.*no y component"):
+            PlanarPlant(replace(hcdr, arm=arm))
+
+    @staticmethod
+    def _variant(hcdr):
+        """A planar model unlike hcdr: a free joint after the held one, x
+        offsets, xz inertia products and Euler convention ZYX."""
+        def skewed(link, dx):
+            inertia = link.inertia.copy()
+            inertia[0, 2] = inertia[2, 0] = 0.02
+            return replace(link, inertia=inertia, joint_offset=link.joint_offset + [dx, 0, 0],
+                           com_offset=link.com_offset + [0.5 * dx, 0, 0.01])
+
+        platform_inertia = hcdr.platform.inertia.copy()
+        platform_inertia[0, 2] = platform_inertia[2, 0] = 0.005
+        arm = (skewed(hcdr.arm[1], 0.03), skewed(hcdr.arm[0], -0.02), skewed(hcdr.arm[2], 0.05))
+        return replace(hcdr, arm=arm, mount_offset=np.array([0.02, 0.0, 0.048]),
+                       platform=replace(hcdr.platform, inertia=platform_inertia),
+                       euler_convention="ZYX")
+
+    @pytest.mark.parametrize("which", ["hcdr", "platform_only", "variant"])
+    def test_kernel_matches_3d_forward_dynamics(self, hcdr, which):
+        """On 60 random planar states, f and conservative_f give the
+        accelerations of the 3-D forward dynamics, whose out-of-plane
+        accelerations vanish."""
+        model = {"hcdr": hcdr, "platform_only": hcdr.platform_only(),
+                 "variant": self._variant(hcdr)}[which]
+        plant = PlanarPlant(model)
+        rng = np.random.default_rng(7)
+        L0 = cable_geometry(model, np.zeros(model.nq)).lengths * 0.9
+        kc = model.platform.axial_stiffness / L0
+        held = np.setdiff1d(np.arange(model.nq), plant._q_pos)
+        for _ in range(60):
+            x = rng.normal(0, 0.2, plant.n_states)
+            u = np.concatenate([rng.uniform(10, 60, 2), rng.normal(0, 1, plant.n_inputs - 2)])
+            L01, L02 = rng.uniform(0.8, 0.9, 2)
+            q, qd = plant.embed(x)
+            tau = np.zeros(model.n_arm)
+            tau[list(plant.free_joints)] = u[2:]
+            T = plant.full_tensions(x, u[:2], L01, L02)
+            T_elastic = kc * (cable_geometry(model, q).lengths - L0)
+            for xdot, qdd in ((plant.f(x, u, L01, L02), forward_dynamics(model, q, qd, T, tau)),
+                              (plant.conservative_f(L0)(x),
+                               forward_dynamics(model, q, qd, T_elastic, np.zeros(model.n_arm)))):
+                scale = np.max(np.abs(qdd))
+                assert np.max(np.abs(qdd[held])) <= 1e-12 * scale
+                assert np.array_equal(xdot[0::2], x[1::2])
+                np.testing.assert_allclose(xdot[1::2], qdd[plant._q_pos], rtol=0,
+                                           atol=1e-12 * scale)
+
+    def test_stacked_kernel_matches_3d_forward_dynamics(self, hcdr):
+        """A (2, 3) stack with per-row lengths and inputs matches the 3-D
+        forward dynamics row by row."""
+        plant = PlanarPlant(hcdr)
+        rng = np.random.default_rng(8)
+        x = rng.normal(0, 0.2, (2, 3, 10))
+        u = np.concatenate([rng.uniform(10, 60, (2, 3, 2)), rng.normal(0, 1, (2, 3, 2))], axis=-1)
+        L01, L02 = rng.uniform(0.8, 0.9, (2, 3)), rng.uniform(0.8, 0.9, (2, 3))
+        F = plant.f(x, u, L01, L02)
+        for i in np.ndindex(2, 3):
+            q, qd = plant.embed(x[i])
+            T = plant.full_tensions(x[i], u[i][:2], L01[i], L02[i])
+            qdd = forward_dynamics(hcdr, q, qd, T, np.array([0.0, *u[i][2:]]))
+            np.testing.assert_allclose(F[i][1::2], qdd[plant._q_pos], rtol=0,
+                                       atol=1e-12 * np.max(np.abs(qdd)))
 
     def test_out_of_plane_accelerations_vanish(self, hcdr, rng):
         """Planar inputs on the full 3-D model leave the plane invariant."""
