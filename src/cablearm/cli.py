@@ -201,7 +201,7 @@ def _cmd_linearize(args) -> int:
     L0 = (_field(doc, "L01", "$", "number"), _field(doc, "L02", "$", "number"))
     from .control import linearize
 
-    ltv = linearize(plant.f, x, u, L0)
+    ltv = linearize(plant.f_inputs, x, u, L0)
     out = {"A": ltv.A.tolist(), "B": ltv.B.tolist(), "f_r": ltv.f_r.tolist()}
     if args.out_dir:
         _write_json(Path(args.out_dir) / "ltv.json", out)

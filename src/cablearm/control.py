@@ -426,9 +426,10 @@ class PidState:
 
 def pid_step(theta_ref, dtheta_ref, theta, dtheta, state: PidState, gains: PidGains,
              dt: float) -> tuple[np.ndarray, PidState]:
-    """One PID update of the joint torques, integral by trapezoid rule."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """One PID update of the joint torques, integral by trapezoid rule; ``dt``
+    must be finite and positive (ValueError)."""
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be finite and positive")
     e = np.asarray(theta_ref, dtype=float) - np.asarray(theta, dtype=float)
     edot = np.asarray(dtheta_ref, dtype=float) - np.asarray(dtheta, dtype=float)
     prev = e if state.prev_error is None else state.prev_error

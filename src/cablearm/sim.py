@@ -7,13 +7,17 @@ test against the full 3-D model).  The 10-dim state is
 ``[p_mx, dp_mx, p_mz, dp_mz, beta, dbeta, th2, dth2, th3, dth3]``;
 inputs are ``[T_low_A, T_low_B, tau_2, tau_3]`` with the two
 length-commanded upper groups driven by the exogenous unstretched lengths
-(L01, L02).  :meth:`PlanarPlant.f` is the one derivative, for single states
+(L01, L02).  The derivative is split in two.  :meth:`PlanarPlant.law` turns
+the inputs and lengths into a :class:`PlantLaw`, the per-cable tension law
+and the joint torques, which hold over an input period.
+:meth:`PlanarPlant.f` ``(x, law)`` is the one derivative, for single states
 (the fixed-count RK4 substeps) and stacks (step doubling, linearization).
 It never assembles the 9-DoF 3-D system: a planar kernel over (p_mx, p_mz,
-beta, free joints) turns each body's levers in the x-z plane, stacks the
-bodies' Jacobian rows into one J, takes M, gravity and the velocity term
-from it and solves one n x n system (n = 5 with the arm, 3 without).  The
-tests check it against the 3-D forward dynamics.
+beta, free joints) turns each body's levers and the cable attachments in
+the x-z plane, stacks the bodies' translational Jacobian rows into one J,
+takes M, gravity and the velocity term from it and solves one n x n system
+(n = 5 with the arm, 3 without).  The tests check it against the 3-D
+forward dynamics.
 
 Closed loop (:func:`simulate`).  An architecture fixes two things
 (:class:`Architecture`): the design model, from which the tension/length
@@ -31,10 +35,12 @@ design model, a linearization of the design plant per distinct schedule
 point (cut to the MPC's leading states and inputs), one MPC design each
 time the period's linearization differs from the last period's, one MPC
 step per period and, where the arm is on PID, one PID call per integration
-substep.  Where no PID runs (integrated2) the input is held over the
-period, and unless a substep count is set the period is integrated by RK4
-step doubling to ``HELD_TOL``: the substeps then control only integration
-error.  Fixed or error-controlled, a period takes at most ``MAX_SUBSTEPS``.
+substep; the plant law is built once per period, and the PID's torques
+replace its torques per substep.  Where no PID runs (integrated2) the
+input is held over the period, and unless a substep count is set the
+period is integrated by RK4 step doubling to ``HELD_TOL``: the substeps
+then control only integration error.  Fixed or error-controlled, a period
+takes at most ``MAX_SUBSTEPS``.
 The simulated plant is always the coupled system.  A run is described by
 one scenario document: :func:`resolve_scenario` is the one home of its
 defaults and checks, and :func:`controller_params` of the controller's.
@@ -56,6 +62,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,15 +123,28 @@ def _mirror_symmetric(arr: np.ndarray) -> bool:
     return True
 
 
+class PlantLaw(NamedTuple):
+    """What :meth:`PlanarPlant.f` holds fixed while the state moves: cable i
+    pulls with tension ``k[..., i] L + c[..., i]`` at length L, and the free
+    joints take torques ``tau``.  Built by :meth:`PlanarPlant.law`, once per
+    held input."""
+
+    k: np.ndarray      # (..., N) EA / L0 of the elastic cables, 0 for the commanded ones
+    c: np.ndarray      # (..., N) -EA of the elastic cables, the commanded tension of the others
+    tau: np.ndarray    # (..., free joints)
+
+
 class PlanarPlant:
     """In-plane forward dynamics of a mirror-symmetric cable robot.
 
-    The derivative comes from a planar kernel over the coordinates
-    ``(x, z, beta, free joints)``: in the x-z plane every body turns about
-    y by ``phi_b`` (beta plus the free joints upstream), so its inertia
-    enters through ``I_yy`` alone and ``omega x I omega`` vanishes.  The
-    checks below reject the models for which this kernel would differ from
-    the 3-D equations of motion restricted to the plane.
+    The derivative comes in two parts: :meth:`law` builds what the inputs
+    fix (a :class:`PlantLaw`), once per held input, and :meth:`f` ``(x,
+    law)`` evaluates what depends on the state, a planar kernel over the
+    coordinates ``(x, z, beta, free joints)``: in the x-z plane every body
+    turns about y by ``phi_b`` (beta plus the free joints upstream), so its
+    inertia enters through ``I_yy`` alone and ``omega x I omega`` vanishes.
+    The checks below reject the models for which this kernel would differ
+    from the 3-D equations of motion restricted to the plane.
     """
 
     def __init__(self, model: RobotModel):
@@ -174,41 +194,53 @@ class PlanarPlant:
         self._kernel_constants(model, free)
 
     def _kernel_constants(self, model: RobotModel, free: list[int]):
-        """Constants of :meth:`_xdot`, planar vectors with their (x, z) axis
-        first (see :func:`_turnable`)."""
-        bodies = model.bodies
-        B, K = model.n_arm + 1, 1 + len(free)
-        # _turn[b, k] = 1: angle k (beta, then the free joints) turns body b
-        self._turn = np.zeros((B, K))
-        self._turn[:, 0] = 1.0
+        """Constants of :meth:`f`, planar vectors with their (x, z) axis first
+        (see :func:`_turnable`)."""
+        bodies, p = model.bodies, model.platform
+        B, K, N = model.n_arm + 1, 1 + len(free), model.n_cables
+        # turn[b, k] = 1: angle k (beta, then the free joints) turns body b
+        turn = np.zeros((B, K))
+        turn[:, 0] = 1.0
         for k, j in enumerate(free):
-            self._turn[j + 1:, k + 1] = 1.0
-        # per body, in its frame: the lever to its COM and the lever from its
-        # COM to its outboard joint.  Their running sum is COM_0 (the platform
-        # origin), joint 1, COM_1, joint 2, ..., the tip.
+            turn[j + 1:, k + 1] = 1.0
+        # The columns the kernel turns: per body, in its frame, the lever to
+        # its COM and the lever from its COM to its outboard joint, whose
+        # running sum is COM_0 (the platform origin), joint 1, COM_1, joint 2,
+        # ..., the tip; then the cable attachment levers r_i, turned by beta.
         com, out = bodies.frame[:, [0, 2], 1].T, bodies.frame[:, [0, 2], 0].T
-        self._lever = _turnable(np.stack([com, out - com], axis=-1))     # (4, B, 2) each
-        # running sum @ _to_pivot = pivot_k - COM_b where angle k turns body b,
-        # else 0; beta pivots about the platform origin, free joint j about joint j + 1
+        levers = np.stack([com, out - com], axis=-1).reshape(2, 2 * B)
+        self._cols = _turnable(np.concatenate([levers, p.r_body[:, [0, 2]].T], axis=1))
+        self._n_levers = 2 * B
+        # _angles @ x: the angle of every column, then the rate of every lever column
+        lever_turn = np.repeat(turn, 2, axis=0)
+        self._angles = np.zeros((4 * B + N, self.n_states))
+        self._angles[:2 * B, 4::2] = lever_turn
+        self._angles[2 * B:2 * B + N, 4] = 1.0
+        self._angles[2 * B + N:, 5::2] = lever_turn
+        # J holds the rows P v_COM of every body, P turning by -90 deg about y,
+        # flattened as (axis, body): constant (P e_z, P e_x) in the (x, z)
+        # columns, and running sum @ _to_J = pivot_k - COM_b in the column of
+        # angle k where it turns body b (it moves COM_b by e_y x (COM_b - pivot_k));
+        # beta pivots about the platform origin, free joint j about joint j + 1
         pivot = [0] + [2 * j + 1 for j in free]
-        to_pivot = np.zeros((2 * B, B, K))
-        for b, k in zip(*np.nonzero(self._turn)):
-            to_pivot[pivot[k], b, k] += 1.0
-            to_pivot[2 * b, b, k] -= 1.0
-        self._to_pivot = to_pivot.reshape(2 * B, B * K)
-        # J holds each body's rows P v_COM and omega; angle k moves COM_b by
-        # e_y x (COM_b - pivot_k), which P turns into pivot_k - COM_b
-        self._J0 = np.zeros((3, B, 2 + K))
-        self._J0[0, :, 1] = 1.0      # P e_z
-        self._J0[1, :, 0] = -1.0     # P e_x
-        self._J0[2, :, 2:] = self._turn
-        self._weight = np.concatenate([bodies.mass, bodies.mass, bodies.inertia[:, 1, 1]])[:, None]
-        self._mass = bodies.mass
-        self._gravity = np.outer([1.0, 0.0], model.gravity * bodies.mass)    # m P g e_z
-        # cables: attachment levers r_i and anchors a_i in (x, z); the y
-        # component of a cable vector, r_iy - a_iy, is the same at every planar state
-        p = model.platform
-        self._attach = _turnable(p.r_body[:, [0, 2]].T)                    # (4, N) each
+        to_J = np.zeros((2 * B, B, 2 + K))
+        for b, k in zip(*np.nonzero(turn)):
+            to_J[pivot[k], b, 2 + k] += 1.0
+            to_J[2 * b, b, 2 + k] -= 1.0
+        self._to_J = to_J.reshape(2 * B, B * (2 + K))
+        J0 = np.zeros((2, B, 2 + K))
+        J0[0, :, 1] = 1.0      # P e_z
+        J0[1, :, 0] = -1.0     # P e_x
+        self._J0 = J0.reshape(2, B * (2 + K))
+        self._mass2 = np.concatenate([bodies.mass, bodies.mass])[:, None]
+        # the angular rates are turn @ [beta, free joints]', so their part of M,
+        # turn^T I_yy turn, is constant
+        rot_rows = np.zeros((B, 2 + K))
+        rot_rows[:, 2:] = turn
+        self._M_rot = rot_rows.T @ (bodies.inertia[:, 1, 1, None] * rot_rows)
+        self._gravity = np.outer([model.gravity, 0.0], np.ones(B))    # P g e_z per body
+        # cables: anchors a_i in (x, z); the y component of a cable vector,
+        # r_iy - a_iy, is the same at every planar state
         self._anchor = p.a_world[:, [0, 2]].T
         self._vy2 = (p.r_body[:, 1] - p.a_world[:, 1]) ** 2
         self._ea = p.axial_stiffness
@@ -221,79 +253,77 @@ class PlanarPlant:
         full[..., self._embed] = x
         return full[..., :nq], full[..., nq:]
 
-    def _tensions(self, L, u, L01, L02):
-        """Elastic upper groups at lengths L, commanded lower groups from u;
-        the unstretched lengths broadcast over the leading axes of L."""
+    def law(self, u, L01, L02) -> PlantLaw:
+        """The :class:`PlantLaw` of inputs ``u = [T_low_A, T_low_B, tau...]``
+        and upper unstretched lengths (L01, L02): elastic upper groups,
+        commanded lower groups, and the free joints' torques ``u[..., 2:]``.
+        Broadcasts over leading axes of u and the lengths."""
+        u = np.asarray(u, dtype=float)
         L0 = np.where(self._second, np.asarray(L02, dtype=float)[..., None],
                       np.asarray(L01, dtype=float)[..., None])
-        return np.where(self._elastic, self._ea / L0 * (L - L0), u.take(self._input, axis=-1))
+        return PlantLaw(k=np.where(self._elastic, self._ea / L0, 0.0),
+                        c=np.where(self._elastic, -self._ea, u.take(self._input, axis=-1)),
+                        tau=u[..., 2:])
 
     def full_tensions(self, x, u, L01, L02):
-        """All cable tensions: elastic upper groups, commanded lower groups;
-        broadcasts over leading axes of x, u and the lengths."""
+        """All cable tensions under :meth:`law`: elastic upper groups,
+        commanded lower groups; broadcasts over leading axes of x, u and the
+        lengths."""
         q, _ = self.embed(x)
         R = rotation(q[..., 3:6], self.model.euler_convention)
         L = _cable_frames(self.model, q[..., 0:3], R).lengths
-        return self._tensions(L, np.asarray(u, dtype=float), L01, L02)
+        law = self.law(u, L01, L02)
+        return law.k * L + law.c
 
-    def _xdot(self, x, tension_law, tau):
-        """State derivative under cable tensions ``tension_law(L)`` of the
-        cable lengths and torques ``tau`` on the free joints; broadcasts over
-        leading axes of x.
+    def f(self, x, law: PlantLaw):
+        """State derivative under a :class:`PlantLaw`, the planar kernel;
+        broadcasts over leading axes of x and of the law's arrays.
 
-        With J stacking every body's COM-velocity and angular-velocity rows,
-        ``M = J^T diag(m, m, I_yy) J``, and gravity with the velocity term is
-        ``J^T m (g e_z + a)`` for the COM accelerations ``a = -sum w^2 lever``
-        at zero accelerations of the coordinates.
+        With J stacking every body's COM-velocity rows (turned by P) and its
+        angular rate ``turn @ [beta, free joints]'``, ``M = J^T diag(m, m)
+        J + turn^T I_yy turn``, and gravity with the velocity term is ``J^T m
+        (g e_z + a)`` for the COM accelerations ``a = -sum w^2 lever`` at zero
+        accelerations of the coordinates.  Each cable pulls the platform back
+        along its vector with tension ``k L + c`` at its length L.
         """
-        shape = x.shape[:-1]
-        B, K = self._turn.shape
-        ang = self._turn @ x[..., 4:].reshape(shape + (K, 2))       # (..., B, [phi, w])
-        phi = ang[..., None, :, 0:1]
-        c, s = np.cos(phi), np.sin(phi)
-        lever = c * self._lever[0] + s * self._lever[1]                # [R l; P R l]
-        pts = np.add.accumulate(lever[..., 0:2, :, :].reshape(shape + (2, 2 * B)), axis=-1)
-        J = np.empty(shape + self._J0.shape)
-        J[...] = self._J0
-        J[..., 0:2, :, 2:] = (pts @ self._to_pivot).reshape(shape + (2, B, K))
-        J = J.reshape(shape + (3 * B, 2 + K))
-        M = J.swapaxes(-1, -2) @ (self._weight * J)
+        x = np.asarray(x, dtype=float)
+        k, c, tau = law
+        shape, nl = x.shape[:-1], self._n_levers
+        ang = (self._angles @ x[..., None])[..., 0]     # column angles, lever rates
+        phi = ang[..., None, :-nl]
+        rot = np.cos(phi) * self._cols[0] + np.sin(phi) * self._cols[1]     # [R l; P R l]
+        pts = np.add.accumulate(rot[..., 0:2, :nl], axis=-1)
+        J = (pts @ self._to_J + self._J0).reshape(shape + (nl, -1))
+        mJ = self._mass2 * J
+        M = J.swapaxes(-1, -2) @ mJ + self._M_rot
         # -P a at the COMs, as a running sum of w^2 P R l
-        w2 = ang[..., None, :, 1:2] ** 2
-        cen = np.add.accumulate((w2 * lever[..., 2:4, :, :]).reshape(shape + (2, 2 * B)),
-                                axis=-1)[..., 0::2]
-        rhs = ((self._mass * cen - self._gravity).reshape(shape + (1, 2 * B))
-               @ J[..., 0:2 * B, :])[..., 0, :]
+        cen = np.add.accumulate(ang[..., None, -nl:] ** 2 * rot[..., 2:4, :nl], axis=-1)[..., 0::2]
+        rhs = ((cen - self._gravity).reshape(shape + (1, nl)) @ mJ)[..., 0, :]
         # cables: vectors anchor -> attachment and their moments (R r x vec)_y
         # = P R r . vec, each pulling the platform back along its vector
-        attach = c[..., 0, 0:1, :] * self._attach[0] + s[..., 0, 0:1, :] * self._attach[1]
-        vec = attach[..., 0:2, :] + (x[..., 0:3:2, None] - self._anchor)
+        vec = rot[..., 0:2, nl:] + (x[..., 0:3:2, None] - self._anchor)
         L = np.sqrt(np.add.reduce(vec * vec, axis=-2) + self._vy2)
-        moment = np.add.reduce(attach[..., 2:4, :] * vec, axis=-2)
+        moment = np.add.reduce(rot[..., 2:4, nl:] * vec, axis=-2)
         lines = np.concatenate([vec, moment[..., None, :]], axis=-2)
-        rhs[..., 0:3] -= (lines @ (tension_law(L) / L)[..., None])[..., 0]
+        rhs[..., 0:3] -= (lines @ (k + c / L)[..., None])[..., 0]
         rhs[..., 3:] += tau
         out = np.empty(x.shape)
         out[..., 0::2] = x[..., 1::2]
         out[..., 1::2] = np.linalg.solve(M, rhs[..., None])[..., 0]
         return out
 
-    def f(self, x, u, L01, L02):
-        """State derivative; broadcasts over leading axes of x, u and the
-        lengths."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return self._xdot(x, lambda L: self._tensions(L, u, L01, L02), u[..., 2:])
+    def f_inputs(self, x, u, L01, L02):
+        """:meth:`f` under the :meth:`law` of ``u`` and (L01, L02), built per
+        row: the ``plant(x, u, *exogenous)`` that :func:`linearize` takes."""
+        return self.f(x, self.law(u, L01, L02))
 
     def conservative_f(self, L0_full):
-        """Unforced dynamics with every cable elastic at fixed L0 (energy tests)."""
-        L0_full = np.asarray(L0_full, dtype=float)
-        kc = self.model.platform.axial_stiffness / L0_full
-
-        def f(x):
-            return self._xdot(np.asarray(x, dtype=float), lambda L: kc * (L - L0_full), 0.0)
-
-        return f
+        """Unforced dynamics with every cable elastic at fixed L0 (energy
+        tests): :meth:`f` under that law, with no joint torque."""
+        ea = self.model.platform.axial_stiffness
+        law = PlantLaw(k=ea / np.asarray(L0_full, dtype=float), c=-ea,
+                       tau=np.zeros(len(self.free_joints)))
+        return lambda x: self.f(x, law)
 
     def energies(self, x, L01, L02):
         """Kinetic and potential energy; elastic part covers the
@@ -432,19 +462,22 @@ def case_study_trajectory() -> TrajectorySpec:
 
 
 def rk4_step(f, x, inputs, dt):
-    """Classical fourth-order step with inputs held constant (zero-order hold).
+    """Classical fourth-order step of ``f(x, *inputs)`` with the inputs held
+    constant (zero-order hold); for the plant, ``inputs`` is ``(law,)``, a
+    :class:`PlantLaw` built once for the period.
 
     ``dt`` is one step for every row of ``x`` or, for a stack of states, a
     (rows, 1) array of one step per row; each row equals its own scalar call.
+    Every step must be finite and positive (ValueError).
     """
-    if np.any(dt <= 0) if isinstance(dt, np.ndarray) else dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.all((0 < dt) & (dt < np.inf)) if isinstance(dt, np.ndarray) else 0 < dt < np.inf):
+        raise ValueError("dt must be finite and positive")
     k1 = f(x, *inputs)
     k2 = f(x + 0.5 * dt * k1, *inputs)
     k3 = f(x + 0.5 * dt * k2, *inputs)
     k4 = f(x + dt * k3, *inputs)
     x_next = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x_next)):
+    if not np.isfinite(x_next).all():
         raise DivergenceError("integration produced non-finite state")
     return x_next
 
@@ -685,8 +718,11 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
     ``integrator_substeps`` RK4 steps; joints the MPC leaves out get PID
     torques at the start of every substep.  With null substeps
     (integrated2's default) the input is held over the period, which
-    :func:`rk4_held` integrates to its error tolerance.  Input noise is
-    zero-mean Gaussian per channel, sampled once per period and held.
+    :func:`rk4_held` integrates to its error tolerance.  Either way the
+    plant's :class:`PlantLaw` is built once per period from the input and
+    the period's unstretched lengths; under the PID only its torques change
+    per substep.  Input noise is zero-mean Gaussian per channel, sampled
+    once per period and held.
     Tensions, energies and the end effector come from batched calls over
     the recorded rows after the loop.  An error in period k is re-raised as
     its class, prefixed ``period k (t = ... s)``.
@@ -714,7 +750,8 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
     table = []
     for b in range(0, len(first), LINEARIZE_BLOCK):
         rows = first[b:b + LINEARIZE_BLOCK]
-        lin = linearize(plant_d.f, x_d[rows], u_ref[rows], (L0_ref[rows, 0], L0_ref[rows, 1]))
+        lin = linearize(plant_d.f_inputs, x_d[rows], u_ref[rows],
+                        (L0_ref[rows, 0], L0_ref[rows, 1]))
         table += [LtvModel(A=lin.A[i, :s, :s], B=lin.B[i, :s, :p], x_r=lin.x_r[i, :s],
                            u_r=lin.u_r[i, :p], f_r=lin.f_r[i, :s]) for i in range(len(rows))]
 
@@ -728,7 +765,6 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
     dt = None if substeps is None else Ts / substeps
     try:
         for k in range(K):
-            L01, L02 = L0_ref[k]
             w = rng.normal(0.0, 1.0, 4) * noise_std
             if k == 0 or slot[k] != slot[k - 1]:
                 design = control.mpc_design(table[slot[k]], mpc_params)
@@ -736,26 +772,27 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
                                       x_ref[k:k + Np + 1, :s], u_ref[k:k + Np + 1, :p])
             x_prev = x[:s]
             u = u_prev + w[:p]
+            law = plant.law(u, *L0_ref[k])
             xs.append(x)
             if substeps is None:    # input held over the period, no PID
                 us.append(u)
-                x = rk4_held(plant.f, x, (u, L01, L02), Ts)[0]
+                x = rk4_held(plant.f, x, (law,), Ts)[0]
                 continue
             if joint_pid:   # the joint reference at the period's substep times
                 refs = traj.sample(k * Ts + np.arange(substeps) * dt)
             for n in range(substeps):
-                if joint_pid:
+                if joint_pid:   # u holds the lower tensions only; the PID the torques
                     ref = refs[n]
-                    tau, pid_state = pid_step(ref[[6, 8]], ref[[7, 9]], x[[6, 8]], x[[7, 9]],
+                    tau, pid_state = pid_step(ref[6:10:2], ref[7:10:2], x[6:10:2], x[7:10:2],
                                               pid_state, pid_gains, dt)
-                    u = np.concatenate([u[:2], tau + w[2:]])
+                    law = PlantLaw(law.k, law.c, tau + w[2:])
                 if n == 0:
-                    us.append(u)
-                x = rk4_step(plant.f, x, (u, L01, L02), dt)
+                    us.append(np.concatenate([u[:2], law.tau]))
+                x = rk4_step(plant.f, x, (law,), dt)
     except CableRobotError as exc:
         raise type(exc)(f"period {k} (t = {k * Ts:.2f} s): {exc}") from None
     xs.append(x)
-    us.append(u)
+    us.append(np.concatenate([u[:2], law.tau]))
 
     X, U, L0 = np.array(xs), np.array(us), L0_ref[:K + 1]
     # One batched call each per block of 64 rows: a whole-run batch would

@@ -44,7 +44,7 @@ class TestLinearize:
         x_r = np.zeros(10)
         x_r[0], x_r[2] = 0.05, 0.1
         u_r = np.array([res.scan_tensions[3], res.scan_tensions[4], tau[7], tau[8]])
-        ltv = linearize(plant.f, x_r, u_r, (res.group_L0[1], res.group_L0[2]))
+        ltv = linearize(plant.f_inputs, x_r, u_r, (res.group_L0[1], res.group_L0[2]))
         assert np.linalg.norm(ltv.f_r) <= 1e-8
         assert ltv.A.shape == (10, 10)
         assert ltv.B.shape == (10, 4)
@@ -58,10 +58,10 @@ class TestLinearize:
         sched = S.reference_schedule(hcdr, plant, S.case_study_trajectory(),
                                      np.array([0.0, 1.5, 2.0, 3.5]))
         x, u, L0 = sched["x"], sched["u"], sched["L0"]
-        block = linearize(plant.f, x, u, (L0[:, 0], L0[:, 1]))
+        block = linearize(plant.f_inputs, x, u, (L0[:, 0], L0[:, 1]))
         assert block.A.shape == (4, 10, 10) and block.B.shape == (4, 10, 4)
         for i in range(4):
-            one = linearize(plant.f, x[i], u[i], (L0[i, 0], L0[i, 1]))
+            one = linearize(plant.f_inputs, x[i], u[i], (L0[i, 0], L0[i, 1]))
             for name in ("A", "B", "x_r", "u_r", "f_r"):
                 assert getattr(block, name)[i].tobytes() == getattr(one, name).tobytes(), name
 
@@ -412,7 +412,8 @@ def case_study_design(request, hcdr):
     plant = S.PlanarPlant(model)
     sched = S.reference_schedule(model, plant, S.case_study_trajectory(), np.array([1.5]))
     s, p = arch.mpc_size
-    lin = linearize(plant.f, sched["x"][0, :plant.n_states], sched["u"][0], tuple(sched["L0"][0]))
+    lin = linearize(plant.f_inputs, sched["x"][0, :plant.n_states], sched["u"][0],
+                    tuple(sched["L0"][0]))
     ltv = LtvModel(A=lin.A[:s, :s], B=lin.B[:s, :p], x_r=lin.x_r[:s], u_r=lin.u_r[:p],
                    f_r=lin.f_r[:s])
     params, _ = S.controller_params(arch, {})
@@ -606,6 +607,12 @@ class TestPid:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             pid_step([0, 0], [0, 0], [0, 0], [0, 0], PidState.zero(2), PidGains(1, 0, 0), 0.0)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        """NaN and infinite steps raise instead of returning NaN torques."""
+        with pytest.raises(ValueError, match="finite and positive"):
+            pid_step([0, 0], [0, 0], [0, 0], [0, 0], PidState.zero(2), PidGains(1, 1, 0), dt)
 
     def test_negative_gains_rejected(self):
         with pytest.raises(ValueError):

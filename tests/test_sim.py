@@ -18,6 +18,7 @@ from cablearm.model import Anchor
 from cablearm.sim import (
     Architecture,
     PlanarPlant,
+    PlantLaw,
     case_study_trajectory,
     controller_params,
     quintic_trajectory,
@@ -113,7 +114,8 @@ class TestPlanarReduce:
             tau[list(plant.free_joints)] = u[2:]
             T = plant.full_tensions(x, u[:2], L01, L02)
             T_elastic = kc * (cable_geometry(model, q).lengths - L0)
-            for xdot, qdd in ((plant.f(x, u, L01, L02), forward_dynamics(model, q, qd, T, tau)),
+            for xdot, qdd in ((plant.f(x, plant.law(u, L01, L02)),
+                               forward_dynamics(model, q, qd, T, tau)),
                               (plant.conservative_f(L0)(x),
                                forward_dynamics(model, q, qd, T_elastic, np.zeros(model.n_arm)))):
                 scale = np.max(np.abs(qdd))
@@ -130,7 +132,7 @@ class TestPlanarReduce:
         x = rng.normal(0, 0.2, (2, 3, 10))
         u = np.concatenate([rng.uniform(10, 60, (2, 3, 2)), rng.normal(0, 1, (2, 3, 2))], axis=-1)
         L01, L02 = rng.uniform(0.8, 0.9, (2, 3)), rng.uniform(0.8, 0.9, (2, 3))
-        F = plant.f(x, u, L01, L02)
+        F = plant.f(x, plant.law(u, L01, L02))
         for i in np.ndindex(2, 3):
             q, qd = plant.embed(x[i])
             T = plant.full_tensions(x[i], u[i][:2], L01[i], L02[i])
@@ -156,7 +158,7 @@ class TestPlanarReduce:
         q, qd = plant.embed(x)
         T = plant.full_tensions(x, u[:2], 0.85, 0.82)
         qdd = forward_dynamics(hcdr, q, qd, T, np.array([0.0, u[2], u[3]]))
-        xdot = plant.f(x, u, 0.85, 0.82)
+        xdot = plant.f(x, plant.law(u, 0.85, 0.82))
         assert np.allclose(xdot[1::2], qdd[[0, 2, 4, 7, 8]], atol=1e-12)
 
     def test_end_effector_batch_matches_link_kinematics(self, hcdr, rng):
@@ -197,10 +199,79 @@ class TestPlanarReduce:
         x = rng.normal(0, 0.1, (2, 3, 10)) + [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]
         u = np.concatenate([rng.uniform(10, 60, (2, 3, 2)), rng.normal(0, 1, (2, 3, 2))], axis=-1)
         L01, L02 = rng.uniform(0.8, 0.9, (2, 3)), rng.uniform(0.8, 0.9, (2, 3))
-        F = plant.f(x, u, L01, L02)
+        F = plant.f(x, plant.law(u, L01, L02))
         assert F.shape == (2, 3, 10)
         for i, j in np.ndindex(2, 3):
-            assert F[i, j].tobytes() == plant.f(x[i, j], u[i, j], L01[i, j], L02[i, j]).tobytes()
+            one = plant.f(x[i, j], plant.law(u[i, j], L01[i, j], L02[i, j]))
+            assert F[i, j].tobytes() == one.tobytes()
+
+    def test_law_tensions_equal_full_tensions(self, hcdr, rng):
+        """At the cable lengths of a state, the law's tensions ``k L + c``
+        equal ``full_tensions`` and EA / L0 (L - L0) on the elastic upper
+        groups, the commanded tension on the lower ones; the kernel's
+        ``k + c / L`` is that tension over L."""
+        plant = PlanarPlant(hcdr)
+        x = rng.normal(0, 0.1, (4, 10)) + [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]
+        u = np.concatenate([rng.uniform(10, 60, (4, 2)), rng.normal(0, 1, (4, 2))], axis=-1)
+        L01, L02 = rng.uniform(0.8, 0.9, 4), rng.uniform(0.8, 0.9, 4)
+        law = plant.law(u, L01, L02)
+        L = cable_geometry(hcdr, plant.embed(x)[0]).lengths
+        T = law.k * L + law.c
+        np.testing.assert_allclose(T, plant.full_tensions(x, u, L01, L02), rtol=1e-12)
+        ea = hcdr.platform.axial_stiffness
+        for i, (low, pos, L0) in enumerate(zip(plant.low_idx, plant.pos_idx, (L01, L02))):
+            assert np.array_equal(T[:, low], np.repeat(u[:, i, None], len(low), axis=1))
+            L0 = L0[:, None]
+            np.testing.assert_allclose(T[:, pos], ea[pos] / L0 * (L[:, pos] - L0), rtol=1e-9)
+        np.testing.assert_allclose((law.k + law.c / L) * L, T, rtol=1e-12)
+        assert np.array_equal(law.tau, u[:, 2:])
+
+    def test_law_built_once_equals_law_per_call(self, hcdr, rng):
+        """RK4 steps under one law give the bits of steps that rebuild the
+        law from the inputs at every derivative call."""
+        plant = PlanarPlant(hcdr)
+        x = np.array([0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]) + rng.normal(0, 0.01, 10)
+        u = np.array([30.0, 35.0, 0.4, 0.2])
+        once, per_call = x, x
+        law = plant.law(u, 1.005, 1.01)
+        for _ in range(5):
+            once = rk4_step(plant.f, once, (law,), 0.001)
+            per_call = rk4_step(plant.f_inputs, per_call, (u, 1.005, 1.01), 0.001)
+        assert once.tobytes() == per_call.tobytes()
+
+    def test_stacked_law_matches_single_rows(self, hcdr, rng):
+        """The law of linearize's stencils, (points, stencil) inputs with
+        (points, 1) lengths, gives row by row the law fields and the
+        derivative bits of the single-row law."""
+        plant = PlanarPlant(hcdr)
+        x = rng.normal(0, 0.1, (2, 5, 10)) + [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]
+        u = np.concatenate([rng.uniform(10, 60, (2, 5, 2)), rng.normal(0, 1, (2, 5, 2))], axis=-1)
+        L01, L02 = rng.uniform(0.8, 0.9, (2, 1)), rng.uniform(0.8, 0.9, (2, 1))
+        law = plant.law(u, L01, L02)
+        F = plant.f(x, law)
+        for i, j in np.ndindex(2, 5):
+            one = plant.law(u[i, j], L01[i, 0], L02[i, 0])
+            assert np.array_equal(law.k[i, 0], one.k) and np.array_equal(law.c[i, j], one.c)
+            assert np.array_equal(law.tau[i, j], one.tau)
+            assert F[i, j].tobytes() == plant.f(x[i, j], one).tobytes()
+
+    def test_conservative_f_runs_through_the_kernel(self, hcdr, monkeypatch):
+        """conservative_f is one f call under the all-elastic law with no
+        torque."""
+        plant = PlanarPlant(hcdr)
+        L0 = cable_geometry(hcdr, np.zeros(9)).lengths * 0.8
+        x = np.array([0.01, 0, 0.02, 0, 0, 0, 0.3, 0, 0.2, 0])
+        ea = hcdr.platform.axial_stiffness
+        expected = plant.f(x, PlantLaw(k=ea / L0, c=-ea, tau=np.zeros(2)))
+        laws, kernel = [], PlanarPlant.f
+
+        def spy(self, x, law):
+            laws.append(law)
+            return kernel(self, x, law)
+
+        monkeypatch.setattr(PlanarPlant, "f", spy)
+        assert plant.conservative_f(L0)(x).tobytes() == expected.tobytes()
+        assert len(laws) == 1 and not np.any(laws[0].tau)
 
     def test_energies_share_kinetic_and_gravity_terms(self, hcdr, rng):
         """The planar energies equal the full-model ones once the force-
@@ -230,7 +301,7 @@ class TestPlanarReduce:
         x_eq = np.zeros(10)
         x_eq[0], x_eq[2] = 0.05, 0.1
         u_eq = np.array([res.scan_tensions[3], res.scan_tensions[4], tau[7], tau[8]])
-        f = plant.f(x_eq, u_eq, res.group_L0[1], res.group_L0[2])
+        f = plant.f(x_eq, plant.law(u_eq, res.group_L0[1], res.group_L0[2]))
         assert np.linalg.norm(f) <= 1e-6
 
 
@@ -328,7 +399,7 @@ class TestRk4:
         plant = PlanarPlant(hcdr)
         rng = np.random.default_rng(11)
         x = np.array([0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]) + rng.normal(0, 0.01, (3, 10))
-        inputs = (np.array([30.0, 35.0, 0.4, 0.2]), 1.005, 1.01)
+        inputs = (plant.law(np.array([30.0, 35.0, 0.4, 0.2]), 1.005, 1.01),)
         dt = np.array([[0.01], [0.005], [0.0025]])
         stacked = rk4_step(plant.f, x, inputs, dt)
         for i in range(3):
@@ -337,6 +408,16 @@ class TestRk4:
     def test_nonpositive_row_dt_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             rk4_step(lambda x: x, np.zeros((2, 1)), (), np.array([[0.1], [0.0]]))
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        """A NaN or infinite step is an input error, not a divergence."""
+        with pytest.raises(ValueError, match="finite and positive"):
+            rk4_step(lambda x: -x, np.ones(2), (), dt)
+        with pytest.raises(ValueError, match="finite and positive"):
+            rk4_step(lambda x: -x, np.ones((2, 1)), (), np.array([[0.1], [dt]]))
+        with pytest.raises(ValueError, match="finite and positive"):
+            rk4_held(lambda x: -x, np.ones(1), (), dt)
 
 
 class TestRk4Held:
@@ -464,7 +545,7 @@ class TestReferenceSchedule:
             u_r = sched["u"][k]
             L01, L02 = sched["L0"][k]
             pos, vel, acc = traj.sample_pva(times[k])
-            xdot = plant.f(x_r, u_r, L01, L02)
+            xdot = plant.f(x_r, plant.law(u_r, L01, L02))
             # accelerations reproduce the reference accelerations
             assert np.max(np.abs(xdot[1::2] - acc)) <= 1e-6
 
@@ -575,6 +656,22 @@ class TestSimulate:
         assert np.allclose(np.diff(trace.t), 0.01)
         for arr in (trace.x, trace.u, trace.tensions, trace.L0, trace.x_ref, trace.p_e):
             assert len(arr) == 21
+
+    @pytest.mark.parametrize("arch", ["integrated2", "independent"])
+    def test_one_law_per_period(self, hcdr, monkeypatch, arch):
+        """The loop builds the plant law once per period (10 in 0.1 s), held
+        over the step-doubling substeps and, under the PID, over its 10
+        substeps; the linearization's stacked laws are not counted."""
+        built, law = [], PlanarPlant.law
+
+        def counted(self, u, L01, L02):
+            if np.ndim(u) == 1:     # one state's input, not a stack of rows
+                built.append(u)
+            return law(self, u, L01, L02)
+
+        monkeypatch.setattr(PlanarPlant, "law", counted)
+        simulate(hcdr, {"architecture": arch, "t_end_s": 0.1})
+        assert len(built) == 10
 
     def test_independent_schedules_only_the_design_model(self, hcdr, monkeypatch):
         """Every tension optimization runs on the platform-only model, once
