@@ -13,7 +13,9 @@ finite-differenced ``M`` as the test oracle for ``h``.  The pass serves the
 reference schedule's inverse dynamics, the energies, :func:`forward_dynamics`
 and the quadrotor; the closed loop's plant derivative runs on the planar
 kernel of ``sim.PlanarPlant``, which the tests check against this pass.  It
-calls ufunc and array methods, not the numpy functions that wrap them.
+calls ufunc and array methods where a numpy function only wraps one
+(``np.add.accumulate``, not ``np.cumsum``), and ``np.cross`` for cross
+products: the pass runs a few dozen times per closed-loop run.
 
 Wrench pairing: a world wrench ``w = [F; M]`` maps to generalized forces
 through ``S(q)^T w`` with ``S = blkdiag(I, R E_b)``, the Jacobian from
@@ -34,7 +36,6 @@ import numpy as np
 from .errors import ConditioningError, ValidationError
 from .kinematics import (
     _cable_frames,
-    _cross,
     check_euler_regular,
     rotation,
     tension_wrench_matrix,
@@ -78,7 +79,7 @@ def _dynamics_core(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     rates = qdot[..., 3:] * bodies.revolute
     spins = (chain["axes"] * rates[..., None]).take(bodies.order, axis=-2)
     omega = np.add.accumulate(spins, axis=-2)
-    alpha = np.add.accumulate(_cross(omega, spins), axis=-2)
+    alpha = np.add.accumulate(np.cross(omega, spins), axis=-2)
     omega, alpha = omega[..., 2:, :], alpha[..., 2:, :]      # per body
 
     # Lever r on body b: alpha x r + omega x (omega x r + 2 v), v the slide
@@ -86,13 +87,14 @@ def _dynamics_core(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     slide = 2.0 * (qdot[..., 5:] - rates[..., 2:])[..., None] * chain["levers"][..., 2]
     levers = chain["levers"][..., 0:2].swapaxes(-1, -2)     # (..., m+1, 2, 3)
     om = omega[..., None, :]
-    acc = _cross(alpha[..., None, :], levers) + _cross(om, _cross(om, levers) + slide[..., None, :])
+    acc = (np.cross(alpha[..., None, :], levers)
+           + np.cross(om, np.cross(om, levers) + slide[..., None, :]))
     step = acc[..., 0, :]
     force = bodies.mass[:, None] * (np.add.accumulate(step, axis=-2) - step + acc[..., 1, :])
     rot = chain["R_body"].swapaxes(-1, -2) @ np.concatenate([omega[..., None], alpha[..., None]],
                                                             axis=-1)
     moments = bodies.inertia @ rot
-    torque = moments[..., 1] + _cross(rot[..., 0], moments[..., 0])
+    torque = moments[..., 1] + np.cross(rot[..., 0], moments[..., 0])
 
     rows = q.shape[:-1] + (6 * (model.n_arm + 1), q.shape[-1])
     JT = np.concatenate([Jv, Jw], axis=-2).reshape(rows).swapaxes(-1, -2)

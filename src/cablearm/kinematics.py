@@ -16,10 +16,10 @@ structure matrix pairs cable-length rates with the world-referenced twist
 :func:`arm_chain`, :func:`velocity_jacobians` and :func:`_cable_frames` run
 under the 3-D dynamics pass (reference schedule, energies, forward dynamics)
 and the cable geometry, often on a single state or a small stack, where
-numpy's per-call cost outweighs the arithmetic, so they make few numpy calls
-(one rotation call for the whole chain, two ``take`` calls per cross product)
-for the same floats.  The closed loop's plant derivative does not use them:
-it runs on the planar kernel of ``sim.PlanarPlant``.
+numpy's per-call cost outweighs the arithmetic, so the chain makes one
+rotation call for all its axes.  The closed loop's plant derivative does not
+use them: it runs on the planar kernel of ``sim.PlanarPlant``, so cross
+products are plain ``np.cross``.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _cable_frames(model: RobotModel, p, R) -> CableGeometry:
     vec = np.asarray(p, float)[..., None, :] + levers - model.platform.a_world
     lengths = np.sqrt(np.add.reduce(vec * vec, axis=-1))   # np.linalg.norm's own sum
     units = vec / lengths[..., None]
-    structure = np.concatenate([units.swapaxes(-1, -2), _cross(levers, units).swapaxes(-1, -2)],
+    structure = np.concatenate([units.swapaxes(-1, -2), np.cross(levers, units).swapaxes(-1, -2)],
                                axis=-2)
     return CableGeometry(vectors=vec, lengths=lengths, units=units, levers=levers,
                          structure=structure)
@@ -200,17 +200,6 @@ def arm_chain(model: RobotModel, q: np.ndarray) -> dict:
     }
 
 
-_TURN = np.array([[1, 2, 0], [2, 0, 1]])        # [next, previous] component
-_TURN_BACK = np.array([[2, 0, 1], [1, 2, 0]])   # a contiguous copy takes faster than a view
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product on trailing axes without np.cross's dispatch overhead:
-    ``a_next b_prev - a_prev b_next`` from two stacked takes."""
-    ab = a.take(_TURN, axis=-1) * b.take(_TURN_BACK, axis=-1)
-    return ab[..., 0, :] - ab[..., 1, :]
-
-
 def _skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix: _skew(v) @ w = v x w; batched."""
     return np.tensordot(v, _SKEW, axes=1)
@@ -234,6 +223,6 @@ def velocity_jacobians(model: RobotModel, q: np.ndarray):
     Jv = np.empty(q.shape[:-1] + (model.n_arm + 1, 3, model.nq))
     Jw = np.zeros(Jv.shape)
     Jv[..., 0:3] = _EYE
-    Jv[..., 3:] = (_cross(spin, lever) + axes * bodies.slides[..., None]).swapaxes(-1, -2)
+    Jv[..., 3:] = (np.cross(spin, lever) + axes * bodies.slides[..., None]).swapaxes(-1, -2)
     Jw[..., 3:] = spin.swapaxes(-1, -2)
     return Jv, chain["R_body"].swapaxes(-1, -2) @ Jw, chain

@@ -54,21 +54,11 @@ def _check_inertia(I: np.ndarray, name: str, positive_definite: bool) -> None:
 
 
 @dataclass(frozen=True)
-class Anchor:
-    """One cable attachment pair: world-frame anchor and body-frame hook point."""
-
-    a: np.ndarray  # anchor on the static frame, world coordinates [m]
-    r: np.ndarray  # attachment on the platform, body coordinates [m]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _arr(self.a, (3,), "anchor a"))
-        object.__setattr__(self, "r", _arr(self.r, (3,), "anchor r"))
-
-
-@dataclass(frozen=True)
 class PlatformParams:
     """Mobile-platform rigid body plus its cable suspension.
 
+    Row i of ``a_world`` and ``r_body`` is cable i's attachment pair: its
+    anchor on the static frame and its hook point on the platform.
     ``actuator_groups`` partitions the 1-based cable indices into sets
     sharing one winch.  ``tension_controlled_groups`` names the groups whose
     cables are force-commanded (the rest are length-commanded).
@@ -76,24 +66,23 @@ class PlatformParams:
 
     mass: float
     inertia: np.ndarray
-    anchors: tuple[Anchor, ...]
+    a_world: np.ndarray               # (N, 3) anchors, world coordinates [m]
+    r_body: np.ndarray                # (N, 3) attachments, body coordinates [m]
     axial_stiffness: np.ndarray       # EA per cable [N]
     tension_min: np.ndarray           # [N]
     tension_max: np.ndarray           # [N]
     actuator_groups: dict[int, tuple[int, ...]] = field(default_factory=dict)
     tension_controlled_groups: tuple[int, ...] = ()
 
-    # derived, filled in __post_init__
-    a_world: np.ndarray = field(init=False, repr=False)
-    r_body: np.ndarray = field(init=False, repr=False)
-
     def __post_init__(self):
-        n = len(self.anchors)
         if not 0 < self.mass < np.inf:
             raise ValidationError("platform mass must be positive and finite")
         object.__setattr__(self, "inertia", _arr(self.inertia, (3, 3), "platform inertia"))
         _check_inertia(self.inertia, "platform", positive_definite=True)
-        object.__setattr__(self, "anchors", tuple(self.anchors))
+        rows = np.shape(self.a_world)[:1]     # (N,); () for a scalar, which fails the check
+        object.__setattr__(self, "a_world", _arr(self.a_world, rows + (3,), "a_world"))
+        n = len(self.a_world)
+        object.__setattr__(self, "r_body", _arr(self.r_body, (n, 3), "r_body"))
         object.__setattr__(self, "axial_stiffness", _arr(self.axial_stiffness, (n,), "EA"))
         object.__setattr__(self, "tension_min", _arr(self.tension_min, (n,), "Tmin"))
         object.__setattr__(self, "tension_max", _arr(self.tension_max, (n,), "Tmax"))
@@ -117,16 +106,10 @@ class PlatformParams:
         for g in self.tension_controlled_groups:
             if g not in groups:
                 raise ValidationError(f"tension_controlled_groups: unknown group {g}")
-        a = np.array([an.a for an in self.anchors]).reshape(n, 3)
-        r = np.array([an.r for an in self.anchors]).reshape(n, 3)
-        a.flags.writeable = False
-        r.flags.writeable = False
-        object.__setattr__(self, "a_world", a)
-        object.__setattr__(self, "r_body", r)
 
     @property
     def n_cables(self) -> int:
-        return len(self.anchors)
+        return len(self.a_world)
 
     def group_indices(self, group: int) -> np.ndarray:
         """0-based cable indices of one actuator group."""
@@ -435,18 +418,20 @@ def model_from_dict(doc: dict) -> RobotModel:
     doc = _object(doc, "$", ("platform", "arm", "mount", "gravity_mps2", "euler_order"))
     pdoc = _field(doc, "platform", "$", ("mass_kg", "inertia_kgm2", "cables", "actuator_groups",
                                          "tension_controlled_groups"))
-    anchors, ea, tmin, tmax = [], [], [], []
+    a, r, ea, tmin, tmax = [], [], [], [], []
     for i, c in enumerate(_field(pdoc, "cables", "$.platform", "array"), start=1):
         where = f"$.platform.cables[{i}]"
         c = _object(c, where, ("a_m", "r_m", "EA_N", "Tmin_N", "Tmax_N"))
-        anchors.append(Anchor(_field(c, "a_m", where, "numbers"), _field(c, "r_m", where, "numbers")))
+        a.append(_field(c, "a_m", where, "numbers", shape=(3,)))
+        r.append(_field(c, "r_m", where, "numbers", shape=(3,)))
         ea.append(_field(c, "EA_N", where, "number"))
         tmin.append(_field(c, "Tmin_N", where, "number"))
         tmax.append(_field(c, "Tmax_N", where, "number"))
     platform = PlatformParams(
         mass=_field(pdoc, "mass_kg", "$.platform", "number"),
         inertia=_inertia_from_doc(pdoc, "$.platform"),
-        anchors=tuple(anchors),
+        a_world=np.reshape(a, (-1, 3)),
+        r_body=np.reshape(r, (-1, 3)),
         axial_stiffness=np.array(ea),
         tension_min=np.array(tmin),
         tension_max=np.array(tmax),
@@ -498,14 +483,10 @@ def model_to_dict(model: RobotModel) -> dict:
             "mass_kg": p.mass,
             "inertia_kgm2": p.inertia.tolist(),
             "cables": [
-                {
-                    "a_m": an.a.tolist(),
-                    "r_m": an.r.tolist(),
-                    "EA_N": float(p.axial_stiffness[i]),
-                    "Tmin_N": float(p.tension_min[i]),
-                    "Tmax_N": float(p.tension_max[i]),
-                }
-                for i, an in enumerate(p.anchors)
+                {"a_m": a.tolist(), "r_m": r.tolist(), "EA_N": float(ea),
+                 "Tmin_N": float(lo), "Tmax_N": float(hi)}
+                for a, r, ea, lo, hi in zip(p.a_world, p.r_body, p.axial_stiffness,
+                                            p.tension_min, p.tension_max)
             ],
             "actuator_groups": {str(k): list(v) for k, v in p.actuator_groups.items()},
         },
@@ -574,7 +555,8 @@ def builtin_quadrotor_arm() -> tuple[QuadrotorParams, RobotModel]:
         platform=PlatformParams(
             mass=mass,
             inertia=inertia,
-            anchors=(),
+            a_world=np.zeros((0, 3)),
+            r_body=np.zeros((0, 3)),
             axial_stiffness=np.zeros(0),
             tension_min=np.zeros(0),
             tension_max=np.zeros(0),

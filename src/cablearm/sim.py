@@ -149,8 +149,7 @@ class PlanarPlant:
 
     def __init__(self, model: RobotModel):
         p = model.platform
-        pairs = np.hstack([p.a_world, p.r_body]) if p.n_cables else np.zeros((0, 6))
-        if not _mirror_symmetric(pairs):
+        if not _mirror_symmetric(np.hstack([p.a_world, p.r_body])):
             raise ReductionError("cable layout is not mirror-symmetric about the x-z plane")
         if np.any(np.abs(model.mount_offset[1]) > 1e-12) or not np.allclose(
             model.mount_rotation, np.eye(3), atol=1e-12
@@ -183,8 +182,6 @@ class PlanarPlant:
         self.low_idx = [model.platform.group_indices(g) for g in self.low_groups]
         self.pos_idx = [model.platform.group_indices(g) for g in self.pos_groups]
         self._q_pos = np.array([0, 2, 4] + [6 + j for j in free])
-        # state entry i sits at _embed[i] of [q, qdot]
-        self._embed = np.ravel([self._q_pos, model.nq + self._q_pos], order="F")
         # per cable: length-commanded or not, in the second length-commanded
         # group or not, and the input it takes when force-commanded
         cables = np.arange(model.n_cables)
@@ -248,10 +245,10 @@ class PlanarPlant:
     def embed(self, x):
         """Planar state -> full (q, qdot); broadcasts over leading axes."""
         x = np.asarray(x, dtype=float)
-        nq = self.model.nq
-        full = np.zeros(x.shape[:-1] + (2 * nq,))
-        full[..., self._embed] = x
-        return full[..., :nq], full[..., nq:]
+        q, qdot = np.zeros((2,) + x.shape[:-1] + (self.model.nq,))
+        q[..., self._q_pos] = x[..., 0::2]
+        qdot[..., self._q_pos] = x[..., 1::2]
+        return q, qdot
 
     def law(self, u, L01, L02) -> PlantLaw:
         """The :class:`PlantLaw` of inputs ``u = [T_low_A, T_low_B, tau...]``
@@ -356,26 +353,15 @@ class PlanarPlant:
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """Piecewise-quintic reference: rest-to-rest blends between waypoints."""
+    """Piecewise-quintic reference: rest-to-rest blends between waypoints,
+    built and checked by :func:`quintic_trajectory`."""
 
-    times: np.ndarray            # (W,)
+    times: np.ndarray            # (W,) strictly increasing, W >= 2
     positions: np.ndarray        # (W, 5) planar position coordinates
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        pos = np.asarray(self.positions, dtype=float)
-        if t.ndim != 1 or len(t) < 2:
-            raise ValueError("need at least two waypoints")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("waypoint times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
-    def _segment_eval(self, t):
+    def sample_pva(self, t):
+        """Planar positions, velocities, accelerations at times t."""
+        scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         seg = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
         t0 = self.times[seg]
@@ -398,23 +384,16 @@ class TrajectorySpec:
                 pos[m] = self.positions[w]
                 vel[m] = 0.0
                 acc[m] = 0.0
-        return pos, vel, acc
-
-    def sample_pva(self, t):
-        """Planar positions, velocities, accelerations at times t."""
-        pos, vel, acc = self._segment_eval(t)
-        if np.isscalar(t) or np.ndim(t) == 0:
+        if scalar:
             return pos[0], vel[0], acc[0]
         return pos, vel, acc
 
     def sample(self, t):
         """Full 10-state reference [pos, vel interleaved] at times t."""
-        pos, vel, acc = self._segment_eval(t)
+        pos, vel, _ = self.sample_pva(t)
         out = np.empty(pos.shape[:-1] + (10,))
         out[..., 0::2] = pos
         out[..., 1::2] = vel
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return out[0]
         return out
 
 
@@ -432,6 +411,10 @@ def quintic_trajectory(waypoints) -> TrajectorySpec:
         raise ValueError("waypoint times and states must be finite")
     if np.any(np.abs(states[:, 1::2]) > 0):
         raise ValueError("waypoint velocity entries must be zero (rest-to-rest blends)")
+    if len(times) < 2:
+        raise ValueError("need at least two waypoints")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("waypoint times must be strictly increasing")
     return TrajectorySpec(times=times, positions=states[:, 0::2])
 
 
@@ -549,7 +532,7 @@ def reference_schedule(model: RobotModel, plant: PlanarPlant, traj: TrajectorySp
         u.append(np.column_stack([res.scan_tensions[g] for g in plant.low_groups]
                                  + [res.tau_ref[:, joints]]))
         L0.append(np.column_stack([res.group_L0[g] for g in plant.pos_groups]))
-    return {"t": times, "x": traj.sample(times), "u": np.concatenate(u)[slot],
+    return {"x": traj.sample(times), "u": np.concatenate(u)[slot],
             "L0": np.concatenate(L0)[slot]}
 
 

@@ -25,6 +25,8 @@ def hcdr():
     return builtin_hcdr9dof()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A generator of its own for each test, so no test's draws depend on
+    which tests ran before it."""
     return np.random.default_rng(20240801)

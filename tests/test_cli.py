@@ -320,10 +320,13 @@ class TestCliMain:
           for name, groups in (("leading-zero", {"03": [4, 10]}), ("space", {" 3": [4, 10]}),
                                ("plus", {"+3": [4, 10]}),
                                ("shadowed", {"03": [99], "3": [4, 10]}))),
+        pytest.param("platform.cables.1.a_m", [1.5, 0.0], "parse", 2, id="short-anchor"),
+        pytest.param("platform.cables.1.r_m", [[0.1, 0.0, 0.0]], "parse", 2,
+                     id="nested-attachment"),
     ])
     def test_malformed_model_table(self, tmp_path, capsys, where, value, category, code):
         """A copy of the bundled model with one value replaced or added: a
-        value of the wrong JSON type at any level, an unknown field or a
+        value of the wrong JSON type or shape at any level, an unknown field or a
         group key that is not a plain decimal integer is a parse error
         (exit 2) naming its path (or, for an array, the element's; indices
         count from 1), and a non-finite mass a validation error (exit 3)."""

@@ -282,7 +282,7 @@ def _cho_solve_step(H, Aw, r):
     return d - Aw.T @ np.linalg.solve(Aw @ Aw.T, Aw @ d), lam
 
 
-def _dense_kkt_qp(H, g, A_ineq, b_ineq, tol=1e-9, max_iter=500, step=_kkt_step):
+def _dense_kkt_qp(H, g, A_ineq, b_ineq, tol=1e-9, max_iter=600, step=_kkt_step):
     """Reference primal active-set loop, the method ``solve_qp_active_set``
     used before its dual one: from z = 0 (which must be feasible), each
     iteration steps to the minimizer on the working set, up to the first

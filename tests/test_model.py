@@ -38,14 +38,13 @@ MOUNT_TABLE = [
 
 class TestBuiltinHcdr:
     def test_first_cable_mount(self, hcdr):
-        anchor = hcdr.platform.anchors[0]
-        assert np.array_equal(anchor.a, [1.5, 0.0, 0.5])
-        assert np.array_equal(anchor.r, [0.153, -0.065, 0.048])
+        assert np.array_equal(hcdr.platform.a_world[0], [1.5, 0.0, 0.5])
+        assert np.array_equal(hcdr.platform.r_body[0], [0.153, -0.065, 0.048])
 
     def test_all_mount_rows(self, hcdr):
         for i, row in enumerate(MOUNT_TABLE):
-            assert np.array_equal(hcdr.platform.anchors[i].a, row[0:3]), i
-            assert np.array_equal(hcdr.platform.anchors[i].r, row[3:6]), i
+            assert np.array_equal(hcdr.platform.a_world[i], row[0:3]), i
+            assert np.array_equal(hcdr.platform.r_body[i], row[3:6]), i
 
     def test_scalar_parameters(self, hcdr):
         p = hcdr.platform
@@ -143,6 +142,10 @@ class TestValidation:
         doc["platform"]["cables"][3]["Tmin_N"] = 90.0
         with pytest.raises(ValidationError, match="Tmin > Tmax"):
             model_from_dict(doc)
+
+    def test_cable_table_needs_three_columns(self, hcdr):
+        with pytest.raises(ValidationError, match=r"a_world: expected shape \(12, 3\)"):
+            replace(hcdr.platform, a_world=hcdr.platform.a_world[:, 0:2])
 
     def test_nonsymmetric_inertia(self):
         doc = self._doc()

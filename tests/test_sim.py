@@ -14,7 +14,6 @@ from cablearm.errors import (
     SingularityError,
 )
 from cablearm.kinematics import cable_geometry
-from cablearm.model import Anchor
 from cablearm.sim import (
     Architecture,
     PlanarPlant,
@@ -43,9 +42,9 @@ class TestPlanarReduce:
         assert plant.n_inputs == 2
 
     def test_rejects_asymmetric_layout(self, hcdr):
-        anchors = list(hcdr.platform.anchors)
-        anchors[0] = Anchor(anchors[0].a + np.array([0, 0.01, 0]), anchors[0].r)
-        broken = replace(hcdr, platform=replace(hcdr.platform, anchors=tuple(anchors)))
+        a_world = hcdr.platform.a_world.copy()
+        a_world[0] += [0, 0.01, 0]
+        broken = replace(hcdr, platform=replace(hcdr.platform, a_world=a_world))
         with pytest.raises(ReductionError, match="mirror"):
             PlanarPlant(broken)
 
