@@ -214,7 +214,7 @@ def _cmd_evaluate(args) -> int:
     cols = metrics.trace_from_csv(_read_text(args.trace))
     p_e = np.column_stack([cols["x_e"], cols["z_e"]])
     p_ref = np.column_stack([cols["ref_x_e"], cols["ref_z_e"]])
-    tensions = np.column_stack([cols[f"T{i}"] for i in range(1, 13)])
+    tensions = np.column_stack([cols[name] for name in metrics.TENSION_COLS])
     report = metrics.rmse(p_e, p_ref, tensions)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     return 0

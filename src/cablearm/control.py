@@ -112,7 +112,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
     where r13 = (V - U)^-1 (V + U) with U = A (A^6 U_2 + U_1) and
     V = A^6 V_2 + V_1."""
     n = A.shape[0]
-    norm = np.linalg.norm(A, 1)
+    norm = np.linalg.norm(A, 1)     # cannot raise: a norm solves nothing
     s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
     A = A / 2.0 ** s
     powers = np.empty((4, n, n))
@@ -123,6 +123,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
     U1, U2, V1, V2 = (_PADE13_TERMS @ powers.reshape(4, n * n)).reshape(4, n, n)
     U = A @ (powers[3] @ U2 + U1)
     V = powers[3] @ V2 + V1
+    # cannot raise: V - U, the Pade denominator at a 1-norm <= _THETA13, is regular
     E = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         E = E @ E
@@ -169,7 +170,7 @@ class MpcParams:
                 raise ValueError(f"{name} must be finite")
             if not np.allclose(mat, mat.T, atol=1e-12):
                 raise ValueError(f"{name} must be symmetric")
-            eig = np.linalg.eigvalsh(mat)
+            eig = np.linalg.eigvalsh(mat)     # cannot raise: mat is finite and symmetric
             if pd and eig.min() <= 0:
                 raise ValueError(f"{name} must be positive definite")
             if not pd and eig.min() < -1e-12:
@@ -220,7 +221,11 @@ def _inverse_factor(H) -> np.ndarray:
         L = np.pad(L, (0, nb * b - n))
         L[n:, n:] = np.eye(nb * b - n)
     blocks = np.arange(nb)
-    D = np.tril(np.linalg.inv(L.reshape(nb, b, nb, b)[blocks, :, blocks, :]))
+    try:
+        D = np.tril(np.linalg.inv(L.reshape(nb, b, nb, b)[blocks, :, blocks, :]))
+    except np.linalg.LinAlgError:
+        raise ConditioningError("QP Hessian: a diagonal block of its Cholesky factor is "
+                                "singular") from None
     Li = np.zeros_like(L)
     for i in range(nb):
         lo, hi = i * b, (i + 1) * b

@@ -106,14 +106,14 @@ def _dynamics_core(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
 
 
 def _energy_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
-    """Kinetic energy, gravity potential (datum z = 0) and cable lengths;
-    batched over leading axes of q and qdot."""
+    """Kinetic energy, gravity potential (datum z = 0), cable lengths and the
+    pass's arm chain; batched over leading axes of q and qdot."""
     M, _, _, chain = _dynamics_core(model, q, qdot)
     ke = 0.5 * (qdot[..., None, :] @ M @ qdot[..., None])[..., 0, 0]
     # sum of m_b z_b as a stacked product: one state rounds as the plain dot did
     mz = (chain["p_com"][..., None, :, 2] @ model.bodies.mass[:, None])[..., 0, 0]
     L = _cable_frames(model, q[..., 0:3], chain["R_gm"]).lengths
-    return ke, model.gravity * mz, L
+    return ke, model.gravity * mz, L, chain
 
 
 def energies(model: RobotModel, q, qdot, L0) -> tuple[float, float]:
@@ -129,7 +129,7 @@ def energies(model: RobotModel, q, qdot, L0) -> tuple[float, float]:
         raise ValidationError(f"L0 must have length {model.n_cables}")
     if model.n_cables and np.any(L0 <= 0):
         raise ValidationError("unstretched cable lengths must be positive")
-    ke, ve, L = _energy_terms(model, q, qdot)
+    ke, ve, L, _ = _energy_terms(model, q, qdot)
     kc = model.platform.axial_stiffness / L0
     return float(ke), float(ve + 0.5 * np.sum(kc * (L - L0) ** 2))
 
@@ -188,12 +188,15 @@ def accelerations(model: RobotModel, q, qdot, wrench, tau_arm) -> np.ndarray:
     rhs[..., 3:6] = (chain["W_euler"].swapaxes(-1, -2) @ wrench[..., 3:6, None])[..., 0]
     rhs[..., 6:] += tau_arm
     rhs -= h + G
-    cond = np.linalg.cond(M)
+    try:
+        cond = np.linalg.cond(M)
+    except np.linalg.LinAlgError:   # the SVD of a non-finite M does not converge
+        raise ConditioningError("inertia matrix has non-finite entries") from None
     if not np.all(np.isfinite(cond)) or np.max(cond) > CONDITION_LIMIT:
         raise ConditioningError(
             f"inertia matrix near-singular (condition number {np.max(cond):.3e})"
         )
-    return np.linalg.solve(M, rhs[..., None])[..., 0]
+    return np.linalg.solve(M, rhs[..., None])[..., 0]   # cannot raise: cond(M) is finite
 
 
 def forward_dynamics(model: RobotModel, q, qdot, T, tau_a) -> np.ndarray:

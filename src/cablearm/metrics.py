@@ -19,15 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ModelParseError
-from .sim import SimTrace
+from .sim import TRACE_CABLES, SimTrace
 
 _STATE_COLS = ["p_mx", "dp_mx", "p_mz", "dp_mz", "beta_m", "dbeta_m",
                "th_a2", "dth_a2", "th_a3", "dth_a3"]
 
+TENSION_COLS = [f"T{i}" for i in range(1, TRACE_CABLES + 1)]
+
 TRACE_HEADER = (
     ["t"]
     + _STATE_COLS
-    + [f"T{i}" for i in range(1, 13)]
+    + TENSION_COLS
     + ["L01", "L02", "u_T3", "u_T4", "u_ta2", "u_ta3", "x_e", "z_e", "KE", "VE"]
     + [f"ref_{c}" for c in _STATE_COLS]
     + ["ref_x_e", "ref_z_e"]
@@ -83,7 +85,8 @@ def trace_columns(trace: SimTrace) -> np.ndarray:
         trace.p_e, trace.ke, trace.ve, trace.x_ref, trace.p_e_ref,
     ])
     if cols.shape[1] != len(TRACE_HEADER):
-        raise AssertionError("trace column layout drifted from the documented header")
+        raise AlignmentError(f"trace has {cols.shape[1]} columns; the documented header "
+                             f"has {len(TRACE_HEADER)}")
     return cols
 
 

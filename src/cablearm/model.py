@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ModelParseError, ValidationError
+from .errors import ConditioningError, ModelParseError, ValidationError
 
 _PROPER_EULER_ORDERS = ("XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX")
 _AXES = ("X", "Y", "Z")
@@ -46,7 +46,10 @@ def _whole(v, name: str) -> int:
 def _check_inertia(I: np.ndarray, name: str, positive_definite: bool) -> None:
     if not np.allclose(I, I.T, rtol=0.0, atol=1e-12):
         raise ValidationError(f"{name}: inertia matrix must be symmetric")
-    eig = np.linalg.eigvalsh(0.5 * (I + I.T))
+    try:
+        eig = np.linalg.eigvalsh(0.5 * (I + I.T))
+    except np.linalg.LinAlgError:   # entries near the float limit overflow to inf
+        raise ConditioningError(f"{name}: inertia eigenvalues did not converge") from None
     if positive_definite and eig.min() <= 0.0:
         raise ValidationError(f"{name}: inertia matrix must be positive definite")
     if not positive_definite and eig.min() < -1e-12:
@@ -232,7 +235,7 @@ class RobotModel:
         R = _arr(self.mount_rotation, (3, 3), "mount rotation")
         if not np.allclose(R.T @ R, np.eye(3), atol=1e-10):
             raise ValidationError("mount rotation must be orthonormal")
-        if not np.isclose(np.linalg.det(R), 1.0, atol=1e-10):
+        if not np.isclose(np.linalg.det(R), 1.0, atol=1e-10):   # cannot raise: R is 3x3
             raise ValidationError("mount rotation must have determinant +1")
         object.__setattr__(self, "mount_rotation", R)
         if self.euler_convention not in _PROPER_EULER_ORDERS:

@@ -15,7 +15,11 @@ from .errors import RankDeficiencyError, at_row, first_row
 
 def _svd_rank(A: np.ndarray):
     """SVD of A with the numerical rank of each matrix of a stack."""
-    U, s, Vt = np.linalg.svd(A, full_matrices=True)
+    try:
+        U, s, Vt = np.linalg.svd(A, full_matrices=True)
+    except np.linalg.LinAlgError:
+        raise RankDeficiencyError("wrench map: SVD did not converge "
+                                  "(non-finite entries)") from None
     if s.shape[-1] == 0:
         return U, s, Vt, np.zeros(A.shape[:-2], dtype=int)
     tol = s[..., :1] * max(A.shape[-2:]) * np.finfo(float).eps * 16

@@ -51,7 +51,7 @@ design model sees them, ``-0.0`` counted as ``0.0``) with one
 :func:`optimize_tensions` call per ``SCHEDULE_BLOCK`` rows, the
 linearizations of the distinct design points are made before the loop with
 one :func:`linearize` call per ``LINEARIZE_BLOCK`` points, and the PID's
-joint reference comes from one trajectory sample per period.  Every block
+joint reference is one trajectory sample at all substep times.  Every block
 row is bit-equal to its one-row call, so the traces do not depend on the
 block sizes.
 """
@@ -68,8 +68,9 @@ import numpy as np
 
 from . import control, dynamics
 from .control import LtvModel, MpcParams, PidGains, PidState, linearize, pid_step
-from .errors import CableRobotError, DivergenceError, ReductionError, ScenarioError, ValidationError
-from .kinematics import _cable_frames, arm_chain, check_euler_regular, rotation
+from .errors import (CableRobotError, ConditioningError, DivergenceError, ReductionError,
+                     ScenarioError, ValidationError)
+from .kinematics import arm_chain, check_euler_regular
 from .model import RobotModel, _check, _field, _number, _number_array, _object
 from .stiffness import optimize_tensions
 
@@ -262,16 +263,6 @@ class PlanarPlant:
                         c=np.where(self._elastic, -self._ea, u.take(self._input, axis=-1)),
                         tau=u[..., 2:])
 
-    def full_tensions(self, x, u, L01, L02):
-        """All cable tensions under :meth:`law`: elastic upper groups,
-        commanded lower groups; broadcasts over leading axes of x, u and the
-        lengths."""
-        q, _ = self.embed(x)
-        R = rotation(q[..., 3:6], self.model.euler_convention)
-        L = _cable_frames(self.model, q[..., 0:3], R).lengths
-        law = self.law(u, L01, L02)
-        return law.k * L + law.c
-
     def f(self, x, law: PlantLaw):
         """State derivative under a :class:`PlantLaw`, the planar kernel;
         broadcasts over leading axes of x and of the law's arrays.
@@ -306,7 +297,10 @@ class PlanarPlant:
         rhs[..., 3:] += tau
         out = np.empty(x.shape)
         out[..., 0::2] = x[..., 1::2]
-        out[..., 1::2] = np.linalg.solve(M, rhs[..., None])[..., 0]
+        try:
+            out[..., 1::2] = np.linalg.solve(M, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise ConditioningError("planar mass matrix is singular") from None
         return out
 
     def f_inputs(self, x, u, L01, L02):
@@ -322,29 +316,33 @@ class PlanarPlant:
                        tau=np.zeros(len(self.free_joints)))
         return lambda x: self.f(x, law)
 
-    def energies(self, x, L01, L02):
-        """Kinetic and potential energy; elastic part covers the
-        length-commanded groups only (force-commanded cables have no
-        defined unstretched length).  Broadcasts over leading axes of x
-        and the lengths."""
-        q, qd = self.embed(np.asarray(x, dtype=float))
-        ke, ve, L = dynamics._energy_terms(self.model, q, qd)
+    def record(self, x, u, L01, L02):
+        """``(tensions, ke, ve, tip)`` at states x from one 3-D chain pass: the
+        tensions of :meth:`law` for ``u`` and (L01, L02), kinetic and potential
+        energy (elastic part over the length-commanded groups only) and the tip
+        of :meth:`end_effector`.  Broadcasts over leading axes of x, u and lengths."""
+        q, qd = self.embed(x)
+        ke, ve, L, chain = dynamics._energy_terms(self.model, q, qd)
         ea = self.model.platform.axial_stiffness
         for idx, L0 in zip(self.pos_idx, (L01, L02)):
             L0 = np.asarray(L0, dtype=float)[..., None]
             ve = ve + 0.5 * np.sum(ea[idx] / L0 * (L[..., idx] - L0) ** 2, axis=-1)
-        return ke, ve
+        law = self.law(u, L01, L02)
+        return law.k * L + law.c, ke, ve, self._tip(q, chain)
 
     def end_effector(self, x):
         """World (x, z) of the arm tip (platform position for an empty arm);
         broadcasts over leading axes of x.  Raises SingularityError at
         gimbal lock."""
         q, _ = self.embed(x)
-        tip = q[..., 0:3]
-        if self.model.arm:
-            check_euler_regular(q[..., 3:6], self.model.euler_convention)
-            tip = arm_chain(self.model, q)["p_joint"][..., -1, :]
-        return tip[..., [0, 2]]
+        return self._tip(q, arm_chain(self.model, q))
+
+    def _tip(self, q, chain):
+        """:meth:`end_effector` from the :func:`arm_chain` pass at q."""
+        if not self.model.arm:
+            return q[..., [0, 2]]
+        check_euler_regular(q[..., 3:6], self.model.euler_convention)
+        return chain["p_joint"][..., -1, [0, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +358,7 @@ class TrajectorySpec:
     positions: np.ndarray        # (W, 5) planar position coordinates
 
     def sample_pva(self, t):
-        """Planar positions, velocities, accelerations at times t."""
+        """Planar positions, velocities, accelerations at times t, any shape."""
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         seg = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
@@ -373,9 +371,9 @@ class TrajectorySpec:
         ddb = (60.0 * s - 180.0 * s**2 + 120.0 * s**3) / (t1 - t0) ** 2
         p0 = self.positions[seg]
         dp = self.positions[seg + 1] - p0
-        pos = p0 + b[:, None] * dp
-        vel = db[:, None] * dp
-        acc = ddb[:, None] * dp
+        pos = p0 + b[..., None] * dp
+        vel = db[..., None] * dp
+        acc = ddb[..., None] * dp
         # clamp outside the time range: hold the boundary waypoint at rest
         before = t < self.times[0]
         after = t > self.times[-1]
@@ -540,6 +538,9 @@ def reference_schedule(model: RobotModel, plant: PlanarPlant, traj: TrajectorySp
 # Closed-loop simulation
 
 
+TRACE_CABLES = 12       # cable tensions a trace records, its columns T1..T12
+
+
 @dataclass(frozen=True)
 class SimTrace:
     """Uniformly sampled closed-loop record (one row per controller period)."""
@@ -547,7 +548,7 @@ class SimTrace:
     t: np.ndarray            # (K+1,)
     x: np.ndarray            # (K+1, 10)
     u: np.ndarray            # (K+1, 4) applied inputs (held on [t_k, t_{k+1}))
-    tensions: np.ndarray     # (K+1, 12)
+    tensions: np.ndarray     # (K+1, TRACE_CABLES)
     L0: np.ndarray           # (K+1, 2) upper-group unstretched lengths
     ke: np.ndarray
     ve: np.ndarray
@@ -706,9 +707,9 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
     the period's unstretched lengths; under the PID only its torques change
     per substep.  Input noise is zero-mean Gaussian per channel, sampled
     once per period and held.
-    Tensions, energies and the end effector come from batched calls over
-    the recorded rows after the loop.  An error in period k is re-raised as
-    its class, prefixed ``period k (t = ... s)``.
+    Tensions, energies and the tip come from one :meth:`PlanarPlant.record`
+    call per 64 recorded rows after the loop.  An error in period k is
+    re-raised as its class, prefixed ``period k (t = ... s)``.
     """
     cfg, traj, mpc_params, pid_gains = _resolve(scenario)
     arch = Architecture(cfg["architecture"])
@@ -716,6 +717,9 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
     plant = PlanarPlant(model)
     if plant.n_states != 10:
         raise ValidationError("closed-loop simulation expects the 10-state planar plant")
+    if model.n_cables != TRACE_CABLES:
+        raise ValidationError(f"closed-loop simulation records {TRACE_CABLES} cable tensions; "
+                              f"the model has {model.n_cables} cables")
     s, p = arch.mpc_size
     Ts, Np = mpc_params.Ts, mpc_params.Np
     K = round(cfg["t_end_s"] / Ts)
@@ -746,6 +750,8 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
     xs, us = [], []
     joint_pid = p < plant.n_inputs
     dt = None if substeps is None else Ts / substeps
+    if joint_pid:   # the joint reference at every substep time
+        refs = traj.sample(np.arange(K)[:, None] * Ts + np.arange(substeps) * dt)
     try:
         for k in range(K):
             w = rng.normal(0.0, 1.0, 4) * noise_std
@@ -756,34 +762,30 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
             x_prev = x[:s]
             u = u_prev + w[:p]
             law = plant.law(u, *L0_ref[k])
-            xs.append(x)
-            if substeps is None:    # input held over the period, no PID
-                us.append(u)
-                x = rk4_held(plant.f, x, (law,), Ts)[0]
-                continue
-            if joint_pid:   # the joint reference at the period's substep times
-                refs = traj.sample(k * Ts + np.arange(substeps) * dt)
-            for n in range(substeps):
+            for n in range(substeps or 1):     # a held period: one rk4_held call
                 if joint_pid:   # u holds the lower tensions only; the PID the torques
-                    ref = refs[n]
+                    ref = refs[k, n]
                     tau, pid_state = pid_step(ref[6:10:2], ref[7:10:2], x[6:10:2], x[7:10:2],
                                               pid_state, pid_gains, dt)
                     law = PlantLaw(law.k, law.c, tau + w[2:])
                 if n == 0:
+                    xs.append(x)
                     us.append(np.concatenate([u[:2], law.tau]))
-                x = rk4_step(plant.f, x, (law,), dt)
+                if dt is None:      # input held over the period, no PID
+                    x = rk4_held(plant.f, x, (law,), Ts)[0]
+                else:
+                    x = rk4_step(plant.f, x, (law,), dt)
     except CableRobotError as exc:
         raise type(exc)(f"period {k} (t = {k * Ts:.2f} s): {exc}") from None
     xs.append(x)
     us.append(np.concatenate([u[:2], law.tau]))
 
     X, U, L0 = np.array(xs), np.array(us), L0_ref[:K + 1]
-    # One batched call each per block of 64 rows: a whole-run batch would
-    # hold about 10 kB of dynamics temporaries per row at once.
-    derived = [(plant.full_tensions(X[b], U[b, 0:2], L0[b, 0], L0[b, 1]),
-                *plant.energies(X[b], L0[b, 0], L0[b, 1]), plant.end_effector(X[b]))
-               for b in (slice(i, i + 64) for i in range(0, K + 1, 64))]
-    tensions, ke, ve, p_e = (np.concatenate(col) for col in zip(*derived))
+    # One record call per block of 64 rows: a whole-run batch would hold
+    # about 10 kB of dynamics temporaries per row at once.
+    blocks = [plant.record(X[b], U[b], L0[b, 0], L0[b, 1])
+              for b in (slice(i, i + 64) for i in range(0, K + 1, 64))]
+    tensions, ke, ve, p_e = (np.concatenate(col) for col in zip(*blocks))
     return SimTrace(
         t=np.arange(K + 1) * Ts,
         x=X,

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, at_row, first_row
+from .errors import ConditioningError, InfeasibleError, ValidationError, at_row, first_row
 from .kinematics import CableGeometry, _skew, cable_geometry, euler_frames
 from .model import RobotModel
 from .redundancy import resolve
@@ -136,6 +136,7 @@ def _symmetrize(K: np.ndarray):
     """
     Kt = np.swapaxes(K, -1, -2)
     err = np.max(np.abs(K - Kt), axis=(-2, -1))
+    # cannot raise: a norm solves nothing
     over = err > np.maximum(SYMMETRIZATION_LIMIT, 0.05 * np.linalg.norm(K, axis=(-2, -1)))
     if np.any(over):
         raise ValidationError(f"stiffness symmetrization error {err[first_row(over)]:.3e} "
@@ -147,8 +148,15 @@ def objective_JK(K):
     """Sum of the squared eigenvalues of the symmetric part of K; batched
     over leading axes (a scalar for one 6x6 K)."""
     K = np.asarray(K, dtype=float)
-    eigs = np.linalg.eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))
-    return np.sum(eigs**2, axis=-1)
+    return np.sum(_eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))**2, axis=-1)
+
+
+def _eigvalsh(K):
+    """Eigenvalues of the symmetric stiffness matrices K (..., 6, 6)."""
+    try:
+        return np.linalg.eigvalsh(K)
+    except np.linalg.LinAlgError:
+        raise ConditioningError("stiffness eigenvalues did not converge (non-finite K)") from None
 
 
 def _plain(a):
@@ -191,7 +199,11 @@ def _balanced_tensions(model: RobotModel, geo: CableGeometry, wrench: np.ndarray
     rhs0 = wrench
     for g in pos_groups:
         rhs0 = rhs0 + W[..., group(g)] @ ea[group(g)]
-    pinv = np.linalg.pinv(A_ls)
+    try:
+        pinv = np.linalg.pinv(A_ls)
+    except np.linalg.LinAlgError:
+        raise ConditioningError("tension balance: pseudo-inverse did not converge "
+                                "(non-finite wrench map)") from None
     xi0, xi1 = _matvec(pinv, rhs0), -_matvec(pinv, lead_col)     # xi(t) = xi0 + t * xi1
     res0 = rhs0 - _matvec(A_ls, xi0)
     res1 = -lead_col - _matvec(A_ls, xi1)
@@ -209,7 +221,8 @@ def _balanced_tensions(model: RobotModel, geo: CableGeometry, wrench: np.ndarray
         eta[g] = xi[..., k]
         T[..., idx] = ea[idx] * (geo.lengths[..., None, idx] * xi[..., k, None] - 1.0)
         k += 1
-    res = np.linalg.norm(res0[..., None, :] + t[:, None] * res1[..., None, :], axis=-1)
+    res = np.linalg.norm(res0[..., None, :] + t[:, None] * res1[..., None, :],
+                         axis=-1)     # cannot raise: a norm solves nothing
     return T, eta, res
 
 
@@ -250,6 +263,7 @@ def _tension_scan(model: RobotModel, q_ref, qdot_ref, qddot_ref) -> _Scan:
     grid = np.linspace(tmin[lead_idx].max(), tmax[lead_idx].min(), SCAN_POINTS)
     T_grid, eta, res = _balanced_tensions(model, geo, wrench, grid, scan_groups, pos_groups)
     feas = (
+        # cannot raise: a norm solves nothing
         (res <= _BALANCE_RTOL * (1.0 + np.linalg.norm(wrench, axis=-1))[..., None])
         & np.all(T_grid >= tmin - 1e-9, axis=-1)
         & np.all(T_grid <= tmax + 1e-9, axis=-1)
@@ -326,7 +340,7 @@ def optimize_tensions(
     T_min_norm, N = resolve(-scan.geo.structure, scan.wrench)
     lam = _matvec(np.swapaxes(N, -1, -2), T_opt - T_min_norm)
     K, err = _symmetrize(scan.K_a + scan.frac[best][..., None, None] * (scan.K_b - scan.K_a))
-    eigs = np.linalg.eigvalsh(K)
+    eigs = _eigvalsh(K)
     return StiffnessResult(
         K=K,
         eigs=eigs,
@@ -353,7 +367,10 @@ def generalized_to_wrench(model: RobotModel, euler, gen6) -> np.ndarray:
     """
     gen6 = np.asarray(gen6, dtype=float)
     _, W, _ = euler_frames(euler, model.euler_convention)
-    moment = np.linalg.solve(np.swapaxes(W, -1, -2), gen6[..., 3:6, None])[..., 0]
+    try:
+        moment = np.linalg.solve(np.swapaxes(W, -1, -2), gen6[..., 3:6, None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise ConditioningError("Euler-rate Jacobian is singular (gimbal lock)") from None
     return np.concatenate([gen6[..., 0:3], moment], axis=-1)
 
 
@@ -410,6 +427,6 @@ def stiffness_landscape(model: RobotModel, q_ref, group_L0: dict, resolution: in
         "axis_a": ax_a,
         "axis_b": ax_b,
         "J_K": objective_JK(K_all),
-        "min_eig": np.linalg.eigvalsh(K_all)[..., 0],
+        "min_eig": _eigvalsh(K_all)[..., 0],
         "T_base": T_base,
     }

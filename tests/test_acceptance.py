@@ -183,7 +183,7 @@ def test_criterion_06_redundancy_suite(model):
     tmin, tmax = np.inf, -np.inf
     for k in range(len(times)):
         L0 = sched["L0"][k]
-        T = plant.full_tensions(sched["x"][k], sched["u"][k][0:2], L0[0], L0[1])
+        T = plant.record(sched["x"][k], sched["u"][k][0:2], L0[0], L0[1])[0]
         tmin = min(tmin, T.min())
         tmax = max(tmax, T.max())
     assert tmin >= 5.0 - 1e-9

@@ -19,6 +19,7 @@ from cablearm.cli import (
     run_scenario,
 )
 from cablearm.errors import AlignmentError, CableRobotError
+from cablearm.model import load_model
 from cablearm.sim import resolve_scenario
 
 
@@ -43,6 +44,11 @@ NONFINITE_CONTROLLER = {
 }
 TRACE_HEAD = ",".join(metrics.TRACE_HEADER) + "\n"
 TRACE_ROW = ",".join(["0"] * len(metrics.TRACE_HEADER)) + "\n"
+
+
+def _bundled_model() -> dict:
+    """The bundled model document, to edit."""
+    return json.loads((Path(cablearm.__file__).parent / "data" / "hcdr9dof.json").read_text())
 
 
 def _fresh_env(**extra) -> dict:
@@ -165,6 +171,17 @@ class TestRunScenario:
         for name in metrics.TRACE_HEADER:
             assert saved[name] == cols[name].tolist(), name
 
+
+    def test_trace_columns_need_the_header_cable_count(self):
+        """A trace whose tension block is not the header's T1..T12 is an
+        AlignmentError, not a layout written under the wrong header."""
+        rows = 2
+        trace = sim.SimTrace(t=np.zeros(rows), x=np.zeros((rows, 10)), u=np.zeros((rows, 4)),
+                             tensions=np.zeros((rows, 8)), L0=np.zeros((rows, 2)),
+                             ke=np.zeros(rows), ve=np.zeros(rows), x_ref=np.zeros((rows, 10)),
+                             p_e=np.zeros((rows, 2)), p_e_ref=np.zeros((rows, 2)))
+        with pytest.raises(AlignmentError, match="columns"):
+            metrics.trace_columns(trace)
 
 class TestCliMain:
     def test_malformed_scenario_exit_code(self, tmp_path, capsys):
@@ -307,6 +324,8 @@ class TestCliMain:
         ("platform.mass_kg", float("inf"), "validation", 3),
         ("arm.0.mass_kg", float("nan"), "validation", 3),
         ("arm.2.mass_kg", float("inf"), "validation", 3),
+        pytest.param("platform.inertia_kgm2", np.diag([1e308] * 3).tolist(), "conditioning", 4,
+                     id="inertia-overflows-its-symmetric-part"),
         pytest.param("euler_ordr", "ZXY", "parse", 2, id="unknown-root"),
         pytest.param("platform.tension_controled_groups", [3, 4], "parse", 2,
                      id="unknown-platform"),
@@ -329,7 +348,9 @@ class TestCliMain:
         value of the wrong JSON type or shape at any level, an unknown field or a
         group key that is not a plain decimal integer is a parse error
         (exit 2) naming its path (or, for an array, the element's; indices
-        count from 1), and a non-finite mass a validation error (exit 3)."""
+        count from 1), a non-finite mass a validation error (exit 3), and an
+        inertia whose eigenvalues cannot be computed a conditioning error
+        (exit 4)."""
         doc = json.loads((Path(cablearm.__file__).parent / "data" / "hcdr9dof.json").read_text())
         *parents, key = [int(k) if k.isdigit() else k for k in where.split(".")]
         node = doc
@@ -479,6 +500,57 @@ class TestCliMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "infeasible"
         assert err["error"]["message"].endswith("at row 0")
+
+    @pytest.mark.parametrize("command", ["simulate", "linearize"])
+    @pytest.mark.parametrize("link, field", [(2, "com_offset_m"), (1, "joint_offset_m")])
+    def test_singular_mass_matrix_ends_in_the_error_record(self, tmp_path, capsys, command,
+                                                          link, field):
+        """An arm offset of 2**64 m passes the model checks, but the planar
+        mass matrix is then singular in floating point: the plant's solve
+        ends in one conditioning error record (exit 4), not a LinAlgError
+        traceback."""
+        doc = _bundled_model()
+        doc["arm"][link][field][2] = 2**64
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        if command == "simulate":
+            scenario = tmp_path / "s.json"
+            scenario.write_text(json.dumps({"model": str(model), "t_end_s": 0.01}))
+            argv = ["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "o")]
+        else:
+            point = tmp_path / "pt.json"
+            point.write_text(json.dumps({"x": REST, "u": [30.0, 30.0, 0, 0], "L01": 0.85,
+                                         "L02": 0.8}))
+            argv = ["linearize", "--model", str(model), "--state", str(point)]
+        assert main(argv) == 4
+        out = capsys.readouterr()
+        assert out.err.count("\n") == 1 and out.out == ""
+        assert json.loads(out.err)["error"] == {"category": "conditioning",
+                                                "message": "planar mass matrix is singular"}
+
+    def test_model_the_trace_cannot_hold(self, tmp_path, capsys):
+        """The bundled model without cables 2, 5, 8 and 11, with bounds of 1
+        and 2000 N, passes every model and plant check, but a trace records
+        12 tensions: a validation error (exit 3) before the run, with
+        nothing written."""
+        doc = _bundled_model()
+        keep = [1, 3, 4, 6, 7, 9, 10, 12]
+        platform = doc["platform"]
+        platform["cables"] = [dict(platform["cables"][i - 1], Tmin_N=1.0, Tmax_N=2000.0)
+                              for i in keep]
+        platform["actuator_groups"] = {g: [keep.index(i) + 1 for i in cables if i in keep]
+                                       for g, cables in platform["actuator_groups"].items()}
+        model = tmp_path / "model8.json"
+        model.write_text(json.dumps(doc))
+        sim.PlanarPlant(load_model(model.read_text()))
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"model": str(model), "t_end_s": 0.3}))
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out-dir", str(tmp_path / "o")]) == 3
+        out = capsys.readouterr()
+        err = json.loads(out.err)["error"]
+        assert err["category"] == "validation" and "12 cable tensions" in err["message"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["simulate", "--scenario", "{scenario}"], id="simulate-t_end-1e7"),

@@ -240,7 +240,7 @@ class TestCableTensions:
 
     def test_unstretched_zero(self, hcdr):
         L = cable_geometry(hcdr, np.zeros(9)).lengths
-        T = PlanarPlant(hcdr).full_tensions(np.zeros(10), np.zeros(2), L[0], L[4])
+        T = PlanarPlant(hcdr).record(np.zeros(10), np.zeros(2), L[0], L[4])[0]
         assert np.allclose(T, 0.0)
 
     def test_known_stretch_value(self, hcdr):
@@ -248,7 +248,7 @@ class TestCableTensions:
         L = cable_geometry(hcdr, np.zeros(9)).lengths
         L0 = L[0] - 0.010
         L0ref = 1.005
-        T = PlanarPlant(hcdr).full_tensions(np.zeros(10), np.zeros(2), L0, L0)
+        T = PlanarPlant(hcdr).record(np.zeros(10), np.zeros(2), L0, L0)[0]
         assert np.allclose(T[self.UPPER], 100.0 / L0 * 0.010)
         assert np.isclose(100.0 / L0ref * 0.010, 0.9950248756218906)
 

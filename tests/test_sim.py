@@ -111,7 +111,7 @@ class TestPlanarReduce:
             q, qd = plant.embed(x)
             tau = np.zeros(model.n_arm)
             tau[list(plant.free_joints)] = u[2:]
-            T = plant.full_tensions(x, u[:2], L01, L02)
+            T = plant.record(x, u[:2], L01, L02)[0]
             T_elastic = kc * (cable_geometry(model, q).lengths - L0)
             for xdot, qdd in ((plant.f(x, plant.law(u, L01, L02)),
                                forward_dynamics(model, q, qd, T, tau)),
@@ -134,7 +134,7 @@ class TestPlanarReduce:
         F = plant.f(x, plant.law(u, L01, L02))
         for i in np.ndindex(2, 3):
             q, qd = plant.embed(x[i])
-            T = plant.full_tensions(x[i], u[i][:2], L01[i], L02[i])
+            T = plant.record(x[i], u[i][:2], L01[i], L02[i])[0]
             qdd = forward_dynamics(hcdr, q, qd, T, np.array([0.0, *u[i][2:]]))
             np.testing.assert_allclose(F[i][1::2], qdd[plant._q_pos], rtol=0,
                                        atol=1e-12 * np.max(np.abs(qdd)))
@@ -146,7 +146,7 @@ class TestPlanarReduce:
             x = rng.normal(0, 0.1, 10)
             u = np.array([*rng.uniform(10, 60, 2), *rng.normal(0, 1, 2)])
             q, qd = plant.embed(x)
-            T = plant.full_tensions(x, u[:2], 0.85, 0.82)
+            T = plant.record(x, u[:2], 0.85, 0.82)[0]
             qdd = forward_dynamics(hcdr, q, qd, T, np.array([0.0, u[2], u[3]]))
             assert np.max(np.abs(qdd[[1, 3, 5, 6]])) <= 1e-9
 
@@ -155,7 +155,7 @@ class TestPlanarReduce:
         x = rng.normal(0, 0.1, 10)
         u = np.array([30.0, 35.0, 0.4, -0.2])
         q, qd = plant.embed(x)
-        T = plant.full_tensions(x, u[:2], 0.85, 0.82)
+        T = plant.record(x, u[:2], 0.85, 0.82)[0]
         qdd = forward_dynamics(hcdr, q, qd, T, np.array([0.0, u[2], u[3]]))
         xdot = plant.f(x, plant.law(u, 0.85, 0.82))
         assert np.allclose(xdot[1::2], qdd[[0, 2, 4, 7, 8]], atol=1e-12)
@@ -175,6 +175,8 @@ class TestPlanarReduce:
         x[1, 2, 4] = np.pi / 2
         with pytest.raises(SingularityError):
             plant.end_effector(x)
+        with pytest.raises(SingularityError):
+            plant.record(x, np.zeros(2), 0.85, 0.82)
         assert np.array_equal(PlanarPlant(hcdr.platform_only()).end_effector(x[..., :6]),
                               x[..., [0, 2]])
 
@@ -185,11 +187,13 @@ class TestPlanarReduce:
         x = rng.normal(0, 0.1, (6, 10)) + [0.05, 0, 0.1, 0, 0, 0, 0, 0, 0, 0]
         u = rng.uniform(10, 60, (6, 2))
         L01, L02 = rng.uniform(0.8, 0.9, 6), rng.uniform(0.8, 0.9, 6)
-        T = plant.full_tensions(x, u, L01, L02)
-        ke, ve = plant.energies(x, L01, L02)
+        T, ke, ve, tip = plant.record(x, u, L01, L02)
+        assert np.array_equal(tip, plant.end_effector(x))
         for i in range(6):
-            assert np.array_equal(T[i], plant.full_tensions(x[i], u[i], L01[i], L02[i]))
-            assert (ke[i], ve[i]) == plant.energies(x[i], L01[i], L02[i])
+            T_i, ke_i, ve_i, tip_i = plant.record(x[i], u[i], L01[i], L02[i])
+            assert np.array_equal(T[i], T_i)
+            assert (ke[i], ve[i]) == (ke_i, ve_i)
+            assert np.array_equal(tip[i], tip_i)
 
     def test_batched_derivative_matches_single_rows(self, hcdr, rng):
         """A (2, 3) stack of states with per-row lengths gives, row by row,
@@ -206,7 +210,7 @@ class TestPlanarReduce:
 
     def test_law_tensions_equal_full_tensions(self, hcdr, rng):
         """At the cable lengths of a state, the law's tensions ``k L + c``
-        equal ``full_tensions`` and EA / L0 (L - L0) on the elastic upper
+        equal the tensions of ``record`` and EA / L0 (L - L0) on the elastic upper
         groups, the commanded tension on the lower ones; the kernel's
         ``k + c / L`` is that tension over L."""
         plant = PlanarPlant(hcdr)
@@ -216,7 +220,7 @@ class TestPlanarReduce:
         law = plant.law(u, L01, L02)
         L = cable_geometry(hcdr, plant.embed(x)[0]).lengths
         T = law.k * L + law.c
-        np.testing.assert_allclose(T, plant.full_tensions(x, u, L01, L02), rtol=1e-12)
+        np.testing.assert_allclose(T, plant.record(x, u, L01, L02)[0], rtol=1e-12)
         ea = hcdr.platform.axial_stiffness
         for i, (low, pos, L0) in enumerate(zip(plant.low_idx, plant.pos_idx, (L01, L02))):
             assert np.array_equal(T[:, low], np.repeat(u[:, i, None], len(low), axis=1))
@@ -285,7 +289,7 @@ class TestPlanarReduce:
             L0 = cable_geometry(hcdr, q).lengths.copy()
             for idx, L0_group in zip(plant.pos_idx, (0.85, 0.82)):
                 L0[idx] = L0_group
-            ke, ve = plant.energies(x, 0.85, 0.82)
+            _, ke, ve, _ = plant.record(x, np.zeros(2), 0.85, 0.82)
             ke_full, ve_full = energies(hcdr, q, qd, L0)
             assert ke > 0.0
             assert np.isclose(ke, ke_full, rtol=1e-12)
