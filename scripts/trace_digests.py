@@ -25,9 +25,12 @@ The runs (``RUNS``): each architecture at 0.3 s with seed 3 and noise
 ``du_bound [5, 5, 0.2, 0.2]``, that noise and seed 1; independent at 2 s
 with that noise and seed 3; integrated2 at 2 s as bundled (noise-free,
 error-controlled substeps), which reaches past the 1 s hold into the
-joint-3 ramp.  Then the default ``optimize-stiffness`` grid,
-and the ``u`` and ``L0`` bytes of ``sim.reference_schedule`` along the whole
-6 s case-study reference (the runs above reach its first 2.5 s only) on
+joint-3 ramp; integrated2 at 0.6 s with that noise, seed 3, weights
+unlike the defaults (``Q_scale`` 2.5, ``R_scale`` 3e-4, ``P_scale`` 0.3),
+``Nc`` 20 and ``du_bound [5, Infinity, 0.2, 0.5]``, so that a change to how
+the weights and the bound enter the MPC shows.  Then the default
+``optimize-stiffness`` grid, and the ``u`` and ``L0`` bytes of
+``sim.reference_schedule`` along the whole 6 s case-study reference (the runs above reach its first 2.5 s only) on
 both design models.  The artifacts are written to a temporary directory
 and removed.
 """
@@ -59,6 +62,11 @@ RUNS = {
     "independent_noisy_2s": ("case_study_independent",
                              {"t_end_s": 2.0, "seed": 3, "noise_std": NOISE}),
     "integrated2_2s": ("case_study_integrated2", {"t_end_s": 2.0}),
+    "integrated2_weights_0.6s": ("case_study_integrated2", {
+        "t_end_s": 0.6, "seed": 3, "noise_std": NOISE,
+        "controller": {"Q_scale": 2.5, "R_scale": 3e-4, "P_scale": 0.3, "Nc": 20,
+                       "du_bound": [5.0, float("inf"), 0.2, 0.5]},
+    }),
 }
 
 

@@ -22,7 +22,7 @@ The MPC's work is split by how often its inputs change:
   increment, the gradient ``g`` and the dual active-set QP, solved against
   the design's factor.
 
-``LtvModel.A`` / ``B`` and the ``MpcParams`` arrays are read-only copies, so
+``LtvModel.A`` / ``B`` and ``MpcParams.du_bound`` are read-only copies, so
 a held design cannot go stale through an in-place edit.
 """
 
@@ -110,9 +110,12 @@ def _expm(A: np.ndarray) -> np.ndarray:
     Algorithm 2.3, always at degree 13): exp(A) = r13(A / 2^s)^(2^s) with
     the fewest squarings ``s`` that bring the 1-norm within ``_THETA13``,
     where r13 = (V - U)^-1 (V + U) with U = A (A^6 U_2 + U_1) and
-    V = A^6 V_2 + V_1."""
+    V = A^6 V_2 + V_1.  Raises DivergenceError when the 1-norm is not
+    finite (a NaN or infinite entry, or column sums that overflow)."""
     n = A.shape[0]
     norm = np.linalg.norm(A, 1)     # cannot raise: a norm solves nothing
+    if not np.isfinite(norm):
+        raise DivergenceError(f"matrix exponential of a matrix with 1-norm {norm}")
     s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
     A = A / 2.0 ** s
     powers = np.empty((4, n, n))
@@ -142,19 +145,20 @@ def zoh_discretize(A: np.ndarray, B: np.ndarray, Ts: float) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class MpcParams:
-    """Horizon, weights, and increment bounds of one MPC instance.
-
-    Construction also builds the parameter-only parts of the QP.
+    """Horizon, weight scales and increment bound of one MPC instance, as a
+    scenario's ``controller`` object writes them: the weights are
+    ``Q_scale * I``, ``R_scale * I`` and ``P_scale * I``, and each input's
+    increments satisfy ``|du| <= du_bound`` (an infinite entry bounds
+    nothing).  Construction also builds the parameter-only parts of the QP.
     """
 
     Ts: float
     Np: int
     Nc: int
-    Q: np.ndarray
-    R: np.ndarray
-    P: np.ndarray
-    du_min: np.ndarray
-    du_max: np.ndarray
+    Q_scale: float
+    R_scale: float
+    P_scale: float
+    du_bound: np.ndarray
     _URU: np.ndarray = field(init=False, repr=False, compare=False)
     _box: tuple = field(init=False, repr=False, compare=False)
 
@@ -163,36 +167,26 @@ class MpcParams:
             raise ValueError("Ts must be finite and positive")
         if not (0 < self.Nc <= self.Np):
             raise ValueError("control horizon must satisfy 0 < Nc <= Np")
-        for name in ("Q", "R", "P", "du_min", "du_max"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        for name, mat, pd in (("Q", self.Q, False), ("R", self.R, True), ("P", self.P, False)):
-            if not np.all(np.isfinite(mat)):
-                raise ValueError(f"{name} must be finite")
-            if not np.allclose(mat, mat.T, atol=1e-12):
-                raise ValueError(f"{name} must be symmetric")
-            eig = np.linalg.eigvalsh(mat)     # cannot raise: mat is finite and symmetric
-            if pd and eig.min() <= 0:
-                raise ValueError(f"{name} must be positive definite")
-            if not pd and eig.min() < -1e-12:
-                raise ValueError(f"{name} must be positive semidefinite")
-        p = self.R.shape[0]
-        if self.du_min.shape != (p,) or self.du_max.shape != (p,):
-            raise ValueError("du bounds must have one entry per input")
-        if np.isnan(self.du_min).any() or np.isnan(self.du_max).any():
-            raise ValueError("du bounds must not be NaN (an infinite bound means none)")
-        if np.any(self.du_min > self.du_max):
-            raise ValueError("du bounds must satisfy du_min <= du_max")
+        for name, positive in (("Q_scale", False), ("R_scale", True), ("P_scale", False)):
+            w = getattr(self, name)
+            if not (0 < w < np.inf if positive else 0 <= w < np.inf):
+                raise ValueError(f"{name} must be finite and "
+                                 + ("positive" if positive else "non-negative"))
+        object.__setattr__(self, "du_bound", _frozen(self.du_bound))
+        if not np.all(self.du_bound >= 0):
+            raise ValueError("du_bound entries must be non-negative, not NaN (Infinity means "
+                             "no bound)")
 
         # u(j) - u(-1) sums du(0..min(j, Nc-1)), so the input weights see
         # du(i)^T R du(l) once for every j >= max(i, l)
         lag = np.arange(self.Nc)
-        object.__setattr__(self, "_URU", np.kron(self.Np - np.maximum.outer(lag, lag), self.R))
-        up, lo = np.tile(self.du_max, self.Nc), np.tile(self.du_min, self.Nc)
-        eye = np.eye(self.Nc * p)
-        object.__setattr__(self, "_box", (
-            np.vstack([eye[np.isfinite(up)], -eye[np.isfinite(lo)]]),
-            np.concatenate([up[np.isfinite(up)], -lo[np.isfinite(lo)]]),
-        ))
+        p = self.du_bound.size
+        object.__setattr__(self, "_URU", np.kron(self.Np - np.maximum.outer(lag, lag),
+                                                 self.R_scale * np.eye(p)))
+        up = np.tile(self.du_bound, self.Nc)
+        rows = np.eye(self.Nc * p)[np.isfinite(up)]
+        object.__setattr__(self, "_box", (np.vstack([rows, -rows]),
+                                          np.tile(up[np.isfinite(up)], 2)))
 
 
 FACTOR_BLOCK = 20      # largest diagonal block when inverting the Cholesky factor
@@ -332,10 +326,10 @@ def _hessian(cum, params: MpcParams) -> np.ndarray:
     nz = params.Nc * p
     Y = cum[::-1].transpose(1, 0, 2).reshape(s, Np * p)   # block i = cum[Np-1-i]
     X = Y[:, p:]                                           # block i = cum[Np-2-i]
-    E = X.T @ (params.Q @ X)
+    E = X.T @ (params.Q_scale * X)
     for r in range(Np - 3, -1, -1):
         E[r * p:(r + 1) * p, :-p] += E[(r + 1) * p:(r + 2) * p, p:]
-    H = params._URU + Y[:, :nz].T @ params.P @ Y[:, :nz]
+    H = params._URU + (Y[:, :nz].T * params.P_scale) @ Y[:, :nz]
     m = min(nz, E.shape[0])
     H[:m, :m] += E[:m, :m]
     return H + H.T
@@ -391,15 +385,15 @@ def mpc_step(
     rtil = xr[1:Np + 1] - x_now - design.S @ dx0
     stil = ur[:Np] - u_prev
     v = np.zeros((Np + Nc - 1, s))         # weighted e_x, zero past the horizon
-    v[:Np - 1] = rtil[:-1] @ params.Q.T
-    v[Np - 1] = params.P @ rtil[-1]
+    v[:Np - 1] = params.Q_scale * rtil[:-1]
+    v[Np - 1] = params.P_scale * rtil[-1]
     windows = np.lib.stride_tricks.sliding_window_view(v.ravel(), Np * s)[::s]
     gx = windows @ design.cum              # Phi^T W rtil: window i holds v[i:i+Np]
-    gu = np.cumsum((stil @ params.R.T)[::-1], axis=0)[::-1][:Nc]
+    gu = np.cumsum((params.R_scale * stil)[::-1], axis=0)[::-1][:Nc]
     g = -2.0 * (gx + gu).ravel()
 
     z = solve_qp_active_set(design.H, g, *params._box, Li=design.Li)
-    return u_prev + z[:params.R.shape[0]]
+    return u_prev + z[:u_prev.size]
 
 
 @dataclass(frozen=True)

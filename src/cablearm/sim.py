@@ -560,14 +560,14 @@ class SimTrace:
 def controller_params(architecture, controller: dict) -> tuple[MpcParams, PidGains]:
     """MPC parameters and joint PID gains from a scenario ``controller`` object.
 
-    The MPC covers ``architecture.mpc_size`` states and inputs.  Omitted
+    ``du_bound`` has one entry per input of ``architecture.mpc_size``.  Omitted
     fields take the defaults written here, the package's one copy of them
     (see the README's scenario schema).  An unknown field is a
     ModelParseError; a value of the wrong JSON type or an unusable setting
     is a ScenarioError.
     """
     arch = Architecture(architecture)
-    s, p = arch.mpc_size
+    p = arch.mpc_size[1]
     controller = _object(controller, "$.controller", ("Ts_s", "Np", "Nc", "Q_scale", "R_scale",
                                                       "P_scale", "du_bound", "pid"))
     pid = _field(controller, "pid", "$.controller", ("Kp", "Ki", "Kd"), {})
@@ -578,9 +578,6 @@ def controller_params(architecture, controller: dict) -> tuple[MpcParams, PidGai
     def gain(key, default):
         return _field(pid, key, "$.controller.pid", "number", default, ScenarioError)
 
-    def weight(key, default, n):   # scale * I, with no 0 * inf off the diagonal
-        return np.diag(np.full(n, mpc(key, "number", default)))
-
     du = np.asarray(mpc("du_bound", "numeric", [80.0, 80.0, 2.0, 2.0][:p]), dtype=float)
     if du.shape != (p,):
         raise ScenarioError(f"du_bound must have {p} entries for {arch.value}")
@@ -589,11 +586,10 @@ def controller_params(architecture, controller: dict) -> tuple[MpcParams, PidGai
             Ts=mpc("Ts_s", "number", 0.01),
             Np=mpc("Np", "whole", 50),
             Nc=mpc("Nc", "whole", 50),
-            Q=weight("Q_scale", 1.0, s),
-            R=weight("R_scale", 1e-4, p),
-            P=weight("P_scale", 1.0, s),
-            du_min=-du,
-            du_max=du,
+            Q_scale=mpc("Q_scale", "number", 1.0),
+            R_scale=mpc("R_scale", "number", 1e-4),
+            P_scale=mpc("P_scale", "number", 1.0),
+            du_bound=du,
         )
         gains = PidGains(Kp=gain("Kp", 400.0), Ki=gain("Ki", 100.0), Kd=gain("Kd", 10.0))
     except (ValueError, OverflowError) as exc:

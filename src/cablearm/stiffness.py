@@ -6,7 +6,8 @@ elasticity part K_k = A_m K_c A_m^T.  With this sign convention K is
 positive definite at a stable suspension, K_k is a Gram sum, and the pull
 wrench the cables actually apply is the negative of the differentiated
 quantity (see :mod:`cablearm.kinematics` on the two sign conventions).
-``objective_JK`` is the one map from K to the objective J_K.
+``objective_JK`` is the one map from K to the objective J_K (through
+``_objective`` of its eigenvalues, which the landscape shares).
 
 ``optimize_tensions`` computes the reference tensions the controllers
 use: it scans the first force-commanded group, solves the remaining
@@ -148,7 +149,12 @@ def objective_JK(K):
     """Sum of the squared eigenvalues of the symmetric part of K; batched
     over leading axes (a scalar for one 6x6 K)."""
     K = np.asarray(K, dtype=float)
-    return np.sum(_eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))**2, axis=-1)
+    return _objective(_eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2))))
+
+
+def _objective(eigs):
+    """J_K from the eigenvalues of the symmetric part of K."""
+    return np.sum(eigs**2, axis=-1)
 
 
 def _eigvalsh(K):
@@ -421,12 +427,12 @@ def stiffness_landscape(model: RobotModel, q_ref, group_L0: dict, resolution: in
     dKa, dKb = K10 - K00, K01 - K00
     TA, TB = np.meshgrid(ax_a, ax_b, indexing="ij")
     K_all = K00[None, None] + TA[..., None, None] * dKa + TB[..., None, None] * dKb
-    K_all = 0.5 * (K_all + np.swapaxes(K_all, -1, -2))
+    eigs = _eigvalsh(0.5 * (K_all + np.swapaxes(K_all, -1, -2)))
     return {
         "groups": scan_groups,
         "axis_a": ax_a,
         "axis_b": ax_b,
-        "J_K": objective_JK(K_all),
-        "min_eig": _eigvalsh(K_all)[..., 0],
+        "J_K": _objective(eigs),
+        "min_eig": eigs[..., 0],
         "T_base": T_base,
     }

@@ -200,8 +200,8 @@ def test_criterion_07_mpc_suite():
         B = r.normal(0, 0.4, (s, p))
         ltv = LtvModel(A=A, B=B, x_r=np.zeros(s), u_r=np.zeros(p),
                        f_r=np.zeros(s))
-        params = MpcParams(Ts=0.01, Np=50, Nc=50, Q=np.eye(s), R=1e-4 * np.eye(p),
-                           P=np.eye(s), du_min=-np.array(du), du_max=np.array(du))
+        params = MpcParams(Ts=0.01, Np=50, Nc=50, Q_scale=1.0, R_scale=1e-4, P_scale=1.0,
+                           du_bound=np.array(du))
         xr = r.normal(0, 1, s)
         ur = r.normal(0, 1, p)
         xw = np.tile(xr, (51, 1))
@@ -215,8 +215,8 @@ def test_criterion_07_mpc_suite():
     B = r.normal(0, 0.4, (s, p))
     ltv = LtvModel(A=A, B=B, x_r=np.zeros(s), u_r=np.zeros(p),
                    f_r=np.zeros(s))
-    params = MpcParams(Ts=0.02, Np=Np, Nc=Np, Q=np.eye(s), R=0.05 * np.eye(p),
-                       P=np.eye(s), du_min=-np.full(p, np.inf), du_max=np.full(p, np.inf))
+    params = MpcParams(Ts=0.02, Np=Np, Nc=Np, Q_scale=1.0, R_scale=0.05, P_scale=1.0,
+                       du_bound=np.full(p, np.inf))
     x_now, x_prev = r.normal(0, 1, s), r.normal(0, 1, s)
     u_prev = r.normal(0, 1, p)
     xw = r.normal(0, 1, (Np + 1, s))
@@ -254,9 +254,8 @@ def test_criterion_07_mpc_suite():
     assert rel <= 1e-6
 
     # increment bounds activate at the published limits
-    params_b = MpcParams(Ts=0.02, Np=5, Nc=5, Q=np.eye(s), R=1e-6 * np.eye(p),
-                         P=np.eye(s), du_min=-np.array([80.0, 2.0]),
-                         du_max=np.array([80.0, 2.0]))
+    params_b = MpcParams(Ts=0.02, Np=5, Nc=5, Q_scale=1.0, R_scale=1e-6, P_scale=1.0,
+                         du_bound=np.array([80.0, 2.0]))
     xw_big = np.tile(1e5 * np.ones(s), (6, 1))
     u = mpc_step(mpc_design(ltv, params_b), np.zeros(s), np.zeros(s), np.zeros(p), xw_big,
                  np.zeros((6, p)))

@@ -122,9 +122,9 @@ def _batch_least_squares(ltv, x_now, x_prev, u_prev, xw, uw, params):
         Mu.append(eu1 - eu0)
     Mx = np.array(Mx).T
     Mu = np.array(Mu).T
-    Wx = np.kron(np.eye(Np + 1), params.Q)
-    Wx[-s:, -s:] = params.P
-    Wu = np.kron(np.eye(Np), params.R)
+    Wx = np.kron(np.eye(Np + 1), params.Q_scale * np.eye(s))
+    Wx[-s:, -s:] = params.P_scale * np.eye(s)
+    Wu = np.kron(np.eye(Np), params.R_scale * np.eye(p))
     H = Mx.T @ Wx @ Mx + Mu.T @ Wu @ Mu
     g = Mx.T @ Wx @ ex0 + Mu.T @ Wu @ eu0
     return u_prev + np.linalg.solve(H, -g)[:p]
@@ -141,8 +141,8 @@ class TestMpc:
     def test_fixed_point_at_equilibrium_reference(self, rng):
         ltv = _random_ltv(rng)
         params = MpcParams(
-            Ts=0.01, Np=12, Nc=12, Q=np.eye(4), R=1e-4 * np.eye(2), P=np.eye(4),
-            du_min=-80 * np.ones(2), du_max=80 * np.ones(2),
+            Ts=0.01, Np=12, Nc=12, Q_scale=1.0, R_scale=1e-4, P_scale=1.0,
+            du_bound=80 * np.ones(2),
         )
         xr = rng.normal(0, 1, 4)
         ur = rng.normal(0, 1, 2)
@@ -156,8 +156,8 @@ class TestMpc:
         s, p, Np, Nc = 4, 2, 3, 3
         ltv = _random_ltv(rng, s, p)
         params = MpcParams(
-            Ts=0.05, Np=Np, Nc=Nc, Q=np.eye(s), R=0.1 * np.eye(p), P=2 * np.eye(s),
-            du_min=-np.inf * np.ones(p), du_max=np.inf * np.ones(p),
+            Ts=0.05, Np=Np, Nc=Nc, Q_scale=1.0, R_scale=0.1, P_scale=2.0,
+            du_bound=np.inf * np.ones(p),
         )
         x_now = rng.normal(0, 1, s)
         x_prev = rng.normal(0, 1, s)
@@ -170,15 +170,14 @@ class TestMpc:
 
     @pytest.mark.parametrize("Np, Nc", [(7, 2), (6, 5), (1, 1)])
     def test_short_control_horizon_matches_batch_least_squares(self, rng, Np, Nc):
-        """Nc < Np, full Q and a terminal P unlike Q: the Hessian assembled
-        from the step-response Gram blocks still matches explicit loops."""
+        """Nc < Np and a terminal scale unlike the state scale: the Hessian
+        assembled from the step-response Gram blocks still matches explicit
+        loops."""
         s, p = 4, 2
         ltv = _random_ltv(rng, s, p)
-        Xq = rng.normal(0, 1, (s, s))
-        Xp = rng.normal(0, 1, (s, s))
         params = MpcParams(
-            Ts=0.05, Np=Np, Nc=Nc, Q=Xq @ Xq.T, R=np.array([[0.2, 0.05], [0.05, 0.1]]),
-            P=Xp @ Xp.T, du_min=-np.full(p, np.inf), du_max=np.full(p, np.inf),
+            Ts=0.05, Np=Np, Nc=Nc, Q_scale=0.7, R_scale=0.15, P_scale=2.3,
+            du_bound=np.full(p, np.inf),
         )
         x_now, x_prev = rng.normal(0, 1, s), rng.normal(0, 1, s)
         u_prev = rng.normal(0, 1, p)
@@ -192,8 +191,8 @@ class TestMpc:
         """Large reference jumps clip delta-u at the stated bounds."""
         ltv = _random_ltv(rng)
         params = MpcParams(
-            Ts=0.05, Np=4, Nc=4, Q=np.eye(4), R=1e-6 * np.eye(2), P=np.eye(4),
-            du_min=-np.array([80.0, 2.0]), du_max=np.array([80.0, 2.0]),
+            Ts=0.05, Np=4, Nc=4, Q_scale=1.0, R_scale=1e-6, P_scale=1.0,
+            du_bound=np.array([80.0, 2.0]),
         )
         u_prev = np.zeros(2)
         xw = np.tile(1e4 * np.ones(4), (5, 1))
@@ -206,8 +205,8 @@ class TestMpc:
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError, match="control horizon"):
-            MpcParams(Ts=0.01, Np=5, Nc=6, Q=np.eye(2), R=np.eye(1), P=np.eye(2),
-                      du_min=-np.ones(1), du_max=np.ones(1))
+            MpcParams(Ts=0.01, Np=5, Nc=6, Q_scale=1.0, R_scale=1.0, P_scale=1.0,
+                      du_bound=np.ones(1))
 
 
 class TestActiveSetQp:
@@ -374,9 +373,8 @@ class TestRangeSpaceQp:
         s, p = 4, 2
         ltv = LtvModel(A=r.normal(0, 0.4, (s, s)), B=r.normal(0, 0.4, (s, p)),
                        x_r=np.zeros(s), u_r=np.zeros(p), f_r=np.zeros(s))
-        params = MpcParams(Ts=0.02, Np=5, Nc=5, Q=np.eye(s), R=1e-6 * np.eye(p),
-                           P=np.eye(s), du_min=-np.array([80.0, 2.0]),
-                           du_max=np.array([80.0, 2.0]))
+        params = MpcParams(Ts=0.02, Np=5, Nc=5, Q_scale=1.0, R_scale=1e-6, P_scale=1.0,
+                           du_bound=np.array([80.0, 2.0]))
         H, g, A, b = _captured_qp(monkeypatch, mpc_design(ltv, params), np.zeros(s), np.zeros(s),
                                   np.zeros(p), np.tile(1e5 * np.ones(s), (6, 1)),
                                   np.zeros((6, p)))
@@ -456,6 +454,15 @@ class TestExpm:
     @pytest.mark.parametrize("n", [1, 4, 14])
     def test_zero_is_identity(self, n):
         assert np.array_equal(control._expm(np.zeros((n, n))), np.eye(n))
+
+    @pytest.mark.parametrize("entry", [1e308, np.inf, np.nan])
+    def test_nonfinite_norm_raises_divergence_error(self, entry):
+        """Column sums that overflow, an infinite entry and a NaN entry all
+        end in the package's error, not an OverflowError or a NaN result."""
+        A = np.full((2, 2), 1e308) if entry == 1e308 else np.array([[0.0, entry], [0.0, 0.0]])
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError,
+                                                       match="matrix exponential"):
+            zoh_discretize(A, np.zeros((2, 1)), 1.0)
 
 
 class TestInverseFactor:
@@ -551,8 +558,8 @@ class TestMpcDesign:
         iterations run on each path."""
         rng = np.random.default_rng(2)
         s, p, Np = 4, 2, 6
-        params = MpcParams(Ts=0.05, Np=Np, Nc=4, Q=np.eye(s), R=1e-2 * np.eye(p),
-                           P=np.eye(s), du_min=-np.full(p, 0.3), du_max=np.full(p, 0.3))
+        params = MpcParams(Ts=0.05, Np=Np, Nc=4, Q_scale=1.0, R_scale=1e-2, P_scale=1.0,
+                           du_bound=np.full(p, 0.3))
         x_now = rng.normal(0, 0.1, s)
         x_prev = x_now + rng.normal(0, 0.01, s)
         u_prev = rng.normal(0, 1, p)
@@ -568,10 +575,10 @@ class TestMpcDesign:
         assert not np.array_equal(first_a, step(lin_b))
 
     def test_design_inputs_are_read_only(self, rng):
-        params = MpcParams(Ts=0.05, Np=3, Nc=3, Q=np.eye(4), R=np.eye(2), P=np.eye(4),
-                           du_min=-np.ones(2), du_max=np.ones(2))
+        params = MpcParams(Ts=0.05, Np=3, Nc=3, Q_scale=1.0, R_scale=1.0, P_scale=1.0,
+                           du_bound=np.ones(2))
         ltv = _random_ltv(rng)
-        for arr in (ltv.A, ltv.B, params.Q, params.R, params.du_max):
+        for arr in (ltv.A, ltv.B, params.du_bound):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 

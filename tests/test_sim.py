@@ -739,10 +739,8 @@ class TestSimulate:
     def test_controller_defaults(self, arch, s, p):
         params, gains = controller_params(arch, {})
         assert (params.Ts, params.Np, params.Nc) == (0.01, 50, 50)
-        assert np.array_equal(params.Q, np.eye(s)) and np.array_equal(params.P, np.eye(s))
-        assert np.array_equal(params.R, 1e-4 * np.eye(p))
-        assert np.array_equal(params.du_max, [80.0, 80.0, 2.0, 2.0][:p])
-        assert np.array_equal(params.du_min, -params.du_max)
+        assert (params.Q_scale, params.R_scale, params.P_scale) == (1.0, 1e-4, 1.0)
+        assert np.array_equal(params.du_bound, [80.0, 80.0, 2.0, 2.0][:p])
         assert (gains.Kp, gains.Ki, gains.Kd) == (400.0, 100.0, 10.0)
 
     def test_architecture_enum_round_trip(self):

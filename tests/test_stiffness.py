@@ -175,6 +175,19 @@ class TestLandscape:
         J_direct = objective_JK(K)
         assert np.isclose(J_direct, land["J_K"][3, 1], rtol=1e-12)
 
+    def test_one_eigen_decomposition(self, hcdr, monkeypatch):
+        """J_K and min_eig come from one eigenvalue pass over the grid."""
+        calls = Counter()
+
+        def counted(K):
+            calls["eigvalsh"] += 1
+            return eigvalsh(K)
+
+        eigvalsh = stiffness._eigvalsh
+        monkeypatch.setattr(stiffness, "_eigvalsh", counted)
+        stiffness_landscape(hcdr, np.zeros(9), {1: 1.005, 2: 1.005}, resolution=5)
+        assert calls["eigvalsh"] == 1
+
     def test_rejects_empty_grid(self, hcdr):
         with pytest.raises(ValidationError, match="resolution"):
             stiffness_landscape(hcdr, np.zeros(9), {1: 1.005, 2: 1.005}, resolution=0)
