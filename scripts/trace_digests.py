@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print one sha256 per artifact of a fixed set of runs, to check that a
-change keeps ``trace.csv``, ``summary.json``, the stiffness grid CSV and
-the 6 s reference schedule byte for byte.
+change keeps ``trace.csv``, ``summary.json``, ``trace.json``,
+``comparison.csv``, ``comparison.json``, the stiffness grid CSV and the
+6 s reference schedule byte for byte.
 
 Every run goes through ``cablearm.cli.run_scenario`` and the grid through
 the ``optimize-stiffness`` command, with the cablearm package that
@@ -28,7 +29,9 @@ error-controlled substeps), which reaches past the 1 s hold into the
 joint-3 ramp; integrated2 at 0.6 s with that noise, seed 3, weights
 unlike the defaults (``Q_scale`` 2.5, ``R_scale`` 3e-4, ``P_scale`` 0.3),
 ``Nc`` 20 and ``du_bound [5, Infinity, 0.2, 0.5]``, so that a change to how
-the weights and the bound enter the MPC shows.  Then the default
+the weights and the bound enter the MPC shows.  Then ``compare`` on the
+0.3 s noisy integrated2 run (``comparison.csv`` and ``comparison.json``)
+and that run's ``trace.json`` (written with ``fmt="json"``), the default
 ``optimize-stiffness`` grid, and the ``u`` and ``L0`` bytes of
 ``sim.reference_schedule`` along the whole 6 s case-study reference (the runs above reach its first 2.5 s only) on
 both design models.  The artifacts are written to a temporary directory
@@ -83,6 +86,18 @@ def run_digests(runs: dict, out: Path) -> list[str]:
     return lines
 
 
+def compare_digests(run: tuple, out: Path) -> list[str]:
+    """Digest lines of ``compare``'s CSV and JSON table on one (bundled,
+    overrides) run, and of that run's ``trace.json``, written under ``out``."""
+    bundled, overrides = run
+    doc = {**cli.load_scenario(bundled), **overrides}
+    cli.compare_architectures(doc, out / "compare")
+    lines = [_line(out / "compare" / name, "compare")
+             for name in ("comparison.csv", "comparison.json")]
+    cli.run_scenario(doc, out / "json", fmt="json")
+    return lines + [_line(out / "json" / "trace.json", "json")]
+
+
 def grid_digest(out: Path) -> str:
     """Digest line of the default ``optimize-stiffness`` grid, written under ``out``."""
     with contextlib.redirect_stdout(io.StringIO()):
@@ -111,7 +126,8 @@ def main():
     print(f"cablearm from {Path(cli.__file__).parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        print("\n".join(run_digests(RUNS, out) + [grid_digest(out), schedule_digest()]))
+        print("\n".join(run_digests(RUNS, out) + compare_digests(RUNS["integrated2_0.3s"], out)
+                        + [grid_digest(out), schedule_digest()]))
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ bundled name, resolves its model and writes the artifacts.  ``--seed`` is
 written into it as its ``seed`` field, and ``compare`` runs the one
 scenario under each architecture.  Errors print a machine-readable
 ``{"error": {"category", "message"}}`` object on stderr; exit codes are 2
-for parse errors, 3 for validation errors, and 4 for any other package
-error or for running out of memory (category ``memory``).
+for parse errors (a malformed command line among them), 3 for validation
+errors, and 4 for any other package error or for running out of memory
+(category ``memory``).
 """
 
 from __future__ import annotations
@@ -101,15 +102,10 @@ def compare_architectures(path_or_doc, out_dir) -> dict:
         "results": rows,
     }
     _write_json(out / "comparison.json", table)
-    header = "architecture,rmse_x_m,rmse_z_m,rmse_2d_m,min_tension_N,max_tension_N"
-    lines = [header] + [
-        ",".join(
-            [r["architecture"]]
-            + [repr(float(r[k])) for k in header.split(",")[1:]]
-        )
-        for r in rows
-    ]
-    _write_text(out / "comparison.csv", "\n".join(lines) + "\n")
+    header = ["architecture", "rmse_x_m", "rmse_z_m", "rmse_2d_m", "min_tension_N",
+              "max_tension_N"]
+    _write_text(out / "comparison.csv",
+                metrics.to_csv(header, [[r[k] for k in header] for r in rows]))
     return table
 
 
@@ -136,13 +132,10 @@ def _cmd_optimize_stiffness(args) -> int:
         model, q, dict(zip(pos_groups, (args.l01, args.l02))), resolution=args.resolution
     )
     ga, gb = land["groups"]
-    lines = [f"T_{ga},T_{gb},J_K,min_eig"]
-    for i, ta in enumerate(land["axis_a"]):
-        for j, tb in enumerate(land["axis_b"]):
-            vals = (ta, tb, land["J_K"][i, j], land["min_eig"][i, j])
-            lines.append(",".join(repr(float(v)) for v in vals))
+    TA, TB = np.meshgrid(land["axis_a"], land["axis_b"], indexing="ij")
+    rows = np.column_stack([TA.ravel(), TB.ravel(), land["J_K"].ravel(), land["min_eig"].ravel()])
     path = Path(args.out_dir) / "stiffness_grid.csv"
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, metrics.to_csv([f"T_{ga}", f"T_{gb}", "J_K", "min_eig"], rows.tolist()))
     best = np.unravel_index(np.argmax(land["J_K"]), land["J_K"].shape)
     print(json.dumps({
         "grid": str(path),
@@ -226,8 +219,16 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line (its subcommands' too) as a parse
+    error instead of printing usage text and exiting."""
+
+    def error(self, message):
+        raise ModelParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cablearm", description=__doc__)
+    ap = _Parser(prog="cablearm", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sim_p = sub.add_parser("simulate", help="run one closed-loop scenario")
@@ -271,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # a diverging run is reported by the finiteness checks, not by
         # numpy warnings ahead of the error record
         with np.errstate(all="ignore"):

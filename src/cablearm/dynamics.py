@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, ValidationError
+from .errors import ConditioningError, DivergenceError, ValidationError, at_row
 from .kinematics import (
     _cable_frames,
     check_euler_regular,
@@ -162,7 +162,9 @@ def inverse_dynamics(model: RobotModel, q, qdot, qddot, tau_d=None) -> np.ndarra
 
     The first six entries are the platform block (the cable-side wrench in
     generalized coordinates); the trailing entries are the joint torques.
-    Broadcasts over leading axes of the states.
+    Broadcasts over leading axes of the states.  Raises DivergenceError
+    when tau overflows (a finite state at an extreme rate), naming the
+    first such row.
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
@@ -172,6 +174,10 @@ def inverse_dynamics(model: RobotModel, q, qdot, qddot, tau_d=None) -> np.ndarra
     tau = (M @ qddot[..., None])[..., 0] + h + G
     if tau_d is not None:
         tau = tau + np.asarray(tau_d, dtype=float)
+    bad = ~np.all(np.isfinite(tau), axis=-1)
+    if np.any(bad):
+        raise DivergenceError("inverse dynamics produced non-finite generalized forces tau"
+                              + at_row(bad))
     return tau
 
 

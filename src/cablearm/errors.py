@@ -31,7 +31,8 @@ class CableRobotError(Exception):
 
 
 class ModelParseError(CableRobotError):
-    """A model, scenario or state document does not conform to its schema."""
+    """A model, scenario or state document, or the command line, does not
+    conform to its schema."""
 
     category = "parse"
 
@@ -85,7 +86,8 @@ class ReductionError(CableRobotError):
 
 
 class DivergenceError(CableRobotError):
-    """Numerical integration or linearization produced non-finite values."""
+    """Integration, linearization or another computation produced non-finite
+    values from finite inputs."""
 
     category = "divergence"
 

@@ -29,9 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GeometryError, SingularityError, at_row, first_row
-from .model import RobotModel
-
-AXIS_INDEX = {"X": 0, "Y": 1, "Z": 2}
+from .model import _AXES, RobotModel
 
 EULER_SINGULARITY_EPS = 1e-6   # rad margin on the middle angle vs +-pi/2
 CABLE_LENGTH_EPS = 1e-9        # m; shorter cables are degenerate
@@ -61,7 +59,7 @@ def euler_frames(euler, convention: str):
     is ``W @ euler_rates`` with columns ``e_a1``, ``R_a1 e_a2`` and
     ``R_a1 R_a2 e_a3``; the body rate is ``E_b @ euler_rates``, ``E_b = R^T W``.
     """
-    R, W = _compose(basic_rotation(_XYZ, euler), [AXIS_INDEX[c] for c in convention])
+    R, W = _compose(basic_rotation(_XYZ, euler), [_AXES.index(c) for c in convention])
     return R, W, R.swapaxes(-1, -2) @ W
 
 
@@ -87,14 +85,11 @@ def rotation(euler, convention: str) -> np.ndarray:
     return euler_frames(euler, convention)[0]
 
 
-def _middle_angle(euler, convention: str):
-    return np.asarray(euler, dtype=float)[..., AXIS_INDEX[convention[1]]]
-
-
 def check_euler_regular(euler, convention: str):
     """Raise SingularityError when the middle angle is within
     EULER_SINGULARITY_EPS of +-pi/2 (naming the first such row of a stack)."""
-    locked = np.abs(np.abs(_middle_angle(euler, convention)) - np.pi / 2) < EULER_SINGULARITY_EPS
+    middle = np.asarray(euler, dtype=float)[..., _AXES.index(convention[1])]
+    locked = np.abs(np.abs(middle) - np.pi / 2) < EULER_SINGULARITY_EPS
     if np.any(locked):
         raise SingularityError(
             f"middle Euler angle within {EULER_SINGULARITY_EPS:g} rad of +-pi/2 "

@@ -7,18 +7,18 @@ package contract:
 T1..T12,L01,L02,u_T3,u_T4,u_ta2,u_ta3,x_e,z_e,KE,VE,ref_p_mx..ref_dth_a3,
 ref_x_e,ref_z_e``
 
-Floats are written with shortest round-trip formatting, so identical runs
-produce byte-identical files.
+:func:`to_csv` writes every CSV artifact (the trace, the stiffness grid
+and the architecture comparison): floats with shortest round-trip
+formatting, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ModelParseError
+from .errors import AlignmentError, DivergenceError, ModelParseError
 from .sim import TRACE_CABLES, SimTrace
 
 _STATE_COLS = ["p_mx", "dp_mx", "p_mz", "dp_mz", "beta_m", "dbeta_m",
@@ -61,7 +61,8 @@ def rmse(p_e: np.ndarray, p_e_ref: np.ndarray, tensions: np.ndarray | None = Non
 
     The 2-D value is sqrt(mean(e_x^2 + e_z^2)); per-axis values use the
     same samples, so rmse_2d^2 == rmse_x^2 + rmse_z^2.  Raises
-    AlignmentError on mismatched sample counts.
+    AlignmentError on mismatched sample counts and DivergenceError when an
+    RMSE overflows.
     """
     p_e = np.asarray(p_e, dtype=float)
     p_e_ref = np.asarray(p_e_ref, dtype=float)
@@ -73,6 +74,9 @@ def rmse(p_e: np.ndarray, p_e_ref: np.ndarray, tensions: np.ndarray | None = Non
     rx = float(np.sqrt(np.mean(err[:, 0] ** 2)))
     rz = float(np.sqrt(np.mean(err[:, 1] ** 2)))
     r2 = float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
+    if not np.isfinite(r2):
+        raise DivergenceError("tracking RMSE overflowed "
+                              f"(largest error {np.max(np.abs(err)):.3e} m)")
     tmin = float(np.min(tensions)) if tensions is not None else float("nan")
     tmax = float(np.max(tensions)) if tensions is not None else float("nan")
     return EvalReport(rmse_x=rx, rmse_z=rz, rmse_2d=r2, min_tension=tmin, max_tension=tmax)
@@ -90,13 +94,18 @@ def trace_columns(trace: SimTrace) -> np.ndarray:
     return cols
 
 
+def to_csv(header, rows) -> str:
+    """CSV text of a header and rows: each number as ``repr(float(v))``, the
+    shortest text that reads back as the same float, and each text cell as
+    it is."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def trace_to_csv(trace: SimTrace) -> str:
     """Serialize a trace with the documented column contract."""
-    buf = io.StringIO()
-    buf.write(",".join(TRACE_HEADER) + "\n")
-    for row in trace_columns(trace):
-        buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()
+    return to_csv(TRACE_HEADER, trace_columns(trace).tolist())
 
 
 def trace_from_csv(text: str) -> dict:

@@ -46,14 +46,14 @@ one scenario document: :func:`resolve_scenario` is the one home of its
 defaults and checks, and :func:`controller_params` of the controller's.
 
 The whole reference is known before the loop starts, so the design path
-runs in blocks: the schedule optimizes the distinct reference rows (as the
-design model sees them, ``-0.0`` counted as ``0.0``) with one
-:func:`optimize_tensions` call per ``SCHEDULE_BLOCK`` rows, the
-linearizations of the distinct design points are made before the loop with
-one :func:`linearize` call per ``LINEARIZE_BLOCK`` points, and the PID's
-joint reference is one trajectory sample at all substep times.  Every block
-row is bit-equal to its one-row call, so the traces do not depend on the
-block sizes.
+runs in blocks over one set of distinct reference rows (as the design model
+sees them, ``-0.0`` counted as ``0.0``): the schedule optimizes each with
+one :func:`optimize_tensions` call per ``SCHEDULE_BLOCK`` rows, the
+linearizations of the same rows, as design points, are made before the
+loop with one :func:`linearize` call per ``LINEARIZE_BLOCK`` points, and
+the PID's joint reference is one trajectory sample at all substep times.
+Every block row is bit-equal to its one-row call, so the traces do not
+depend on the block sizes.
 """
 
 from __future__ import annotations
@@ -513,7 +513,8 @@ def reference_schedule(model: RobotModel, plant: PlanarPlant, traj: TrajectorySp
     The distinct reference rows of the coordinates ``model`` has (the
     trajectory holds repeat one row) are optimized once each, in
     first-occurrence order, by one :func:`optimize_tensions` call per block
-    of ``SCHEDULE_BLOCK`` rows.
+    of ``SCHEDULE_BLOCK`` rows.  Besides ``x``, ``u`` and ``L0`` at each
+    time, returns ``slot``, each time's index into those distinct rows.
     """
     times = np.asarray(times, dtype=float)
     n = len(plant._q_pos)
@@ -531,7 +532,7 @@ def reference_schedule(model: RobotModel, plant: PlanarPlant, traj: TrajectorySp
                                  + [res.tau_ref[:, joints]]))
         L0.append(np.column_stack([res.group_L0[g] for g in plant.pos_groups]))
     return {"x": traj.sample(times), "u": np.concatenate(u)[slot],
-            "L0": np.concatenate(L0)[slot]}
+            "L0": np.concatenate(L0)[slot], "slot": slot}
 
 
 # ---------------------------------------------------------------------------
@@ -723,13 +724,14 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
     model_d = arch.design_model(model)
     plant_d = plant if model_d is model else PlanarPlant(model_d)
     sched = reference_schedule(model_d, plant_d, traj, np.arange(K + 1 + Np) * Ts)
-    x_ref, u_ref, L0_ref = sched["x"], sched["u"], sched["L0"]
+    x_ref, u_ref, L0_ref, slot = sched["x"], sched["u"], sched["L0"], sched["slot"]
 
-    # One linearization per distinct (x, u, L0) point of the design plant in
-    # periods 0..K-1, in blocks of LINEARIZE_BLOCK points, each cut to the
-    # MPC's states and inputs.
+    # One linearization of the design plant per distinct schedule row of
+    # periods 0..K-1 (slots are numbered by first occurrence, so these are
+    # 0..max), in blocks of LINEARIZE_BLOCK points, each cut to the MPC's
+    # states and inputs.
     x_d = x_ref[:, :plant_d.n_states]
-    first, slot = _distinct_rows(np.concatenate([x_d, u_ref, L0_ref], axis=1)[:K])
+    first = np.unique(slot[:K], return_index=True)[1]
     table = []
     for b in range(0, len(first), LINEARIZE_BLOCK):
         rows = first[b:b + LINEARIZE_BLOCK]

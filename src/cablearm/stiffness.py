@@ -37,11 +37,11 @@ evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConditioningError, InfeasibleError, ValidationError, at_row, first_row
+from .errors import (ConditioningError, DivergenceError, InfeasibleError, ValidationError, at_row,
+                     first_row)
 from .kinematics import CableGeometry, _skew, cable_geometry, euler_frames
 from .model import RobotModel
 from .redundancy import resolve
@@ -120,8 +120,6 @@ def stiffness_Kk(model: RobotModel, geo: CableGeometry, cable_subset, L0=None, T
         idx = np.asarray(sorted(cable_subset), dtype=int) - 1
         if idx.size and (idx.min() < 0 or idx.max() >= model.n_cables):
             raise ValidationError("cable_subset indices must be in 1..N")
-    if idx.size == 0:
-        return np.zeros(kc.shape[:-1] + (6, 6))
     b = np.swapaxes(geo.structure, -1, -2)[..., idx, :]  # (..., n, 6)
     return np.einsum("...n,...ni,...nj->...ij", kc[..., idx], b, b)
 
@@ -232,65 +230,6 @@ def _balanced_tensions(model: RobotModel, geo: CableGeometry, wrench: np.ndarray
     return T, eta, res
 
 
-class _Scan(NamedTuple):
-    """The tension scan of :func:`optimize_tensions` over a stack of rows."""
-
-    geo: CableGeometry
-    tau: np.ndarray        # (..., nq) inverse dynamics at the reference
-    wrench: np.ndarray     # (..., 6) platform wrench the cables balance
-    T: np.ndarray          # (..., S, N) balanced tensions at each scan point
-    eta: dict              # length-commanded group -> (..., S) inverse unstretched length
-    feasible: np.ndarray   # (..., S)
-    K_a: np.ndarray        # (..., 6, 6) K_T + K_k at the first scan point
-    K_b: np.ndarray        # (..., 6, 6) and at the last
-    frac: np.ndarray       # (S,) position of each scan point from the first to the last
-
-
-def _tension_scan(model: RobotModel, q_ref, qdot_ref, qddot_ref) -> _Scan:
-    """Balanced tensions and feasibility at every scan point of every row,
-    with the stage-by-stage checks of :func:`optimize_tensions`."""
-    scan_groups, pos_groups = model.platform.actuation_layout()
-    if not scan_groups:
-        raise ValidationError(
-            "model declares no tension-controlled actuator groups; "
-            "optimize_tensions requires the force/length actuation split"
-        )
-    q_ref = np.asarray(q_ref, dtype=float)
-    qdot_ref = np.zeros(model.nq) if qdot_ref is None else np.asarray(qdot_ref, float)
-    qddot_ref = np.zeros(model.nq) if qddot_ref is None else np.asarray(qddot_ref, float)
-    shape = np.broadcast_shapes(q_ref.shape, qdot_ref.shape, qddot_ref.shape)
-    q_ref, qdot_ref, qddot_ref = (np.broadcast_to(a, shape) for a in (q_ref, qdot_ref, qddot_ref))
-    geo = cable_geometry(model, q_ref)
-    tau = dynamics.inverse_dynamics(model, q_ref, qdot_ref, qddot_ref)
-    wrench = generalized_to_wrench(model, q_ref[..., 3:6], tau[..., 0:6])
-
-    tmin, tmax = model.platform.tension_min, model.platform.tension_max
-    lead_idx = model.platform.group_indices(scan_groups[0])
-    grid = np.linspace(tmin[lead_idx].max(), tmax[lead_idx].min(), SCAN_POINTS)
-    T_grid, eta, res = _balanced_tensions(model, geo, wrench, grid, scan_groups, pos_groups)
-    feas = (
-        # cannot raise: a norm solves nothing
-        (res <= _BALANCE_RTOL * (1.0 + np.linalg.norm(wrench, axis=-1))[..., None])
-        & np.all(T_grid >= tmin - 1e-9, axis=-1)
-        & np.all(T_grid <= tmax + 1e-9, axis=-1)
-    )
-    for g in pos_groups:
-        feas &= eta[g] > 0
-    none = ~np.any(feas, axis=-1)
-    if np.any(none):
-        raise InfeasibleError(
-            "no statically consistent tensions satisfy the per-cable bounds "
-            f"at this reference (scanned group {scan_groups[0]})" + at_row(none)
-        )
-    # K is affine in the scan value: assemble it at both ends of the grid,
-    # stacked ahead of the rows so the pose's cable frames broadcast.
-    ends = np.moveaxis(T_grid[..., [0, -1], :], -2, 0)
-    K_a, K_b = (stiffness_KT(model, geo, ends)
-                + stiffness_Kk(model, geo, position_controlled_cables(model), T=ends))
-    return _Scan(geo, tau, wrench, T_grid, eta, feas, K_a, K_b,
-                 (grid - grid[0]) / (grid[-1] - grid[0]))
-
-
 def _stiffest(K_a, K_b, frac, feasible):
     """Index and J_K of the stiffest feasible scan point, ties to the lower
     tension, for K(t) = K_a + frac_t (K_b - K_a).
@@ -340,12 +279,50 @@ def optimize_tensions(
     Raises ValidationError when the model has no force-commanded group, and
     InfeasibleError when no scan point is feasible.
     """
-    scan = _tension_scan(model, q_ref, qdot_ref, qddot_ref)
-    best, J_K = _stiffest(scan.K_a, scan.K_b, scan.frac, scan.feasible)
-    T_opt = np.take_along_axis(scan.T, best[..., None, None], axis=-2)[..., 0, :]
-    T_min_norm, N = resolve(-scan.geo.structure, scan.wrench)
+    scan_groups, pos_groups = model.platform.actuation_layout()
+    if not scan_groups:
+        raise ValidationError(
+            "model declares no tension-controlled actuator groups; "
+            "optimize_tensions requires the force/length actuation split"
+        )
+    q_ref = np.asarray(q_ref, dtype=float)
+    qdot_ref = np.zeros(model.nq) if qdot_ref is None else np.asarray(qdot_ref, float)
+    qddot_ref = np.zeros(model.nq) if qddot_ref is None else np.asarray(qddot_ref, float)
+    shape = np.broadcast_shapes(q_ref.shape, qdot_ref.shape, qddot_ref.shape)
+    q_ref, qdot_ref, qddot_ref = (np.broadcast_to(a, shape) for a in (q_ref, qdot_ref, qddot_ref))
+    geo = cable_geometry(model, q_ref)
+    tau = dynamics.inverse_dynamics(model, q_ref, qdot_ref, qddot_ref)
+    wrench = generalized_to_wrench(model, q_ref[..., 3:6], tau[..., 0:6])
+
+    tmin, tmax = model.platform.tension_min, model.platform.tension_max
+    lead_idx = model.platform.group_indices(scan_groups[0])
+    grid = np.linspace(tmin[lead_idx].max(), tmax[lead_idx].min(), SCAN_POINTS)
+    T_grid, eta, res = _balanced_tensions(model, geo, wrench, grid, scan_groups, pos_groups)
+    feas = (
+        # cannot raise: a norm solves nothing
+        (res <= _BALANCE_RTOL * (1.0 + np.linalg.norm(wrench, axis=-1))[..., None])
+        & np.all(T_grid >= tmin - 1e-9, axis=-1)
+        & np.all(T_grid <= tmax + 1e-9, axis=-1)
+    )
+    for g in pos_groups:
+        feas &= eta[g] > 0
+    none = ~np.any(feas, axis=-1)
+    if np.any(none):
+        raise InfeasibleError(
+            "no statically consistent tensions satisfy the per-cable bounds "
+            f"at this reference (scanned group {scan_groups[0]})" + at_row(none)
+        )
+    # K is affine in the scan value: assemble it at both ends of the grid,
+    # stacked ahead of the rows so the pose's cable frames broadcast.
+    ends = np.moveaxis(T_grid[..., [0, -1], :], -2, 0)
+    K_a, K_b = (stiffness_KT(model, geo, ends)
+                + stiffness_Kk(model, geo, position_controlled_cables(model), T=ends))
+    frac = (grid - grid[0]) / (grid[-1] - grid[0])   # each scan point's place from first to last
+    best, J_K = _stiffest(K_a, K_b, frac, feas)
+    T_opt = np.take_along_axis(T_grid, best[..., None, None], axis=-2)[..., 0, :]
+    T_min_norm, N = resolve(-geo.structure, wrench)
     lam = _matvec(np.swapaxes(N, -1, -2), T_opt - T_min_norm)
-    K, err = _symmetrize(scan.K_a + scan.frac[best][..., None, None] * (scan.K_b - scan.K_a))
+    K, err = _symmetrize(K_a + frac[best][..., None, None] * (K_b - K_a))
     eigs = _eigvalsh(K)
     return StiffnessResult(
         K=K,
@@ -355,13 +332,11 @@ def optimize_tensions(
         T_opt=T_opt,
         is_stable=_plain(eigs[..., 0] > 0),
         sym_error=_plain(err),
-        group_L0={g: _plain(1.0 / np.take_along_axis(eta, best[..., None], axis=-1)[..., 0])
-                  for g, eta in scan.eta.items()},
-        scan_tensions={
-            g: _plain(T_opt[..., model.platform.group_indices(g)[0]])
-            for g in model.platform.actuation_layout()[0]
-        },
-        tau_ref=scan.tau,
+        group_L0={g: _plain(1.0 / np.take_along_axis(eta[g], best[..., None], axis=-1)[..., 0])
+                  for g in pos_groups},
+        scan_tensions={g: _plain(T_opt[..., model.platform.group_indices(g)[0]])
+                       for g in scan_groups},
+        tau_ref=tau,
     )
 
 
@@ -428,11 +403,15 @@ def stiffness_landscape(model: RobotModel, q_ref, group_L0: dict, resolution: in
     TA, TB = np.meshgrid(ax_a, ax_b, indexing="ij")
     K_all = K00[None, None] + TA[..., None, None] * dKa + TB[..., None, None] * dKb
     eigs = _eigvalsh(0.5 * (K_all + np.swapaxes(K_all, -1, -2)))
+    J_K = _objective(eigs)
+    if not np.all(np.isfinite(J_K)):
+        raise DivergenceError("stiffness objective J_K overflowed (largest |eigenvalue| "
+                              f"{np.max(np.abs(eigs)):.3e})")
     return {
         "groups": scan_groups,
         "axis_a": ax_a,
         "axis_b": ax_b,
-        "J_K": _objective(eigs),
+        "J_K": J_K,
         "min_eig": eigs[..., 0],
         "T_base": T_base,
     }

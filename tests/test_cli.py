@@ -635,6 +635,55 @@ class TestCliMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "divergence"
 
+    @pytest.mark.parametrize("command", ["optimize-stiffness", "inverse-dynamics", "evaluate"])
+    def test_overflow_ends_in_the_error_record(self, tmp_path, capsys, short_run, command):
+        """Finite inputs whose result overflows: the squared eigenvalues of
+        the grid at L01 = 1e-300, tau at a joint rate of 1e200 rad/s, and
+        the RMSE of a trace whose x_e cells are 1e200.  Each is a divergence
+        error (exit 4) naming the quantity, and no grid is written."""
+        if command == "optimize-stiffness":
+            argv = ["optimize-stiffness", "--l01", "1e-300", "--out-dir", str(tmp_path)]
+            quantity = "J_K"
+        elif command == "inverse-dynamics":
+            state = tmp_path / "state.json"
+            state.write_text(json.dumps({"q": [0] * 9, "qdot": [0] * 7 + [1e200, 0]}))
+            argv, quantity = ["inverse-dynamics", "--state", str(state)], "tau"
+        else:
+            lines = Path(short_run["trace"]).read_text().splitlines()
+            j = metrics.TRACE_HEADER.index("x_e")
+            rows = [ln.split(",") for ln in lines[1:]]
+            for row in rows:
+                row[j] = "1e200"
+            trace = tmp_path / "trace.csv"
+            trace.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+            argv, quantity = ["evaluate", "--trace", str(trace)], "RMSE"
+        assert main(argv) == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = json.loads(out.err)["error"]
+        assert err["category"] == "divergence" and quantity in err["message"]
+        assert not (tmp_path / "stiffness_grid.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["optimize-stiffness", "--l01", "abc"],
+         "cablearm optimize-stiffness: argument --l01: invalid float value: 'abc'"),
+        (["optimize-stiffness", "--bogus"], "cablearm: unrecognized arguments: --bogus"),
+        ([], "cablearm: the following arguments are required: command"),
+    ], ids=["wrong-type", "unknown-flag", "no-subcommand"])
+    def test_malformed_command_line_is_a_parse_error(self, capsys, argv, message):
+        """argparse's errors end in the parse record (exit 2), not in usage
+        text."""
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {"error": {"category": "parse", "message": message}}
+
+    def test_help_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cablearm")
+
     def test_import_leaves_scipy_optimize_unloaded(self):
         """Importing the CLI must not pull in scipy.optimize, whose import
         alone is a large share of a run's set-up time."""

@@ -64,8 +64,8 @@ def test_bench_pairs_summary():
 
 
 def test_trace_digests_repeat(tmp_path):
-    """Two runs of one 0.05 s scenario, and two of the 6 s schedule, give
-    equal digests, one line per artifact."""
+    """Two runs of one 0.05 s scenario, with its ``compare`` and JSON trace,
+    and two of the 6 s schedule, give equal digests, one line per artifact."""
     spec = importlib.util.spec_from_file_location("trace_digests",
                                                   ROOT / "scripts" / "trace_digests.py")
     module = importlib.util.module_from_spec(spec)
@@ -75,6 +75,10 @@ def test_trace_digests_repeat(tmp_path):
     first, second = (module.run_digests(runs, tmp_path / side) for side in ("a", "b"))
     assert first == second
     assert [line.split("  ")[1] for line in first] == ["short/trace.csv", "short/summary.json"]
+    first, second = (module.compare_digests(runs["short"], tmp_path / side) for side in ("c", "d"))
+    assert first == second
+    assert [line.split("  ")[1] for line in first] == ["compare/comparison.csv",
+                                                       "compare/comparison.json", "json/trace.json"]
     schedule = module.schedule_digest()
     assert schedule == module.schedule_digest()
     assert schedule.split("  ")[1] == "schedule_6s/u+L0"

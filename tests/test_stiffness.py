@@ -364,9 +364,11 @@ class TestArgmaxShortcut:
         (False, "platform_move", 101),
         (True, "platform_move", 101),
     ])
-    def test_matches_full_scan_on_the_reference(self, hcdr, platform_only, reference, distinct):
+    def test_matches_full_scan_on_the_reference(self, hcdr, platform_only, reference, distinct,
+                                                monkeypatch):
         """Every distinct row of the 6 s case-study reference (651 periods)
-        and of a 1 s platform move, on both design models, 76 points."""
+        and of a 1 s platform move, on both design models, 76 points: the
+        scan each ``optimize_tensions`` block hands ``_stiffest``."""
         model = hcdr.platform_only() if platform_only else hcdr
         if reference == "case_study":
             q, qd, qdd = reference_rows(model, np.arange(651) * 0.01)
@@ -377,11 +379,20 @@ class TestArgmaxShortcut:
             q, qd, qdd = reference_rows(model, np.arange(101) * 0.01, move)
         first, _ = sim._distinct_rows(np.concatenate([q, qd, qdd], axis=1))
         assert len(first) == distinct
+        stiffest, scans = stiffness._stiffest, []
+
+        def spy(*args):
+            scans.append(args)
+            return stiffest(*args)
+
+        monkeypatch.setattr(stiffness, "_stiffest", spy)
         for b in range(0, len(first), 64):
             rows = first[b:b + 64]
-            scan = stiffness._tension_scan(model, q[rows], qd[rows], qdd[rows])
-            best, J = stiffness._stiffest(scan.K_a, scan.K_b, scan.frac, scan.feasible)
-            full_best, full_J = self.full_scan(scan.K_a, scan.K_b, scan.frac, scan.feasible)
+            optimize_tensions(model, q[rows], qd[rows], qdd[rows])
+        assert len(scans) == -(-len(first) // 64)
+        for scan in scans:
+            best, J = stiffest(*scan)
+            full_best, full_J = self.full_scan(*scan)
             assert np.array_equal(best, full_best)
             assert bits(J) == bits(full_J)
 
