@@ -17,15 +17,17 @@ Compare two checkouts on one host, as above, rather than with digests
 recorded elsewhere.  The integrated2 digests depend on the BLAS thread
 count, which changes the summation order of the n = 200 MPC products:
 under numpy 2.4.6 with OpenBLAS 0.3.31, two threads gave other digests
-than one.  cablearm pins one thread when it is imported before numpy
-(without threadpoolctl, through ``OPENBLAS_NUM_THREADS``), so this script
+than one.  cablearm pins one thread through ``OPENBLAS_NUM_THREADS``,
+which takes effect only when it is imported before numpy, so this script
 imports it first.
 
 The runs (``RUNS``): each architecture at 0.3 s with seed 3 and noise
-``[1, 1, 0.02, 0.02]``; integrated2 at 2 s with one integrator substep,
-``du_bound [5, 5, 0.2, 0.2]``, that noise and seed 1; independent at 2 s
-with that noise and seed 3; integrated2 at 2 s as bundled (noise-free,
-error-controlled substeps), which reaches past the 1 s hold into the
+``[1, 1, 0.02, 0.02]``; integrated1 at 1.2 s with that noise and seed 3,
+past the 1 s hold, so that it builds more than one design; integrated2
+at 2 s with one integrator substep, ``du_bound [5, 5, 0.2, 0.2]``, that
+noise and seed 1; independent at 2 s with that noise and seed 3;
+integrated2 at 2 s as bundled (noise-free, error-controlled substeps),
+which reaches past the 1 s hold into the
 joint-3 ramp; integrated2 at 0.6 s with that noise, seed 3, weights
 unlike the defaults (``Q_scale`` 2.5, ``R_scale`` 3e-4, ``P_scale`` 0.3),
 ``Nc`` 20 and ``du_bound [5, Infinity, 0.2, 0.5]``, so that a change to how
@@ -58,6 +60,8 @@ NOISE = [1.0, 1.0, 0.02, 0.02]
 RUNS = {
     **{f"{arch}_0.3s": (f"case_study_{arch}", {"t_end_s": 0.3, "seed": 3, "noise_std": NOISE})
        for arch in ("independent", "integrated1", "integrated2")},
+    "integrated1_1.2s": ("case_study_integrated1",
+                         {"t_end_s": 1.2, "seed": 3, "noise_std": NOISE}),
     "integrated2_coarse_tight_2s": ("case_study_integrated2", {
         "t_end_s": 2.0, "seed": 1, "noise_std": NOISE, "integrator_substeps": 1,
         "controller": {"du_bound": [5.0, 5.0, 0.2, 0.2]},

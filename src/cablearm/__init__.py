@@ -3,20 +3,15 @@ optimization, and closed-loop trajectory-tracking simulation.
 
 All linear algebra in this package operates on matrices of at most a few
 hundred rows, where BLAS thread pools cost far more than they save.  The
-pools are therefore pinned to one thread: at import with threadpoolctl,
-else through the thread-count variables, which OpenBLAS reads only when
-numpy loads it, so only when this package is imported before numpy.
+pools are therefore pinned to one thread through the thread-count
+variables, which OpenBLAS reads only when numpy loads it, so only when
+this package is imported before numpy.
 """
 
 import os
 
-try:
-    import threadpoolctl
-
-    threadpoolctl.threadpool_limits(1, user_api="blas")
-except ImportError:  # pragma: no cover - threadpoolctl is usually present
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .errors import (  # noqa: E402
     AlignmentError,

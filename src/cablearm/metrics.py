@@ -56,8 +56,9 @@ class EvalReport:
         }
 
 
-def rmse(p_e: np.ndarray, p_e_ref: np.ndarray, tensions: np.ndarray | None = None) -> EvalReport:
-    """RMSE of the end-effector path against its reference.
+def rmse(p_e: np.ndarray, p_e_ref: np.ndarray, tensions: np.ndarray) -> EvalReport:
+    """RMSE of the end-effector path against its reference, with the extremes
+    of the run's cable tensions.
 
     The 2-D value is sqrt(mean(e_x^2 + e_z^2)); per-axis values use the
     same samples, so rmse_2d^2 == rmse_x^2 + rmse_z^2.  Raises
@@ -77,9 +78,8 @@ def rmse(p_e: np.ndarray, p_e_ref: np.ndarray, tensions: np.ndarray | None = Non
     if not np.isfinite(r2):
         raise DivergenceError("tracking RMSE overflowed "
                               f"(largest error {np.max(np.abs(err)):.3e} m)")
-    tmin = float(np.min(tensions)) if tensions is not None else float("nan")
-    tmax = float(np.max(tensions)) if tensions is not None else float("nan")
-    return EvalReport(rmse_x=rx, rmse_z=rz, rmse_2d=r2, min_tension=tmin, max_tension=tmax)
+    return EvalReport(rmse_x=rx, rmse_z=rz, rmse_2d=r2, min_tension=float(np.min(tensions)),
+                      max_tension=float(np.max(tensions)))
 
 
 def trace_columns(trace: SimTrace) -> np.ndarray:

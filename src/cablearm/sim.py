@@ -308,14 +308,6 @@ class PlanarPlant:
         row: the ``plant(x, u, *exogenous)`` that :func:`linearize` takes."""
         return self.f(x, self.law(u, L01, L02))
 
-    def conservative_f(self, L0_full):
-        """Unforced dynamics with every cable elastic at fixed L0 (energy
-        tests): :meth:`f` under that law, with no joint torque."""
-        ea = self.model.platform.axial_stiffness
-        law = PlantLaw(k=ea / np.asarray(L0_full, dtype=float), c=-ea,
-                       tau=np.zeros(len(self.free_joints)))
-        return lambda x: self.f(x, law)
-
     def record(self, x, u, L01, L02):
         """``(tensions, ke, ve, tip)`` at states x from one 3-D chain pass: the
         tensions of :meth:`law` for ``u`` and (L01, L02), kinetic and potential
@@ -627,9 +619,9 @@ def _build_trajectory(ref) -> TrajectorySpec:
         raise ScenarioError(f"$.trajectory.waypoints: {exc}") from None
 
 
-def _resolve(doc: dict) -> tuple[dict, TrajectorySpec, MpcParams, PidGains]:
-    """The resolved scenario (:func:`resolve_scenario`) with the trajectory,
-    MPC parameters and PID gains it names."""
+def _resolve(doc: dict) -> tuple[dict, Architecture, int, TrajectorySpec, MpcParams, PidGains]:
+    """The resolved scenario (:func:`resolve_scenario`) with the architecture,
+    period count, trajectory, MPC parameters and PID gains it names."""
     doc = _object(doc, "$", _SCENARIO_FIELDS)
 
     def value(key, kind, default):
@@ -646,10 +638,12 @@ def _resolve(doc: dict) -> tuple[dict, TrajectorySpec, MpcParams, PidGains]:
         "integrator_substeps": value("integrator_substeps", "whole", None),
     }
     traj = _build_trajectory(cfg["trajectory"])
-    arches = tuple(a.value for a in Architecture)
-    if cfg["architecture"] not in arches:
-        raise ScenarioError(f"architecture must be one of {arches}")
-    params, gains = controller_params(cfg["architecture"], cfg["controller"])
+    try:
+        arch = Architecture(cfg["architecture"])
+    except ValueError:
+        raise ScenarioError("architecture must be one of "
+                            f"{tuple(a.value for a in Architecture)}") from None
+    params, gains = controller_params(arch, cfg["controller"])
     if cfg["seed"] < 0:
         raise ScenarioError("seed must be non-negative")
     t_end, Ts = cfg["t_end_s"], params.Ts
@@ -662,7 +656,7 @@ def _resolve(doc: dict) -> tuple[dict, TrajectorySpec, MpcParams, PidGains]:
         raise ScenarioError(f"$.t_end_s: {t_end} s must be a positive whole number of "
                             f"controller periods ({Ts} s)")
     if cfg["integrator_substeps"] is None:
-        cfg["integrator_substeps"] = Architecture(cfg["architecture"]).default_substeps
+        cfg["integrator_substeps"] = arch.default_substeps
     elif not 1 <= cfg["integrator_substeps"] <= MAX_SUBSTEPS:
         raise ScenarioError(f"integrator_substeps must be from 1 to {MAX_SUBSTEPS}")
     noise = np.asarray(cfg["noise_std"], dtype=float)
@@ -670,7 +664,7 @@ def _resolve(doc: dict) -> tuple[dict, TrajectorySpec, MpcParams, PidGains]:
         raise ScenarioError(
             "noise_std must be a non-negative number or a list of 4 finite non-negative entries"
         )
-    return cfg, traj, params, gains
+    return cfg, arch, K, traj, params, gains
 
 
 def resolve_scenario(doc: dict) -> dict:
@@ -708,8 +702,7 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
     call per 64 recorded rows after the loop.  An error in period k is
     re-raised as its class, prefixed ``period k (t = ... s)``.
     """
-    cfg, traj, mpc_params, pid_gains = _resolve(scenario)
-    arch = Architecture(cfg["architecture"])
+    cfg, arch, K, traj, mpc_params, pid_gains = _resolve(scenario)
     substeps = cfg["integrator_substeps"]
     plant = PlanarPlant(model)
     if plant.n_states != 10:
@@ -719,7 +712,6 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
                               f"the model has {model.n_cables} cables")
     s, p = arch.mpc_size
     Ts, Np = mpc_params.Ts, mpc_params.Np
-    K = round(cfg["t_end_s"] / Ts)
 
     model_d = arch.design_model(model)
     plant_d = plant if model_d is model else PlanarPlant(model_d)

@@ -54,16 +54,17 @@ SCAN_POINTS = 76       # tensions of the first force group that optimize_tension
 
 @dataclass(frozen=True)
 class StiffnessResult:
-    """Stiffness matrices and optimal tensions at one reference state, or at
-    a stack of them (the leading axes of every array field)."""
+    """Stiffness matrices and optimal tensions at a stack of reference
+    states: every field, and every value of the two dicts, leads with the
+    stack's axes (none for a single row, whose scalars are then 0-d)."""
 
     K: np.ndarray            # (..., 6, 6), symmetrized
     eigs: np.ndarray         # ascending
-    J_K: float
+    J_K: np.ndarray
     lambda_opt: np.ndarray   # null-space coordinates of T_opt
     T_opt: np.ndarray
-    is_stable: bool
-    sym_error: float
+    is_stable: np.ndarray
+    sym_error: np.ndarray
     group_L0: dict        # unstretched length per length-commanded group
     scan_tensions: dict   # commanded tension per force group
     tau_ref: np.ndarray   # inverse dynamics at the reference
@@ -161,11 +162,6 @@ def _eigvalsh(K):
         return np.linalg.eigvalsh(K)
     except np.linalg.LinAlgError:
         raise ConditioningError("stiffness eigenvalues did not converge (non-finite K)") from None
-
-
-def _plain(a):
-    """Python scalar for a single row (0-d), else the array of the stack."""
-    return a.item() if np.ndim(a) == 0 else a
 
 
 def _matvec(A, v):
@@ -268,13 +264,13 @@ def optimize_tensions(
     ties break toward the lower scan tension.  Only the first and the last
     feasible points can win, and only they are evaluated.
 
-    Broadcasts over leading axes of the reference rows: every array of the
-    result then carries them, and ``J_K``, ``is_stable``, ``sym_error`` and
-    the ``group_L0`` / ``scan_tensions`` values become arrays.  Each row is
-    bit-equal to its own one-row call.  The checks run stage by stage over
-    the stack (gimbal lock, collapsed cable, infeasible scan, rank of the
-    wrench map, symmetrization bound), and each error names the first
-    failing row.
+    Broadcasts over leading axes of the reference rows: every value of the
+    result carries them, ``J_K``, ``is_stable``, ``sym_error`` and the
+    ``group_L0`` / ``scan_tensions`` values included (0-d for one row).
+    Each row is bit-equal to its own one-row call.  The checks run stage by
+    stage over the stack (gimbal lock, collapsed cable, infeasible scan,
+    rank of the wrench map, symmetrization bound), and each error names the
+    first failing row.
 
     Raises ValidationError when the model has no force-commanded group, and
     InfeasibleError when no scan point is feasible.
@@ -327,15 +323,14 @@ def optimize_tensions(
     return StiffnessResult(
         K=K,
         eigs=eigs,
-        J_K=_plain(J_K),
+        J_K=J_K,
         lambda_opt=lam,
         T_opt=T_opt,
-        is_stable=_plain(eigs[..., 0] > 0),
-        sym_error=_plain(err),
-        group_L0={g: _plain(1.0 / np.take_along_axis(eta[g], best[..., None], axis=-1)[..., 0])
+        is_stable=eigs[..., 0] > 0,
+        sym_error=err,
+        group_L0={g: 1.0 / np.take_along_axis(eta[g], best[..., None], axis=-1)[..., 0]
                   for g in pos_groups},
-        scan_tensions={g: _plain(T_opt[..., model.platform.group_indices(g)[0]])
-                       for g in scan_groups},
+        scan_tensions={g: T_opt[..., model.platform.group_indices(g)[0]] for g in scan_groups},
         tau_ref=tau,
     )
 
@@ -366,10 +361,15 @@ def stiffness_landscape(model: RobotModel, q_ref, group_L0: dict, resolution: in
     manifold.  K_k covers the length-commanded cables.  Returns a dict with
     the two scanned ``groups``, the grid axes ``axis_a`` / ``axis_b``, the
     frozen tensions ``T_base`` (zero on the scanned cables) and ``J_K`` /
-    ``min_eig`` arrays of shape (resolution, resolution).
+    ``min_eig`` arrays of shape (resolution, resolution).  A resolution
+    below 1, or one whose (resolution, resolution, 6, 6) stack of K has a
+    byte size numpy cannot index, is a ValidationError.
     """
     if resolution < 1:
         raise ValidationError("resolution must be at least 1")
+    if int(resolution) ** 2 * 36 * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(f"resolution {resolution} gives a stiffness grid larger than an "
+                              "array can index")
     q_ref = np.asarray(q_ref, dtype=float)
     if not np.all(np.isfinite(q_ref)):
         raise ValidationError("reference pose must be finite")

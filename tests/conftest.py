@@ -1,8 +1,8 @@
-# cablearm before numpy: without threadpoolctl, cablearm pins OpenBLAS to one
-# thread through OPENBLAS_NUM_THREADS, which OpenBLAS reads only when numpy
-# loads it.  Imported after numpy, the suite would run at the default thread
-# count, whose summation order gives other integrated2 traces than a
-# ``cablearm`` command's.
+# cablearm before numpy: cablearm pins OpenBLAS to one thread through
+# OPENBLAS_NUM_THREADS, which OpenBLAS reads only when numpy loads it.
+# Imported after numpy, the suite would run at the default thread count,
+# whose summation order gives other integrated2 traces than a ``cablearm``
+# command's.
 import cablearm  # noqa: F401
 import numpy as np
 import pytest

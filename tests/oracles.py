@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cablearm.kinematics import check_euler_regular, velocity_jacobians
+from cablearm.sim import PlantLaw
 
 
 @dataclass(frozen=True)
@@ -47,3 +48,11 @@ def link_kinematics(model, q, qdot) -> LinkKinematics:
         omega=Jw[1:] @ qdot,
     )
 
+
+def elastic_law(plant, L0) -> PlantLaw:
+    """The :class:`PlantLaw` of the unforced conservative system: every cable
+    elastic at the fixed unstretched lengths L0 (one per cable) and no joint
+    torque, so that :func:`cablearm.dynamics.energies` at L0 is conserved."""
+    ea = plant.model.platform.axial_stiffness
+    return PlantLaw(k=ea / np.asarray(L0, dtype=float), c=-ea,
+                    tau=np.zeros(len(plant.free_joints)))

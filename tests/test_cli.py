@@ -62,13 +62,13 @@ def _fresh_env(**extra) -> dict:
 class TestRmse:
     def test_identical_paths(self):
         p = np.random.default_rng(0).normal(0, 1, (50, 2))
-        rep = metrics.rmse(p, p.copy())
+        rep = metrics.rmse(p, p.copy(), np.full((50, 12), 40.0))
         assert rep.rmse_x == rep.rmse_z == rep.rmse_2d == 0.0
 
     def test_constant_offset(self):
         p = np.zeros((40, 2))
         shifted = p + np.array([0.03, 0.0])
-        rep = metrics.rmse(shifted, p)
+        rep = metrics.rmse(shifted, p, np.full((40, 12), 40.0))
         assert np.isclose(rep.rmse_2d, 0.03)
         assert np.isclose(rep.rmse_x, 0.03)
         assert rep.rmse_z == 0.0
@@ -76,7 +76,7 @@ class TestRmse:
     def test_brute_force_summation_oracle(self, rng):
         p = rng.normal(0, 1, (64, 2))
         ref = rng.normal(0, 1, (64, 2))
-        rep = metrics.rmse(p, ref)
+        rep = metrics.rmse(p, ref, rng.uniform(5, 80, (64, 12)))
         acc = 0.0
         for i in range(64):
             acc += (p[i, 0] - ref[i, 0]) ** 2 + (p[i, 1] - ref[i, 1]) ** 2
@@ -85,12 +85,12 @@ class TestRmse:
     def test_component_consistency(self, rng):
         p = rng.normal(0, 1, (30, 2))
         ref = rng.normal(0, 1, (30, 2))
-        rep = metrics.rmse(p, ref)
+        rep = metrics.rmse(p, ref, rng.uniform(5, 80, (30, 12)))
         assert np.isclose(rep.rmse_2d**2, rep.rmse_x**2 + rep.rmse_z**2, rtol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(AlignmentError):
-            metrics.rmse(np.zeros((5, 2)), np.zeros((6, 2)))
+            metrics.rmse(np.zeros((5, 2)), np.zeros((6, 2)), np.full((5, 12), 40.0))
 
 
 @pytest.fixture(scope="module")
@@ -472,6 +472,7 @@ class TestCliMain:
 
     @pytest.mark.parametrize("flag, value", [
         ("--px", "nan"), ("--pz", "inf"), ("--l01", "nan"), ("--l02", "-inf"),
+        ("--resolution", "1152921504606846912"),
     ])
     def test_optimize_stiffness_rejects_nonfinite_bounds(self, tmp_path, capsys, flag, value):
         code = main(["optimize-stiffness", "--out-dir", str(tmp_path), "--resolution", "3",

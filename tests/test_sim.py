@@ -17,7 +17,6 @@ from cablearm.kinematics import cable_geometry
 from cablearm.sim import (
     Architecture,
     PlanarPlant,
-    PlantLaw,
     case_study_trajectory,
     controller_params,
     quintic_trajectory,
@@ -27,6 +26,7 @@ from cablearm.sim import (
     simulate,
 )
 from cablearm.stiffness import optimize_tensions
+from oracles import elastic_law
 
 
 class TestPlanarReduce:
@@ -94,9 +94,9 @@ class TestPlanarReduce:
 
     @pytest.mark.parametrize("which", ["hcdr", "platform_only", "variant"])
     def test_kernel_matches_3d_forward_dynamics(self, hcdr, which):
-        """On 60 random planar states, f and conservative_f give the
-        accelerations of the 3-D forward dynamics, whose out-of-plane
-        accelerations vanish."""
+        """On 60 random planar states, f under the inputs' law and under the
+        all-elastic law gives the accelerations of the 3-D forward dynamics,
+        whose out-of-plane accelerations vanish."""
         model = {"hcdr": hcdr, "platform_only": hcdr.platform_only(),
                  "variant": self._variant(hcdr)}[which]
         plant = PlanarPlant(model)
@@ -115,7 +115,7 @@ class TestPlanarReduce:
             T_elastic = kc * (cable_geometry(model, q).lengths - L0)
             for xdot, qdd in ((plant.f(x, plant.law(u, L01, L02)),
                                forward_dynamics(model, q, qd, T, tau)),
-                              (plant.conservative_f(L0)(x),
+                              (plant.f(x, elastic_law(plant, L0)),
                                forward_dynamics(model, q, qd, T_elastic, np.zeros(model.n_arm)))):
                 scale = np.max(np.abs(qdd))
                 assert np.max(np.abs(qdd[held])) <= 1e-12 * scale
@@ -257,24 +257,6 @@ class TestPlanarReduce:
             assert np.array_equal(law.k[i, 0], one.k) and np.array_equal(law.c[i, j], one.c)
             assert np.array_equal(law.tau[i, j], one.tau)
             assert F[i, j].tobytes() == plant.f(x[i, j], one).tobytes()
-
-    def test_conservative_f_runs_through_the_kernel(self, hcdr, monkeypatch):
-        """conservative_f is one f call under the all-elastic law with no
-        torque."""
-        plant = PlanarPlant(hcdr)
-        L0 = cable_geometry(hcdr, np.zeros(9)).lengths * 0.8
-        x = np.array([0.01, 0, 0.02, 0, 0, 0, 0.3, 0, 0.2, 0])
-        ea = hcdr.platform.axial_stiffness
-        expected = plant.f(x, PlantLaw(k=ea / L0, c=-ea, tau=np.zeros(2)))
-        laws, kernel = [], PlanarPlant.f
-
-        def spy(self, x, law):
-            laws.append(law)
-            return kernel(self, x, law)
-
-        monkeypatch.setattr(PlanarPlant, "f", spy)
-        assert plant.conservative_f(L0)(x).tobytes() == expected.tobytes()
-        assert len(laws) == 1 and not np.any(laws[0].tau)
 
     def test_energies_share_kinetic_and_gravity_terms(self, hcdr, rng):
         """The planar energies equal the full-model ones once the force-
@@ -519,7 +501,7 @@ class TestEnergyDrift:
 
         L = cable_geometry(hcdr, np.zeros(9)).lengths
         L0 = L * 0.8
-        f = plant.conservative_f(L0)
+        law = elastic_law(plant, L0)
         x = np.zeros(10)
         x[0], x[2], x[6], x[8] = 0.01, 0.02, 0.3, 0.2
 
@@ -533,7 +515,7 @@ class TestEnergyDrift:
         e0 = energy(x)
         dt = 1e-4
         for _ in range(2000):
-            x = rk4_step(f, x, (), dt)
+            x = rk4_step(plant.f, x, (law,), dt)
         assert abs(energy(x) - e0) / abs(e0) <= 1e-5
 
 
