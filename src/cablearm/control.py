@@ -14,50 +14,41 @@ The MPC's work is split by how often its inputs change:
 * per ``MpcParams``, once at construction: the input-accumulation weight
   ``U^T R U`` and the increment box rows of the QP;
 * per linearization, in the :class:`MpcDesign` that :func:`mpc_design`
-  builds and the caller holds while the linearization lasts: the
-  zero-order-hold model, its step response, the Hessian ``H`` (assembled
-  from the block-Toeplitz Gram structure of the step response) and the
-  inverse Cholesky factor of ``H``;
+  builds from the model's ``A`` and ``B`` and the caller holds while the
+  linearization lasts: the zero-order-hold model, its step response and
+  the inverse Cholesky factor of the Hessian ``H`` (assembled from the
+  block-Toeplitz Gram structure of the step response, then dropped);
 * per period (:func:`mpc_step`): the free response of the measured
-  increment, the gradient ``g`` and the dual active-set QP, solved against
-  the design's factor.
+  increment, the gradient ``g`` and the dual active-set QP, which sees
+  ``H`` only through the design's inverse factor.
 
-``LtvModel.A`` / ``B`` and ``MpcParams.du_bound`` are read-only copies, so
-a held design cannot go stale through an in-place edit.
+``MpcParams.du_bound`` is a read-only copy, so the box rows built from it
+cannot go stale through an in-place edit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConditioningError, DivergenceError, InfeasibleError, IterationLimitError
 
 
-def _frozen(a) -> np.ndarray:
-    """Read-only float copy of ``a``."""
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
-class LtvModel:
-    """Continuous-time linearization dx/dt = A (x - x_r) + B (u - u_r) + f_r."""
+class LtvModel(NamedTuple):
+    """Continuous-time linearization dx/dt = A (x - x_r) + B (u - u_r) + f_r
+    about the point (x_r, u_r) that :func:`linearize` was given."""
 
     A: np.ndarray
     B: np.ndarray
-    x_r: np.ndarray
-    u_r: np.ndarray
     f_r: np.ndarray   # plant drift at the linearization point
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", _frozen(self.A))
-        object.__setattr__(self, "B", _frozen(self.B))
+
+LINEARIZE_STEP = 1e-6  # central-difference step, relative to max(1, |coordinate|)
 
 
-def linearize(plant, x_r, u_r, exogenous=(), step: float = 1e-6) -> LtvModel:
+def linearize(plant, x_r, u_r, exogenous=()) -> LtvModel:
     """Jacobians of a plant by central differences, step scaled per coordinate.
 
     ``plant(x, u, *exogenous)`` must return the state derivative and accept
@@ -72,8 +63,8 @@ def linearize(plant, x_r, u_r, exogenous=(), step: float = 1e-6) -> LtvModel:
     s, p = x_r.shape[-1], u_r.shape[-1]
     if x_r.ndim > 1:    # a stencil axis after the points' leading axes
         exogenous = tuple(np.asarray(e, dtype=float)[..., None] for e in exogenous)
-    hx = step * np.maximum(1.0, np.abs(x_r))
-    hu = step * np.maximum(1.0, np.abs(u_r))
+    hx = LINEARIZE_STEP * np.maximum(1.0, np.abs(x_r))
+    hu = LINEARIZE_STEP * np.maximum(1.0, np.abs(u_r))
     X = np.repeat(x_r[..., None, :], 2 * s + 2 * p + 1, axis=-2)
     U = np.repeat(u_r[..., None, :], 2 * s + 2 * p + 1, axis=-2)
     dX, dU = hx[..., None] * np.eye(s), hu[..., None] * np.eye(p)    # diag(hx), diag(hu)
@@ -87,7 +78,7 @@ def linearize(plant, x_r, u_r, exogenous=(), step: float = 1e-6) -> LtvModel:
     A = np.swapaxes(F[..., 0:s, :] - F[..., s:2 * s, :], -1, -2) / (2.0 * hx[..., None, :])
     B = np.swapaxes(F[..., 2 * s:2 * s + p, :] - F[..., 2 * s + p:2 * s + 2 * p, :], -1, -2) / (
         2.0 * hu[..., None, :])
-    return LtvModel(A=A, B=B, x_r=x_r, u_r=u_r, f_r=F[..., -1, :])
+    return LtvModel(A=A, B=B, f_r=F[..., -1, :])
 
 
 # Coefficients b_0..b_13 of the [13/13] Pade approximant of exp, and the
@@ -172,7 +163,9 @@ class MpcParams:
             if not (0 < w < np.inf if positive else 0 <= w < np.inf):
                 raise ValueError(f"{name} must be finite and "
                                  + ("positive" if positive else "non-negative"))
-        object.__setattr__(self, "du_bound", _frozen(self.du_bound))
+        du_bound = np.array(self.du_bound, dtype=float)
+        du_bound.setflags(write=False)
+        object.__setattr__(self, "du_bound", du_bound)
         if not np.all(self.du_bound >= 0):
             raise ValueError("du_bound entries must be non-negative, not NaN (Infinity means "
                              "no bound)")
@@ -232,11 +225,11 @@ QP_TOL = 1e-9          # feasibility, falling-multiplier and dependent-row toler
 QP_MAX_ITER = 500      # active-set iterations before IterationLimitError
 
 
-def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, *, Li=None):
+def solve_qp_active_set(Li, g, A_ineq=None, b_ineq=None):
     """Minimize 0.5 z^T H z + g^T z subject to A z <= b (dual active set).
 
-    H must be positive definite; ``Li`` is the inverse of its Cholesky
-    factor (:func:`_inverse_factor`), computed here when not given, so that
+    H is positive definite and given by the inverse of its Cholesky factor,
+    ``Li`` (:func:`_inverse_factor`, which refuses any other H), so that
     H^-1 r = Li^T (Li r) takes two matrix products.  The dual method of
     Goldfarb & Idnani (1983) starts at the unconstrained minimizer and
     raises the multiplier t of the most violated row a: z moves by -t y,
@@ -246,12 +239,10 @@ def solve_qp_active_set(H, g, A_ineq=None, b_ineq=None, *, Li=None):
     Projecting each y onto null(A_W), and z on return onto A_W z = b_W,
     removes the cancellation error that would move the working rows.  Ties
     break toward the lowest row index.  Raises InfeasibleError naming a
-    violated row that no step can meet, and ConditioningError when H is not
-    positive definite or the working-set system is singular.
+    violated row that no step can meet, and ConditioningError when the
+    working-set system is singular.
     """
     g = np.asarray(g, dtype=float)
-    if Li is None:
-        Li = _inverse_factor(H)
 
     def h_solve(rhs):
         return Li.T @ (Li @ rhs)
@@ -310,8 +301,7 @@ class MpcDesign:
     params: MpcParams
     S: np.ndarray              # (Np, s, s): free response x(j) - x(0) = S[j-1] dx0
     cum: np.ndarray            # (Np*s, p): rows m*s.. hold sum_{t<=m} Ad^t Bd
-    H: np.ndarray
-    Li: np.ndarray             # inverse Cholesky factor: H^-1 = Li^T Li
+    Li: np.ndarray             # inverse Cholesky factor of the QP Hessian: H^-1 = Li^T Li
 
 
 def _hessian(cum, params: MpcParams) -> np.ndarray:
@@ -335,11 +325,11 @@ def _hessian(cum, params: MpcParams) -> np.ndarray:
     return H + H.T
 
 
-def mpc_design(ltv: LtvModel, params: MpcParams) -> MpcDesign:
-    """The design of ``ltv`` under ``params``, for :func:`mpc_step` to use
-    in every period that keeps this linearization."""
+def mpc_design(A, B, params: MpcParams) -> MpcDesign:
+    """The design of the linearization dx/dt = A dx + B du under ``params``,
+    for :func:`mpc_step` to use in every period that keeps it."""
     Np = params.Np
-    Ad, Bd = zoh_discretize(ltv.A, ltv.B, params.Ts)
+    Ad, Bd = zoh_discretize(A, B, params.Ts)
     s, p = Bd.shape
     Apow = np.empty((Np + 1, s, s))
     Apow[0], Apow[1] = np.eye(s), Ad
@@ -350,9 +340,8 @@ def mpc_design(ltv: LtvModel, params: MpcParams) -> MpcDesign:
         m += k
     markov = Apow[:Np] @ Bd                # Ad^t Bd: response of dx(t+1) to du(0)
     cum = np.cumsum(markov, axis=0)        # response of x(t+1) - x(0) to du(0)
-    H = _hessian(cum, params)
     return MpcDesign(params=params, S=np.cumsum(Apow[1:], axis=0), cum=cum.reshape(Np * s, p),
-                     H=H, Li=_inverse_factor(H))
+                     Li=_inverse_factor(_hessian(cum, params)))
 
 
 def mpc_step(
@@ -392,7 +381,7 @@ def mpc_step(
     gu = np.cumsum((params.R_scale * stil)[::-1], axis=0)[::-1][:Nc]
     g = -2.0 * (gx + gu).ravel()
 
-    z = solve_qp_active_set(design.H, g, *params._box, Li=design.Li)
+    z = solve_qp_active_set(design.Li, g, *params._box)
     return u_prev + z[:u_prev.size]
 
 

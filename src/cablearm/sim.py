@@ -67,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import control, dynamics
-from .control import LtvModel, MpcParams, PidGains, PidState, linearize, pid_step
+from .control import MpcParams, PidGains, PidState, linearize, pid_step
 from .errors import (CableRobotError, ConditioningError, DivergenceError, ReductionError,
                      ScenarioError, ValidationError)
 from .kinematics import arm_chain, check_euler_regular
@@ -729,8 +729,7 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
         rows = first[b:b + LINEARIZE_BLOCK]
         lin = linearize(plant_d.f_inputs, x_d[rows], u_ref[rows],
                         (L0_ref[rows, 0], L0_ref[rows, 1]))
-        table += [LtvModel(A=lin.A[i, :s, :s], B=lin.B[i, :s, :p], x_r=lin.x_r[i, :s],
-                           u_r=lin.u_r[i, :p], f_r=lin.f_r[i, :s]) for i in range(len(rows))]
+        table += zip(lin.A[:, :s, :s], lin.B[:, :s, :p])
 
     rng = np.random.default_rng(cfg["seed"])
     noise_std = np.broadcast_to(np.asarray(cfg["noise_std"], dtype=float), (4,))
@@ -746,7 +745,7 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
         for k in range(K):
             w = rng.normal(0.0, 1.0, 4) * noise_std
             if k == 0 or slot[k] != slot[k - 1]:
-                design = control.mpc_design(table[slot[k]], mpc_params)
+                design = control.mpc_design(*table[slot[k]], mpc_params)
             u_prev = control.mpc_step(design, x[:s], x_prev, u_prev,
                                       x_ref[k:k + Np + 1, :s], u_ref[k:k + Np + 1, :p])
             x_prev = x[:s]

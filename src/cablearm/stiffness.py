@@ -388,6 +388,9 @@ def stiffness_landscape(model: RobotModel, q_ref, group_L0: dict, resolution: in
             raise ValidationError("unstretched lengths must be positive and finite")
         T_base[idx] = ea[idx] / l0 * (geo.lengths[idx] - l0)
         L0[idx] = l0
+    # The K stack first: a grid too large for memory fails here, before any
+    # other array that grows with the resolution is filled.
+    K_all = np.empty((resolution, resolution, 6, 6))
     tmin, tmax = model.platform.tension_min, model.platform.tension_max
     gA = model.platform.group_indices(scan_groups[0])
     gB = model.platform.group_indices(scan_groups[1])
@@ -400,8 +403,8 @@ def stiffness_landscape(model: RobotModel, q_ref, group_L0: dict, resolution: in
     K00, K10, K01 = (stiffness_KT(model, geo, corners)
                      + stiffness_Kk(model, geo, position_controlled_cables(model), L0=L0))
     dKa, dKb = K10 - K00, K01 - K00
-    TA, TB = np.meshgrid(ax_a, ax_b, indexing="ij")
-    K_all = K00[None, None] + TA[..., None, None] * dKa + TB[..., None, None] * dKb
+    np.add(K00, ax_a[:, None, None, None] * dKa, out=K_all)
+    K_all += ax_b[:, None, None] * dKb
     eigs = _eigvalsh(0.5 * (K_all + np.swapaxes(K_all, -1, -2)))
     J_K = _objective(eigs)
     if not np.all(np.isfinite(J_K)):

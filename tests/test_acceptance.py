@@ -13,7 +13,7 @@ import pytest
 
 from cablearm import metrics
 from cablearm.cli import run_scenario
-from cablearm.control import LtvModel, MpcParams, mpc_design, mpc_step, zoh_discretize
+from cablearm.control import MpcParams, mpc_design, mpc_step, zoh_discretize
 from cablearm.dynamics import (
     dyn_terms,
     forward_dynamics,
@@ -199,30 +199,26 @@ def test_criterion_07_mpc_suite():
     for s, p, du in ((6, 2, [80.0, 80.0]), (10, 4, [80.0, 80.0, 2.0, 2.0])):
         A = r.normal(0, 0.4, (s, s))
         B = r.normal(0, 0.4, (s, p))
-        ltv = LtvModel(A=A, B=B, x_r=np.zeros(s), u_r=np.zeros(p),
-                       f_r=np.zeros(s))
         params = MpcParams(Ts=0.01, Np=50, Nc=50, Q_scale=1.0, R_scale=1e-4, P_scale=1.0,
                            du_bound=np.array(du))
         xr = r.normal(0, 1, s)
         ur = r.normal(0, 1, p)
         xw = np.tile(xr, (51, 1))
         uw = np.tile(ur, (51, 1))
-        u = mpc_step(mpc_design(ltv, params), xr, xr, ur, xw, uw)
+        u = mpc_step(mpc_design(A, B, params), xr, xr, ur, xw, uw)
         assert np.max(np.abs(u - ur)) <= 1e-8
 
     # unconstrained equivalence with an independently assembled least squares
     s, p, Np = 4, 2, 5
     A = r.normal(0, 0.4, (s, s))
     B = r.normal(0, 0.4, (s, p))
-    ltv = LtvModel(A=A, B=B, x_r=np.zeros(s), u_r=np.zeros(p),
-                   f_r=np.zeros(s))
     params = MpcParams(Ts=0.02, Np=Np, Nc=Np, Q_scale=1.0, R_scale=0.05, P_scale=1.0,
                        du_bound=np.full(p, np.inf))
     x_now, x_prev = r.normal(0, 1, s), r.normal(0, 1, s)
     u_prev = r.normal(0, 1, p)
     xw = r.normal(0, 1, (Np + 1, s))
     uw = r.normal(0, 1, (Np + 1, p))
-    u_fast = mpc_step(mpc_design(ltv, params), x_now, x_prev, u_prev, xw, uw)
+    u_fast = mpc_step(mpc_design(A, B, params), x_now, x_prev, u_prev, xw, uw)
     Ad, Bd = zoh_discretize(A, B, params.Ts)
     nz = Np * p
 
@@ -258,7 +254,7 @@ def test_criterion_07_mpc_suite():
     params_b = MpcParams(Ts=0.02, Np=5, Nc=5, Q_scale=1.0, R_scale=1e-6, P_scale=1.0,
                          du_bound=np.array([80.0, 2.0]))
     xw_big = np.tile(1e5 * np.ones(s), (6, 1))
-    u = mpc_step(mpc_design(ltv, params_b), np.zeros(s), np.zeros(s), np.zeros(p), xw_big,
+    u = mpc_step(mpc_design(A, B, params_b), np.zeros(s), np.zeros(s), np.zeros(p), xw_big,
                  np.zeros((6, p)))
     assert np.abs(u[0]) <= 80.0 + 1e-9
     assert np.abs(u[1]) <= 2.0 + 1e-9

@@ -481,6 +481,24 @@ class TestCliMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "validation"
 
+    def test_grid_beyond_memory_fails_before_its_axes(self, tmp_path, capsys, monkeypatch):
+        """A resolution within the index bound whose K stack no host holds
+        (178956970 points per axis: 8 EiB) ends in the memory record
+        (exit 4) before any array that grows with the resolution is
+        filled: a grid axis, made to raise here, is never asked for."""
+        linspace = np.linspace
+
+        def small_linspace(start, stop, num=50, **kwargs):
+            if num > 10**6:
+                raise AssertionError(f"np.linspace asked for {num} points")
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", small_linspace)
+        code = main(["optimize-stiffness", "--out-dir", str(tmp_path),
+                     "--resolution", "178956970"])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "memory"
+
     def test_infeasible_tension_bounds(self, tmp_path, capsys, hcdr):
         """A model whose bounds leave no feasible tension at the reference
         ends in the error record (exit 4), naming the first infeasible row

@@ -4,7 +4,6 @@ import scipy.linalg
 
 from cablearm import control
 from cablearm.control import (
-    LtvModel,
     MpcParams,
     PidGains,
     PidState,
@@ -62,10 +61,10 @@ class TestLinearize:
         assert block.A.shape == (4, 10, 10) and block.B.shape == (4, 10, 4)
         for i in range(4):
             one = linearize(plant.f_inputs, x[i], u[i], (L0[i, 0], L0[i, 1]))
-            for name in ("A", "B", "x_r", "u_r", "f_r"):
+            for name in ("A", "B", "f_r"):
                 assert getattr(block, name)[i].tobytes() == getattr(one, name).tobytes(), name
 
-    def test_gradient_step_consistency(self):
+    def test_gradient_step_consistency(self, monkeypatch):
         """Central-difference Jacobian is step-size converged (Richardson)."""
 
         def plant(x, u):
@@ -77,9 +76,12 @@ class TestLinearize:
             )
 
         x0, u0 = np.array([0.3, -0.2]), np.array([0.4])
-        A1 = linearize(plant, x0, u0, step=1e-6).A
-        A2 = linearize(plant, x0, u0, step=5e-7).A
-        A3 = linearize(plant, x0, u0, step=2.5e-7).A
+
+        def jacobian(step):
+            monkeypatch.setattr(control, "LINEARIZE_STEP", step)
+            return linearize(plant, x0, u0).A
+
+        A1, A2, A3 = jacobian(1e-6), jacobian(5e-7), jacobian(2.5e-7)
         assert np.max(np.abs(A1 - A2)) <= 4 * max(np.max(np.abs(A2 - A3)), 1e-10)
 
     def test_nonfinite_plant_raises(self):
@@ -92,10 +94,12 @@ class TestLinearize:
 
 def _batch_least_squares(ltv, x_now, x_prev, u_prev, xw, uw, params):
     """Unconstrained MPC input from normal equations built by simulating
-    the velocity-form prediction one unit increment at a time."""
+    the velocity-form prediction one unit increment at a time; ``ltv`` is
+    the model's (A, B)."""
     Np, Nc = params.Np, params.Nc
-    s, p = ltv.B.shape
-    Ad, Bd = zoh_discretize(ltv.A, ltv.B, params.Ts)
+    A, B = ltv
+    s, p = B.shape
+    Ad, Bd = zoh_discretize(A, B, params.Ts)
     nz = Nc * p
 
     def predict(z):
@@ -131,10 +135,14 @@ def _batch_least_squares(ltv, x_now, x_prev, u_prev, xw, uw, params):
 
 
 def _random_ltv(rng, s=4, p=2):
-    A = rng.normal(0, 0.5, (s, s))
-    B = rng.normal(0, 0.5, (s, p))
-    return LtvModel(A=A, B=B, x_r=np.zeros(s), u_r=np.zeros(p),
-                    f_r=np.zeros(s))
+    """A random model's (A, B)."""
+    return rng.normal(0, 0.5, (s, s)), rng.normal(0, 0.5, (s, p))
+
+
+def _design_hessian(design):
+    """The QP Hessian whose inverse factor ``design`` holds."""
+    params = design.params
+    return control._hessian(design.cum.reshape(params.Np, -1, design.cum.shape[1]), params)
 
 
 class TestMpc:
@@ -148,7 +156,7 @@ class TestMpc:
         ur = rng.normal(0, 1, 2)
         xw = np.tile(xr, (13, 1))
         uw = np.tile(ur, (13, 1))
-        u = mpc_step(mpc_design(ltv, params), xr, xr, ur, xw, uw)
+        u = mpc_step(mpc_design(*ltv, params), xr, xr, ur, xw, uw)
         assert np.max(np.abs(u - ur)) <= 1e-8
 
     def test_unconstrained_matches_batch_least_squares(self, rng):
@@ -164,7 +172,7 @@ class TestMpc:
         u_prev = rng.normal(0, 1, p)
         xw = rng.normal(0, 1, (Np + 1, s))
         uw = rng.normal(0, 1, (Np + 1, p))
-        u_fast = mpc_step(mpc_design(ltv, params), x_now, x_prev, u_prev, xw, uw)
+        u_fast = mpc_step(mpc_design(*ltv, params), x_now, x_prev, u_prev, xw, uw)
         u_ref = _batch_least_squares(ltv, x_now, x_prev, u_prev, xw, uw, params)
         assert np.max(np.abs(u_fast - u_ref)) <= 1e-6 * max(1.0, np.max(np.abs(u_ref)))
 
@@ -183,7 +191,7 @@ class TestMpc:
         u_prev = rng.normal(0, 1, p)
         xw = rng.normal(0, 1, (Np + 1, s))
         uw = rng.normal(0, 1, (Np + 1, p))
-        u_fast = mpc_step(mpc_design(ltv, params), x_now, x_prev, u_prev, xw, uw)
+        u_fast = mpc_step(mpc_design(*ltv, params), x_now, x_prev, u_prev, xw, uw)
         u_ref = _batch_least_squares(ltv, x_now, x_prev, u_prev, xw, uw, params)
         assert np.max(np.abs(u_fast - u_ref)) <= 1e-6 * max(1.0, np.max(np.abs(u_ref)))
 
@@ -197,7 +205,7 @@ class TestMpc:
         u_prev = np.zeros(2)
         xw = np.tile(1e4 * np.ones(4), (5, 1))
         uw = np.zeros((5, 2))
-        u = mpc_step(mpc_design(ltv, params), np.zeros(4), np.zeros(4), u_prev, xw, uw)
+        u = mpc_step(mpc_design(*ltv, params), np.zeros(4), np.zeros(4), u_prev, xw, uw)
         du = u - u_prev
         assert abs(du[0]) <= 80.0 + 1e-9
         assert abs(du[1]) <= 2.0 + 1e-9
@@ -225,7 +233,7 @@ class TestActiveSetQp:
         prev = None
         for bound in (0.1, 0.5, 2.0, 10.0):
             b = np.full(2 * n, bound)
-            z = solve_qp_active_set(H, g, A, b)
+            z = solve_qp_active_set(control._inverse_factor(H), g, A, b)
             val = obj(z)
             if prev is not None:
                 assert val <= prev + 1e-10
@@ -239,20 +247,20 @@ class TestActiveSetQp:
         z_free = np.linalg.solve(H, -g)
         A = np.vstack([np.eye(n), -np.eye(n)])
         b = np.full(2 * n, 10.0)
-        z = solve_qp_active_set(H, g, A, b)
+        z = solve_qp_active_set(control._inverse_factor(H), g, A, b)
         assert np.allclose(z, z_free, atol=1e-9)
 
     def test_infeasible_origin_reports_row(self):
         """z = 0 need not be feasible: the box 1 <= z <= 2 solves.  Two rows
         that contradict each other (z_0 <= -1 and -z_0 <= -1) end in an
         InfeasibleError naming the row that no step can meet."""
-        H = np.eye(2)
+        Li = control._inverse_factor(np.eye(2))
         g = np.zeros(2)
         A = np.vstack([np.eye(2), -np.eye(2)])
-        z = solve_qp_active_set(H, g, A, np.array([2.0, 2.0, -1.0, -1.0]))
+        z = solve_qp_active_set(Li, g, A, np.array([2.0, 2.0, -1.0, -1.0]))
         assert np.array_equal(z, [1.0, 1.0])
         with pytest.raises(InfeasibleError, match="row 1,"):
-            solve_qp_active_set(H, g, A[[0, 2]], np.array([-1.0, -1.0]))
+            solve_qp_active_set(Li, g, A[[0, 2]], np.array([-1.0, -1.0]))
 
 
 def _kkt_step(H, Aw, r):
@@ -328,13 +336,13 @@ def _box_qp(rng, n, g_scale, bound):
 
 
 def _captured_qp(monkeypatch, *mpc_args):
-    """The (H, g, A, b) that ``mpc_step`` hands to the QP solver."""
+    """The (Li, g, A, b) that ``mpc_step`` hands to the QP solver."""
     seen = []
     solve = control.solve_qp_active_set
 
-    def spy(H, g, A, b, *args, **kwargs):
-        seen.append((H, g, A, b))
-        return solve(H, g, A, b, *args, **kwargs)
+    def spy(Li, g, A, b):
+        seen.append((Li, g, A, b))
+        return solve(Li, g, A, b)
 
     monkeypatch.setattr(control, "solve_qp_active_set", spy)
     mpc_step(*mpc_args)
@@ -349,7 +357,7 @@ class TestRangeSpaceQp:
     def test_matches_dense_kkt_oracle_on_box_qps(self, rng, n, g_scale, bound):
         for _ in range(5):
             H, g, A, b = _box_qp(rng, n, g_scale, bound)
-            z = solve_qp_active_set(H, g, A, b)
+            z = solve_qp_active_set(control._inverse_factor(H), g, A, b)
             z_ref = _dense_kkt_qp(H, g, A, b)
             assert np.max(np.abs(z - z_ref)) <= 1e-9 * max(1.0, np.max(np.abs(z_ref)))
             assert np.all(A @ z <= b + 1e-12)
@@ -362,7 +370,7 @@ class TestRangeSpaceQp:
         g = 1e3 * np.where(rng.random(n) < 0.5, -1.0, 1.0)
         A = np.vstack([np.eye(n), -np.eye(n)])
         b = np.full(2 * n, 0.25)
-        z = solve_qp_active_set(H, g, A, b)
+        z = solve_qp_active_set(control._inverse_factor(H), g, A, b)
         assert np.max(np.abs(np.abs(z) - 0.25)) <= 1e-12
         assert np.max(np.abs(z - _dense_kkt_qp(H, g, A, b))) <= 1e-12
 
@@ -371,38 +379,34 @@ class TestRangeSpaceQp:
         every increment ends on a bound."""
         r = np.random.default_rng(42)
         s, p = 4, 2
-        ltv = LtvModel(A=r.normal(0, 0.4, (s, s)), B=r.normal(0, 0.4, (s, p)),
-                       x_r=np.zeros(s), u_r=np.zeros(p), f_r=np.zeros(s))
+        ltv = r.normal(0, 0.4, (s, s)), r.normal(0, 0.4, (s, p))
         params = MpcParams(Ts=0.02, Np=5, Nc=5, Q_scale=1.0, R_scale=1e-6, P_scale=1.0,
                            du_bound=np.array([80.0, 2.0]))
-        H, g, A, b = _captured_qp(monkeypatch, mpc_design(ltv, params), np.zeros(s), np.zeros(s),
-                                  np.zeros(p), np.tile(1e5 * np.ones(s), (6, 1)),
-                                  np.zeros((6, p)))
+        design = mpc_design(*ltv, params)
+        Li, g, A, b = _captured_qp(monkeypatch, design, np.zeros(s), np.zeros(s), np.zeros(p),
+                                   np.tile(1e5 * np.ones(s), (6, 1)), np.zeros((6, p)))
         assert np.max(np.abs(g)) > 1e4
-        z = solve_qp_active_set(H, g, A, b)
-        z_ref = _dense_kkt_qp(H, g, A, b)
+        z = solve_qp_active_set(Li, g, A, b)
+        z_ref = _dense_kkt_qp(_design_hessian(design), g, A, b)
         assert np.max(np.abs(z - z_ref)) <= 1e-9 * np.max(np.abs(z_ref))
         assert np.array_equal(A @ z >= b - 1e-7, A @ z_ref >= b - 1e-7)
         assert np.count_nonzero(A @ z >= b - 1e-7) == g.size
 
-    @pytest.mark.parametrize("bounded", [False, True])
-    def test_indefinite_hessian_raises_conditioning_error(self, bounded):
-        H = np.diag([1.0, -1.0])
-        g = np.array([0.5, 0.5])
-        A, b = (np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)) if bounded else (None, None)
+    def test_indefinite_hessian_raises_conditioning_error(self):
         with pytest.raises(ConditioningError, match="not positive definite"):
-            solve_qp_active_set(H, g, A, b)
+            control._inverse_factor(np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_hessian_raises_conditioning_error(self, bad):
         with pytest.raises(ConditioningError, match="not positive definite"):
-            solve_qp_active_set(np.diag([1.0, bad, 1.0]), np.ones(3))
+            control._inverse_factor(np.diag([1.0, bad, 1.0]))
 
 
 @pytest.fixture(scope="module", params=["integrated2", "independent"])
 def case_study_design(request, hcdr):
-    """The case study's linearization at t = 1.5 s on the architecture's
-    design model, its default MPC parameters and their design."""
+    """The case study's linearization (A, B) at t = 1.5 s on the
+    architecture's design model, its default MPC parameters and their
+    design."""
     from cablearm import sim as S
 
     arch = S.Architecture(request.param)
@@ -412,10 +416,9 @@ def case_study_design(request, hcdr):
     s, p = arch.mpc_size
     lin = linearize(plant.f_inputs, sched["x"][0, :plant.n_states], sched["u"][0],
                     tuple(sched["L0"][0]))
-    ltv = LtvModel(A=lin.A[:s, :s], B=lin.B[:s, :p], x_r=lin.x_r[:s], u_r=lin.u_r[:p],
-                   f_r=lin.f_r[:s])
+    ltv = (lin.A[:s, :s], lin.B[:s, :p])
     params, _ = S.controller_params(arch, {})
-    return ltv, params, mpc_design(ltv, params)
+    return ltv, params, mpc_design(*ltv, params)
 
 
 def _relative(E, ref):
@@ -440,14 +443,14 @@ class TestExpm:
 
     def test_case_study_zoh(self, case_study_design):
         """The augmented matrix of the case study's zero-order hold."""
-        ltv, params, _ = case_study_design
-        s, p = ltv.B.shape
+        (A, B), params, _ = case_study_design
+        s, p = B.shape
         aug = np.zeros((s + p, s + p))
-        aug[:s] = np.hstack([ltv.A, ltv.B]) * params.Ts
+        aug[:s] = np.hstack([A, B]) * params.Ts
         assert np.linalg.norm(aug, 1) > control._THETA13     # takes squarings
         ref = scipy.linalg.expm(aug)
         assert _relative(control._expm(aug), ref) <= 1e-13
-        Ad, Bd = zoh_discretize(ltv.A, ltv.B, params.Ts)
+        Ad, Bd = zoh_discretize(A, B, params.Ts)
         assert _relative(Ad, ref[:s, :s]) <= 1e-13
         assert _relative(Bd, ref[:s, s:]) <= 1e-13
 
@@ -470,7 +473,7 @@ class TestInverseFactor:
         """Normwise backward error of H^-1 g = Li^T (Li g) on the case
         study's Hessian (cond(H) ~ 1.7e9 on integrated2)."""
         _, _, design = case_study_design
-        H = design.H
+        H = _design_hessian(design)
         for _ in range(3):
             g = rng.normal(0, 1, H.shape[0])
             x = design.Li.T @ (design.Li @ g)
@@ -494,12 +497,12 @@ class TestInverseFactor:
         """The case study's QP against the primal reference loop solved by
         ``cho_solve``, without bounds and with increment bounds active."""
         _, params, design = case_study_design
-        H = design.H
+        H = _design_hessian(design)
         A, b = params._box
         if not bounded:
             A, b = A[:0], b[:0]
         g = rng.normal(0, scale, H.shape[0])
-        z = solve_qp_active_set(H, g, A, b, Li=design.Li)
+        z = solve_qp_active_set(design.Li, g, A, b)
         if bounded:
             z_ref = _dense_kkt_qp(H, g, A, b, step=_cho_solve_step)
             assert np.any(A @ z_ref >= b - 1e-9)
@@ -533,20 +536,22 @@ class TestCaseStudyBox:
         iterations): with one row added per iteration, a working set of
         ~200 rows left too few iterations for the drops."""
         _, params, design = case_study_design
+        H = _design_hessian(design)
         A, b = params._box
         for _ in range(2):
-            g = rng.normal(0, scale, design.H.shape[0])
-            z = solve_qp_active_set(design.H, g, A, b, Li=design.Li)
-            assert self.assert_kkt(design.H, g, A, b, z) >= 190
+            g = rng.normal(0, scale, H.shape[0])
+            z = solve_qp_active_set(design.Li, g, A, b)
+            assert self.assert_kkt(H, g, A, b, z) >= 190
 
     def test_matches_primal_oracle(self, case_study_design, rng):
         """At gradient scale 1e2, where the primal oracle converges."""
         _, params, design = case_study_design
+        H = _design_hessian(design)
         A, b = params._box
-        g = rng.normal(0, 1e2, design.H.shape[0])
-        z = solve_qp_active_set(design.H, g, A, b, Li=design.Li)
-        self.assert_kkt(design.H, g, A, b, z)
-        z_ref = _dense_kkt_qp(design.H, g, A, b)
+        g = rng.normal(0, 1e2, H.shape[0])
+        z = solve_qp_active_set(design.Li, g, A, b)
+        self.assert_kkt(H, g, A, b, z)
+        z_ref = _dense_kkt_qp(H, g, A, b)
         assert np.max(np.abs(z - z_ref)) <= 1e-6 * np.max(np.abs(z_ref))
 
 
@@ -568,19 +573,19 @@ class TestMpcDesign:
         lin_a, lin_b = _random_ltv(rng), _random_ltv(rng)
 
         def step(ltv):
-            return mpc_step(mpc_design(ltv, params), x_now, x_prev, u_prev, xw, uw)
+            return mpc_step(mpc_design(*ltv, params), x_now, x_prev, u_prev, xw, uw)
 
         first_a = step(lin_a)
         assert np.array_equal(first_a, step(lin_a))
         assert not np.array_equal(first_a, step(lin_b))
 
-    def test_design_inputs_are_read_only(self, rng):
+    def test_design_inputs_are_read_only(self):
+        """``du_bound``, from which the box rows were built, cannot be
+        edited in place."""
         params = MpcParams(Ts=0.05, Np=3, Nc=3, Q_scale=1.0, R_scale=1.0, P_scale=1.0,
                            du_bound=np.ones(2))
-        ltv = _random_ltv(rng)
-        for arr in (ltv.A, ltv.B, params.du_bound):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            params.du_bound[0] = 1.0
 
 
 class TestPid:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
 from cablearm import control, dynamics, sim
 from cablearm.dynamics import forward_dynamics, inverse_dynamics
@@ -14,6 +15,7 @@ from cablearm.errors import (
     SingularityError,
 )
 from cablearm.kinematics import cable_geometry
+from cablearm.model import builtin_hcdr9dof
 from cablearm.sim import (
     Architecture,
     PlanarPlant,
@@ -27,6 +29,63 @@ from cablearm.sim import (
 )
 from cablearm.stiffness import optimize_tensions
 from oracles import elastic_law
+
+
+@st.composite
+def planar_variants(draw):
+    """Models derived from the bundled one that PlanarPlant accepts: link
+    masses, an xz inertia product on every body, joint, COM and mount
+    offsets in the x-z plane, any Euler convention, and one EA per mirror
+    pair of cables (cable i and cable i + 6)."""
+    hcdr = builtin_hcdr9dof()
+    unit = st.floats(-1.0, 1.0)
+
+    def xz_product(inertia):
+        out = inertia.copy()
+        out[0, 2] = out[2, 0] = 0.5 * draw(unit) * np.sqrt(out[0, 0] * out[2, 2])
+        return out
+
+    def in_plane(offset):
+        return offset + 0.05 * np.array([draw(unit), 0.0, draw(unit)])
+
+    arm = tuple(replace(link, mass=link.mass * draw(st.floats(0.5, 2.0)),
+                        inertia=xz_product(link.inertia), joint_offset=in_plane(link.joint_offset),
+                        com_offset=in_plane(link.com_offset))
+                for link in hcdr.arm)
+    ea = np.tile([draw(st.floats(50.0, 500.0)) for _ in range(6)], 2)
+    platform = replace(hcdr.platform, inertia=xz_product(hcdr.platform.inertia),
+                       axial_stiffness=ea)
+    return replace(hcdr, arm=arm, platform=platform, mount_offset=in_plane(hcdr.mount_offset),
+                   euler_convention=draw(st.sampled_from(("XYZ", "XZY", "YXZ", "YZX", "ZXY",
+                                                          "ZYX"))))
+
+
+def _assert_kernel_matches_3d(model, rng, n_states):
+    """On ``n_states`` random planar states, f under the inputs' law and
+    under the all-elastic law gives the accelerations of the 3-D forward
+    dynamics, whose out-of-plane accelerations vanish."""
+    plant = PlanarPlant(model)
+    L0 = cable_geometry(model, np.zeros(model.nq)).lengths * 0.9
+    kc = model.platform.axial_stiffness / L0
+    held = np.setdiff1d(np.arange(model.nq), plant._q_pos)
+    for _ in range(n_states):
+        x = rng.normal(0, 0.2, plant.n_states)
+        u = np.concatenate([rng.uniform(10, 60, 2), rng.normal(0, 1, plant.n_inputs - 2)])
+        L01, L02 = rng.uniform(0.8, 0.9, 2)
+        q, qd = plant.embed(x)
+        tau = np.zeros(model.n_arm)
+        tau[list(plant.free_joints)] = u[2:]
+        T = plant.record(x, u[:2], L01, L02)[0]
+        T_elastic = kc * (cable_geometry(model, q).lengths - L0)
+        for xdot, qdd in ((plant.f(x, plant.law(u, L01, L02)),
+                           forward_dynamics(model, q, qd, T, tau)),
+                          (plant.f(x, elastic_law(plant, L0)),
+                           forward_dynamics(model, q, qd, T_elastic, np.zeros(model.n_arm)))):
+            scale = np.max(np.abs(qdd))
+            assert np.max(np.abs(qdd[held])) <= 1e-12 * scale
+            assert np.array_equal(xdot[0::2], x[1::2])
+            np.testing.assert_allclose(xdot[1::2], qdd[plant._q_pos], rtol=0,
+                                       atol=1e-12 * scale)
 
 
 class TestPlanarReduce:
@@ -94,34 +153,15 @@ class TestPlanarReduce:
 
     @pytest.mark.parametrize("which", ["hcdr", "platform_only", "variant"])
     def test_kernel_matches_3d_forward_dynamics(self, hcdr, which):
-        """On 60 random planar states, f under the inputs' law and under the
-        all-elastic law gives the accelerations of the 3-D forward dynamics,
-        whose out-of-plane accelerations vanish."""
+        """60 random planar states of each hand-built model."""
         model = {"hcdr": hcdr, "platform_only": hcdr.platform_only(),
                  "variant": self._variant(hcdr)}[which]
-        plant = PlanarPlant(model)
-        rng = np.random.default_rng(7)
-        L0 = cable_geometry(model, np.zeros(model.nq)).lengths * 0.9
-        kc = model.platform.axial_stiffness / L0
-        held = np.setdiff1d(np.arange(model.nq), plant._q_pos)
-        for _ in range(60):
-            x = rng.normal(0, 0.2, plant.n_states)
-            u = np.concatenate([rng.uniform(10, 60, 2), rng.normal(0, 1, plant.n_inputs - 2)])
-            L01, L02 = rng.uniform(0.8, 0.9, 2)
-            q, qd = plant.embed(x)
-            tau = np.zeros(model.n_arm)
-            tau[list(plant.free_joints)] = u[2:]
-            T = plant.record(x, u[:2], L01, L02)[0]
-            T_elastic = kc * (cable_geometry(model, q).lengths - L0)
-            for xdot, qdd in ((plant.f(x, plant.law(u, L01, L02)),
-                               forward_dynamics(model, q, qd, T, tau)),
-                              (plant.f(x, elastic_law(plant, L0)),
-                               forward_dynamics(model, q, qd, T_elastic, np.zeros(model.n_arm)))):
-                scale = np.max(np.abs(qdd))
-                assert np.max(np.abs(qdd[held])) <= 1e-12 * scale
-                assert np.array_equal(xdot[0::2], x[1::2])
-                np.testing.assert_allclose(xdot[1::2], qdd[plant._q_pos], rtol=0,
-                                           atol=1e-12 * scale)
+        _assert_kernel_matches_3d(model, np.random.default_rng(7), 60)
+
+    @given(planar_variants(), st.integers(0, 2**32 - 1))
+    def test_kernel_matches_3d_forward_dynamics_on_generated_models(self, model, seed):
+        """5 random planar states of each generated model."""
+        _assert_kernel_matches_3d(model, np.random.default_rng(seed), 5)
 
     def test_stacked_kernel_matches_3d_forward_dynamics(self, hcdr):
         """A (2, 3) stack with per-row lengths and inputs matches the 3-D
