@@ -392,9 +392,15 @@ class TestRangeSpaceQp:
         assert np.array_equal(A @ z >= b - 1e-7, A @ z_ref >= b - 1e-7)
         assert np.count_nonzero(A @ z >= b - 1e-7) == g.size
 
-    def test_indefinite_hessian_raises_conditioning_error(self):
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_indefinite_hessian_raises_conditioning_error(self, bounded):
+        """An indefinite H is refused when it is factored, before the QP
+        runs, whether or not the QP has bounds."""
+        H = np.diag([1.0, -1.0])
+        g = np.array([0.5, 0.5])
+        A, b = (np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)) if bounded else (None, None)
         with pytest.raises(ConditioningError, match="not positive definite"):
-            control._inverse_factor(np.diag([1.0, -1.0]))
+            solve_qp_active_set(control._inverse_factor(H), g, A, b)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_hessian_raises_conditioning_error(self, bad):
