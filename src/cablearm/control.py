@@ -191,8 +191,9 @@ def _inverse_factor(H) -> np.ndarray:
 
     Blocked forward substitution: the diagonal blocks of L (at most
     ``FACTOR_BLOCK`` rows each, L padded with identity to whole blocks)
-    are inverted in one batched call, and each block row of Li follows
-    from the rows above it.  Raises ConditioningError when H is not
+    are inverted in one batched call and written into Li in one
+    assignment, and each block row of Li below the first follows from the
+    rows above it.  Raises ConditioningError when H is not
     positive definite.
     """
     try:
@@ -213,11 +214,12 @@ def _inverse_factor(H) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise ConditioningError("QP Hessian: a diagonal block of its Cholesky factor is "
                                 "singular") from None
-    Li = np.zeros_like(L)
-    for i in range(nb):
+    Li = np.zeros(L.shape)
+    Li.reshape(nb, b, nb, b)[blocks, :, blocks, :] = D
+    D = -D
+    for i in range(1, nb):
         lo, hi = i * b, (i + 1) * b
-        Li[lo:hi, lo:hi] = D[i]
-        Li[lo:hi, :lo] = -D[i] @ (L[lo:hi, :lo] @ Li[:lo, :lo])
+        Li[lo:hi, :lo] = D[i] @ (L[lo:hi, :lo] @ Li[:lo, :lo])
     return np.ascontiguousarray(Li[:n, :n])
 
 
@@ -237,7 +239,9 @@ def solve_qp_active_set(Li, g, A_ineq=None, b_ineq=None):
     and the working multipliers by -t dlam, until the row holds and joins
     the working set W or a working multiplier reaches 0 and its row leaves.
     Projecting each y onto null(A_W), and z on return onto A_W z = b_W,
-    removes the cancellation error that would move the working rows.  Ties
+    removes the cancellation error that would move the working rows; when
+    no row is violated and none is working, the unconstrained minimizer
+    ``Li^T (Li (-g))`` returns as computed.  Ties
     break toward the lowest row index.  Raises InfeasibleError naming a
     violated row that no step can meet, and ConditioningError when the
     working-set system is singular.
@@ -263,6 +267,8 @@ def solve_qp_active_set(Li, g, A_ineq=None, b_ineq=None):
                 viol = A_ineq @ z - b_ineq
                 row, t_row = int(np.argmax(viol)), 0.0
                 if viol[row] <= QP_TOL:
+                    if not active.size:
+                        return z
                     return z - Aw.T @ np.linalg.solve(Aw @ Aw.T, Aw @ z - b_ineq[active])
             a, y0 = A_ineq[row], h_solve(A_ineq[row])
             dlam = np.linalg.solve(Aw @ Y, Aw @ y0)
@@ -286,11 +292,14 @@ def solve_qp_active_set(Li, g, A_ineq=None, b_ineq=None):
         z, lam, t_row = z - t * y, lam - t * dlam, t_row + t
         if t_add <= ratios[j]:
             at = int(np.searchsorted(active, row))
-            active, lam, Y = (np.insert(active, at, row), np.insert(lam, at, t_row),
-                              np.insert(Y, at, y0, axis=1))
+            active = np.concatenate([active[:at], [row], active[at:]])
+            lam = np.concatenate([lam[:at], [t_row], lam[at:]])
+            Y = np.concatenate([Y[:, :at], y0[:, None], Y[:, at:]], axis=1)
             row = None
         else:
-            active, lam, Y = np.delete(active, j), np.delete(lam, j), np.delete(Y, j, axis=1)
+            active = np.concatenate([active[:j], active[j + 1:]])
+            lam = np.concatenate([lam[:j], lam[j + 1:]])
+            Y = np.concatenate([Y[:, :j], Y[:, j + 1:]], axis=1)
     raise IterationLimitError(f"active-set QP did not converge within {QP_MAX_ITER} iterations")
 
 
@@ -319,7 +328,8 @@ def _hessian(cum, params: MpcParams) -> np.ndarray:
     E = X.T @ (params.Q_scale * X)
     for r in range(Np - 3, -1, -1):
         E[r * p:(r + 1) * p, :-p] += E[(r + 1) * p:(r + 2) * p, p:]
-    H = params._URU + (Y[:, :nz].T * params.P_scale) @ Y[:, :nz]
+    H = (Y[:, :nz].T * params.P_scale) @ Y[:, :nz]
+    H += params._URU
     m = min(nz, E.shape[0])
     H[:m, :m] += E[:m, :m]
     return H + H.T
@@ -376,8 +386,8 @@ def mpc_step(
     v = np.zeros((Np + Nc - 1, s))         # weighted e_x, zero past the horizon
     v[:Np - 1] = params.Q_scale * rtil[:-1]
     v[Np - 1] = params.P_scale * rtil[-1]
-    windows = np.lib.stride_tricks.sliding_window_view(v.ravel(), Np * s)[::s]
-    gx = windows @ design.cum              # Phi^T W rtil: window i holds v[i:i+Np]
+    windows = np.ndarray((Nc, Np * s), float, v, 0, v.strides)    # window i: v[i:i+Np]
+    gx = windows @ design.cum              # Phi^T W rtil
     gu = np.cumsum((params.R_scale * stil)[::-1], axis=0)[::-1][:Nc]
     g = -2.0 * (gx + gu).ravel()
 

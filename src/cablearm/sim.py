@@ -113,15 +113,13 @@ def _turnable(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([a, perp]), np.concatenate([perp, -a])
 
 
-def _mirror_symmetric(arr: np.ndarray) -> bool:
-    """True when every row has a partner with all y-entries negated."""
+def _mirror_partners(arr: np.ndarray) -> np.ndarray | None:
+    """Per row, the first row equal to it with all y-entries negated (itself
+    when its y-entries vanish); None when some row has no such partner."""
     flip = np.ones(arr.shape[1])
     flip[1::3] = -1.0
-    flipped = arr * flip
-    for row in flipped:
-        if not np.any(np.all(np.abs(arr - row) < 1e-12, axis=1)):
-            return False
-    return True
+    match = np.all(np.abs(arr[:, None, :] - arr * flip) < 1e-12, axis=-1)
+    return np.argmax(match, axis=0) if np.all(np.any(match, axis=0)) else None
 
 
 class PlantLaw(NamedTuple):
@@ -150,8 +148,17 @@ class PlanarPlant:
 
     def __init__(self, model: RobotModel):
         p = model.platform
-        if not _mirror_symmetric(np.hstack([p.a_world, p.r_body])):
+        partner = _mirror_partners(np.hstack([p.a_world, p.r_body]))
+        if partner is None:
             raise ReductionError("cable layout is not mirror-symmetric about the x-z plane")
+        group = np.zeros(model.n_cables, dtype=int)
+        for g in p.actuator_groups:
+            group[p.group_indices(g)] = g
+        for i, j in enumerate(partner):
+            for name, value in (("EA", p.axial_stiffness), ("actuator group", group)):
+                if value[i] != value[j]:
+                    raise ReductionError(f"mirror cables {i + 1} and {j + 1} differ in {name} "
+                                         f"({value[i]:g} and {value[j]:g})")
         if np.any(np.abs(model.mount_offset[1]) > 1e-12) or not np.allclose(
             model.mount_rotation, np.eye(3), atol=1e-12
         ):
@@ -193,7 +200,9 @@ class PlanarPlant:
 
     def _kernel_constants(self, model: RobotModel, free: list[int]):
         """Constants of :meth:`f`, planar vectors with their (x, z) axis first
-        (see :func:`_turnable`)."""
+        (see :func:`_turnable`).  The angle map ``_angles`` is stored
+        transposed, (states, columns), so that ``x @ _angles`` gives the
+        angles of a single state and of a stack alike."""
         bodies, p = model.bodies, model.platform
         B, K, N = model.n_arm + 1, 1 + len(free), model.n_cables
         # turn[b, k] = 1: angle k (beta, then the free joints) turns body b
@@ -209,12 +218,12 @@ class PlanarPlant:
         levers = np.stack([com, out - com], axis=-1).reshape(2, 2 * B)
         self._cols = _turnable(np.concatenate([levers, p.r_body[:, [0, 2]].T], axis=1))
         self._n_levers = 2 * B
-        # _angles @ x: the angle of every column, then the rate of every lever column
-        lever_turn = np.repeat(turn, 2, axis=0)
-        self._angles = np.zeros((4 * B + N, self.n_states))
-        self._angles[:2 * B, 4::2] = lever_turn
-        self._angles[2 * B:2 * B + N, 4] = 1.0
-        self._angles[2 * B + N:, 5::2] = lever_turn
+        # x @ _angles: the angle of every column, then the rate of every lever column
+        lever_turn = np.repeat(turn, 2, axis=0).T
+        self._angles = np.zeros((self.n_states, 4 * B + N))
+        self._angles[4::2, :2 * B] = lever_turn
+        self._angles[4, 2 * B:2 * B + N] = 1.0
+        self._angles[5::2, 2 * B + N:] = lever_turn
         # J holds the rows P v_COM of every body, P turning by -90 deg about y,
         # flattened as (axis, body): constant (P e_z, P e_x) in the (x, z)
         # columns, and running sum @ _to_J = pivot_k - COM_b in the column of
@@ -277,7 +286,7 @@ class PlanarPlant:
         x = np.asarray(x, dtype=float)
         k, c, tau = law
         shape, nl = x.shape[:-1], self._n_levers
-        ang = (self._angles @ x[..., None])[..., 0]     # column angles, lever rates
+        ang = x @ self._angles                          # column angles, lever rates
         phi = ang[..., None, :-nl]
         rot = np.cos(phi) * self._cols[0] + np.sin(phi) * self._cols[1]     # [R l; P R l]
         pts = np.add.accumulate(rot[..., 0:2, :nl], axis=-1)

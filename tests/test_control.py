@@ -250,6 +250,20 @@ class TestActiveSetQp:
         z = solve_qp_active_set(control._inverse_factor(H), g, A, b)
         assert np.allclose(z, z_free, atol=1e-9)
 
+    def test_unbound_box_returns_the_free_minimizer_unsolved(self, rng, monkeypatch):
+        """A box that does not bind returns Li^T (Li (-g)) bit for bit and
+        solves no working-set system, not even an empty one."""
+        n = 5
+        X = rng.normal(0, 1, (n, n))
+        Li = control._inverse_factor(X @ X.T + np.eye(n))
+        g = rng.normal(0, 0.1, n)
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a) or solve(*a))
+        z = solve_qp_active_set(Li, g, np.vstack([np.eye(n), -np.eye(n)]), np.full(2 * n, 10.0))
+        assert solves == []
+        assert np.array_equal(z, Li.T @ (Li @ -g))
+
     def test_infeasible_origin_reports_row(self):
         """z = 0 need not be feasible: the box 1 <= z <= 2 solves.  Two rows
         that contradict each other (z_0 <= -1 and -z_0 <= -1) end in an

@@ -107,6 +107,22 @@ class TestPlanarReduce:
         with pytest.raises(ReductionError, match="mirror"):
             PlanarPlant(broken)
 
+    @pytest.mark.parametrize("field", ["EA", "actuator group"])
+    def test_rejects_mirror_cables_that_differ(self, hcdr, field):
+        """Cable 1 and its mirror partner, cable 7, must share EA, and cable 2
+        and cable 8 an actuator group: otherwise the 3-D dynamics leaves the
+        plane."""
+        if field == "EA":
+            ea = hcdr.platform.axial_stiffness.copy()
+            ea[0] = 200.0
+            platform, pair = replace(hcdr.platform, axial_stiffness=ea), "1 and 7"
+        else:
+            groups = dict(hcdr.platform.actuator_groups)
+            groups[1], groups[2] = (5, 6, 8, 12), (1, 2, 7, 11)
+            platform, pair = replace(hcdr.platform, actuator_groups=groups), "2 and 8"
+        with pytest.raises(ReductionError, match=f"mirror cables {pair} differ in {field}"):
+            PlanarPlant(replace(hcdr, platform=platform))
+
     def test_rejects_x_axis_joint(self, hcdr):
         arm = (replace(hcdr.arm[0], joint_axis="X"),) + hcdr.arm[1:]
         with pytest.raises(ReductionError):
@@ -160,8 +176,18 @@ class TestPlanarReduce:
 
     @given(planar_variants(), st.integers(0, 2**32 - 1))
     def test_kernel_matches_3d_forward_dynamics_on_generated_models(self, model, seed):
-        """5 random planar states of each generated model."""
-        _assert_kernel_matches_3d(model, np.random.default_rng(seed), 5)
+        """5 random planar states of each generated model, and a (2, 3) stack
+        of states under one law, bit-equal row by row to the single-state
+        calls."""
+        rng = np.random.default_rng(seed)
+        _assert_kernel_matches_3d(model, rng, 5)
+        plant = PlanarPlant(model)
+        x = rng.normal(0, 0.2, (2, 3, plant.n_states))
+        u = np.concatenate([rng.uniform(10, 60, 2), rng.normal(0, 1, plant.n_inputs - 2)])
+        law = plant.law(u, *rng.uniform(0.8, 0.9, 2))
+        F = plant.f(x, law)
+        for i in np.ndindex(2, 3):
+            assert np.array_equal(F[i], plant.f(x[i], law))
 
     def test_stacked_kernel_matches_3d_forward_dynamics(self, hcdr):
         """A (2, 3) stack with per-row lengths and inputs matches the 3-D
