@@ -239,9 +239,10 @@ def solve_qp_active_set(Li, g, A_ineq=None, b_ineq=None):
     and the working multipliers by -t dlam, until the row holds and joins
     the working set W or a working multiplier reaches 0 and its row leaves.
     Projecting each y onto null(A_W), and z on return onto A_W z = b_W,
-    removes the cancellation error that would move the working rows; when
-    no row is violated and none is working, the unconstrained minimizer
-    ``Li^T (Li (-g))`` returns as computed.  Ties
+    removes the cancellation error that would move the working rows.  When
+    no row is violated and none is working, z returns as it stands, with
+    no projection: on the first pass, the unconstrained minimizer
+    ``Li^T (Li (-g))`` bit for bit.  Ties
     break toward the lowest row index.  Raises InfeasibleError naming a
     violated row that no step can meet, and ConditioningError when the
     working-set system is singular.
