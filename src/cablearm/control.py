@@ -411,28 +411,15 @@ class PidGains:
             raise ValueError("PID gains must be nonnegative")
 
 
-@dataclass(frozen=True)
-class PidState:
-    """Integral accumulator and previous error (trapezoid quadrature)."""
+def pid_step(err, integral, prev_error, gains: PidGains, dt: float):
+    """One PID update of the joint torques: ``(tau, integral, e)``.
 
-    integral: np.ndarray
-    prev_error: np.ndarray | None = None
-
-    @classmethod
-    def zero(cls, n: int = 2) -> "PidState":
-        return cls(integral=np.zeros(n))
-
-
-def pid_step(theta_ref, dtheta_ref, theta, dtheta, state: PidState, gains: PidGains,
-             dt: float) -> tuple[np.ndarray, PidState]:
-    """One PID update of the joint torques, integral by trapezoid rule; ``dt``
+    ``err`` interleaves the free joints' angle and rate errors on its last
+    axis (e0, edot0, e1, ...), leading axes broadcast; the integral advances
+    by the trapezoid rule from ``prev_error``, the last call's ``e``.  ``dt``
     must be finite and positive (ValueError)."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be finite and positive")
-    e = np.asarray(theta_ref, dtype=float) - np.asarray(theta, dtype=float)
-    edot = np.asarray(dtheta_ref, dtype=float) - np.asarray(dtheta, dtype=float)
-    prev = e if state.prev_error is None else state.prev_error
-    integral_new = state.integral + 0.5 * (e + prev) * dt
-    tau = gains.Kp * e + gains.Ki * integral_new + gains.Kd * edot
-    return tau, PidState(integral=integral_new, prev_error=e)
-
+    e, edot = err[..., 0::2], err[..., 1::2]
+    integral = integral + 0.5 * (e + prev_error) * dt
+    return gains.Kp * e + gains.Ki * integral + gains.Kd * edot, integral, e

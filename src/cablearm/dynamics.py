@@ -59,10 +59,10 @@ class DynTerms:
 def mass_matrix(model: RobotModel, q) -> np.ndarray:
     """Symmetric positive-definite inertia matrix M(q); batched."""
     q = np.asarray(q, dtype=float)
-    return _dynamics_core(model, q, np.zeros_like(q))[0]
+    return _dynamics_core(model, q, None)[0]
 
 
-def _dynamics_core(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
+def _dynamics_core(model: RobotModel, q: np.ndarray, qdot: np.ndarray | None):
     """Batched (M, G, h, chain) with h = C(q, qdot) qdot, from one chain pass.
 
     Summed over the bodies (platform and arm links), with ``Jv`` and
@@ -70,9 +70,17 @@ def _dynamics_core(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     ``M = Jv^T m Jv + Jw_b^T I Jw_b``, ``G = Jv^T m g e_z`` and
     ``h = Jv^T m a + Jw_b^T (I alpha_b + omega_b x I omega_b)``, where
     ``a`` and ``alpha`` are the bias accelerations (those at qddot = 0).
+    With ``qdot`` None, h is None and its recursion is skipped.
     """
     bodies = model.bodies
     Jv, Jw, chain = velocity_jacobians(model, q)
+    rows = q.shape[:-1] + (6 * (model.n_arm + 1), q.shape[-1])
+    JT = np.concatenate([Jv, Jw], axis=-2).reshape(rows).swapaxes(-1, -2)
+    K = np.concatenate([bodies.mass[:, None, None] * Jv, bodies.inertia @ Jw], axis=-2)
+    M = JT @ K.reshape(rows)
+    G = model.gravity * (bodies.mass @ Jv[..., 2, :])
+    if qdot is None:
+        return M, G, None, chain
 
     # Base to tip, every revolute axis (Euler-rate axes first) adds spin s_k
     # to the angular velocity and omega_k x s_k to the bias acceleration.
@@ -95,20 +103,14 @@ def _dynamics_core(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
                                                             axis=-1)
     moments = bodies.inertia @ rot
     torque = moments[..., 1] + np.cross(rot[..., 0], moments[..., 0])
-
-    rows = q.shape[:-1] + (6 * (model.n_arm + 1), q.shape[-1])
-    JT = np.concatenate([Jv, Jw], axis=-2).reshape(rows).swapaxes(-1, -2)
-    K = np.concatenate([bodies.mass[:, None, None] * Jv, bodies.inertia @ Jw], axis=-2)
-    M = JT @ K.reshape(rows)
     h = (JT @ np.concatenate([force, torque], axis=-1).reshape(rows[:-1] + (1,)))[..., 0]
-    G = model.gravity * (bodies.mass @ Jv[..., 2, :])
     return M, G, h, chain
 
 
 def _energy_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     """Kinetic energy, gravity potential (datum z = 0), cable lengths and the
     pass's arm chain; batched over leading axes of q and qdot."""
-    M, _, _, chain = _dynamics_core(model, q, qdot)
+    M, _, _, chain = _dynamics_core(model, q, None)
     ke = 0.5 * (qdot[..., None, :] @ M @ qdot[..., None])[..., 0, 0]
     # sum of m_b z_b as a stacked product: one state rounds as the plain dot did
     mz = (chain["p_com"][..., None, :, 2] @ model.bodies.mass[:, None])[..., 0, 0]
@@ -147,7 +149,7 @@ def dyn_terms(model: RobotModel, q, qdot) -> DynTerms:
     nq = q.shape[-1]
     scale = _FD_SCALE * np.maximum(1.0, np.abs(q))
     pts = np.concatenate([q[None], q + np.diag(scale), q - np.diag(scale)], axis=0)
-    Mb, Gb, _, _ = _dynamics_core(model, pts, np.zeros_like(pts))
+    Mb, Gb, _, _ = _dynamics_core(model, pts, None)
     dM = (Mb[1:nq + 1] - Mb[nq + 1:]) / (2.0 * scale[:, None, None])   # dM[k] = dM/dq_k
     C = 0.5 * (
         np.einsum("kij,k->ij", dM, qdot)

@@ -67,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import control, dynamics
-from .control import MpcParams, PidGains, PidState, linearize, pid_step
+from .control import MpcParams, PidGains, linearize, pid_step
 from .errors import (CableRobotError, ConditioningError, DivergenceError, ReductionError,
                      ScenarioError, ValidationError)
 from .kinematics import arm_chain, check_euler_regular
@@ -742,14 +742,14 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
 
     rng = np.random.default_rng(cfg["seed"])
     noise_std = np.broadcast_to(np.asarray(cfg["noise_std"], dtype=float), (4,))
-    pid_state = PidState.zero(2)
     x = x_ref[0]
     x_prev, u_prev = x[:s], u_ref[0, :p]
     xs, us = [], []
     joint_pid = p < plant.n_inputs
     dt = None if substeps is None else Ts / substeps
-    if joint_pid:   # the joint reference at every substep time
-        refs = traj.sample(np.arange(K)[:, None] * Ts + np.arange(substeps) * dt)
+    if joint_pid:   # the joint reference at every substep time, and the PID's memory
+        refs = traj.sample(np.arange(K)[:, None] * Ts + np.arange(substeps) * dt)[..., 6:10]
+        integral, e_prev = np.zeros(2), refs[0, 0, 0::2] - x[6:10:2]
     try:
         for k in range(K):
             w = rng.normal(0.0, 1.0, 4) * noise_std
@@ -762,9 +762,8 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
             law = plant.law(u, *L0_ref[k])
             for n in range(substeps or 1):     # a held period: one rk4_held call
                 if joint_pid:   # u holds the lower tensions only; the PID the torques
-                    ref = refs[k, n]
-                    tau, pid_state = pid_step(ref[6:10:2], ref[7:10:2], x[6:10:2], x[7:10:2],
-                                              pid_state, pid_gains, dt)
+                    tau, integral, e_prev = pid_step(refs[k, n] - x[6:10], integral, e_prev,
+                                                     pid_gains, dt)
                     law = PlantLaw(law.k, law.c, tau + w[2:])
                 if n == 0:
                     xs.append(x)

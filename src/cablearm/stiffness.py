@@ -313,7 +313,7 @@ def optimize_tensions(
     ends = np.moveaxis(T_grid[..., [0, -1], :], -2, 0)
     K_a, K_b = (stiffness_KT(model, geo, ends)
                 + stiffness_Kk(model, geo, position_controlled_cables(model), T=ends))
-    frac = (grid - grid[0]) / (grid[-1] - grid[0])   # each scan point's place from first to last
+    frac = np.linspace(0.0, 1.0, SCAN_POINTS)   # each scan point's place from first to last
     best, J_K = _stiffest(K_a, K_b, frac, feas)
     T_opt = np.take_along_axis(T_grid, best[..., None, None], axis=-2)[..., 0, :]
     T_min_norm, N = resolve(-geo.structure, wrench)

@@ -6,7 +6,6 @@ from cablearm import control
 from cablearm.control import (
     MpcParams,
     PidGains,
-    PidState,
     linearize,
     mpc_design,
     mpc_step,
@@ -611,16 +610,16 @@ class TestMpcDesign:
 class TestPid:
     def test_zero_error_zero_torque(self):
         gains = PidGains(400, 100, 10)
-        tau, _ = pid_step([0, 0], [0, 0], [0, 0], [0, 0], PidState.zero(2), gains, 0.01)
+        tau, _, _ = pid_step(np.zeros(4), np.zeros(2), np.zeros(2), gains, 0.01)
         assert np.array_equal(tau, [0, 0])
 
     def test_integral_increment_trapezoid(self):
         gains = PidGains(0.0, 100.0, 0.0)
-        state = PidState(integral=np.zeros(2), prev_error=np.array([0.2, -0.1]))
-        tau, state2 = pid_step([0.2, -0.1], [0, 0], [0, 0], [0, 0], state, gains, 0.01)
+        err = np.array([0.2, 0.0, -0.1, 0.0])      # (e, edot) per joint
+        tau, integral, _ = pid_step(err, np.zeros(2), np.array([0.2, -0.1]), gains, 0.01)
         # constant error: integral term grows by Ki * e * dt
         assert np.allclose(tau, 100.0 * np.array([0.2, -0.1]) * 0.01)
-        assert np.allclose(state2.integral, np.array([0.2, -0.1]) * 0.01)
+        assert np.allclose(integral, np.array([0.2, -0.1]) * 0.01)
 
     def test_table_gains_converge_on_double_integrator(self):
         """0.2-rad step response of theta'' = tau with the case-study gains."""
@@ -628,23 +627,35 @@ class TestPid:
         dt = 1e-3
         theta = np.zeros(2)
         dtheta = np.zeros(2)
-        state = PidState.zero(2)
+        integral = np.zeros(2)
         target = np.array([0.2, -0.2])
+        e_prev = target - theta
         for _ in range(2000):
-            tau, state = pid_step(target, [0, 0], theta, dtheta, state, gains, dt)
+            err = np.stack([target - theta, -dtheta], axis=-1).ravel()
+            tau, integral, e_prev = pid_step(err, integral, e_prev, gains, dt)
             dtheta = dtheta + dt * tau
             theta = theta + dt * dtheta
         assert np.max(np.abs(target - theta)) < 1e-3
 
+    def test_broadcasts_over_leading_axes(self):
+        """A (3, 4) stack of interleaved errors equals the row-by-row calls."""
+        rng = np.random.default_rng(0)
+        err, integral, e_prev = rng.normal(size=(3, 4)), *rng.normal(size=(2, 3, 2))
+        gains = PidGains(400, 100, 10)
+        stacked = pid_step(err, integral, e_prev, gains, 0.01)
+        for i in range(3):
+            for got, want in zip(stacked, pid_step(err[i], integral[i], e_prev[i], gains, 0.01)):
+                assert np.array_equal(got[i], want)
+
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            pid_step([0, 0], [0, 0], [0, 0], [0, 0], PidState.zero(2), PidGains(1, 0, 0), 0.0)
+            pid_step(np.zeros(4), np.zeros(2), np.zeros(2), PidGains(1, 0, 0), 0.0)
 
     @pytest.mark.parametrize("dt", [np.nan, np.inf])
     def test_rejects_non_finite_dt(self, dt):
         """NaN and infinite steps raise instead of returning NaN torques."""
         with pytest.raises(ValueError, match="finite and positive"):
-            pid_step([0, 0], [0, 0], [0, 0], [0, 0], PidState.zero(2), PidGains(1, 1, 0), dt)
+            pid_step(np.zeros(4), np.zeros(2), np.zeros(2), PidGains(1, 1, 0), dt)
 
     def test_negative_gains_rejected(self):
         with pytest.raises(ValueError):

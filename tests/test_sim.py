@@ -177,17 +177,25 @@ class TestPlanarReduce:
     @given(planar_variants(), st.integers(0, 2**32 - 1))
     def test_kernel_matches_3d_forward_dynamics_on_generated_models(self, model, seed):
         """5 random planar states of each generated model, and a (2, 3) stack
-        of states under one law, bit-equal row by row to the single-state
-        calls."""
+        of states under one law: ``f`` and ``record`` are bit-equal row by row
+        to the single-state calls, and ``record``'s tensions are the law's at
+        the embedded state's cable lengths."""
         rng = np.random.default_rng(seed)
         _assert_kernel_matches_3d(model, rng, 5)
         plant = PlanarPlant(model)
         x = rng.normal(0, 0.2, (2, 3, plant.n_states))
         u = np.concatenate([rng.uniform(10, 60, 2), rng.normal(0, 1, plant.n_inputs - 2)])
-        law = plant.law(u, *rng.uniform(0.8, 0.9, 2))
+        L0 = rng.uniform(0.8, 0.9, 2)
+        law = plant.law(u, *L0)
         F = plant.f(x, law)
+        stacked = plant.record(x, u[:2], *L0)
         for i in np.ndindex(2, 3):
             assert np.array_equal(F[i], plant.f(x[i], law))
+            single = plant.record(x[i], u[:2], *L0)
+            for got, want in zip(stacked, single):
+                assert np.array_equal(got[i], want)
+        L = cable_geometry(model, plant.embed(x)[0]).lengths
+        assert np.array_equal(stacked[0], law.k * L + law.c)
 
     def test_stacked_kernel_matches_3d_forward_dynamics(self, hcdr):
         """A (2, 3) stack with per-row lengths and inputs matches the 3-D

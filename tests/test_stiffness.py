@@ -275,6 +275,21 @@ class TestOptimizeTensions:
         assert np.isclose(res.scan_tensions[lead], best_t, rtol=0, atol=1e-9)
         assert np.isclose(res.J_K, best_J, rtol=1e-9)
 
+    def test_scan_range_of_one_tension(self, hcdr):
+        """A first force group pinned at Tmin == Tmax (its optimum here, 28 N)
+        scans one tension and returns the bundled model's T_opt bit for bit."""
+        q = np.zeros(9)
+        q[0], q[2] = 0.05, 0.1
+        res = optimize_tensions(hcdr, q)
+        lead = min(hcdr.platform.tension_controlled_groups)
+        idx = hcdr.platform.group_indices(lead)
+        tmin, tmax = hcdr.platform.tension_min.copy(), hcdr.platform.tension_max.copy()
+        tmin[idx] = tmax[idx] = res.scan_tensions[lead]
+        pinned = replace(hcdr, platform=replace(hcdr.platform, tension_min=tmin, tension_max=tmax))
+        got = optimize_tensions(pinned, q)
+        assert bits(got.T_opt) == bits(res.T_opt)
+        assert np.isclose(got.J_K, res.J_K, rtol=1e-12)
+
     def test_unstretched_lengths_shared_per_group(self, hcdr):
         res = optimize_tensions(hcdr, np.zeros(9))
         ea = hcdr.platform.axial_stiffness

@@ -7,6 +7,7 @@ count, per run:
 * ``mpc_design`` calls, one per change of the period's linearization;
 * ``linearize`` and ``optimize_tensions`` block calls and rows;
 * QP calls (``solve_qp_active_set``), one per period;
+* ``pid_step`` calls, one per substep where the arm is on PID;
 * ``TrajectorySpec.sample`` calls, one for the reference and, where the arm
   is on PID, one for the joint reference at every substep time;
 * ``PlanarPlant.record`` blocks, each of which runs one ``arm_chain`` and
@@ -31,16 +32,19 @@ EXPECTED = {
     ("independent", 0.3): {
         "f": (1201, 1217), "mpc_design": (1, 0), "linearize": (1, 1),
         "optimize_tensions": (1, 1), "qp": (30, 0), "sample": (2, 0), "record": (1, 31),
+        "pid": (300, 0),
     },
     # as independent, on the coupled design model: 29-row stencil
     ("integrated1", 0.3): {
         "f": (1201, 1229), "mpc_design": (1, 0), "linearize": (1, 1),
         "optimize_tensions": (1, 1), "qp": (30, 0), "sample": (2, 0), "record": (1, 31),
+        "pid": (300, 0),
     },
     # 30 held periods x 8 calls (12 rows), plus one 29-row stencil
     ("integrated2", 0.3): {
         "f": (241, 389), "mpc_design": (1, 0), "linearize": (1, 1),
         "optimize_tensions": (1, 1), "qp": (30, 0), "sample": (1, 0), "record": (1, 31),
+        "pid": (0, 0),
     },
     # the hold and 0.2 s of the joint-3 ramp: 20 distinct design points
     # (the hold's and 19 ramp points) in 5 linearize blocks and 20 designs;
@@ -48,6 +52,7 @@ EXPECTED = {
     ("integrated2", 1.2): {
         "f": (965, 2020), "mpc_design": (20, 0), "linearize": (5, 20),
         "optimize_tensions": (2, 71), "qp": (120, 0), "sample": (1, 0), "record": (2, 121),
+        "pid": (0, 0),
     },
 }
 
@@ -75,6 +80,7 @@ def test_work_per_run(hcdr, monkeypatch, arch, t_end):
     _spy(monkeypatch, counts, sim, "optimize_tensions", "optimize_tensions",
          lambda model, q, qd, qdd: len(q))
     _spy(monkeypatch, counts, control, "solve_qp_active_set", "qp")
+    _spy(monkeypatch, counts, sim, "pid_step", "pid")
     _spy(monkeypatch, counts, TrajectorySpec, "sample", "sample")
     _spy(monkeypatch, counts, PlanarPlant, "record", "record", lambda self, x, *rest: len(x))
     # the chain and cable passes of each record block
