@@ -31,7 +31,10 @@ which reaches past the 1 s hold into the
 joint-3 ramp; integrated2 at 0.6 s with that noise, seed 3, weights
 unlike the defaults (``Q_scale`` 2.5, ``R_scale`` 3e-4, ``P_scale`` 0.3),
 ``Nc`` 20 and ``du_bound [5, Infinity, 0.2, 0.5]``, so that a change to how
-the weights and the bound enter the MPC shows.  Then ``compare`` on the
+the weights and the bound enter the MPC shows; integrated2 at 1.2 s with
+that noise, seed 1 and ``du_bound [1, 1, 0.05, 0.05]``, whose QPs also drop
+working rows (585 rows join and 72 leave over its 120 QPs; in the other
+runs the box binds without a row ever leaving).  Then ``compare`` on the
 0.3 s noisy integrated2 run (``comparison.csv`` and ``comparison.json``)
 and that run's ``trace.json`` (written with ``fmt="json"``), the default
 ``optimize-stiffness`` grid, and the ``u`` and ``L0`` bytes of
@@ -73,6 +76,10 @@ RUNS = {
         "t_end_s": 0.6, "seed": 3, "noise_std": NOISE,
         "controller": {"Q_scale": 2.5, "R_scale": 3e-4, "P_scale": 0.3, "Nc": 20,
                        "du_bound": [5.0, float("inf"), 0.2, 0.5]},
+    }),
+    "integrated2_tight_1.2s": ("case_study_integrated2", {
+        "t_end_s": 1.2, "seed": 1, "noise_std": NOISE,
+        "controller": {"du_bound": [1.0, 1.0, 0.05, 0.05]},
     }),
 }
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, metrics, sim
-from .errors import CableRobotError, ModelParseError, OutputError, ScenarioError
+from .errors import CableRobotError, ModelParseError, OutputError, ScenarioError, ValidationError
 from .model import RobotModel, _field, _json_object, _object, builtin_model, load_model
 from .stiffness import stiffness_landscape
 
@@ -191,7 +191,10 @@ def _cmd_linearize(args) -> int:
     # a non-finite point reaches the plant, whose non-finite output is a divergence
     x = _field(doc, "x", "$", "numbers", shape=(plant.n_states,))
     u = _field(doc, "u", "$", "numbers", shape=(plant.n_inputs,))
-    L0 = (_field(doc, "L01", "$", "number"), _field(doc, "L02", "$", "number"))
+    L0 = tuple(_field(doc, key, "$", "number") for key in ("L01", "L02"))
+    for key, value in zip(("L01", "L02"), L0):
+        if not 0 < value < np.inf:
+            raise ValidationError(f"$.{key}: unstretched length must be finite and positive")
     from .control import linearize
 
     ltv = linearize(plant.f_inputs, x, u, L0)

@@ -227,7 +227,7 @@ QP_TOL = 1e-9          # feasibility, falling-multiplier and dependent-row toler
 QP_MAX_ITER = 500      # active-set iterations before IterationLimitError
 
 
-def solve_qp_active_set(Li, g, A_ineq=None, b_ineq=None):
+def solve_qp_active_set(Li, g, A_ineq, b_ineq):
     """Minimize 0.5 z^T H z + g^T z subject to A z <= b (dual active set).
 
     H is positive definite and given by the inverse of its Cholesky factor,
@@ -238,69 +238,64 @@ def solve_qp_active_set(Li, g, A_ineq=None, b_ineq=None):
     with y = H^-1 a - Y dlam, Y = H^-1 A_W^T and (A_W Y) dlam = A_W H^-1 a,
     and the working multipliers by -t dlam, until the row holds and joins
     the working set W or a working multiplier reaches 0 and its row leaves.
-    Projecting each y onto null(A_W), and z on return onto A_W z = b_W,
-    removes the cancellation error that would move the working rows.  When
-    no row is violated and none is working, z returns as it stands, with
-    no projection: on the first pass, the unconstrained minimizer
-    ``Li^T (Li (-g))`` bit for bit.  Ties
-    break toward the lowest row index.  Raises InfeasibleError naming a
-    violated row that no step can meet, and ConditioningError when the
-    working-set system is singular.
+    W is one flag per row, and the multipliers and the columns of Y are
+    kept by row, so a row joins or leaves by one assignment.  Projecting
+    each y onto null(A_W), and z on return onto A_W z = b_W, removes the
+    cancellation error that would move the working rows.  When no row is
+    violated at the unconstrained minimizer ``Li^T (Li (-g))``, that returns
+    bit for bit, before any working-set array is built.  Ties break toward
+    the lowest row index.  Raises InfeasibleError naming a violated row that
+    no step can meet, and ConditioningError when the working-set system is
+    singular.
     """
     g = np.asarray(g, dtype=float)
+    A_ineq, b_ineq = np.asarray(A_ineq, dtype=float), np.asarray(b_ineq, dtype=float)
 
     def h_solve(rhs):
         return Li.T @ (Li @ rhs)
 
     z = h_solve(-g)
-    if A_ineq is None or len(A_ineq) == 0:
+    viol = A_ineq @ z - b_ineq
+    if not viol.size or viol.max() <= QP_TOL:
         return z
-    A_ineq = np.asarray(A_ineq, dtype=float)
-    b_ineq = np.asarray(b_ineq, dtype=float)
-    active = np.zeros(0, dtype=int)     # working rows, ascending
-    lam = np.zeros(0)                   # their multipliers
-    Y = np.zeros((g.size, 0))           # their columns of H^-1 A_W^T
-    row = None                          # the violated row being added, multiplier t_row
+    W = np.zeros(b_ineq.size, dtype=bool)     # the working set, one flag per row
+    lam = np.zeros(b_ineq.size)               # multipliers, by row
+    Y = np.zeros((g.size, b_ineq.size))       # columns H^-1 a, by row
+    row = None                                # the violated row being added, multiplier t_row
     for _ in range(QP_MAX_ITER):
-        Aw = A_ineq[active]
+        # C-ordered: the F-ordered Y[:, W] gives the products below other round-off
+        Aw, Yw = A_ineq[W], np.ascontiguousarray(Y[:, W])
         try:
             if row is None:
-                viol = A_ineq @ z - b_ineq
                 row, t_row = int(np.argmax(viol)), 0.0
                 if viol[row] <= QP_TOL:
-                    if not active.size:
-                        return z
-                    return z - Aw.T @ np.linalg.solve(Aw @ Aw.T, Aw @ z - b_ineq[active])
+                    return z - Aw.T @ np.linalg.solve(Aw @ Aw.T, Aw @ z - b_ineq[W])
             a, y0 = A_ineq[row], h_solve(A_ineq[row])
-            dlam = np.linalg.solve(Aw @ Y, Aw @ y0)
-            y = y0 - Y @ dlam
+            dlam = np.linalg.solve(Aw @ Yw, Aw @ y0)
+            y = y0 - Yw @ dlam
             y = y - Aw.T @ np.linalg.solve(Aw @ Aw.T, Aw @ y)
         except np.linalg.LinAlgError:
             raise ConditioningError(
-                f"active-set QP: singular working-set system ({active.size} rows)") from None
+                f"active-set QP: singular working-set system ({Aw.shape[0]} rows)") from None
         # the t at which the row holds (inf when a lies in the span of A_W),
         # and at which each falling working multiplier reaches 0 (inf: no drop)
         ay = a @ y
         t_add = (a @ z - b_ineq[row]) / ay if ay > QP_TOL * (a @ y0) else np.inf
         falls = dlam > QP_TOL
-        ratios = np.append(np.where(falls, lam, np.inf) / np.where(falls, dlam, 1.0), np.inf)
+        ratios = np.append(np.where(falls, lam[W], np.inf) / np.where(falls, dlam, 1.0), np.inf)
         j = int(np.argmin(ratios))
         t = min(t_add, ratios[j])
         if t == np.inf:
             raise InfeasibleError(f"QP infeasible: constraint row {row}, violated by "
                                   f"{a @ z - b_ineq[row]:.3e}, conflicts with the working set")
         t = max(t, 0.0)
-        z, lam, t_row = z - t * y, lam - t * dlam, t_row + t
+        z, t_row = z - t * y, t_row + t
+        lam[W] -= t * dlam
         if t_add <= ratios[j]:
-            at = int(np.searchsorted(active, row))
-            active = np.concatenate([active[:at], [row], active[at:]])
-            lam = np.concatenate([lam[:at], [t_row], lam[at:]])
-            Y = np.concatenate([Y[:, :at], y0[:, None], Y[:, at:]], axis=1)
-            row = None
+            W[row], lam[row], Y[:, row], row = True, t_row, y0, None
+            viol = A_ineq @ z - b_ineq
         else:
-            active = np.concatenate([active[:j], active[j + 1:]])
-            lam = np.concatenate([lam[:j], lam[j + 1:]])
-            Y = np.concatenate([Y[:, :j], Y[:, j + 1:]], axis=1)
+            W[np.flatnonzero(W)[j]] = False
     raise IterationLimitError(f"active-set QP did not converge within {QP_MAX_ITER} iterations")
 
 

@@ -654,6 +654,24 @@ class TestCliMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "divergence"
 
+    @pytest.mark.parametrize("key", ["L01", "L02"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_linearize_rejects_unstretched_lengths_outside_zero_infinity(self, tmp_path, capsys,
+                                                                         key, value):
+        """An unstretched length must lie in (0, inf), as ``optimize-stiffness
+        --l01`` requires: at -1 the cables of that group would push (k =
+        EA / L0 < 0), at Infinity pull with a constant -EA, and at 0 the
+        plant diverges.  Each is a validation error (exit 3) naming the
+        field, with nothing on stdout."""
+        point = tmp_path / "pt.json"
+        point.write_text(json.dumps({"x": REST, "u": [30.0, 30.0, 0.0, 0.0],
+                                     "L01": 0.85, "L02": 0.80, key: value}))
+        assert main(["linearize", "--state", str(point)]) == 3
+        out = capsys.readouterr()
+        err = json.loads(out.err)["error"]
+        assert err["category"] == "validation" and out.out == ""
+        assert err["message"].startswith(f"$.{key}:")
+
     @pytest.mark.parametrize("command", ["optimize-stiffness", "inverse-dynamics", "evaluate"])
     def test_overflow_ends_in_the_error_record(self, tmp_path, capsys, short_run, command):
         """Finite inputs whose result overflows: the squared eigenvalues of

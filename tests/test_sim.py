@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from cablearm import control, dynamics, sim
+from cablearm import cli, control, dynamics, sim
 from cablearm.dynamics import forward_dynamics, inverse_dynamics
 from cablearm.errors import (
     DivergenceError,
@@ -58,6 +58,40 @@ def planar_variants(draw):
     return replace(hcdr, arm=arm, platform=platform, mount_offset=in_plane(hcdr.mount_offset),
                    euler_convention=draw(st.sampled_from(("XYZ", "XZY", "YXZ", "YZX", "ZXY",
                                                           "ZYX"))))
+
+
+@st.composite
+def off_plane_variants(draw):
+    """A model of :func:`planar_variants` with one change that takes it out
+    of the plane, and the words of the ReductionError that names it: an xy
+    or yz inertia product on one body, a y component in one link's COM
+    offset or in a joint offset (of a link before the last), or one cable's
+    world or body anchor moved off its mirror image."""
+    model = draw(planar_variants())
+    size = draw(st.floats(0.05, 0.3)) * draw(st.sampled_from((-1.0, 1.0)))
+    kind = draw(st.sampled_from(("inertia", "offset", "anchor")))
+    if kind == "inertia":
+        body = draw(st.integers(0, len(model.arm)))
+        a, b = draw(st.sampled_from(((0, 1), (1, 2))))
+        inertia = model.bodies.inertia[body].copy()
+        inertia[a, b] = inertia[b, a] = size * np.sqrt(inertia[a, a] * inertia[b, b])
+        if body == 0:
+            return replace(model, platform=replace(model.platform, inertia=inertia)), \
+                "xy and yz products"
+        arm = list(model.arm)
+        arm[body - 1] = replace(arm[body - 1], inertia=inertia)
+        return replace(model, arm=tuple(arm)), "xy and yz products"
+    if kind == "offset":     # the last link's joint offset places the tip, not a joint
+        m = len(model.arm)
+        j, field = draw(st.sampled_from([(j, "com_offset") for j in range(m)]
+                                        + [(j, "joint_offset") for j in range(m - 1)]))
+        arm = list(model.arm)
+        arm[j] = replace(arm[j], **{field: getattr(arm[j], field) + [0.0, 0.1 * size, 0.0]})
+        return replace(model, arm=tuple(arm)), "no y component"
+    field = draw(st.sampled_from(("a_world", "r_body")))
+    anchors = getattr(model.platform, field).copy()
+    anchors[draw(st.integers(0, model.n_cables - 1)), draw(st.integers(0, 2))] += 0.1 * size
+    return replace(model, platform=replace(model.platform, **{field: anchors})), "mirror"
 
 
 def _assert_kernel_matches_3d(model, rng, n_states):
@@ -196,6 +230,22 @@ class TestPlanarReduce:
                 assert np.array_equal(got[i], want)
         L = cable_geometry(model, plant.embed(x)[0]).lengths
         assert np.array_equal(stacked[0], law.k * L + law.c)
+
+    @given(off_plane_variants(), st.integers(0, 2**32 - 1))
+    def test_rejects_generated_models_that_leave_the_plane(self, hcdr, variant, seed):
+        """Each generated off-plane model is refused, and the refusal is
+        needed: at a random planar state with nonzero rates, under elastic
+        tensions, its 3-D forward dynamics accelerates out of the plane."""
+        model, words = variant
+        with pytest.raises(ReductionError, match=words):
+            PlanarPlant(model)
+        plant = PlanarPlant(hcdr)      # the same free joints, so the same embedding
+        held = np.setdiff1d(np.arange(model.nq), plant._q_pos)
+        q, qd = plant.embed(np.random.default_rng(seed).normal(0, 0.2, plant.n_states))
+        L0 = cable_geometry(model, np.zeros(model.nq)).lengths * 0.9
+        T = model.platform.axial_stiffness / L0 * (cable_geometry(model, q).lengths - L0)
+        qdd = forward_dynamics(model, q, qd, T, np.zeros(model.n_arm))
+        assert np.max(np.abs(qdd[held])) > 1e-9 * np.max(np.abs(qdd))
 
     def test_stacked_kernel_matches_3d_forward_dynamics(self, hcdr):
         """A (2, 3) stack with per-row lengths and inputs matches the 3-D
@@ -564,6 +614,23 @@ class TestFailureNamesThePeriod:
         with pytest.raises(DivergenceError,
                            match=r"^period 2 \(t = 0.02 s\): integration produced non-finite"):
             simulate(hcdr, {"architecture": "independent", "t_end_s": 0.1})
+
+
+ZERO_WIDTH_BOX = (
+    "ROADMAP item 7: with controller.du_bound [0, 0, 0, 0], a 0.6 s case_study_integrated2 "
+    "run ends in IterationLimitError at period 51 (t = 0.51 s), although z = 0 is the only "
+    "feasible increment; under a raised cap that QP needs 1043 passes (621 adds, 421 drops, "
+    "279 re-adds) to return exactly 0")
+
+
+@pytest.mark.xfail(strict=True, raises=IterationLimitError, reason=ZERO_WIDTH_BOX)
+def test_zero_width_box_holds_the_input(hcdr):
+    """A zero-width increment box leaves z = 0 as the only feasible
+    increment, so every recorded MPC input equals the first."""
+    doc = {**cli.load_scenario("case_study_integrated2"), "t_end_s": 0.52,
+           "controller": {"du_bound": [0.0, 0.0, 0.0, 0.0]}}
+    trace = simulate(hcdr, doc)
+    assert np.all(trace.u == trace.u[0])
 
 
 class TestEnergyDrift:
