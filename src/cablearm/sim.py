@@ -7,17 +7,9 @@ test against the full 3-D model).  The 10-dim state is
 ``[p_mx, dp_mx, p_mz, dp_mz, beta, dbeta, th2, dth2, th3, dth3]``;
 inputs are ``[T_low_A, T_low_B, tau_2, tau_3]`` with the two
 length-commanded upper groups driven by the exogenous unstretched lengths
-(L01, L02).  The derivative is split in two.  :meth:`PlanarPlant.law` turns
-the inputs and lengths into a :class:`PlantLaw`, the per-cable tension law
-and the joint torques, which hold over an input period.
-:meth:`PlanarPlant.f` ``(x, law)`` is the one derivative, for single states
-(the fixed-count RK4 substeps) and stacks (step doubling, linearization).
-It never assembles the 9-DoF 3-D system: a planar kernel over (p_mx, p_mz,
-beta, free joints) turns each body's levers and the cable attachments in
-the x-z plane, stacks the bodies' translational Jacobian rows into one J,
-takes M, gravity and the velocity term from it and solves one n x n system
-(n = 5 with the arm, 3 without).  The tests check it against the 3-D
-forward dynamics.
+(L01, L02).  :class:`PlanarPlant` evaluates the derivative with a planar
+kernel that never assembles the 9-DoF 3-D system; the tests check it
+against the 3-D forward dynamics.
 
 Closed loop (:func:`simulate`).  An architecture fixes two things
 (:class:`Architecture`): the design model, from which the tension/length
@@ -30,30 +22,16 @@ feedforward and the MPC's linearization come, and the MPC's reach.
 * integrated2: coupled design model; one MPC over all 10 states and 4
   inputs, no PID.
 
-Every architecture runs the same loop: one reference schedule on the
-design model, a linearization of the design plant per distinct schedule
-point (cut to the MPC's leading states and inputs), one MPC design each
-time the period's linearization differs from the last period's, one MPC
-step per period and, where the arm is on PID, one PID call per integration
-substep; the plant law is built once per period, and the PID's torques
-replace its torques per substep.  Where no PID runs (integrated2) the
-input is held over the period, and unless a substep count is set the
-period is integrated by RK4 step doubling to ``HELD_TOL``: the substeps
-then control only integration error.  Fixed or error-controlled, a period
-takes at most ``MAX_SUBSTEPS``.
-The simulated plant is always the coupled system.  A run is described by
-one scenario document: :func:`resolve_scenario` is the one home of its
-defaults and checks, and :func:`controller_params` of the controller's.
-
-The whole reference is known before the loop starts, so the design path
-runs in blocks over one set of distinct reference rows (as the design model
-sees them, ``-0.0`` counted as ``0.0``): the schedule optimizes each with
-one :func:`optimize_tensions` call per ``SCHEDULE_BLOCK`` rows, the
-linearizations of the same rows, as design points, are made before the
-loop with one :func:`linearize` call per ``LINEARIZE_BLOCK`` points, and
-the PID's joint reference is one trajectory sample at all substep times.
-Every block row is bit-equal to its one-row call, so the traces do not
-depend on the block sizes.
+A run has three parts.  :func:`setup_run` resolves the scenario document
+(:func:`resolve_scenario` holds its defaults and checks) into a
+:class:`RunSetup`: the plant, the schedule and its linearizations, the
+controller settings, the substep rule, the PID's joint reference and the
+noise scale.  The reference is known before the loop, so the design path
+runs in blocks over its distinct rows (``-0.0`` counted as ``0.0``): one
+:func:`optimize_tensions` call per ``SCHEDULE_BLOCK`` rows and one
+:func:`linearize` call per ``LINEARIZE_BLOCK`` points, each block row
+bit-equal to its one-row call.  A :class:`RunState` holds what passes from
+one period to the next; :func:`run_period` advances it by one period.
 """
 
 from __future__ import annotations
@@ -171,7 +149,9 @@ class PlanarPlant:
                 free.append(j)
             elif link.joint_axis != "Z":
                 raise ReductionError("arm joints must rotate about Y (free) or Z (held)")
-            if np.any(np.abs([link.joint_offset[1], link.com_offset[1]]) > 1e-12):
+            # the last link's joint offset places only the tip, which may leave the plane
+            y = [link.com_offset[1], link.joint_offset[1] if j < model.n_arm - 1 else 0.0]
+            if np.any(np.abs(y) > 1e-12):
                 raise ReductionError(f"arm link {j + 1}: joint and COM offsets must lie in the "
                                      "x-z plane (no y component)")
         if np.any(np.abs(model.bodies.inertia[:, 1, [0, 2]]) > 1e-12):
@@ -688,29 +668,43 @@ def resolve_scenario(doc: dict) -> dict:
     return _resolve(doc)[0]
 
 
-def simulate(model: RobotModel, scenario: dict) -> SimTrace:
-    """Run a scenario document on ``model`` and record the trace.
+@dataclass(frozen=True)
+class RunSetup:
+    """What a closed-loop run fixes before its first period (:func:`setup_run`)."""
 
-    The scenario is resolved and checked as :func:`resolve_scenario` does,
-    before anything is computed; its ``model`` field, which the command
-    line resolves, is not read.  Per controller period (``Ts_s``): take the
-    linearization of the design plant at the feedforward scheduled on the
-    architecture's design model (made before the loop, one per distinct
-    point), solve the MPC over its states and inputs (its design is built
-    when the linearization differs from the last period's, and held until
-    it changes again), then integrate the coupled plant with
-    ``integrator_substeps`` RK4 steps; joints the MPC leaves out get PID
-    torques at the start of every substep.  With null substeps
-    (integrated2's default) the input is held over the period, which
-    :func:`rk4_held` integrates to its error tolerance.  Either way the
-    plant's :class:`PlantLaw` is built once per period from the input and
-    the period's unstretched lengths; under the PID only its torques change
-    per substep.  Input noise is zero-mean Gaussian per channel, sampled
-    once per period and held.
-    Tensions, energies and the tip come from one :meth:`PlanarPlant.record`
-    call per 64 recorded rows after the loop.  An error in period k is
-    re-raised as its class, prefixed ``period k (t = ... s)``.
-    """
+    arch: Architecture
+    plant: PlanarPlant           # the simulated plant, always the coupled system
+    periods: int                 # K
+    x_ref: np.ndarray            # (K+1+Np, 10) reference at the period times, and
+    u_ref: np.ndarray            # (K+1+Np, p_d) its feedforward inputs, ...
+    L0: np.ndarray               # (K+1+Np, 2) upper unstretched lengths and ...
+    slot: np.ndarray             # (K+1+Np,) distinct rows, scheduled on the design model
+    table: list                  # per slot of periods 0..K-1, the design plant's (A, B)
+    mpc: MpcParams
+    pid: PidGains
+    substeps: int | None         # RK4 substeps per period; None: error-controlled
+    refs: np.ndarray | None      # (K, substeps, 4) PID joint reference; None: no PID
+    noise_std: np.ndarray        # (4,) input noise per channel
+
+
+@dataclass
+class RunState:
+    """What a closed-loop run carries from one period to the next."""
+
+    x: np.ndarray                # (10,) plant state
+    x_prev: np.ndarray           # (s,) MPC states at the last period's start
+    u_prev: np.ndarray           # (p,) the MPC's last input, before noise
+    rng: np.random.Generator     # input noise
+    integral: np.ndarray | None = None      # the PID's integral and last error
+    e_prev: np.ndarray | None = None
+    design: control.MpcDesign | None = None     # the live MPC design
+    u: np.ndarray | None = None  # (4,) the input applied over the last substep
+
+
+def setup_run(model: RobotModel, scenario: dict) -> tuple[RunSetup, RunState]:
+    """The set-up of a scenario document's run on ``model`` and its state
+    before the first period.  The scenario is resolved and checked first;
+    its ``model`` field, which the command line resolves, is not read."""
     cfg, arch, K, traj, mpc_params, pid_gains = _resolve(scenario)
     substeps = cfg["integrator_substeps"]
     plant = PlanarPlant(model)
@@ -719,82 +713,88 @@ def simulate(model: RobotModel, scenario: dict) -> SimTrace:
     if model.n_cables != TRACE_CABLES:
         raise ValidationError(f"closed-loop simulation records {TRACE_CABLES} cable tensions; "
                               f"the model has {model.n_cables} cables")
-    s, p = arch.mpc_size
-    Ts, Np = mpc_params.Ts, mpc_params.Np
-
+    (s, p), Ts = arch.mpc_size, mpc_params.Ts
     model_d = arch.design_model(model)
     plant_d = plant if model_d is model else PlanarPlant(model_d)
-    sched = reference_schedule(model_d, plant_d, traj, np.arange(K + 1 + Np) * Ts)
+    sched = reference_schedule(model_d, plant_d, traj, np.arange(K + 1 + mpc_params.Np) * Ts)
     x_ref, u_ref, L0_ref, slot = sched["x"], sched["u"], sched["L0"], sched["slot"]
-
-    # One linearization of the design plant per distinct schedule row of
-    # periods 0..K-1 (slots are numbered by first occurrence, so these are
-    # 0..max), in blocks of LINEARIZE_BLOCK points, each cut to the MPC's
-    # states and inputs.
-    x_d = x_ref[:, :plant_d.n_states]
-    first = np.unique(slot[:K], return_index=True)[1]
+    # One linearization of the design plant per slot of periods 0..K-1 (slots
+    # are numbered by first occurrence, so 0..max), cut to the MPC's size.
+    x_d, first = x_ref[:, :plant_d.n_states], np.unique(slot[:K], return_index=True)[1]
     table = []
     for b in range(0, len(first), LINEARIZE_BLOCK):
         rows = first[b:b + LINEARIZE_BLOCK]
-        lin = linearize(plant_d.f_inputs, x_d[rows], u_ref[rows],
-                        (L0_ref[rows, 0], L0_ref[rows, 1]))
+        lin = linearize(plant_d.f_inputs, x_d[rows], u_ref[rows], tuple(L0_ref[rows].T))
         table += zip(lin.A[:, :s, :s], lin.B[:, :s, :p])
-
-    rng = np.random.default_rng(cfg["seed"])
-    noise_std = np.broadcast_to(np.asarray(cfg["noise_std"], dtype=float), (4,))
-    x = x_ref[0]
-    x_prev, u_prev = x[:s], u_ref[0, :p]
-    xs, us = [], []
-    joint_pid = p < plant.n_inputs
-    dt = None if substeps is None else Ts / substeps
-    if joint_pid:   # the joint reference at every substep time, and the PID's memory
+    state = RunState(x=x_ref[0], x_prev=x_ref[0, :s], u_prev=u_ref[0, :p],
+                     rng=np.random.default_rng(cfg["seed"]))
+    refs = None
+    if p < plant.n_inputs:  # the joint reference at every substep time, and the PID's memory
+        dt = Ts / substeps
         refs = traj.sample(np.arange(K)[:, None] * Ts + np.arange(substeps) * dt)[..., 6:10]
-        integral, e_prev = np.zeros(2), refs[0, 0, 0::2] - x[6:10:2]
+        state.integral, state.e_prev = np.zeros(2), refs[0, 0, 0::2] - state.x[6:10:2]
+    noise_std = np.broadcast_to(np.asarray(cfg["noise_std"], dtype=float), (4,))
+    return RunSetup(arch, plant, K, x_ref, u_ref, L0_ref, slot, table, mpc_params, pid_gains,
+                    substeps, refs, noise_std), state
+
+
+def run_period(run: RunSetup, state: RunState, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance ``state`` over controller period k; return the trace row of
+    the period's start: its state and the input applied from it.
+
+    The MPC design is rebuilt when the slot differs from the last period's.
+    The plant takes ``substeps`` RK4 steps, the joints outside the MPC on
+    PID torques set at the start of each, or (no PID) one :func:`rk4_held`
+    call.  The :class:`PlantLaw` is built once per period, the PID changing
+    only its torques.  Input noise is zero-mean Gaussian, held per period.
+    """
+    (s, p), Ts, Np = run.arch.mpc_size, run.mpc.Ts, run.mpc.Np
+    w = state.rng.normal(0.0, 1.0, 4) * run.noise_std
+    if k == 0 or run.slot[k] != run.slot[k - 1]:
+        state.design = control.mpc_design(*run.table[run.slot[k]], run.mpc)
+    state.u_prev = control.mpc_step(state.design, state.x[:s], state.x_prev, state.u_prev,
+                                    run.x_ref[k:k + Np + 1, :s], run.u_ref[k:k + Np + 1, :p])
+    state.x_prev = state.x[:s]
+    u = state.u_prev + w[:p]
+    law = run.plant.law(u, *run.L0[k])
+    dt = None if run.substeps is None else Ts / run.substeps
+    for n in range(run.substeps or 1):     # a held period: one rk4_held call
+        if run.refs is not None:    # u holds the lower tensions only; the PID the torques
+            tau, state.integral, state.e_prev = pid_step(
+                run.refs[k, n] - state.x[6:10], state.integral, state.e_prev, run.pid, dt)
+            law = PlantLaw(law.k, law.c, tau + w[2:])
+        if n == 0:
+            row = state.x, np.concatenate([u[:2], law.tau])
+        state.x = (rk4_held(run.plant.f, state.x, (law,), Ts)[0] if dt is None
+                   else rk4_step(run.plant.f, state.x, (law,), dt))
+    state.u = np.concatenate([u[:2], law.tau])
+    return row
+
+
+def simulate(model: RobotModel, scenario: dict) -> SimTrace:
+    """Run a scenario document on ``model``: :func:`setup_run`, then one
+    :func:`run_period` per controller period, whose rows and the final state
+    make the trace.  An error in period k is re-raised as its class,
+    prefixed ``period k (t = ... s)``."""
+    run, state = setup_run(model, scenario)
+    K, Ts, plant = run.periods, run.mpc.Ts, run.plant
+    rows = []
     try:
         for k in range(K):
-            w = rng.normal(0.0, 1.0, 4) * noise_std
-            if k == 0 or slot[k] != slot[k - 1]:
-                design = control.mpc_design(*table[slot[k]], mpc_params)
-            u_prev = control.mpc_step(design, x[:s], x_prev, u_prev,
-                                      x_ref[k:k + Np + 1, :s], u_ref[k:k + Np + 1, :p])
-            x_prev = x[:s]
-            u = u_prev + w[:p]
-            law = plant.law(u, *L0_ref[k])
-            for n in range(substeps or 1):     # a held period: one rk4_held call
-                if joint_pid:   # u holds the lower tensions only; the PID the torques
-                    tau, integral, e_prev = pid_step(refs[k, n] - x[6:10], integral, e_prev,
-                                                     pid_gains, dt)
-                    law = PlantLaw(law.k, law.c, tau + w[2:])
-                if n == 0:
-                    xs.append(x)
-                    us.append(np.concatenate([u[:2], law.tau]))
-                if dt is None:      # input held over the period, no PID
-                    x = rk4_held(plant.f, x, (law,), Ts)[0]
-                else:
-                    x = rk4_step(plant.f, x, (law,), dt)
+            rows.append(run_period(run, state, k))
     except CableRobotError as exc:
         raise type(exc)(f"period {k} (t = {k * Ts:.2f} s): {exc}") from None
-    xs.append(x)
-    us.append(np.concatenate([u[:2], law.tau]))
+    rows.append((state.x, state.u))
 
-    X, U, L0 = np.array(xs), np.array(us), L0_ref[:K + 1]
+    X, U = (np.array(col) for col in zip(*rows))
+    L0, x_ref = run.L0[:K + 1], run.x_ref[:K + 1]
     # One record call per block of 64 rows: a whole-run batch would hold
     # about 10 kB of dynamics temporaries per row at once.
     blocks = [plant.record(X[b], U[b], L0[b, 0], L0[b, 1])
               for b in (slice(i, i + 64) for i in range(0, K + 1, 64))]
     tensions, ke, ve, p_e = (np.concatenate(col) for col in zip(*blocks))
-    return SimTrace(
-        t=np.arange(K + 1) * Ts,
-        x=X,
-        u=U,
-        tensions=tensions,
-        L0=L0,
-        ke=ke,
-        ve=ve,
-        x_ref=x_ref[:K + 1],
-        p_e=p_e,
-        p_e_ref=plant.end_effector(x_ref[:K + 1]),
-    )
+    return SimTrace(t=np.arange(K + 1) * Ts, x=X, u=U, tensions=tensions, L0=L0, ke=ke, ve=ve,
+                    x_ref=x_ref, p_e=p_e, p_e_ref=plant.end_effector(x_ref))
 
 
 def config_digest(config: dict) -> str:

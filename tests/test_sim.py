@@ -25,18 +25,29 @@ from cablearm.sim import (
     reference_schedule,
     rk4_held,
     rk4_step,
+    run_period,
+    setup_run,
     simulate,
 )
 from cablearm.stiffness import optimize_tensions
-from oracles import elastic_law
+from oracles import elastic_law, link_kinematics
+
+
+def _with_link(model, j, **change):
+    """``model`` with arm link j's fields replaced."""
+    arm = list(model.arm)
+    arm[j] = replace(arm[j], **change)
+    return replace(model, arm=tuple(arm))
 
 
 @st.composite
 def planar_variants(draw):
     """Models derived from the bundled one that PlanarPlant accepts: link
     masses, an xz inertia product on every body, joint, COM and mount
-    offsets in the x-z plane, any Euler convention, and one EA per mirror
-    pair of cables (cable i and cable i + 6)."""
+    offsets in the x-z plane, except that the last link's joint offset,
+    which places only the tip, also gets a y component; each joint about Y
+    (free) or Z (held), any Euler convention, and one EA per mirror pair of
+    cables (cable i and cable i + 6)."""
     hcdr = builtin_hcdr9dof()
     unit = st.floats(-1.0, 1.0)
 
@@ -45,13 +56,15 @@ def planar_variants(draw):
         out[0, 2] = out[2, 0] = 0.5 * draw(unit) * np.sqrt(out[0, 0] * out[2, 2])
         return out
 
-    def in_plane(offset):
-        return offset + 0.05 * np.array([draw(unit), 0.0, draw(unit)])
+    def in_plane(offset, y=0.0):
+        return offset + 0.05 * np.array([draw(unit), y, draw(unit)])
 
+    last = len(hcdr.arm) - 1
     arm = tuple(replace(link, mass=link.mass * draw(st.floats(0.5, 2.0)),
-                        inertia=xz_product(link.inertia), joint_offset=in_plane(link.joint_offset),
+                        inertia=xz_product(link.inertia), joint_axis=draw(st.sampled_from("YZ")),
+                        joint_offset=in_plane(link.joint_offset, draw(unit) if j == last else 0.0),
                         com_offset=in_plane(link.com_offset))
-                for link in hcdr.arm)
+                for j, link in enumerate(hcdr.arm))
     ea = np.tile([draw(st.floats(50.0, 500.0)) for _ in range(6)], 2)
     platform = replace(hcdr.platform, inertia=xz_product(hcdr.platform.inertia),
                        axial_stiffness=ea)
@@ -62,36 +75,37 @@ def planar_variants(draw):
 
 @st.composite
 def off_plane_variants(draw):
-    """A model of :func:`planar_variants` with one change that takes it out
-    of the plane, and the words of the ReductionError that names it: an xy
-    or yz inertia product on one body, a y component in one link's COM
-    offset or in a joint offset (of a link before the last), or one cable's
-    world or body anchor moved off its mirror image."""
+    """One change of each kind that takes a :func:`planar_variants` model
+    out of the plane, as (model, the words of the ReductionError that names
+    it, the planar model whose free joints embed its states): an xy or yz
+    inertia product on one body; a y component in one link's COM offset or
+    in a joint offset of a link before the last; one cable's world or body
+    anchor moved off its mirror image; and, in place of one free joint, a
+    joint about X or one that slides along y."""
     model = draw(planar_variants())
-    size = draw(st.floats(0.05, 0.3)) * draw(st.sampled_from((-1.0, 1.0)))
-    kind = draw(st.sampled_from(("inertia", "offset", "anchor")))
-    if kind == "inertia":
-        body = draw(st.integers(0, len(model.arm)))
-        a, b = draw(st.sampled_from(((0, 1), (1, 2))))
-        inertia = model.bodies.inertia[body].copy()
-        inertia[a, b] = inertia[b, a] = size * np.sqrt(inertia[a, a] * inertia[b, b])
-        if body == 0:
-            return replace(model, platform=replace(model.platform, inertia=inertia)), \
-                "xy and yz products"
-        arm = list(model.arm)
-        arm[body - 1] = replace(arm[body - 1], inertia=inertia)
-        return replace(model, arm=tuple(arm)), "xy and yz products"
-    if kind == "offset":     # the last link's joint offset places the tip, not a joint
-        m = len(model.arm)
-        j, field = draw(st.sampled_from([(j, "com_offset") for j in range(m)]
-                                        + [(j, "joint_offset") for j in range(m - 1)]))
-        arm = list(model.arm)
-        arm[j] = replace(arm[j], **{field: getattr(arm[j], field) + [0.0, 0.1 * size, 0.0]})
-        return replace(model, arm=tuple(arm)), "no y component"
+    m = len(model.arm)
+
+    def size():
+        return draw(st.floats(0.05, 0.3)) * draw(st.sampled_from((-1.0, 1.0)))
+
+    body = draw(st.integers(0, m))
+    a, b = draw(st.sampled_from(((0, 1), (1, 2))))
+    inertia = model.bodies.inertia[body].copy()
+    inertia[a, b] = inertia[b, a] = size() * np.sqrt(inertia[a, a] * inertia[b, b])
+    tilted = (replace(model, platform=replace(model.platform, inertia=inertia)) if body == 0
+              else _with_link(model, body - 1, inertia=inertia))
+    j, field = draw(st.sampled_from([(j, "com_offset") for j in range(m)]
+                                    + [(j, "joint_offset") for j in range(m - 1)]))
+    lifted = _with_link(model, j, **{field: getattr(model.arm[j], field) + [0, 0.1 * size(), 0]})
     field = draw(st.sampled_from(("a_world", "r_body")))
     anchors = getattr(model.platform, field).copy()
-    anchors[draw(st.integers(0, model.n_cables - 1)), draw(st.integers(0, 2))] += 0.1 * size
-    return replace(model, platform=replace(model.platform, **{field: anchors})), "mirror"
+    anchors[draw(st.integers(0, model.n_cables - 1)), draw(st.integers(0, 2))] += 0.1 * size()
+    moved = replace(model, platform=replace(model.platform, **{field: anchors}))
+    j = draw(st.integers(0, m - 1))
+    free = _with_link(model, j, joint_axis="Y")
+    return [(tilted, "xy and yz products", model), (lifted, "no y component", model),
+            (moved, "mirror", model), (_with_link(free, j, joint_axis="X"), "rotate about Y", free),
+            (_with_link(free, j, joint_kind="prismatic"), "revolute", free)]
 
 
 def _assert_kernel_matches_3d(model, rng, n_states):
@@ -230,22 +244,27 @@ class TestPlanarReduce:
                 assert np.array_equal(got[i], want)
         L = cable_geometry(model, plant.embed(x)[0]).lengths
         assert np.array_equal(stacked[0], law.k * L + law.c)
+        # the tip is the 3-D tip's x and z; its y is the last joint offset's
+        tip = link_kinematics(model, *plant.embed(x[0, 0])).tip
+        assert np.array_equal(plant.end_effector(x[0, 0]), tip[[0, 2]])
+        assert np.isclose(tip[1], model.arm[-1].joint_offset[1], rtol=0, atol=1e-15)
 
     @given(off_plane_variants(), st.integers(0, 2**32 - 1))
-    def test_rejects_generated_models_that_leave_the_plane(self, hcdr, variant, seed):
+    def test_rejects_generated_models_that_leave_the_plane(self, variants, seed):
         """Each generated off-plane model is refused, and the refusal is
         needed: at a random planar state with nonzero rates, under elastic
         tensions, its 3-D forward dynamics accelerates out of the plane."""
-        model, words = variant
-        with pytest.raises(ReductionError, match=words):
-            PlanarPlant(model)
-        plant = PlanarPlant(hcdr)      # the same free joints, so the same embedding
-        held = np.setdiff1d(np.arange(model.nq), plant._q_pos)
-        q, qd = plant.embed(np.random.default_rng(seed).normal(0, 0.2, plant.n_states))
-        L0 = cable_geometry(model, np.zeros(model.nq)).lengths * 0.9
-        T = model.platform.axial_stiffness / L0 * (cable_geometry(model, q).lengths - L0)
-        qdd = forward_dynamics(model, q, qd, T, np.zeros(model.n_arm))
-        assert np.max(np.abs(qdd[held])) > 1e-9 * np.max(np.abs(qdd))
+        rng = np.random.default_rng(seed)
+        for model, words, base in variants:
+            with pytest.raises(ReductionError, match=words):
+                PlanarPlant(model)
+            plant = PlanarPlant(base)
+            held = np.setdiff1d(np.arange(model.nq), plant._q_pos)
+            q, qd = plant.embed(rng.normal(0, 0.2, plant.n_states))
+            L0 = cable_geometry(model, np.zeros(model.nq)).lengths * 0.9
+            T = model.platform.axial_stiffness / L0 * (cable_geometry(model, q).lengths - L0)
+            qdd = forward_dynamics(model, q, qd, T, np.zeros(model.n_arm))
+            assert np.max(np.abs(qdd[held])) > 1e-9 * np.max(np.abs(qdd)), words
 
     def test_stacked_kernel_matches_3d_forward_dynamics(self, hcdr):
         """A (2, 3) stack with per-row lengths and inputs matches the 3-D
@@ -286,8 +305,6 @@ class TestPlanarReduce:
 
     def test_end_effector_batch_matches_link_kinematics(self, hcdr, rng):
         """Batched tips equal the single-state tips of link_kinematics."""
-        from oracles import link_kinematics
-
         plant = PlanarPlant(hcdr)
         x = rng.normal(0, 0.3, (2, 3, 10))
         tips = plant.end_effector(x)
@@ -762,6 +779,17 @@ class TestSimulate:
         x_err = np.abs(trace.x[:, 0] - trace.x_ref[:, 0])
         assert z_err[-1] > 5e-3
         assert z_err[-1] > 10 * x_err[-1]
+
+    @pytest.mark.parametrize("arch", ["independent", "integrated2"])
+    def test_stepping_by_hand_gives_the_trace(self, hcdr, arch):
+        """setup_run and one run_period per period give simulate's rows; the
+        last row is the state after the last period and its applied input."""
+        doc = {"architecture": arch, "t_end_s": 0.1, "noise_std": 0.01, "seed": 3}
+        run, state = setup_run(hcdr, doc)
+        rows = [run_period(run, state, k) for k in range(run.periods)] + [(state.x, state.u)]
+        trace = simulate(hcdr, doc)
+        assert np.array_equal(np.array([x for x, _ in rows]), trace.x)
+        assert np.array_equal(np.array([u for _, u in rows]), trace.u)
 
     def test_same_seed_identical_traces(self, hcdr):
         doc = {"architecture": "integrated2", "t_end_s": 0.3, "noise_std": 0.01, "seed": 13}

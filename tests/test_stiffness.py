@@ -13,7 +13,7 @@ from cablearm.errors import (
     ValidationError,
 )
 from cablearm.kinematics import cable_geometry, tension_wrench_matrix
-from cablearm.model import builtin_hcdr9dof
+from cablearm.model import builtin_hcdr9dof, model_from_dict, model_to_dict
 from cablearm.sim import PlanarPlant, case_study_trajectory
 from cablearm.stiffness import (
     generalized_to_wrench,
@@ -77,6 +77,12 @@ class TestKk:
         K1 = stiffness_Kk(hcdr, HOME, None, L0=L0)
         K2 = stiffness_Kk(stiff, HOME, None, L0=L0)
         assert np.allclose(K2, 2 * K1, atol=1e-10)
+
+    @pytest.mark.parametrize("subset", [(1, 13), (0, 2)])
+    def test_rejects_cable_index_outside_one_to_n(self, hcdr, subset):
+        """Indices are 1-based: N + 1 (13) and 0 name no cable."""
+        with pytest.raises(ValidationError, match="in 1..N"):
+            stiffness_Kk(hcdr, HOME, subset, T=np.zeros(12))
 
     def test_coefficient_recovery_from_tension(self, hcdr):
         """K_k from tension equals K_k from L0 = EA L / (EA + T), the
@@ -222,6 +228,20 @@ class TestOptimizeTensions:
         ))
         with pytest.raises(InfeasibleError):
             optimize_tensions(narrow, np.zeros(9))
+
+    def test_one_force_group_and_no_length_group(self, hcdr):
+        """A model whose one actuator group holds all 12 cables, force
+        commanded, leaves the balance no unknown but the scanned tension:
+        the least-squares system has no column, and at the bundled pose no
+        common tension balances the platform."""
+        doc = model_to_dict(hcdr)
+        doc["platform"]["actuator_groups"] = {"1": list(range(1, 13))}
+        doc["platform"]["tension_controlled_groups"] = [1]
+        model = model_from_dict(doc)
+        assert model.platform.actuation_layout() == ((1,), ())
+        with pytest.raises(InfeasibleError, match=r"no statically consistent tensions.*"
+                                                  r"\(scanned group 1\)"):
+            optimize_tensions(model, np.zeros(9))
 
     @pytest.mark.parametrize("t", [0.0, 1.5, 6.0])
     def test_matches_brute_force_scan(self, hcdr, t):

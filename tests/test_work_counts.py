@@ -4,6 +4,7 @@ Timings are noisy; the number of times each layer runs is not.  Spies
 count, per run:
 
 * ``PlanarPlant.f`` calls and state rows (integration and linearization);
+* ``run_period`` calls, one per controller period (0.01 s);
 * ``mpc_design`` calls, one per change of the period's linearization;
 * ``linearize`` and ``optimize_tensions`` block calls and rows;
 * QP calls (``solve_qp_active_set``), one per period;
@@ -75,6 +76,7 @@ def test_work_per_run(hcdr, monkeypatch, arch, t_end):
     counts = {}
     _spy(monkeypatch, counts, PlanarPlant, "f", "f",
          lambda self, x, law: int(np.prod(np.shape(x)[:-1])))
+    _spy(monkeypatch, counts, sim, "run_period", "period")
     _spy(monkeypatch, counts, control, "mpc_design", "mpc_design")
     _spy(monkeypatch, counts, sim, "linearize", "linearize", lambda plant, x, u, ex: len(x))
     _spy(monkeypatch, counts, sim, "optimize_tensions", "optimize_tensions",
@@ -103,4 +105,5 @@ def test_work_per_run(hcdr, monkeypatch, arch, t_end):
     sim.simulate(hcdr, {"architecture": arch, "t_end_s": t_end})
     got = {key: counts.get(key, (0, 0)) for key in EXPECTED[arch, t_end]}
     assert got == EXPECTED[arch, t_end]
+    assert counts["period"] == (round(t_end / 0.01), 0)
     assert per_block == [(1, 1)] * EXPECTED[arch, t_end]["record"][0]
